@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-rules lint-baseline chaos audit bench bench-smoke soak latency console experiments
+.PHONY: test lint lint-rules lint-baseline chaos audit bench bench-smoke bench-selftest obs-cost soak latency console experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,6 +43,18 @@ bench-smoke:
 	$(PYTHON) -m repro.bench --only micro --filter wire --repeats 3 \
 		--gate-wire-codec 3.0 --out bench-smoke.json
 	$(PYTHON) -m repro.bench --validate bench-smoke.json
+
+# The repo benchmark (bench/, BENCHMARK.json) checking itself: every
+# workload at 1/20 size, determinism, obs-on == obs-off work, and
+# BENCHMARK.json <-> bench/run.py lockstep (~10 s).
+bench-selftest:
+	python3 bench/run.py --selftest
+
+# What full observability costs: the same traffic with telemetry off
+# and on. Budget: wan_mixed_obs >= 0.80 x wan_mixed (docs/OBSERVABILITY.md).
+obs-cost:
+	@python3 bench/run.py --workload wan_mixed | awk '$$2 == "commits_per_s"'
+	@python3 bench/run.py --workload wan_mixed_obs | awk '$$2 == "commits_per_s"'
 
 # Sustained open-loop soak: checkpoints + log truncation must hold the
 # per-replica retained footprint under the bound for the whole run (the

@@ -452,6 +452,14 @@ def _make_sustained(seed: int):
                 f"{SUSTAINED_RETAINED_BOUND}: memory is not GC-bounded "
                 "under sustained load"
             )
+        # The hub's cross-component correlation maps are pruned as logs
+        # truncate and WAN hops land; they must not outgrow the replicas.
+        if obs.correlations_retained > SUSTAINED_RETAINED_BOUND:
+            raise RuntimeError(
+                f"obs holds {obs.correlations_retained} entry traces / "
+                f"open WAN spans, over the {SUSTAINED_RETAINED_BOUND} "
+                "bound: tracing state is not truncation-bounded"
+            )
         duration_ms = max(s["duration_ms"] for s in site_stats.values())
         # Fold the sampled span trees into the schema-v4 latency block.
         # Conservation is an enforced acceptance criterion: the fold

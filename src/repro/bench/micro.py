@@ -195,22 +195,23 @@ def _make_heap_churn(seed: int):
 # Flight-recorder journal
 # ----------------------------------------------------------------------
 def _make_journal_append(seed: int):
-    """Raw cost of one ``EventJournal.record`` — the per-event price the
-    forensics flight recorder adds to every instrumented hot path. The
-    ring is sized below the op count so steady-state eviction is part of
-    the measurement."""
-    from repro.obs.journal import EventJournal
+    """Cost of one ``obs.event(...)`` through the production seam — a
+    clock-bound forensics hub, called the way the PBFT vote handlers
+    call it — i.e. the per-event price the flight recorder adds to
+    every instrumented hot path. The ring is sized below the op count
+    so steady-state eviction is part of the measurement."""
+    from repro.obs.hub import Observability
 
     rng = random.Random(seed)
     digests = [f"{rng.randrange(1 << 64):016x}" for _ in range(_CORPUS)]
     ops = 10_000
 
     def operation():
-        journal = EventJournal(max_events=4_096)
+        obs = Observability(forensics=True, max_events=4_096)
+        obs.bind_clock(Simulator(seed=seed))
         for index in range(ops):
-            journal.record(
+            obs.event(
                 "pbft.vote",
-                float(index),
                 participant="C",
                 node=f"C-{index & 3}",
                 trace=None,
@@ -221,7 +222,10 @@ def _make_journal_append(seed: int):
                 voter=f"C-{index & 3}",
                 src=f"C-{index & 3}",
             )
-        return {"recorded": journal.recorded, "dropped": journal.dropped}
+        return {
+            "recorded": obs.journal.recorded,
+            "dropped": obs.journal.dropped,
+        }
 
     return operation, ops
 

@@ -55,6 +55,9 @@ class BlockplaneAPI:
         self.in_flight = 0
         #: Submissions shed by admission control since construction.
         self.shed_total = 0
+        # Metric handles, resolved on first use instead of per commit.
+        self._commit_latency = None
+        self._commit_counters: dict = {}
 
     @property
     def participant(self) -> str:
@@ -163,14 +166,22 @@ class BlockplaneAPI:
         if self.unit.config.f_geo > 0 and self.unit.geo is not None:
             yield self.unit.geo.proofs_for(position)
         if obs.enabled:
-            obs.histogram(
-                "commit_latency_ms", participant=self.participant,
-            ).observe(self.sim.now - started, at=self.sim.now)
-            obs.counter(
-                "bp_commits_total", participant=self.participant,
-                record_type=record_type,
-            ).inc()
-            obs.end_span(root, position=position)
+            latency = self._commit_latency
+            if latency is None:
+                latency = self._commit_latency = obs.histogram(
+                    "commit_latency_ms", participant=self.participant,
+                )
+            now = self.sim.now
+            latency.observe(now - started, at=now)
+            counter = self._commit_counters.get(record_type)
+            if counter is None:
+                counter = self._commit_counters[record_type] = obs.counter(
+                    "bp_commits_total", participant=self.participant,
+                    record_type=record_type,
+                )
+            counter.value += 1.0
+            if root is not None:
+                obs.end_span(root, position=position)
         return position
 
     def read(

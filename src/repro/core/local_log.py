@@ -80,6 +80,12 @@ class LocalLog:
         # time; appends are the hottest metric site after the network).
         self._append_counters: Dict[str, Any] = {}
         self._length_gauge = None
+        # Same for the flight recorder: the bound emit path (None when
+        # forensics is off) and this participant's position -> trace map.
+        self._emit = self.obs.event if self.obs.forensics else None
+        self._entry_traces: Dict[int, Any] = (
+            self.obs.entry_traces(participant) if self.obs.enabled else {}
+        )
 
     def __len__(self) -> int:
         """Total positions ever written (folded + retained)."""
@@ -187,26 +193,29 @@ class LocalLog:
                     "log_length", participant=self.participant
                 )
             gauge.value = float(len(self.entries))
-            if self.obs.forensics:
-                args: Dict[str, Any] = {
-                    "position": entry.position,
-                    "record_type": record_type,
-                }
+            emit = self._emit
+            if emit is not None:
+                trace = self._entry_traces.get(entry.position)
                 if record_type == RECORD_COMMUNICATION:
-                    args["destination"] = entry.destination
+                    emit(
+                        "log.append", self.participant, self.node_id, trace,
+                        position=entry.position, record_type=record_type,
+                        destination=entry.destination,
+                    )
                 elif record_type == RECORD_RECEIVED and isinstance(
                     value, SealedTransmission
                 ):
-                    args["source"] = value.record.source
-                    args["source_position"] = value.record.source_position
-                self.obs.event(
-                    "log.append", participant=self.participant,
-                    node=self.node_id,
-                    trace=self.obs.entry_trace(
-                        self.participant, entry.position
-                    ),
-                    **args,
-                )
+                    emit(
+                        "log.append", self.participant, self.node_id, trace,
+                        position=entry.position, record_type=record_type,
+                        source=value.record.source,
+                        source_position=value.record.source_position,
+                    )
+                else:
+                    emit(
+                        "log.append", self.participant, self.node_id, trace,
+                        position=entry.position, record_type=record_type,
+                    )
         return entry
 
     def read(self, position: int) -> LogEntry:
@@ -308,6 +317,7 @@ class LocalLog:
                     "log_length", participant=self.participant
                 )
             gauge.value = float(len(self.entries))
+            self.obs.forget_entry_traces(self.participant, position)
             if self.obs.forensics:
                 self.obs.event(
                     "log.truncate", participant=self.participant,

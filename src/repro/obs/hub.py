@@ -27,6 +27,7 @@ never covered by digests or signatures.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict, defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -115,11 +116,22 @@ class Observability:
         self.trace_sample_every = trace_sample_every
         self.registry = MetricsRegistry()
         self.spans = SpanLog(max_spans=max_spans)
+        self._max_spans = max_spans
         self.journal = EventJournal(max_events=max_events)
-        self._sim = None
+        if self.forensics:
+            # The journal's append *is* the emit path: one frame per
+            # protocol fact (the class-level ``event`` is the off case).
+            self.event = self.journal.emit
+        self._sim = self.journal.clock  # stopped at 0.0 until bound
         self._trace_seq = 0
-        self._entry_traces: Dict[Tuple[str, int], TraceCtx] = {}
-        self._wan_spans: Dict[Tuple[str, str, int], Span] = {}
+        # participant -> {Local Log position -> trace}; pruned as that
+        # participant's logs truncate (``forget_entry_traces``).
+        self._entry_traces: Dict[str, Dict[int, TraceCtx]] = defaultdict(dict)
+        # In-flight WAN hops, oldest first; capped like the span log so
+        # records that are never received cannot accumulate.
+        self._wan_spans: "OrderedDict[Tuple[str, str, int], Span]" = (
+            OrderedDict()
+        )
 
     # ------------------------------------------------------------------
     # Clock
@@ -131,13 +143,12 @@ class Observability:
         legal (one hub may aggregate several sequential runs, as the
         ``--obs-out`` CLI flag does).
         """
-        self._sim = sim
+        self._sim = self.journal.clock = sim
 
     @property
     def now(self) -> float:
         """Current virtual time (0.0 before a clock is bound)."""
-        sim = self._sim
-        return sim.now if sim is not None else 0.0
+        return self._sim.now
 
     # ------------------------------------------------------------------
     # Metrics pass-throughs
@@ -236,16 +247,12 @@ class Observability:
         trace: Optional[TraceCtx] = None,
         **args: Any,
     ) -> Optional[ProtocolEvent]:
-        """Journal one protocol fact observed at ``node`` (see
-        :mod:`repro.obs.journal`). Returns None when forensics is off —
-        callers guard with ``if self.obs.forensics`` to keep the
-        disabled path at a single attribute check."""
-        if not self.forensics:
-            return None
-        return self.journal.record(
-            kind, self.now, participant=participant, node=node,
-            trace=trace, **args,
-        )
+        """Journal one protocol fact observed at ``node``, stamped with
+        the bound clock. On a forensics hub this name is bound to
+        :meth:`EventJournal.emit`; what is left here is the off case,
+        which returns None — callers guard with ``if self.obs.forensics``
+        to keep the disabled path at a single attribute check."""
+        return None
 
     # ------------------------------------------------------------------
     # Cross-component correlation
@@ -255,11 +262,31 @@ class Observability:
     ) -> None:
         """Remember which trace committed Local Log entry
         ``(participant, position)`` (first registration wins)."""
-        self._entry_traces.setdefault((participant, position), ctx)
+        self._entry_traces[participant].setdefault(position, ctx)
 
     def entry_trace(self, participant: str, position: int) -> Optional[TraceCtx]:
         """Trace context of a committed entry, if it was traced."""
-        return self._entry_traces.get((participant, position))
+        return self._entry_traces[participant].get(position)
+
+    def entry_traces(self, participant: str) -> Dict[int, TraceCtx]:
+        """The live position -> trace map of one participant's Local
+        Log; per-append readers hold it instead of asking per entry."""
+        return self._entry_traces[participant]
+
+    def forget_entry_traces(self, participant: str, before: int) -> None:
+        """Drop the traces of entries below ``before`` — called when a
+        Local Log of ``participant`` folds them away, which keeps the
+        map within the log's retained window."""
+        traces = self._entry_traces[participant]
+        for position in [p for p in traces if p < before]:
+            del traces[position]
+
+    @property
+    def correlations_retained(self) -> int:
+        """Entry traces plus in-flight WAN spans currently held."""
+        return len(self._wan_spans) + sum(
+            len(traces) for traces in self._entry_traces.values()
+        )
 
     def begin_wan_span(
         self,
@@ -282,6 +309,9 @@ class Observability:
             destination=destination, position=position,
         )
         if span is not None:
+            cap = self._max_spans
+            if cap is not None and len(self._wan_spans) >= cap:
+                self._wan_spans.popitem(last=False)
             self._wan_spans[key] = span
         return span
 

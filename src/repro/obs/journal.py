@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from types import SimpleNamespace
 from typing import (
     Any,
     Callable,
@@ -99,11 +100,13 @@ class EventJournal:
 
     def __init__(self, max_events: Optional[int] = 200_000) -> None:
         self._events: Deque[ProtocolEvent] = deque(maxlen=max_events)
-        self._next_event_id = 1
-        #: Total events ever recorded (including later-evicted ones).
+        #: Total events ever recorded (including later-evicted ones);
+        #: also the id of the newest event.
         self.recorded = 0
-        #: Events evicted from the ring buffer.
-        self.dropped = 0
+        #: Anything with a ``now`` attribute; the hub installs its
+        #: simulator here (:meth:`Observability.bind_clock`). Unbound,
+        #: a clock stopped at 0.0.
+        self.clock: Any = SimpleNamespace(now=0.0)
         self._subscribers: List[Callable[[ProtocolEvent], None]] = []
 
     def __len__(self) -> int:
@@ -112,9 +115,39 @@ class EventJournal:
     def __iter__(self) -> Iterator[ProtocolEvent]:
         return iter(self._events)
 
+    @property
+    def dropped(self) -> int:
+        """Events evicted from the ring buffer."""
+        return self.recorded - len(self._events)
+
     def subscribe(self, callback: Callable[[ProtocolEvent], None]) -> None:
         """Invoke ``callback`` with every subsequently recorded event."""
         self._subscribers.append(callback)
+
+    def emit(
+        self,
+        kind: str,
+        participant: str = "",
+        node: str = "",
+        trace: Optional[Tuple[int, int]] = None,
+        **args: Any,
+    ) -> ProtocolEvent:
+        """Append one event stamped with the clock's current time.
+
+        The journal's only write path, and — bound as
+        ``Observability.event`` — the whole cost of one protocol fact:
+        this frame plus ``ProtocolEvent.__init__``. The event takes
+        ownership of the ``args`` dict the call just built.
+        """
+        event_id = self.recorded = self.recorded + 1
+        event = ProtocolEvent(
+            event_id, kind, self.clock.now, participant, node, trace, args
+        )
+        self._events.append(event)  # a full ring evicts its oldest
+        if self._subscribers:
+            for callback in self._subscribers:
+                callback(event)
+        return event
 
     def record(
         self,
@@ -125,29 +158,14 @@ class EventJournal:
         trace: Optional[Tuple[int, int]] = None,
         **args: Any,
     ) -> ProtocolEvent:
-        """Append one event at virtual time ``at``."""
-        maxlen = self._events.maxlen
-        if maxlen is not None and len(self._events) == maxlen:
-            self.dropped += 1
-        # ``args`` is the fresh dict the ** collection just built — the
-        # event takes ownership instead of copying it (hot path: one
-        # record per protocol fact).
-        event = ProtocolEvent(
-            event_id=self._next_event_id,
-            kind=kind,
-            at_ms=at,
-            participant=participant,
-            node=node,
-            trace=trace,
-            args=args,
-        )
-        self._next_event_id += 1
-        self.recorded += 1
-        self._events.append(event)
-        if self._subscribers:
-            for callback in self._subscribers:
-                callback(event)
-        return event
+        """Append one event at an explicit virtual time ``at`` (tests,
+        replays): :meth:`emit` under a clock pinned to ``at``."""
+        clock = self.clock
+        self.clock = SimpleNamespace(now=at)
+        try:
+            return self.emit(kind, participant, node, trace, **args)
+        finally:
+            self.clock = clock
 
     # ------------------------------------------------------------------
     # Queries (tests, exporters, offline audits)

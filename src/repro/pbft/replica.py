@@ -190,6 +190,9 @@ class PBFTReplica(Node):
         super().__init__(sim, network, node_id, site)
         #: Observability hub (shared no-op instance when disabled).
         self.obs = obs if obs is not None else DISABLED
+        # The flight recorder's bound emit path, resolved once for the
+        # per-message sites (None when forensics is off).
+        self._emit = self.obs.event if self.obs.forensics else None
         if node_id not in peers:
             raise ProtocolError(f"{node_id} missing from its own peer list")
         if len(peers) < unit_size(1):
@@ -555,11 +558,12 @@ class PBFTReplica(Node):
             return
         if src != self.leader_of(msg.view):
             return  # only the view's leader may pre-prepare
-        if self.obs.forensics:
-            self.obs.event(
-                "pbft.pre_prepare", participant=self.site, node=self.node_id,
-                trace=msg.trace, view=msg.view, seq=msg.seq,
-                digest=msg.digest, leader=src, request_id=msg.request_id,
+        emit = self._emit
+        if emit is not None:
+            emit(
+                "pbft.pre_prepare", self.site, self.node_id, msg.trace,
+                view=msg.view, seq=msg.seq, digest=msg.digest, leader=src,
+                request_id=msg.request_id,
             )
         slot = self.slots.get(msg.seq)
         if slot is not None and slot.has_pre_prepare:
@@ -646,9 +650,10 @@ class PBFTReplica(Node):
         pre-prepare, and only votes matching the eventually-fixed
         digest count toward the quorum.
         """
-        if self.obs.forensics:
-            self.obs.event(
-                "pbft.vote", participant=self.site, node=self.node_id,
+        emit = self._emit
+        if emit is not None:
+            emit(
+                "pbft.vote", self.site, self.node_id, None,
                 phase="prepare", view=msg.view, seq=msg.seq,
                 digest=msg.digest, voter=msg.replica, src=src,
             )
@@ -738,9 +743,10 @@ class PBFTReplica(Node):
 
     def handle_commit(self, msg: Commit, src: str) -> None:
         """Tally a commit vote; execute once a quorum exists in order."""
-        if self.obs.forensics:
-            self.obs.event(
-                "pbft.vote", participant=self.site, node=self.node_id,
+        emit = self._emit
+        if emit is not None:
+            emit(
+                "pbft.vote", self.site, self.node_id, None,
                 phase="commit", view=msg.view, seq=msg.seq,
                 digest=msg.digest, voter=msg.replica, src=src,
             )

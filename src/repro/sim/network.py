@@ -292,6 +292,11 @@ class Network:
             free = now
         reserved = False
         bytes_acc = 0
+        # Link counters are bumped once per run of same-site
+        # destinations (a unit-wide broadcast is a single run).
+        link_site = src_site
+        link_msgs = 0
+        link_bytes = 0
         groups: Dict[str, List[tuple]] = {}
         for dst_id in dst_ids:
             dst = nodes.get(dst_id)
@@ -321,7 +326,15 @@ class Network:
             size = delivered.size_bytes() + overhead
             bytes_acc += size
             if obs_enabled:
-                self._count_link(src_site, dst_site, size)
+                if dst_site != link_site:
+                    if link_msgs:
+                        self._count_link(
+                            src_site, link_site, link_bytes, link_msgs
+                        )
+                    link_site = dst_site
+                    link_msgs = link_bytes = 0
+                link_msgs += 1
+                link_bytes += size
             if dst_id == src_id:
                 sim.schedule(
                     options.receiver_processing_ms,
@@ -343,6 +356,8 @@ class Network:
                 group = groups[dst_site] = []
             group.append((arrival, dst_id, delivered, size))
         self.bytes_sent += bytes_acc
+        if link_msgs:
+            self._count_link(src_site, link_site, link_bytes, link_msgs)
         if reserved:
             egress[src_id] = free
         schedule_at = sim.schedule_at
@@ -429,9 +444,12 @@ class Network:
             free_at[dst_id] = ingress_done
             schedule_at(ingress_done, deliver, dst_id, src_id, message)
 
-    def _count_link(self, src_site: str, dst_site: str, size: int) -> None:
+    def _count_link(
+        self, src_site: str, dst_site: str, size: int, messages: int = 1
+    ) -> None:
         """Per-link byte/message counters (counter objects cached so
-        the hot send path does one dict lookup, not a registry walk)."""
+        the hot send path does one dict lookup, not a registry walk).
+        ``size`` is the total over ``messages`` messages."""
         key = (src_site, dst_site)
         counters = self._link_counters.get(key)
         if counters is None:
@@ -445,7 +463,7 @@ class Network:
         # and the ``inc()`` wrapper (argument default + sign check) is
         # measurable at that volume. Sizes are non-negative by
         # construction, so the monotonicity guard is redundant here.
-        counters[0].value += 1.0
+        counters[0].value += messages
         counters[1].value += size
 
     def _compute_arrival_time(

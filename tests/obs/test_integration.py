@@ -9,9 +9,13 @@ span tree the tentpole promises.
 
 import json
 
+from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.experiments import fig4_local_commit
 from repro.obs import Observability, to_chrome_trace
 from repro.obs.demo import trace_commit_lifecycle
+from repro.pbft.config import PBFTConfig
+from repro.sim.simulator import Simulator
+from repro.sim.topology import symmetric_topology
 
 
 # ----------------------------------------------------------------------
@@ -176,3 +180,101 @@ def test_lifecycle_journal_matches_golden_fixture():
     decoded = json.loads(json.dumps(journal_snapshot(obs)))
     assert decoded["recorded"] == decoded["retained"] == 140
     assert len(decoded["events"]) == 140
+
+
+# ----------------------------------------------------------------------
+# Cached metric handles and bounded correlation state on a mixed soak
+# ----------------------------------------------------------------------
+_SITES = ("A", "B", "C")
+
+
+def _mixed_soak(obs, rounds, ops_per_round=20):
+    """3 sites, fi=1, checkpoint + truncate every 4 slots; per round
+    every site commits ``ops_per_round`` ops, every 5th a send to the
+    next site (drained by a receiver there). Yields after each round."""
+    sim = Simulator(seed=5)
+    deployment = BlockplaneDeployment(
+        sim,
+        symmetric_topology(_SITES, 40.0),
+        BlockplaneConfig(
+            f_independent=1,
+            pbft=PBFTConfig(checkpoint_interval=4, gc_executed_log=True),
+        ),
+        obs=obs,
+    )
+
+    def receiver(api):
+        while True:
+            yield api.receive()
+
+    def client(index, api, start):
+        target = _SITES[(index + 1) % len(_SITES)]
+        for op in range(start, start + ops_per_round):
+            if op % 5 == 0:
+                yield api.send(f"m{op}", to=target, payload_bytes=96)
+            else:
+                yield api.log_commit(f"v{op}", payload_bytes=96)
+
+    for site in _SITES:
+        sim.spawn(receiver(deployment.api(site)))
+    for round_index in range(rounds):
+        clients = [
+            sim.spawn(client(i, deployment.api(site),
+                             round_index * ops_per_round))
+            for i, site in enumerate(_SITES)
+        ]
+        for process in clients:
+            sim.run_until_resolved(process, max_events=10_000_000)
+        sim.run(until=sim.now + 500.0)  # deliveries, acks, truncation
+        yield deployment
+
+
+def test_metric_totals_match_the_workloads_own_counts():
+    obs = Observability(enabled=True)
+    (deployment,) = _mixed_soak(obs, rounds=1)
+    ops = 20 * len(_SITES)
+    counters = obs.registry.counters()
+
+    def total(name):
+        return sum(c.value for c in counters if c.name == name)
+
+    network = deployment.network
+    assert total("net_messages_total") == network.messages_sent
+    assert total("net_bytes_total") == network.bytes_sent
+    assert total("bp_commits_total") == ops
+    sends = sum(
+        c.value for c in counters
+        if c.name == "bp_commits_total"
+        and ("record_type", "communication") in c.labels
+    )
+    assert sends == 4 * len(_SITES)
+    latency = [
+        h for h in obs.registry.histograms() if h.name == "commit_latency_ms"
+    ]
+    assert sorted(h.count for h in latency) == [20, 20, 20]
+
+
+def test_traced_soak_keeps_correlation_state_bounded():
+    obs = Observability(enabled=True, trace_sample_every=1)
+    for deployment in _mixed_soak(obs, rounds=4):
+        # The entry-trace map tracks the logs' retained window instead
+        # of growing with the run, and landed WAN hops are gone.
+        window = sum(
+            max(node.local_log.retained_count
+                for node in deployment.unit(site).nodes)
+            for site in _SITES
+        )
+        assert obs.correlations_retained <= window
+    # Every commit was traced and every log folded most of its history.
+    assert len([s for s in obs.spans if s.name == "commit"]) == 240
+    assert window < 240 / 2
+
+
+def test_unreceived_wan_spans_are_capped_at_max_spans():
+    obs = Observability(enabled=True, max_spans=4)
+    for position in range(10):
+        obs.begin_wan_span("C", "V", position, None)
+    assert obs.correlations_retained == 4
+    # The survivors are the newest; an evicted hop closes as a no-op.
+    assert obs.end_wan_span("C", "V", 9) is not None
+    assert obs.end_wan_span("C", "V", 0) is None

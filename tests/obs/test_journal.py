@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.obs import EventJournal, Observability
 from repro.obs.hub import DISABLED
+from repro.sim.simulator import Simulator
 
 
 # ----------------------------------------------------------------------
@@ -91,3 +94,41 @@ def test_hub_event_records_only_when_forensics_enabled():
     assert not DISABLED.forensics
     DISABLED.event("pbft.vote", participant="C")
     assert len(DISABLED.journal) == 0
+
+
+# ----------------------------------------------------------------------
+# One write path: hub.event and EventJournal.record agree
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(kind="pbft.vote", participant="C", node="C-1", trace=None,
+             phase="commit", view=0, seq=3, digest="ab", voter="C-2",
+             src="C-2"),
+        dict(kind="log.append", participant="V", node="V-0", trace=(7, 9),
+             position=12, record_type="communication", destination="C"),
+        dict(kind="node.crash"),
+    ],
+)
+def test_hub_event_and_journal_record_store_the_same_event(fields):
+    at = 12.5
+    sim = Simulator(seed=0)
+    sim.run(until=at)
+    obs = Observability(enabled=True)
+    obs.bind_clock(sim)
+    journal = EventJournal()
+    seen_hub, seen_direct = [], []
+    obs.journal.subscribe(lambda event: seen_hub.append(event.to_dict()))
+    journal.subscribe(lambda event: seen_direct.append(event.to_dict()))
+
+    via_hub = obs.event(**fields)
+    fields = dict(fields)
+    direct = journal.record(fields.pop("kind"), at, **fields)
+
+    assert via_hub.to_dict() == direct.to_dict()
+    assert direct.at_ms == at
+    # Subscribers saw the finished event, timestamp included.
+    assert seen_hub == seen_direct == [direct.to_dict()]
+    # ``record`` pins the clock for one append only.
+    assert journal.record("chain.advance", at + 1.0).at_ms == at + 1.0
+    assert obs.event("chain.advance").at_ms == at
