@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-rules lint-baseline chaos audit bench bench-smoke bench-selftest obs-cost soak latency console experiments
+.PHONY: test lint lint-rules lint-baseline chaos audit bench-selftest obs-cost console experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -32,18 +32,6 @@ audit:
 	$(PYTHON) -m repro obs-audit --seed 2 --runs 2 --profile byzantine --strict
 	$(PYTHON) -m repro obs-audit --seed 7 --runs 2 --profile byzantine --fault-free --strict
 
-bench:
-	$(PYTHON) -m repro.bench --repeats 3 --out BENCH_0008.json \
-		--disable-caches --disable-codec
-
-# CI gate on the generated wire codecs: the precompiled encode/decode
-# micros must beat the legacy dict-walking path by ≥3× (full runs land
-# well above; 3× leaves headroom for throttled CI machines).
-bench-smoke:
-	$(PYTHON) -m repro.bench --only micro --filter wire --repeats 3 \
-		--gate-wire-codec 3.0 --out bench-smoke.json
-	$(PYTHON) -m repro.bench --validate bench-smoke.json
-
 # The repo benchmark (bench/, BENCHMARK.json) checking itself: every
 # workload at 1/20 size, determinism, obs-on == obs-off work, and
 # BENCHMARK.json <-> bench/run.py lockstep (~10 s).
@@ -55,26 +43,6 @@ bench-selftest:
 obs-cost:
 	@python3 bench/run.py --workload wan_mixed | awk '$$2 == "commits_per_s"'
 	@python3 bench/run.py --workload wan_mixed_obs | awk '$$2 == "commits_per_s"'
-
-# Sustained open-loop soak: checkpoints + log truncation must hold the
-# per-replica retained footprint under the bound for the whole run (the
-# benchmark raises if it does not). ~10k ops keeps it CI-sized; the
-# full 100k-op run is what BENCH_0007.json records.
-soak:
-	$(PYTHON) -m repro.bench --only macro --filter sustained \
-		--repeats 1 --warmup 0 --sustained-ops 9999 --out soak.json
-	$(PYTHON) -m repro.bench --validate soak.json
-
-# Traced sustained soak -> schema-v4 latency block (critical-path
-# attribution, conservation-enforced) -> p99 regression gate against
-# the committed baseline. Virtual-time latencies are seed-
-# deterministic, so the gate is machine-independent.
-latency:
-	$(PYTHON) -m repro.bench --only macro --filter sustained \
-		--repeats 1 --warmup 0 --sustained-ops 9999 \
-		--out latency-smoke.json \
-		--gate-latency-regression ci/latency-smoke.json
-	$(PYTHON) -m repro.bench --validate latency-smoke.json
 
 # Seeded audited chaos run -> schema-checked bundle -> offline replay.
 console:

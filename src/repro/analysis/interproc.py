@@ -58,13 +58,9 @@ from repro.analysis.framework import ModuleContext
 
 #: Wire decoders: their results are byzantine until sanitized.
 SOURCE_FUNCTIONS = frozenset({
-    "repro.core.wire.decode_signature",
-    "repro.core.wire.decode_proof",
-    "repro.core.wire.decode_transmission_record",
-    "repro.core.wire.decode_sealed",
-    "repro.core.wire.decode_log_entry",
-    "repro.core.wire.decode_mirror_entry",
-    "repro.core.wire.from_json",
+    "repro.core.codec.decode_wire",
+    "repro.core.codec.decode_wire_bytes",
+    "repro.core.codec.transcode",
 })
 
 #: A call whose name matches claims (or performs) verification; such

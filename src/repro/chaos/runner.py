@@ -98,12 +98,7 @@ class ChaosResult:
 
 
 def byzantine_overrides(plan: FaultPlan) -> Dict[str, Any]:
-    """Node-class overrides for a plan's byzantine plants (build-time).
-
-    Shared by :class:`ChaosRunner` and the macro benchmarks in
-    :mod:`repro.bench`, which run fault plans against their own
-    deployments.
-    """
+    """Node-class overrides for a plan's byzantine plants (build-time)."""
     return {
         f"{action.site}-{action.node_index}":
             BYZANTINE_CLASSES[action.behavior]

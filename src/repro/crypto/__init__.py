@@ -15,15 +15,12 @@ time for signing by default, but the checks themselves are real and are
 exercised by the byzantine-behaviour tests.
 """
 
-from repro.crypto.caches import caches_enabled, set_caches_enabled
 from repro.crypto.digest import cached_digest, stable_digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signature, QuorumProof, sign, verify
 
 __all__ = [
     "cached_digest",
-    "caches_enabled",
-    "set_caches_enabled",
     "stable_digest",
     "KeyRegistry",
     "Signature",

@@ -17,42 +17,16 @@ Two caches amortize the dominant CPU costs of a simulated deployment:
   rotation invalidates every prior verdict wholesale.
 
 Both caches are **semantically invisible**: they only ever return a
-value that recomputing from scratch would also return. The global
-switch below exists for the benchmark harness (``--disable-caches``
-produces the control run) and for byzantine tests that want to prove
-equivalence of the cached and uncached paths.
+value that recomputing from scratch would also return.
+:func:`repro.crypto.digest.stable_digest` and
+:func:`repro.crypto.signatures._verify_uncached` are the uncached
+references the cache-correctness tests compare against.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any, Callable, Optional, Tuple
-
-#: Global cache switch. Mutated only through :func:`set_caches_enabled`;
-#: read on every lookup so the bench harness can flip it per run.
-_ENABLED = True
-
-
-def caches_enabled() -> bool:
-    """Whether the crypto-layer caches are active."""
-    return _ENABLED
-
-
-def set_caches_enabled(enabled: bool) -> bool:
-    """Enable/disable all crypto caches; returns the previous setting.
-
-    Disabling also clears the shared digest cache so a later re-enable
-    cannot serve entries recorded under a different code path.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    if not _ENABLED:
-        from repro.crypto.digest import clear_digest_cache
-
-        clear_digest_cache()
-    return previous
-
 
 class IdentityLRU:
     """A bounded LRU keyed by object identity.

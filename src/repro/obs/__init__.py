@@ -31,8 +31,8 @@ reproduction makes:
   folds each committed op's span tree into an ordered segment
   decomposition with a conservation invariant, computes per-segment
   percentile budgets and p99-tail dominance, and backs the hub's SLO
-  tracker (:class:`~repro.obs.hub.SLO`) and bench schema v4's
-  ``latency`` block.
+  tracker (:class:`~repro.obs.hub.SLO`) and the console's latency
+  panel.
 
 Metric names, the span taxonomy, the segment taxonomy, and the journal
 event taxonomy are documented in ``docs/OBSERVABILITY.md``.

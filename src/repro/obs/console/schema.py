@@ -9,9 +9,9 @@ runner's artifact export, the obs-audit CLI, a hand-rolled script) that
 emits a valid bundle gets an explorable replay for free, and the HTML
 can be regenerated from an archived bundle long after the run.
 
-Mirrors :mod:`repro.bench.schema`: :func:`validate` returns every
-violation (empty list = valid), :func:`check` raises
-:class:`SchemaError`, and CI's ``console-smoke`` job gates on it.
+:func:`validate` returns every violation (empty list = valid),
+:func:`check` raises :class:`SchemaError`, and CI's ``console-smoke``
+job gates on it.
 
 Top-level document::
 
@@ -56,9 +56,8 @@ and ``chaos`` (the injected fault plan — ground truth the replay
 renders next to the auditor's detections) sections; v1 documents
 remain valid under this checker.
 
-Like the bench schema, the document records **no timestamps, hostnames,
-or environment fingerprints** — a bundle is a pure function of the run
-it describes.
+The document records **no timestamps, hostnames, or environment
+fingerprints** — a bundle is a pure function of the run it describes.
 """
 
 from __future__ import annotations
@@ -347,7 +346,7 @@ def _validate_audit(
 
 def _validate_latency(latency: Dict[str, Any]) -> List[str]:
     """The v2 ``latency`` section: the critical-path attribution
-    report (shape shared with bench schema v4's per-result block)."""
+    report (the shape :func:`repro.obs.critpath.attribute` returns)."""
     errors: List[str] = []
     end_to_end = latency.get("end_to_end_ms")
     if not isinstance(end_to_end, dict) or not all(

@@ -53,8 +53,7 @@ an ``unattributed`` fraction ≤ 5% at p99 across a run
 
 On top of the decomposition, :func:`attribute` computes per-segment
 p50/p90/p99 latency budgets, a "which segment dominates the p99 tail"
-ranking, and the conservation proof that bench schema v4 embeds and
-``--gate-latency-regression`` compares across BENCH files.
+ranking, and the conservation proof.
 """
 
 from __future__ import annotations
@@ -336,8 +335,8 @@ def attribute(
 ) -> Dict[str, Any]:
     """Fold per-trace decompositions into the run-level attribution
     report: per-segment percentile budgets, p99-tail dominance ranking,
-    and the conservation proof. JSON-ready (bench ``latency`` block,
-    console bundles, SLO tracking all consume this shape)."""
+    and the conservation proof. JSON-ready (console bundles and SLO
+    tracking consume this shape)."""
     ops = len(decompositions)
     e2e = [d.end_to_end_ms for d in decompositions]
     segment_names = sorted(

@@ -120,8 +120,7 @@ def build_audited_runner(plan, probes: bool = True, obs=None) -> "ChaosRunner":
 
     if obs is None:
         # Spans are off: the journal is the forensic record, and the
-        # macro benchmarks show the recorder-only configuration is the
-        # cheap one.
+        # recorder-only configuration is the cheap one.
         obs = Observability(enabled=True, tracing=False)
     auditor = OnlineAuditor(obs.journal)
 

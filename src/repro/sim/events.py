@@ -5,10 +5,9 @@ are ordered by ``(time, seq)`` where ``seq`` is a monotonically increasing
 insertion counter — two events at the same instant always fire in the
 order they were scheduled, which keeps every simulation deterministic.
 
-The simulator's fast path (see :mod:`repro.sim.simulator`) stores heap
-entries as plain ``(time, seq, event)`` tuples so ordering is resolved by
-C-level tuple comparison; :meth:`Event.__lt__` remains for the legacy
-scheduler mode and for any external code that sorts events directly.
+The simulator (see :mod:`repro.sim.simulator`) stores heap entries as
+plain ``(time, seq, event)`` tuples so ordering is resolved by C-level
+tuple comparison; events themselves are never compared.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ class Event:
             at schedule time and cleared when the event leaves the heap.
             Lets :meth:`cancel` report to the owner's live-event
             counters without the simulator scanning its heap.
-        fast: True when the event lives in the owner's zero-delay ready
+        ready: True when the event lives in the owner's zero-delay ready
             queue instead of the time-ordered heap. Maintained by the
             simulator; cancellation bookkeeping differs between the two
             containers (ready-queue tombstones are swept in FIFO order,
@@ -45,7 +44,7 @@ class Event:
     args: Tuple[Any, ...] = ()
     cancelled: bool = False
     owner: Optional[Any] = dataclasses.field(default=None, repr=False)
-    fast: bool = False
+    ready: bool = False
 
     def cancel(self) -> None:
         """Prevent this event from firing.
@@ -62,10 +61,3 @@ class Event:
         owner = self.owner
         if owner is not None:
             owner._note_cancelled(self)
-
-    def sort_key(self) -> Tuple[float, int]:
-        """Return the deterministic ordering key ``(time, seq)``."""
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()

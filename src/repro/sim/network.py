@@ -43,52 +43,6 @@ TamperHook = Callable[[str, str, Any], Any]
 #: broadcast loop does not rebuild a closure per call).
 _entry_arrival = operator.itemgetter(0)
 
-#: Module-level default for wire fidelity, sampled at Network
-#: construction (mirroring the codec/fast-path seams). When on, every
-#: cross-site delivery is round-tripped through the generated wire
-#: codec — encode→UTF-8 bytes→decode — so the receiver handles a
-#: freshly deserialized object, exactly as a production deployment
-#: would. Off by default: transcoding costs real CPU per message and
-#: the default macros measure the protocol, not the serializer.
-_WIRE_FIDELITY = False
-
-#: Module-level default for the transport fast path, sampled at Network
-#: construction (mirroring the codec and scheduler seams). When on,
-#: broadcasts run the hoisted/inlined fan-out loop and nodes memoize
-#: handler dispatch; when off, the transport runs the original
-#: straight-line implementations. ``repro.bench --disable-codec`` turns
-#: it off so the control pass measures the pre-optimization data plane
-#: end to end — both implementations schedule identical events, so
-#: seeded runs are byte-identical either way.
-_TRANSPORT_FAST_PATH = True
-
-
-def transport_fast_path_enabled() -> bool:
-    """Whether newly constructed networks use the fast transport path."""
-    return _TRANSPORT_FAST_PATH
-
-
-def set_transport_fast_path(enabled: bool) -> bool:
-    """Set the transport fast-path default; returns the old value."""
-    global _TRANSPORT_FAST_PATH
-    previous = _TRANSPORT_FAST_PATH
-    _TRANSPORT_FAST_PATH = bool(enabled)
-    return previous
-
-
-def wire_fidelity_enabled() -> bool:
-    """Whether newly constructed networks transcode cross-site messages."""
-    return _WIRE_FIDELITY
-
-
-def set_wire_fidelity(enabled: bool) -> bool:
-    """Set the wire-fidelity default for new networks; returns the old
-    value. Flipped by ``python -m repro.bench --wire-fidelity``."""
-    global _WIRE_FIDELITY
-    previous = _WIRE_FIDELITY
-    _WIRE_FIDELITY = bool(enabled)
-    return previous
-
 
 @dataclasses.dataclass
 class NetworkOptions:
@@ -106,12 +60,15 @@ class NetworkOptions:
         jitter_ms: Uniform random extra delay in [0, jitter_ms] applied
             per hop. Zero keeps runs exactly reproducible (it is the
             default); tests of timeout logic turn it on.
-        wire_fidelity: Round-trip cross-site deliveries through the
-            generated wire codec (encode→bytes→decode). None (the
-            default) samples the module toggle at Network construction.
-            Virtual time is unaffected — the bandwidth model keeps
-            charging the modelled ``size_bytes`` — only the Python-level
-            serialization work becomes real.
+        wire_fidelity: Round-trip every cross-site delivery through the
+            wire codec (encode→UTF-8 bytes→decode), so the receiver
+            handles a freshly deserialized object, exactly as a
+            production deployment would. Off by default: transcoding
+            costs real CPU per message, and most runs measure the
+            protocol, not the serializer. Virtual time is unaffected —
+            the bandwidth model keeps charging the modelled
+            ``size_bytes`` — only the Python-level serialization work
+            becomes real.
     """
 
     bandwidth_mb_per_s: float = 640.0
@@ -119,7 +76,7 @@ class NetworkOptions:
     receiver_processing_ms: float = 0.01
     wan_bandwidth_mb_per_s: Optional[float] = None
     jitter_ms: float = 0.0
-    wire_fidelity: Optional[bool] = None
+    wire_fidelity: bool = False
 
     def bytes_per_ms(self, wide_area: bool) -> float:
         """NIC throughput in bytes per virtual millisecond."""
@@ -165,20 +122,9 @@ class Network:
         self.messages_delivered = 0
         self.bytes_sent = 0
         self._link_counters: Dict[tuple, tuple] = {}
-        self.fast_transport = _TRANSPORT_FAST_PATH
-        # Bound per instance so the hot send path pays no per-call mode
-        # dispatch; the mode is fixed for the network's lifetime.
-        self.broadcast = (
-            self._broadcast_fast if self.fast_transport
-            else self._broadcast_legacy
-        )
-        options_fidelity = self.options.wire_fidelity
-        self.wire_fidelity = (
-            _WIRE_FIDELITY if options_fidelity is None else bool(options_fidelity)
-        )
         self.wire_transcodes = 0
         self.wire_bytes = 0
-        if self.wire_fidelity:
+        if self.options.wire_fidelity:
             from repro.core.codec import transcode
 
             self._transcode = transcode
@@ -246,7 +192,7 @@ class Network:
         arrival = self._compute_arrival_time(src, dst, size, wide_area)
         self.sim.schedule_at(arrival, self._arrive, dst_id, src_id, message, size)
 
-    def _broadcast_fast(
+    def broadcast(
         self, src_id: str, dst_ids: List[str], message: "Message"
     ) -> None:
         """Fan ``message`` out to several destinations at once.
@@ -259,9 +205,6 @@ class Network:
         broadcast schedules one event per destination *site*, not per
         replica. Ingress NIC reservations for a site's batch are made
         in arrival order when the batch's first message lands.
-
-        This is the fast-transport implementation; ``broadcast`` is
-        bound to it (or to :meth:`_broadcast_legacy`) at construction.
         """
         src = self.node(src_id)
         self.messages_sent += len(dst_ids)
@@ -366,63 +309,6 @@ class Network:
             if len(entries) > 1:
                 entries.sort(key=_entry_arrival)
             schedule_at(entries[0][0], arrive_batch, src_id, entries)
-
-    def _broadcast_legacy(
-        self, src_id: str, dst_ids: List[str], message: "Message"
-    ) -> None:
-        """The straight-line broadcast fan-out (pre-optimization).
-
-        Byte-identical behavior to :meth:`_broadcast_fast` — the same
-        arrivals at the same virtual times in the same event order —
-        kept verbatim as the ``--disable-codec`` control configuration
-        so benchmark comparison passes measure the full data-plane
-        speedup against the original transport code.
-        """
-        src = self.node(src_id)
-        self.messages_sent += len(dst_ids)
-        if src.crashed:
-            return
-        groups: Dict[str, List[tuple]] = {}
-        for dst_id in dst_ids:
-            dst = self.node(dst_id)
-            dropped = False
-            for drop in self.drop_filters:
-                if drop(src_id, dst_id, message):
-                    self.sim.trace.record(
-                        "net.drop", self.sim.now, src=src_id, dst=dst_id,
-                        msg=type(message).__name__,
-                    )
-                    dropped = True
-                    break
-            if dropped:
-                continue
-            delivered = message
-            for tamper in self.tamper_hooks:
-                delivered = tamper(src_id, dst_id, delivered)
-                if delivered is None:
-                    break
-            if delivered is None:
-                continue
-            wide_area = src.site != dst.site
-            size = delivered.size_bytes() + self.options.per_message_overhead_bytes
-            self.bytes_sent += size
-            if self.obs.enabled:
-                self._count_link(src.site, dst.site, size)
-            if dst_id == src_id:
-                self.sim.schedule(
-                    self.options.receiver_processing_ms,
-                    self._deliver, dst_id, src_id, delivered,
-                )
-                continue
-            arrival = self._compute_arrival_time(src, dst, size, wide_area)
-            groups.setdefault(dst.site, []).append(
-                (arrival, dst_id, delivered, size)
-            )
-        for entries in groups.values():
-            entries.sort(key=lambda entry: entry[0])
-            self.sim.schedule_at(
-                entries[0][0], self._arrive_batch, src_id, entries
-            )
 
     def _arrive_batch(self, src_id: str, entries: List[tuple]) -> None:
         """Composite arrival: reserve each destination's ingress NIC in

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Any, Callable, ClassVar, Iterable, Optional, TYPE_CHECKING
+from typing import Any, Callable, ClassVar, Iterable, TYPE_CHECKING
 
 from repro.errors import ProtocolError
 from repro.sim.events import Event
@@ -88,13 +88,8 @@ class Node:
         # kinds are class-level constants, so the ``handle_<kind>``
         # lookup resolves to the same bound method every time; caching
         # it removes an f-string build plus a getattr from every
-        # delivered message (the single hottest dispatch in macros).
-        # None when the network runs in legacy-transport mode (the
-        # benchmark control configuration): dispatch then re-resolves
-        # per message exactly as the original code did.
-        self._dispatch: Optional[dict] = (
-            {} if getattr(network, "fast_transport", True) else None
-        )
+        # delivered message (the single hottest dispatch in a run).
+        self._dispatch: dict = {}
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -136,20 +131,15 @@ class Node:
         :class:`ProtocolError` — silent drops hide protocol bugs.
         """
         kind = message.kind
-        dispatch = self._dispatch
-        if dispatch is None:
-            handler = getattr(self, f"handle_{kind}", None)
-        else:
-            handler = dispatch.get(kind)
-            if handler is None:
-                handler = getattr(self, f"handle_{kind}", None)
-                if handler is not None:
-                    dispatch[kind] = handler
+        handler = self._dispatch.get(kind)
         if handler is None:
-            raise ProtocolError(
-                f"{type(self).__name__} {self.node_id} has no handler "
-                f"for message kind {kind!r}"
-            )
+            handler = getattr(self, f"handle_{kind}", None)
+            if handler is None:
+                raise ProtocolError(
+                    f"{type(self).__name__} {self.node_id} has no handler "
+                    f"for message kind {kind!r}"
+                )
+            self._dispatch[kind] = handler
         handler(message, src_id)
 
     # ------------------------------------------------------------------

@@ -6,25 +6,17 @@ network links, consensus protocols, the middleware, workloads — schedules
 work through it, so a whole deployment advances deterministically from a
 single seed.
 
-Two scheduler implementations coexist behind one API:
+The scheduler keeps two queues. Heap entries are plain ``(time, seq,
+event)`` tuples so heap sift comparisons resolve at C speed, and
+zero-delay events — the deliver→handle→send cascades produced by the
+generator-process machinery, the dominant event class in a run — skip
+the heap entirely and go through a FIFO ready deque. The heap is
+reserved for genuinely future work (timers, RTT-delayed arrivals).
 
-* **Fast path** (the default): heap entries are plain ``(time, seq,
-  event)`` tuples so heap sift comparisons resolve at C speed, and
-  zero-delay events — the deliver→handle→send cascades produced by the
-  generator-process machinery, the dominant event class in macros — skip
-  the heap entirely and go through a FIFO ready deque. The heap is
-  reserved for genuinely future work (timers, RTT-delayed arrivals).
-* **Legacy path**: the original single heap of :class:`Event` objects
-  ordered by ``Event.__lt__``. Kept as the control configuration for
-  ``repro.bench --disable-codec`` comparison passes.
-
-Both fire events in exactly ``(time, seq)`` order, so seeded runs are
-byte-identical between them: ready-queue events always carry the current
-virtual time (zero delay), the queue drains in seq order before the clock
-can advance, and a same-time heap entry with a smaller seq is fired ahead
-of the ready head. The mode is sampled from the module-level toggle at
-:class:`Simulator` construction, mirroring ``repro.core.codec``'s
-enable/disable seam.
+Events fire in exactly ``(time, seq)`` order: ready-queue events always
+carry the current virtual time (zero delay), the queue drains in seq
+order before the clock can advance, and a same-time heap entry with a
+smaller seq is fired ahead of the ready head.
 """
 
 from __future__ import annotations
@@ -38,37 +30,12 @@ from repro.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.trace import Tracer
 
-#: Module-level default for the scheduler fast path. Sampled once per
-#: Simulator at construction so a control pass can flip it without
-#: racing simulators that are mid-run.
-_FAST_PATH_ENABLED = True
-
-
-def fast_path_enabled() -> bool:
-    """Whether newly constructed simulators use the fast-path scheduler."""
-    return _FAST_PATH_ENABLED
-
-
-def set_fast_path_enabled(enabled: bool) -> bool:
-    """Set the fast-path default for new simulators; returns the old value.
-
-    Used by the benchmark harness's ``--disable-codec`` control pass to
-    revert the data plane to the pre-codec configuration (legacy event
-    heap) without touching simulators already constructed.
-    """
-    global _FAST_PATH_ENABLED
-    previous = _FAST_PATH_ENABLED
-    _FAST_PATH_ENABLED = bool(enabled)
-    return previous
-
 
 class Simulator:
     """A deterministic discrete-event simulator with a millisecond clock.
 
     Args:
         seed: Seed for the simulation's random generator.
-        fast_path: Override the scheduler mode for this instance; None
-            (the default) samples :func:`fast_path_enabled`.
 
     Example:
         >>> sim = Simulator(seed=7)
@@ -86,13 +53,12 @@ class Simulator:
     #: (rebuilding tiny heaps would cost more than the tombstones do).
     COMPACT_MIN_TOMBSTONES = 64
 
-    def __init__(self, seed: int = 0, fast_path: Optional[bool] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self.trace = Tracer()
-        self._fast = _FAST_PATH_ENABLED if fast_path is None else bool(fast_path)
         self._heap: list = []
-        # Zero-delay ready queue (fast path only). Invariant: every event
+        # Zero-delay ready queue. Invariant: every event
         # in it has ``time == self.now``; the queue drains before the
         # clock advances, so FIFO order here is exactly seq order.
         self._ready: deque = deque()
@@ -132,24 +98,20 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
-        # Fast path: ``delay >= 0`` already guarantees ``when >= now``,
-        # so the relative form pushes directly instead of re-validating
-        # through :meth:`schedule_at` (this is the hottest call in the
-        # library — every message hop and timer goes through it).
+        # ``delay >= 0`` already guarantees ``when >= now``, so the
+        # relative form pushes directly instead of re-validating through
+        # :meth:`schedule_at` (this is the hottest call in the library —
+        # every message hop and timer goes through it).
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        if self._fast:
-            if delay == 0.0:
-                event = Event(self.now, seq, fn, args, False, self, True)
-                self._ready.append(event)
-            else:
-                when = self.now + delay
-                event = Event(when, seq, fn, args, False, self)
-                heapq.heappush(self._heap, (when, seq, event))
-            return event
-        event = Event(self.now + delay, seq, fn, args, False, self)
-        heapq.heappush(self._heap, event)
+        if delay == 0.0:
+            event = Event(self.now, seq, fn, args, False, self, True)
+            self._ready.append(event)
+        else:
+            when = self.now + delay
+            event = Event(when, seq, fn, args, False, self)
+            heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -162,10 +124,7 @@ class Simulator:
         self._seq = seq + 1
         self._live += 1
         event = Event(when, seq, fn, args, False, self)
-        if self._fast:
-            heapq.heappush(self._heap, (when, seq, event))
-        else:
-            heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def _note_cancelled(self, event: Event) -> None:
@@ -178,7 +137,7 @@ class Simulator:
         """
         self._live -= 1
         self._events_cancelled += 1
-        if event.fast:
+        if event.ready:
             # Ready-queue tombstone: swept when it reaches the queue
             # head, within the current virtual instant. Kept out of the
             # heap tombstone counter so it cannot skew the compaction
@@ -195,20 +154,13 @@ class Simulator:
     def _compact(self) -> None:
         """Rebuild the heap without tombstones (O(n), amortized free)."""
         live = []
-        if self._fast:
-            for entry in self._heap:
-                event = entry[2]
-                if event.cancelled:
-                    event.owner = None  # fully detached now
-                else:
-                    live.append(entry)
-        else:
-            for event in self._heap:
-                if event.cancelled:
-                    event.owner = None  # fully detached now
-                else:
-                    live.append(event)
-        # In-place replacement: the fast-mode run loop holds a direct
+        for entry in self._heap:
+            event = entry[2]
+            if event.cancelled:
+                event.owner = None  # fully detached now
+            else:
+                live.append(entry)
+        # In-place replacement: the run loop holds a direct
         # reference to the heap list across callbacks, and a callback
         # may cancel enough timers to trigger this sweep — rebinding
         # ``self._heap`` to a new list would strand that reference.
@@ -239,6 +191,18 @@ class Simulator:
     ) -> None:
         """Run events until the queues drain or a bound is hit.
 
+        Selects and fires events exactly as ``_next_live``/``_fire``
+        (what :meth:`step` uses) do — same tombstone sweeps, same
+        (time, seq) tie-break between the ready queue and the heap, same
+        counter updates — but in one frame with every queue handle bound
+        locally. The loop body runs once per event (hundreds of
+        thousands of times per run), so the two method calls plus a
+        dozen attribute loads per event are worth eliminating. Counters
+        (``now``, ``_live``, ``_events_processed``) are still written
+        through ``self`` every iteration because event callbacks read
+        them mid-run. Relies on :meth:`_compact` mutating the heap list
+        in place.
+
         Args:
             until: Stop once the next event would fire after this virtual
                 time; the clock is advanced to ``until``.
@@ -248,63 +212,50 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        fired = 0
         try:
-            if self._fast:
-                self._run_fast(until, max_events)
-                return
-            # One pop path: ``_next_live`` discards tombstones exactly
-            # once and leaves the next live event at the front of its
-            # queue; ``_fire`` pops that same event. Nothing re-examines
-            # already-scanned tombstones.
-            next_live = self._next_live
-            fire = self._fire
+            heap = self._heap
+            ready = self._ready
+            pop = heapq.heappop
+            popleft = ready.popleft
+            if until is None and max_events is None:
+                # Unbounded drain — the experiment shape (``run()`` with
+                # no arguments). Identical event selection without the
+                # per-event bound checks of the general loop below.
+                while True:
+                    while ready and ready[0].cancelled:
+                        tombstone = popleft()
+                        tombstone.owner = None
+                        self._ready_tombstones -= 1
+                    while heap and heap[0][2].cancelled:
+                        tombstone = pop(heap)[2]
+                        tombstone.owner = None
+                        self._tombstones -= 1
+                    if ready:
+                        event = ready[0]
+                        if heap:
+                            top = heap[0]
+                            if top[0] < event.time or (
+                                top[0] == event.time and top[1] < event.seq
+                            ):
+                                event = top[2]
+                    elif heap:
+                        event = heap[0][2]
+                    else:
+                        return
+                    if event.ready:
+                        popleft()
+                    else:
+                        pop(heap)
+                        self.now = event.time
+                    self._live -= 1
+                    event.owner = None
+                    self._events_processed += 1
+                    event.fn(*event.args)
+            fired = 0
+            limit = -1 if max_events is None else max_events
             while True:
-                if max_events is not None and fired >= max_events:
+                if fired == limit:
                     return
-                nxt = next_live()
-                if nxt is None:
-                    break
-                if until is not None and nxt.time > until:
-                    self.now = max(self.now, until)
-                    return
-                fire(nxt)
-                fired += 1
-            if until is not None:
-                self.now = max(self.now, until)
-        finally:
-            self._running = False
-
-    def _run_fast(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-    ) -> None:
-        """The fast-mode event loop, inlined.
-
-        Functionally identical to the generic ``_next_live``/``_fire``
-        loop — same tombstone sweeps, same (time, seq) tie-break between
-        the ready queue and the heap, same counter updates — but fused
-        into one frame with every queue handle bound locally. The loop
-        body runs once per event (hundreds of thousands of times per
-        macro), so the two method calls plus a dozen attribute loads the
-        generic loop pays per event are worth eliminating. Counters
-        (``now``, ``_live``, ``_events_processed``) are still written
-        through ``self`` every iteration because event callbacks read
-        them mid-run.
-
-        Only called from :meth:`run` with ``_running`` held; relies on
-        :meth:`_compact` mutating the heap list in place.
-        """
-        heap = self._heap
-        ready = self._ready
-        pop = heapq.heappop
-        popleft = ready.popleft
-        if until is None and max_events is None:
-            # Unbounded drain — the macro/experiment shape (``run()``
-            # with no arguments). Identical event selection without the
-            # per-event bound checks of the general loop below.
-            while True:
                 while ready and ready[0].cancelled:
                     tombstone = popleft()
                     tombstone.owner = None
@@ -324,8 +275,12 @@ class Simulator:
                 elif heap:
                     event = heap[0][2]
                 else:
+                    break
+                if until is not None and event.time > until:
+                    if until > self.now:
+                        self.now = until
                     return
-                if event.fast:
+                if event.ready:
                     popleft()
                 else:
                     pop(heap)
@@ -334,47 +289,11 @@ class Simulator:
                 event.owner = None
                 self._events_processed += 1
                 event.fn(*event.args)
-        fired = 0
-        limit = -1 if max_events is None else max_events
-        while True:
-            if fired == limit:
-                return
-            while ready and ready[0].cancelled:
-                tombstone = popleft()
-                tombstone.owner = None
-                self._ready_tombstones -= 1
-            while heap and heap[0][2].cancelled:
-                tombstone = pop(heap)[2]
-                tombstone.owner = None
-                self._tombstones -= 1
-            if ready:
-                event = ready[0]
-                if heap:
-                    top = heap[0]
-                    if top[0] < event.time or (
-                        top[0] == event.time and top[1] < event.seq
-                    ):
-                        event = top[2]
-            elif heap:
-                event = heap[0][2]
-            else:
-                break
-            if until is not None and event.time > until:
-                if until > self.now:
-                    self.now = until
-                return
-            if event.fast:
-                popleft()
-            else:
-                pop(heap)
-                self.now = event.time
-            self._live -= 1
-            event.owner = None
-            self._events_processed += 1
-            event.fn(*event.args)
-            fired += 1
-        if until is not None and until > self.now:
-            self.now = until
+                fired += 1
+            if until is not None and until > self.now:
+                self.now = until
+        finally:
+            self._running = False
 
     def run_until_resolved(self, future: "Future", max_events: int = 10_000_000):
         """Run until ``future`` resolves; return its value.
@@ -400,42 +319,35 @@ class Simulator:
         """Discard tombstones at the queue fronts; return (without
         popping) the next live event, or None if everything drained.
 
-        In fast mode the next event is the (time, seq)-minimum across
-        the ready queue and the heap. The ready head always carries the
-        current virtual time, so the heap top only wins with an equal
-        time and a smaller seq (scheduled earlier via
-        :meth:`schedule_at`), which preserves exact legacy ordering.
+        The next event is the (time, seq)-minimum across the ready queue
+        and the heap. The ready head always carries the current virtual
+        time, so the heap top only wins with an equal time and a smaller
+        seq (scheduled earlier via :meth:`schedule_at`).
         """
         heap = self._heap
-        if self._fast:
-            ready = self._ready
-            while ready and ready[0].cancelled:
-                tombstone = ready.popleft()
-                tombstone.owner = None
-                self._ready_tombstones -= 1
-            while heap and heap[0][2].cancelled:
-                tombstone = heapq.heappop(heap)[2]
-                tombstone.owner = None
-                self._tombstones -= 1
-            if ready:
-                head = ready[0]
-                if heap:
-                    top = heap[0]
-                    if top[0] < head.time or (
-                        top[0] == head.time and top[1] < head.seq
-                    ):
-                        return top[2]
-                return head
-            return heap[0][2] if heap else None
-        while heap and heap[0].cancelled:
-            tombstone = heapq.heappop(heap)
+        ready = self._ready
+        while ready and ready[0].cancelled:
+            tombstone = ready.popleft()
+            tombstone.owner = None
+            self._ready_tombstones -= 1
+        while heap and heap[0][2].cancelled:
+            tombstone = heapq.heappop(heap)[2]
             tombstone.owner = None
             self._tombstones -= 1
-        return heap[0] if heap else None
+        if ready:
+            head = ready[0]
+            if heap:
+                top = heap[0]
+                if top[0] < head.time or (
+                    top[0] == head.time and top[1] < head.seq
+                ):
+                    return top[2]
+            return head
+        return heap[0][2] if heap else None
 
     def _fire(self, event: Event) -> None:
         """Pop ``event`` (the live front of its queue) and invoke it."""
-        if event.fast:
+        if event.ready:
             # Ready-queue events carry the current virtual time by
             # construction, so the clock needs no update.
             self._ready.popleft()

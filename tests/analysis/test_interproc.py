@@ -32,12 +32,12 @@ def engine_of(*pairs):
 
 
 WIRE = """
-def decode_sealed(raw):
+def decode_wire(raw):
     return raw
 """
 
 SNAPSHOT_INSTALL = """
-from repro.core.wire import decode_sealed
+from repro.core.codec import decode_wire
 
 class LocalLog:
     def append(self, entry):
@@ -48,7 +48,7 @@ class Daemon:
         self.log = LocalLog()
 
     def handle_snapshot_offer(self, msg, src):
-        entry = decode_sealed(msg)
+        entry = decode_wire(msg)
         self._stage(entry)
 
     def _stage(self, entry):
@@ -61,7 +61,7 @@ class Daemon:
 
 def test_bp009_catches_cross_function_snapshot_install():
     _, engine = engine_of(
-        ("repro.core.wire", WIRE),
+        ("repro.core.codec", WIRE),
         ("repro.core.daemon", SNAPSHOT_INSTALL),
     )
     findings = bp009_findings(engine)
@@ -79,7 +79,7 @@ def test_bp003_bp005_provably_miss_the_cross_function_case():
     checkers = [registry["BP003"](), registry["BP005"]()]
     findings = []
     for module, source in (
-        ("repro.core.wire", WIRE),
+        ("repro.core.codec", WIRE),
         ("repro.core.daemon", SNAPSHOT_INSTALL),
     ):
         context = ctx(module, textwrap.dedent(source))
@@ -104,7 +104,7 @@ def test_bp009_negative_dominating_sanitizer_clears_the_path():
     )
     assert sanitized != SNAPSHOT_INSTALL
     _, engine = engine_of(
-        ("repro.core.wire", WIRE),
+        ("repro.core.codec", WIRE),
         ("repro.core.daemon", sanitized),
     )
     assert bp009_findings(engine) == []

@@ -10,6 +10,9 @@ tests pin the adversarial cases:
   cached verdicts (signatures under the old key stop verifying);
 * ``cached_digest`` keyed by identity must agree with ``stable_digest``
   for equal-but-distinct objects — a hit can never change a digest.
+
+The uncached references are ``stable_digest`` and ``_verify_uncached``;
+every memoized verdict below is also compared against the latter.
 """
 
 import dataclasses
@@ -17,7 +20,7 @@ import dataclasses
 import pytest
 
 from repro.core.records import TransmissionRecord
-from repro.crypto.caches import IdentityLRU, caches_enabled, set_caches_enabled
+from repro.crypto.caches import IdentityLRU
 from repro.crypto.digest import (
     cached_digest,
     clear_digest_cache,
@@ -25,15 +28,28 @@ from repro.crypto.digest import (
     stable_digest,
 )
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import QuorumProof, Signature, sign, verify
+from repro.crypto.signatures import (
+    QuorumProof,
+    Signature,
+    _verify_uncached,
+    sign,
+    verify as _memoized_verify,
+)
 
 
 @pytest.fixture(autouse=True)
-def _caches_on():
-    previous = set_caches_enabled(True)
+def _empty_digest_memo():
     clear_digest_cache()
-    yield
-    set_caches_enabled(previous)
+
+
+def verify(registry: KeyRegistry, signature: Signature, digest: str) -> bool:
+    """The memoized verdict, checked against the uncached reference."""
+    verdict = _memoized_verify(registry, signature, digest)
+    assert verdict == (
+        signature.digest == digest
+        and _verify_uncached(registry, signature.signer, digest, signature.mac)
+    )
+    return verdict
 
 
 def _registry(nodes=("A-0", "A-1", "A-2", "A-3")) -> KeyRegistry:
@@ -190,14 +206,6 @@ class TestDigestMemoAgreement:
         assert first != second  # recomputed, not served stale
         assert second == stable_digest(value)
         assert after["hits"] == before["hits"]  # never cached
-
-    def test_disabled_caches_bypass_entirely(self):
-        set_caches_enabled(False)
-        assert not caches_enabled()
-        value = ("payload", 9)
-        clear_digest_cache()
-        assert cached_digest(value) == stable_digest(value)
-        assert digest_cache_stats()["size"] == 0
 
     def test_identity_lru_eviction_keeps_strong_refs(self):
         lru = IdentityLRU(maxsize=2)

@@ -8,16 +8,16 @@ drift out of sync with the manifest when a wire class gains a field.
 Three invariants:
 
 * ``decode_wire(encode_wire(x)) == x`` for every wire class (the
-  tuple/list distinction in ``Any`` payloads included);
-* the generated canonical-digest expanders are byte-identical to the
-  generic dataclass canonicalization (same ``stable_digest`` with the
-  codec enabled or disabled);
-* on payloads the legacy dict-walking JSON path can represent (no
-  tuples or bytes inside ``Any`` fields), the codec round-trip and the
-  legacy round-trip produce equal objects with equal digests — and on
-  tuple-carrying payloads the codec is lossless where the legacy path
-  documentedly is not.
+  tuple/list distinction and nested wire objects in ``Any`` payloads
+  included), with the digest unchanged;
+* the generated canonical-digest expanders and immutability verdicts
+  agree with the reflective walks in :mod:`repro.crypto.digest` (the
+  oracle: the same functions with the generated registries emptied);
+* whatever bytes arrive, a decoder returns an object or raises
+  :class:`~repro.errors.ProtocolError` — nothing else.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -30,47 +30,39 @@ from repro.core.codec import (
     decode_wire_bytes,
     encode_wire,
     encode_wire_bytes,
-    set_codec_enabled,
 )
+from repro.crypto import digest
 from repro.crypto.digest import stable_digest
 from repro.crypto.signatures import Signature
+from repro.errors import ProtocolError
 
 _KEY_TEXT = st.text(alphabet="abcdef", max_size=4)
 
-_ANY_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2**53), max_value=2**53),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=12),
+#: Trees the ``Any``-value walkers accept: scalars, bytes, a nested wire
+#: object, and lists/tuples/dicts of those.
+_ANY_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**53), max_value=2**53),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=12),
+        st.binary(max_size=8),
+        st.builds(Signature, st.text(max_size=4), _KEY_TEXT, _KEY_TEXT),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_KEY_TEXT, children, max_size=3),
+    ),
+    max_leaves=8,
 )
-
-
-def _any_values(tuples: bool, binary: bool) -> st.SearchStrategy:
-    """Trees the ``Any``-value walkers accept. The legacy comparison
-    property excludes tuples (tuple→list loss is the legacy path's
-    documented behavior) and bytes (the legacy walker rejects them)."""
-    base = _ANY_SCALARS
-    if binary:
-        base = base | st.binary(max_size=8)
-
-    def extend(children):
-        options = [
-            st.lists(children, max_size=3),
-            st.dictionaries(_KEY_TEXT, children, max_size=3),
-        ]
-        if tuples:
-            options.append(st.lists(children, max_size=3).map(tuple))
-        return st.one_of(*options)
-
-    return st.recursive(base, extend, max_leaves=8)
 
 
 class _StrategyBuilder:
     """Builds per-class instance strategies from codec spec trees."""
 
-    def __init__(self, any_values: st.SearchStrategy) -> None:
-        self.any_values = any_values
+    def __init__(self) -> None:
         self._classes: dict = {}
 
     def for_class(self, cls: type) -> st.SearchStrategy:
@@ -121,24 +113,25 @@ class _StrategyBuilder:
         if kind == "cls":
             return self.for_class(spec[1])
         if kind == "any":
-            return self.any_values
+            return _ANY_VALUES
         raise AssertionError(f"unhandled codec spec {spec!r}")
 
 
-_FULL = _StrategyBuilder(_any_values(tuples=True, binary=True))
-_LEGACY_SAFE = _StrategyBuilder(_any_values(tuples=False, binary=False))
+_INSTANCES = _StrategyBuilder()
 
 _ALL_CLASSES = sorted(MANIFEST, key=lambda cls: cls.__name__)
 
-
-@pytest.mark.parametrize(
+_per_class = pytest.mark.parametrize(
     "cls", _ALL_CLASSES, ids=[cls.__name__ for cls in _ALL_CLASSES]
 )
+
+
+@_per_class
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_round_trip_is_identity(cls, data):
     """encode→decode reproduces the instance exactly, per wire class."""
-    obj = data.draw(_FULL.for_class(cls))
+    obj = data.draw(_INSTANCES.for_class(cls))
     assert decode_wire(encode_wire(obj)) == obj
 
 
@@ -146,81 +139,80 @@ def test_round_trip_is_identity(cls, data):
 @given(data=st.data())
 def test_round_trip_through_bytes(data):
     cls = data.draw(st.sampled_from(_ALL_CLASSES))
-    obj = data.draw(_FULL.for_class(cls))
-    assert decode_wire_bytes(encode_wire_bytes(obj)) == obj
+    obj = data.draw(_INSTANCES.for_class(cls))
+    frame = encode_wire_bytes(obj)
+    json.loads(frame)  # the wire text is plain JSON
+    decoded = decode_wire_bytes(frame)
+    assert decoded == obj
+    assert stable_digest(decoded) == stable_digest(obj)
 
 
-@settings(max_examples=60, deadline=None)
+@_per_class
+@settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_generated_digest_expanders_match_generic_walk(data):
-    """stable_digest is byte-identical with the codec's generated
-    canonical expanders installed (codec on) and without (codec off)."""
-    cls = data.draw(st.sampled_from(_ALL_CLASSES))
-    obj = data.draw(_FULL.for_class(cls))
-    previous = set_codec_enabled(True)
+def test_generated_digest_code_matches_reflective_walk(cls, data):
+    """With the generated registries emptied, ``stable_digest`` and
+    ``_deeply_immutable`` run the reflective dataclass walks — the
+    oracle. The generated expanders must give byte-identical digests and
+    the generated verdicts the same cache/no-cache decision."""
+    obj = data.draw(_INSTANCES.for_class(cls))
+    generated = stable_digest(obj), digest._deeply_immutable(obj)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(digest, "_CANONICAL_EXPANDERS", {})
+        patch.setattr(digest, "_IMMUTABILITY_VERDICTS", {})
+        reflective = stable_digest(obj), digest._deeply_immutable(obj)
+    assert generated == reflective
+
+
+_SIGNATURE = '["@Sg","A-0","ab","cd"]'
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        pytest.param(b"\xff\xfe", id="bad-utf8"),
+        pytest.param(b"", id="empty"),
+        pytest.param(_SIGNATURE[:-4].encode(), id="truncated"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(
+            b'["@Le",1,"x",' + b'["t",' * 600 + b"1" + b"]" * 600 + b",null,0]",
+            id="deep-any-value",
+        ),
+        pytest.param(b'{"@Sg":1}', id="non-array"),
+        pytest.param(b"[]", id="empty-array"),
+        pytest.param(b'["@zz",1]', id="unknown-tag"),
+        pytest.param(b'[["@Sg"],1]', id="non-string-tag"),
+        pytest.param(b'["@Sg","A-0","ab"]', id="wrong-arity"),
+        pytest.param(b'["@Sg","A-0",7,"cd"]', id="wrong-field-type"),
+        pytest.param(b'["@Qp","ab",[["@Sg","A-0"]]]', id="bad-nested-record"),
+        pytest.param(b'["@Le",1,"x",["?",1],null,0]', id="unknown-value-tag"),
+        pytest.param(_SIGNATURE.encode() + b" ", id="trailing-data"),
+    ],
+)
+def test_malformed_frames_raise_protocol_error(frame):
+    with pytest.raises(ProtocolError):
+        decode_wire_bytes(frame)
+
+
+@_per_class
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_frames_decode_or_raise_protocol_error(cls, data):
+    """Flip, truncate or splice the bytes of a valid frame, per wire
+    class: the decoder returns a wire object or raises ProtocolError."""
+    frame = bytearray(encode_wire_bytes(data.draw(_INSTANCES.for_class(cls))))
+    at = data.draw(st.integers(0, len(frame) - 1))
+    mutation = data.draw(st.sampled_from(["flip", "truncate", "splice"]))
+    if mutation == "flip":
+        frame[at] = data.draw(st.integers(0, 255))
+    elif mutation == "truncate":
+        del frame[at:]
+    else:
+        donor = data.draw(st.sampled_from(_ALL_CLASSES))
+        other = encode_wire_bytes(data.draw(_INSTANCES.for_class(donor)))
+        frame[at:] = other[data.draw(st.integers(0, len(other) - 1)):]
     try:
-        with_expanders = stable_digest(obj)
-        set_codec_enabled(False)
-        without_expanders = stable_digest(obj)
-    finally:
-        set_codec_enabled(previous)
-    assert with_expanders == without_expanders
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_generated_immutability_verdicts_match_reflective_walk(data):
-    """The codec's generated immutability verdicts agree with the
-    reflective ``_deeply_immutable`` walk on every well-typed instance —
-    the digest memo must make identical cache/no-cache decisions with
-    the codec enabled or disabled."""
-    from repro.crypto.digest import _deeply_immutable
-
-    cls = data.draw(st.sampled_from(_ALL_CLASSES))
-    obj = data.draw(_FULL.for_class(cls))
-    previous = set_codec_enabled(True)
-    try:
-        with_verdicts = _deeply_immutable(obj)
-        set_codec_enabled(False)
-        without_verdicts = _deeply_immutable(obj)
-    finally:
-        set_codec_enabled(previous)
-    assert with_verdicts == without_verdicts
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_codec_agrees_with_legacy_on_legacy_safe_payloads(data):
-    """Where the legacy dict-walking JSON can represent the value at
-    all, both paths decode to equal objects with equal digests."""
-    cls = data.draw(st.sampled_from(_ALL_CLASSES))
-    obj = data.draw(_LEGACY_SAFE.for_class(cls))
-    via_codec = decode_wire(encode_wire(obj))
-    via_legacy = codec._legacy_decode(codec._legacy_encode(obj))
-    assert via_codec == via_legacy == obj
-    assert stable_digest(via_codec) == stable_digest(via_legacy)
-
-
-def test_codec_preserves_any_tuples_where_legacy_does_not():
-    """The decisive divergence: a tuple inside an ``Any`` payload
-    survives the generated codec but degrades to a list on the legacy
-    path — which changes the record digest. This is why benchmark
-    control passes transcode with the generated codec rather than the
-    legacy walker."""
-    signature = Signature(signer="a", digest="d", mac="m")
-    entry = codec._records.LogEntry(
-        position=1,
-        record_type="communication",
-        value=("k", ("nested", 2)),
-        meta=None,
-        payload_bytes=0,
-    )
-    assert decode_wire(encode_wire(entry)) == entry
-    degraded = codec._legacy_decode(codec._legacy_encode(entry))
-    assert degraded.value == ["k", ["nested", 2]]
-    assert stable_digest(degraded) != stable_digest(entry)
-    # Typed tuple fields (not Any) are spec-driven and survive both.
-    assert decode_wire(encode_wire(signature)) == signature
-    assert (
-        codec._legacy_decode(codec._legacy_encode(signature)) == signature
-    )
+        decoded = decode_wire_bytes(bytes(frame))
+    except ProtocolError:
+        return
+    assert type(decoded) in MANIFEST
