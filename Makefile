@@ -1,10 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-rules lint-baseline chaos audit bench-selftest obs-cost console experiments
+.PHONY: test shapes lint lint-rules lint-baseline chaos audit bench-selftest obs-cost console experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The paper's Section VIII shapes (Fig. 4-8, Tables I-II, ablations)
+# asserted on the experiment drivers; outside testpaths (~30 s).
+shapes:
+	$(PYTHON) -m pytest benchmarks -q --benchmark-disable
 
 # Protocol-aware lints always run; ruff (generic hygiene) only when
 # installed — the offline dev container ships without it, CI installs it.

@@ -212,11 +212,6 @@ class CommunicationDaemon:
                 "bp_transmissions_total",
                 source=node.participant, destination=self.destination,
             ).inc()
-        node.sim.trace.record(
-            "bp.transmit", node.sim.now,
-            src=node.participant, dst=self.destination,
-            position=entry.position,
-        )
 
     # ------------------------------------------------------------------
     # Ack-driven retransmission
@@ -272,10 +267,6 @@ class CommunicationDaemon:
         if attempts >= node.bp_config.transmission_retry_limit:
             # Out of budget: leave recovery to the reserve-daemon path.
             self._awaiting_ack.pop(position, None)
-            node.sim.trace.record(
-                "bp.retransmit_exhausted", node.sim.now,
-                node=node.node_id, dst=self.destination, position=position,
-            )
             return
         self._awaiting_ack[position] = attempts + 1
         if node.obs.enabled:
@@ -283,11 +274,6 @@ class CommunicationDaemon:
                 "bp_transmission_retries_total",
                 source=node.participant, destination=self.destination,
             ).inc()
-        node.sim.trace.record(
-            "bp.retransmit", node.sim.now,
-            node=node.node_id, dst=self.destination,
-            position=position, attempt=attempts + 1,
-        )
         self.shipped.discard(position)
         self.ship(node.local_log.read(position))
 
@@ -416,11 +402,6 @@ class ReserveDaemon:
                     node=self.node.node_id, destination=self.destination,
                     floor=trusted_floor, latest=latest,
                 )
-        self.node.sim.trace.record(
-            "bp.reserve_promoted", self.node.sim.now,
-            node=self.node.node_id, dst=self.destination,
-            floor=trusted_floor, latest=latest,
-        )
         self.promoted = CommunicationDaemon(
             self.node, self.destination, geo=self._geo, active=True
         )

@@ -193,11 +193,6 @@ class GeoCoordinator:
                         position=entry.position,
                         mirrors=[p for p, _ in collected],
                     )
-        self.node.sim.trace.record(
-            "geo.proved", node.sim.now,
-            participant=node.participant, position=entry.position,
-            mirrors=[p for p, _ in collected],
-        )
 
     def _next_candidate(self, tried: set) -> Optional[str]:
         """Best untried mirror: live-believed peers by RTT, then
@@ -255,11 +250,6 @@ class GeoCoordinator:
                         node=node.node_id, target=target,
                         position=mirror.position,
                     )
-            node.sim.trace.record(
-                "geo.mirror_timeout", node.sim.now,
-                participant=node.participant, target=target,
-                position=mirror.position,
-            )
             return (target, None)
         response: MirrorResponse = outcome
         proof = response.proof
@@ -342,10 +332,6 @@ class GeoCoordinator:
             if participant == self.node.participant:
                 continue
             self.node.send(self.node.directory.gateway(participant), announcement)
-        self.node.sim.trace.record(
-            "geo.take_over", self.node.sim.now,
-            new_primary=self.node.participant, epoch=self.epoch,
-        )
         for callback in list(self.on_primary_change):
             callback(self.current_primary, self.epoch)
 

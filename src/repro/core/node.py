@@ -380,10 +380,6 @@ class BlockplaneNode(PBFTReplica):
             if self.local_log.has_received(*key):
                 # Duplicate commit of the same transmission: every
                 # honest replica skips it identically.
-                self.sim.trace.record(
-                    "bp.duplicate_reception", self.sim.now,
-                    node=self.node_id, key=key,
-                )
                 return
         trace = (
             self._slot_traces.pop(committed.seq, None)
@@ -431,10 +427,6 @@ class BlockplaneNode(PBFTReplica):
             self.obs.counter(
                 "bp_log_entries_folded_total", participant=self.participant
             ).inc(float(dropped))
-        self.sim.trace.record(
-            "bp.truncate", self.sim.now, node=self.node_id,
-            base=self.local_log.base_position, dropped=dropped,
-        )
 
     def _record_apply_obs(
         self, committed: CommittedEntry, entry: LogEntry, trace
@@ -730,11 +722,6 @@ class BlockplaneNode(PBFTReplica):
                         position=record.source_position,
                         src=src, reason="ingress-proof",
                     )
-            self.sim.trace.record(
-                "bp.ingress_reject", self.sim.now,
-                node=self.node_id, src=record.source,
-                position=record.source_position,
-            )
             return
         if self.obs.forensics:
             self.obs.event(

@@ -21,6 +21,7 @@ from typing import Dict, Sequence
 from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.core.batching import Batcher
 from repro.core.reads import ReadStrategy
+from repro.core.records import RECORD_RECEIVED
 from repro.experiments.report import fmt_ms, format_table
 from repro.pbft.quorums import unit_size
 from repro.sim.metrics import LatencySeries
@@ -133,16 +134,17 @@ def run_transmission_fanout(
 
         sim.spawn(receive_pump())
         sim.run_until_resolved(sim.spawn(sender()), max_events=100_000_000)
-        log_o = deployment.unit("O").gateway_node().local_log
-        received = sum(
-            1 for entry in log_o if entry.record_type == "received"
+        gateway_o = deployment.unit("O").gateway_node()
+        # A duplicate is a reception PBFT committed that the Local Log
+        # then declined to append.
+        received, committed = (
+            sum(1 for entry in entries if entry.record_type == RECORD_RECEIVED)
+            for entries in (gateway_o.local_log, gateway_o.executed_entries)
         )
         results[fanout] = {
             "delivery_ms": series.mean,
             "committed_receptions": float(received),
-            "duplicates_suppressed": float(
-                sim.trace.count("bp.duplicate_reception")
-            ),
+            "duplicates_suppressed": float(committed - received),
         }
     return results
 

@@ -2,7 +2,7 @@
 
 Folds a run's observability artifacts (flight-recorder journal, span
 trees, metrics snapshots, auditor findings) into one schema-versioned
-``repro.console/v1`` JSON bundle and renders it as a **single
+``repro.console/v2`` JSON bundle and renders it as a **single
 self-contained HTML replay**: message flows animated on the site
 topology, per-node swimlane timelines, and an auditor overlay that
 badges suspects and links each finding to its verbatim evidence

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="chaos plan.json whose injected faults "
                              "render as ground truth on the timeline")
     source.add_argument("--bundle", metavar="FILE",
-                        help="prebuilt repro.console/v1 bundle "
+                        help="prebuilt repro.console/v2 bundle "
                              "(skips folding)")
     source.add_argument("--demo", action="store_true",
                         help="render the canonical traced cross-DC "

@@ -1,4 +1,4 @@
-"""Fold run artifacts into one ``repro.console/v1`` bundle.
+"""Fold run artifacts into one ``repro.console/v2`` bundle.
 
 :func:`build_bundle` is the producer side of the console: it accepts
 whatever a run left behind — a live :class:`~repro.obs.Observability`

@@ -1,6 +1,6 @@
 """Render a console bundle into one self-contained HTML replay.
 
-:func:`render_html` embeds the ``repro.console/v1`` bundle as inline
+:func:`render_html` embeds the ``repro.console/v2`` bundle as inline
 JSON inside a single HTML document whose CSS and JavaScript are inlined
 too — no network fetches, no CDN, no non-stdlib dependency anywhere.
 The file opens offline in any browser and presents three views:

@@ -1,4 +1,4 @@
-"""The ``repro.console/v2`` data-bundle schema (v1 still accepted).
+"""The ``repro.console/v2`` data-bundle schema.
 
 The operator console is split into two halves: a *bundle* (one plain
 JSON document folding everything a replay needs — journal events, span
@@ -16,8 +16,8 @@ job gates on it.
 Top-level document::
 
     {
-      "schema": "repro.console/v1",
-      "schema_version": 1,
+      "schema": "repro.console/v2",
+      "schema_version": 2,
       "title": "...",                     # replay heading
       "topology": {
         "sites": ["C", "O", "V", "I"],
@@ -38,12 +38,12 @@ Top-level document::
         "findings": [{"id": "finding-000-equivocation",
                       "evidence_event_ids": [17, 23], ...}, ...]
       },
-      "latency": {                        # optional (v2): critpath
+      "latency": {                        # optional: critpath
         "end_to_end_ms": {"p50": ..., "p99": ..., ...},
         "segments": [{"segment": "pbft.prepare", ...}, ...],
         ...                               # repro.obs.critpath.attribute()
       },
-      "chaos": {                          # optional (v2): ground truth
+      "chaos": {                          # optional: ground truth
         "seed": 2, "profile": "byzantine",
         "actions": [{"kind": "crash", "site": "A", "start": 0.0,
                      "end": 5000.0, "label": "crash A[0] [0, 5000)"},
@@ -51,10 +51,9 @@ Top-level document::
       }
     }
 
-v2 adds the optional ``latency`` (critical-path attribution report)
-and ``chaos`` (the injected fault plan — ground truth the replay
-renders next to the auditor's detections) sections; v1 documents
-remain valid under this checker.
+``latency`` is the critical-path attribution report and ``chaos`` the
+injected fault plan — ground truth the replay renders next to the
+auditor's detections. v2 is the only version the checker accepts.
 
 The document records **no timestamps, hostnames, or environment
 fingerprints** — a bundle is a pure function of the run it describes.
@@ -66,12 +65,6 @@ from typing import Any, Dict, List
 
 SCHEMA_NAME = "repro.console/v2"
 SCHEMA_VERSION = 2
-
-#: (schema string, schema_version) pairs the validator accepts.
-ACCEPTED_SCHEMAS = (
-    ("repro.console/v1", 1),
-    ("repro.console/v2", 2),
-)
 
 #: Required top-level fields and their types.
 _TOP_FIELDS = {
@@ -155,19 +148,12 @@ def validate(document: Any) -> List[str]:
                 f"got {type(document[field]).__name__}"
             )
     schema = document.get("schema")
+    if isinstance(schema, str) and schema != SCHEMA_NAME:
+        errors.append(f"schema must be {SCHEMA_NAME!r}, got {schema!r}")
     version = document.get("schema_version")
-    accepted_names = {name: number for name, number in ACCEPTED_SCHEMAS}
-    if isinstance(schema, str) and schema not in accepted_names:
-        names = ", ".join(repr(name) for name in accepted_names)
-        errors.append(f"schema must be one of {names}, got {schema!r}")
-    elif (
-        isinstance(schema, str)
-        and version is not None
-        and version != accepted_names[schema]
-    ):
+    if version is not None and version != SCHEMA_VERSION:
         errors.append(
-            f"schema_version must be {accepted_names[schema]} for "
-            f"{schema!r}, got {version!r}"
+            f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
     topology = document.get("topology")
     if isinstance(topology, dict):

@@ -360,10 +360,6 @@ class PBFTReplica(Node):
         if pending is None:
             return
         pending.retries += 1
-        self.sim.trace.record(
-            "pbft.request_timeout", self.sim.now,
-            node=self.node_id, request=request_id, retries=pending.retries,
-        )
         # If we lead and already proposed this request, retransmit the
         # pre-prepare (a quorum member may have been down and missed the
         # original round). Otherwise suspect the leader.
@@ -476,11 +472,6 @@ class PBFTReplica(Node):
             return  # duplicate (client retry); already in flight
         reject_reason = self._pre_validate(msg)
         if reject_reason is not None:
-            self.sim.trace.record(
-                "pbft.request_rejected", self.sim.now,
-                node=self.node_id, request=msg.request_id,
-                reason=reject_reason,
-            )
             rejection = RejectRequest(
                 request_id=msg.request_id,
                 reason=reject_reason,
@@ -691,10 +682,6 @@ class PBFTReplica(Node):
             self._deferred_verification.add(seq)
             return
         if not verdict:
-            self.sim.trace.record(
-                "pbft.verify_reject", self.sim.now,
-                node=self.node_id, seq=seq, record_type=slot.record_type,
-            )
             if self.obs.enabled:
                 self.obs.counter(
                     "pbft_verify_rejects_total", participant=self.site
@@ -825,10 +812,6 @@ class PBFTReplica(Node):
         self._exec_chain = hashlib.sha256(
             (self._exec_chain + slot.digest).encode()
         ).hexdigest()
-        self.sim.trace.record(
-            "pbft.execute", self.sim.now,
-            node=self.node_id, seq=entry.seq, record_type=entry.record_type,
-        )
         if self.obs.enabled and entry.record_type != NOOP_RECORD_TYPE:
             self._record_slot_obs(entry, slot)
         for callback in self.on_executed:
@@ -1079,10 +1062,6 @@ class PBFTReplica(Node):
             del self._catch_up_values[key]
         if self.config.gc_executed_log:
             self._truncate_executed_entries(min(seq, self.last_executed))
-        self.sim.trace.record(
-            "pbft.stable_checkpoint", self.sim.now,
-            node=self.node_id, seq=seq,
-        )
         if self.obs.forensics:
             self.obs.event(
                 "pbft.stable_checkpoint", participant=self.site,
@@ -1156,10 +1135,6 @@ class PBFTReplica(Node):
             replica=self.node_id,
         )
         self._last_view_change_vote = vote
-        self.sim.trace.record(
-            "pbft.view_change_vote", self.sim.now,
-            node=self.node_id, new_view=new_view,
-        )
         if self.obs.enabled:
             self.obs.counter(
                 "pbft_view_changes_total", participant=self.site
@@ -1302,9 +1277,6 @@ class PBFTReplica(Node):
         new_view_msg = NewView(
             new_view=new_view, pre_prepares=pre_prepares, replica=self.node_id
         )
-        self.sim.trace.record(
-            "pbft.new_view", self.sim.now, node=self.node_id, view=new_view
-        )
         if self.obs.forensics:
             self.obs.event(
                 "pbft.new_view", participant=self.site, node=self.node_id,
@@ -1407,10 +1379,6 @@ class PBFTReplica(Node):
                 )
                 entries = self.executed_entries[start:]
                 self.snapshots_served += 1
-                self.sim.trace.record(
-                    "pbft.snapshot_serve", self.sim.now,
-                    node=self.node_id, to=src, seq=certificate.seq,
-                )
                 self.send(
                     src,
                     SnapshotResponse(
@@ -1483,10 +1451,6 @@ class PBFTReplica(Node):
                 self._adopt_snapshot(certificate, msg.snapshot)
             else:
                 self.snapshot_offers_rejected += 1
-                self.sim.trace.record(
-                    "pbft.snapshot_reject", self.sim.now,
-                    node=self.node_id, src=src, seq=certificate.seq,
-                )
                 if self.obs.forensics:
                     self.obs.event(
                         "pbft.snapshot_reject", participant=self.site,
@@ -1524,10 +1488,6 @@ class PBFTReplica(Node):
             del self._catch_up_tally[tally_seq]
         for key in [k for k in self._catch_up_values if k[0] <= seq]:
             del self._catch_up_values[key]
-        self.sim.trace.record(
-            "pbft.snapshot_install", self.sim.now,
-            node=self.node_id, seq=seq,
-        )
         if self.obs.forensics:
             self.obs.event(
                 "pbft.snapshot_install", participant=self.site,
@@ -1601,10 +1561,6 @@ class PBFTReplica(Node):
             self._exec_chain = hashlib.sha256(
                 (self._exec_chain + slot.digest).encode()
             ).hexdigest()
-            self.sim.trace.record(
-                "pbft.catch_up_apply", self.sim.now,
-                node=self.node_id, seq=seq,
-            )
             for callback in self.on_executed:
                 callback(entry)
         if advanced and self.in_view_change:

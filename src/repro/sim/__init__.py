@@ -5,7 +5,8 @@ testbed. It provides a virtual clock in milliseconds, an event heap with
 deterministic tie-breaking, generator-based processes (so protocol code
 reads like the paper's blocking pseudocode), a wide-area network model
 driven by the paper's Table I RTT matrix, a NIC bandwidth serialization
-model, fault injection, and metrics collection.
+model, fault injection, and post-run latency/throughput aggregation.
+It holds no telemetry store: protocol code reports to :mod:`repro.obs`.
 """
 
 from repro.sim.events import Event
@@ -23,8 +24,6 @@ from repro.sim.topology import (
 )
 from repro.sim.node import Message, Node
 from repro.sim.faults import FaultInjector
-from repro.sim.trace import Tracer
-from repro.sim.timeline import kind_summary, render_summary, render_timeline
 from repro.sim.metrics import LatencySeries, summarize
 
 __all__ = [
@@ -46,10 +45,6 @@ __all__ = [
     "Message",
     "Node",
     "FaultInjector",
-    "Tracer",
-    "render_timeline",
-    "render_summary",
-    "kind_summary",
     "LatencySeries",
     "summarize",
 ]

@@ -168,13 +168,11 @@ class Node:
     def crash(self) -> None:
         """Benign crash: stop sending, receiving, and firing timers."""
         self.crashed = True
-        self.sim.trace.record("node.crash", self.sim.now, node=self.node_id)
         self._journal_lifecycle("node.crash")
 
     def recover(self) -> None:
         """Return the node to service; subclasses refresh state here."""
         self.crashed = False
-        self.sim.trace.record("node.recover", self.sim.now, node=self.node_id)
         self._journal_lifecycle("node.recover")
         self.on_recover()
 

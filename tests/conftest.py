@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BlockplaneConfig, BlockplaneDeployment
-
+from repro.obs import Observability
 from repro.sim.simulator import Simulator
 from repro.sim.topology import (
     aws_four_dc_topology,
@@ -20,12 +20,20 @@ def sim() -> Simulator:
     return Simulator(seed=42)
 
 
+@pytest.fixture
+def obs() -> Observability:
+    """A fresh hub; pass it to a builder, then assert on its journal
+    events and registry counters."""
+    return Observability()
+
+
 def build_single_dc(
     sim: Simulator,
     f_independent: int = 1,
     routines_factory=None,
     node_class_overrides=None,
     config: BlockplaneConfig = None,
+    obs: Observability = None,
 ) -> BlockplaneDeployment:
     """One participant ('DC'), 3f+1 nodes, no wide area."""
     return BlockplaneDeployment(
@@ -34,6 +42,7 @@ def build_single_dc(
         config or BlockplaneConfig(f_independent=f_independent),
         routines_factory=routines_factory,
         node_class_overrides=node_class_overrides,
+        obs=obs,
     )
 
 
@@ -43,6 +52,7 @@ def build_four_dc(
     routines_factory=None,
     node_class_overrides=None,
     replication_sets=None,
+    obs: Observability = None,
 ) -> BlockplaneDeployment:
     """The paper's four-datacenter AWS deployment."""
     return BlockplaneDeployment(
@@ -52,6 +62,7 @@ def build_four_dc(
         routines_factory=routines_factory,
         node_class_overrides=node_class_overrides,
         replication_sets=replication_sets,
+        obs=obs,
     )
 
 
@@ -59,12 +70,14 @@ def build_pair(
     sim: Simulator,
     rtt_ms: float = 20.0,
     config: BlockplaneConfig = None,
+    obs: Observability = None,
 ) -> BlockplaneDeployment:
     """Two participants A and B with a symmetric RTT."""
     return BlockplaneDeployment(
         sim,
         symmetric_topology(["A", "B"], rtt_ms),
         config or BlockplaneConfig(f_independent=1),
+        obs=obs,
     )
 
 

@@ -5,11 +5,20 @@ from repro.core import BlockplaneConfig
 from tests.conftest import build_four_dc, build_pair
 
 
-def test_daemon_ships_committed_sends(sim):
-    deployment = build_pair(sim)
+def retries(obs) -> float:
+    """A->B retransmissions counted by A's communication daemon."""
+    return obs.counter(
+        "bp_transmission_retries_total", source="A", destination="B"
+    ).value
+
+
+def test_daemon_ships_committed_sends(sim, obs):
+    deployment = build_pair(sim, obs=obs)
     sim.run_until_resolved(deployment.api("A").send("x", to="B"))
     sim.run(until=300.0)
-    assert sim.trace.count("bp.transmit") >= 1
+    assert obs.counter(
+        "bp_transmissions_total", source="A", destination="B"
+    ).value >= 1
     log_b = deployment.unit("B").gateway_node().local_log
     assert any(entry.record_type == "received" for entry in log_b)
 
@@ -58,7 +67,7 @@ def test_per_destination_daemons_are_independent(sim):
     )
 
 
-def test_reserve_promotes_when_daemon_withholds(sim):
+def test_reserve_promotes_when_daemon_withholds(sim, obs):
     # Simulate a malicious/failed communication daemon by deactivating
     # the primary daemon after commit but before shipping.
     config = BlockplaneConfig(
@@ -66,7 +75,7 @@ def test_reserve_promotes_when_daemon_withholds(sim):
         reserve_poll_interval_ms=100.0,
         reserve_gap_threshold=0,
     )
-    deployment = build_pair(sim, config=config)
+    deployment = build_pair(sim, config=config, obs=obs)
     unit_a = deployment.unit("A")
     unit_a.daemons["B"].active = False  # the daemon goes rogue
 
@@ -76,7 +85,7 @@ def test_reserve_promotes_when_daemon_withholds(sim):
 
     sim.run_until_resolved(sim.spawn(sender()))
     sim.run(until=2000.0)
-    assert sim.trace.count("bp.reserve_promoted") >= 1
+    assert len(obs.journal.of_kind("reserve.promoted")) >= 1
     log_b = deployment.unit("B").gateway_node().local_log
     assert any(
         e.record_type == "received" and e.value.record.message == "withheld"
@@ -84,13 +93,13 @@ def test_reserve_promotes_when_daemon_withholds(sim):
     )
 
 
-def test_reserves_do_not_promote_when_daemon_healthy(sim):
+def test_reserves_do_not_promote_when_daemon_healthy(sim, obs):
     config = BlockplaneConfig(
         f_independent=1,
         reserve_poll_interval_ms=50.0,
         reserve_gap_threshold=2,
     )
-    deployment = build_pair(sim, config=config)
+    deployment = build_pair(sim, config=config, obs=obs)
 
     def sender():
         api = deployment.api("A")
@@ -99,7 +108,7 @@ def test_reserves_do_not_promote_when_daemon_healthy(sim):
 
     sim.run_until_resolved(sim.spawn(sender()))
     sim.run(until=2000.0)
-    assert sim.trace.count("bp.reserve_promoted") == 0
+    assert obs.journal.of_kind("reserve.promoted") == []
 
 
 def test_duplicate_deliveries_from_promoted_reserve_are_harmless(sim):
@@ -128,7 +137,7 @@ def test_duplicate_deliveries_from_promoted_reserve_are_harmless(sim):
     assert len(received) == len(set(received)) == 2
 
 
-def test_reserve_shipments_carry_geo_proofs(sim):
+def test_reserve_shipments_carry_geo_proofs(sim, obs):
     # With fg > 0, a reserve-promoted daemon must attach geo proofs to
     # the transmissions it re-ships (its host holds a passive
     # coordinator), or receivers would reject them.
@@ -147,6 +156,7 @@ def test_reserve_shipments_carry_geo_proofs(sim):
             "O": ["C", "V", "O"],
             "I": ["I", "V", "C"],
         },
+        obs=obs,
     )
     deployment.unit("C").daemons["V"].active = False  # rogue daemon
 
@@ -155,7 +165,7 @@ def test_reserve_shipments_carry_geo_proofs(sim):
 
     sim.run_until_resolved(sim.spawn(sender()), max_events=100_000_000)
     sim.run(until=5000.0, max_events=100_000_000)
-    assert sim.trace.count("bp.reserve_promoted") >= 1
+    assert len(obs.journal.of_kind("reserve.promoted")) >= 1
     log_v = deployment.unit("V").gateway_node().local_log
     delivered = [
         e.value
@@ -216,7 +226,7 @@ def test_reserve_first_probes_are_staggered(sim):
         assert interval <= delay < 2 * interval
 
 
-def test_retransmission_recovers_loss_without_reserves(sim):
+def test_retransmission_recovers_loss_without_reserves(sim, obs):
     # A transient WAN loss is healed by the ack-driven retry path alone;
     # the reserves never need to wake up.
     from repro.core.messages import TransmissionMessage
@@ -227,7 +237,7 @@ def test_retransmission_recovers_loss_without_reserves(sim):
         reserve_poll_interval_ms=60_000.0,
         reserve_gap_threshold=100,
     )
-    deployment = build_pair(sim, config=config)
+    deployment = build_pair(sim, config=config, obs=obs)
     injector = FaultInjector(sim, deployment.network)
     injector.drop_matching(
         lambda src, dst, msg: isinstance(msg, TransmissionMessage),
@@ -236,8 +246,8 @@ def test_retransmission_recovers_loss_without_reserves(sim):
     )
     sim.run_until_resolved(deployment.api("A").send("retried", to="B"))
     sim.run(until=2_000.0)
-    assert sim.trace.count("bp.retransmit") >= 1
-    assert sim.trace.count("bp.reserve_promoted") == 0
+    assert retries(obs) >= 1
+    assert obs.journal.of_kind("reserve.promoted") == []
     log_b = deployment.unit("B").gateway_node().local_log
     assert any(
         e.record_type == "received" and e.value.record.message == "retried"
@@ -258,37 +268,38 @@ def test_retransmission_backs_off_and_gives_up(sim):
     )
     deployment = build_pair(sim, config=config)
     injector = FaultInjector(sim, deployment.network)
-    injector.drop_matching(
-        lambda src, dst, msg: isinstance(msg, TransmissionMessage),
-        start=0.0,
-    )
+    attempts = set()  # send instants: every shipping attempt crosses the filter
+
+    def blackhole(src, dst, msg):
+        if isinstance(msg, TransmissionMessage):
+            attempts.add(sim.now)
+            return True
+        return False
+
+    injector.drop_matching(blackhole, start=0.0)
     sim.run_until_resolved(deployment.api("A").send("blackholed", to="B"))
     sim.run(until=10_000.0)
-    retries = [r for r in sim.trace.records if r["kind"] == "bp.retransmit"]
-    assert len(retries) == config.transmission_retry_limit
-    gaps = [
-        later["time"] - earlier["time"]
-        for earlier, later in zip(retries, retries[1:])
-    ]
-    assert all(b > a for a, b in zip(gaps, gaps[1:])) or len(gaps) == 1
-    if len(gaps) >= 2:
-        assert gaps[1] > gaps[0]
-    assert sim.trace.count("bp.retransmit_exhausted") == 1
+    sends = sorted(attempts)
+    assert len(sends) == 1 + config.transmission_retry_limit
+    gaps = [later - earlier for earlier, later in zip(sends, sends[1:])]
+    assert all(b > a for a, b in zip(gaps, gaps[1:]))
+    # Budget exhausted: the daemon stopped tracking the record.
+    assert deployment.unit("A").daemons["B"]._awaiting_ack == {}
 
 
-def test_retry_limit_zero_disables_retransmission(sim):
+def test_retry_limit_zero_disables_retransmission(sim, obs):
     config = BlockplaneConfig(f_independent=1, transmission_retry_limit=0)
-    deployment = build_pair(sim, config=config)
+    deployment = build_pair(sim, config=config, obs=obs)
     sim.run_until_resolved(deployment.api("A").send("once", to="B"))
     sim.run(until=2_000.0)
-    assert sim.trace.count("bp.retransmit") == 0
+    assert retries(obs) == 0
     assert deployment.unit("A").daemons["B"]._awaiting_ack == {}
     log_b = deployment.unit("B").gateway_node().local_log
     assert any(e.record_type == "received" for e in log_b)
 
 
-def test_healthy_network_never_retransmits(sim):
-    deployment = build_pair(sim)
+def test_healthy_network_never_retransmits(sim, obs):
+    deployment = build_pair(sim, obs=obs)
 
     def sender():
         api = deployment.api("A")
@@ -297,7 +308,7 @@ def test_healthy_network_never_retransmits(sim):
 
     sim.run_until_resolved(sim.spawn(sender()))
     sim.run(until=2_000.0)
-    assert sim.trace.count("bp.retransmit") == 0
+    assert retries(obs) == 0
     assert deployment.unit("A").daemons["B"]._awaiting_ack == {}
 
 

@@ -24,9 +24,9 @@ def geo_config(**kwargs):
     return BlockplaneConfig(**defaults)
 
 
-def build(sim, **kwargs):
+def build(sim, obs=None, **kwargs):
     return build_four_dc(
-        sim, config=geo_config(**kwargs), replication_sets=GEO_SETS
+        sim, config=geo_config(**kwargs), replication_sets=GEO_SETS, obs=obs
     )
 
 
@@ -109,12 +109,12 @@ def test_primary_failure_triggers_takeover(sim):
     assert deployment.unit("V").geo.is_primary
 
 
-def test_no_spurious_takeover_while_primary_alive(sim):
-    deployment = build(sim)
+def test_no_spurious_takeover_while_primary_alive(sim, obs):
+    deployment = build(sim, obs=obs)
     sim.run(until=2000.0)
     assert deployment.unit("C").geo.is_primary
     assert not deployment.unit("V").geo.is_primary
-    assert sim.trace.count("geo.take_over") == 0
+    assert obs.journal.of_kind("geo.take_over") == []
 
 
 def test_new_primary_commits_with_remaining_peers(sim):
@@ -141,11 +141,11 @@ def test_takeover_announcement_updates_other_secondaries(sim):
     assert deployment.unit("O").geo.current_primary == "V"
 
 
-def test_fg_zero_skips_geo_machinery(sim):
-    deployment = build_four_dc(sim, config=BlockplaneConfig(f_geo=0))
+def test_fg_zero_skips_geo_machinery(sim, obs):
+    deployment = build_four_dc(sim, config=BlockplaneConfig(f_geo=0), obs=obs)
     sim.run_until_resolved(deployment.api("C").log_commit("v"))
     sim.run(until=sim.now + 100)
-    assert sim.trace.count("geo.proved") == 0
+    assert obs.registry.get("geo_proof_ms", participant="C") is None
     assert deployment.unit("C").geo is None
 
 

@@ -1,4 +1,4 @@
-"""Console bundle assembly and the ``repro.console/v1`` validator.
+"""Console bundle assembly and the ``repro.console/v2`` validator.
 
 The bundle is the stable interface between every producer (chaos
 runner, obs-audit CLI, hand-rolled scripts) and the HTML renderer, so
@@ -394,18 +394,12 @@ def test_bundle_rejects_malformed_chaos():
         build_bundle(journal={"events": []}, chaos="crash everything")
 
 
-def test_v1_bundle_still_validates(golden_bundle):
+def test_validator_rejects_v1_bundle(golden_bundle):
     old = copy.deepcopy(golden_bundle)
     old["schema"] = "repro.console/v1"
+    assert any("schema must be" in e for e in validate(old))
     old["schema_version"] = 1
-    assert validate(old) == []
-
-
-def test_validator_rejects_mismatched_pair(golden_bundle):
-    old = copy.deepcopy(golden_bundle)
-    old["schema"] = "repro.console/v1"
-    old["schema_version"] = 2
-    assert any("schema_version" in e for e in validate(old))
+    assert any("schema_version must be" in e for e in validate(old))
 
 
 def test_validator_rejects_bad_latency_section(golden_bundle):

@@ -10,12 +10,17 @@ span tree the tentpole promises.
 import json
 
 from repro.core import BlockplaneConfig, BlockplaneDeployment
+from repro.core.messages import TransmissionMessage
+from repro.core.recovery import force_view_change
 from repro.experiments import fig4_local_commit
 from repro.obs import Observability, to_chrome_trace
 from repro.obs.demo import trace_commit_lifecycle
+from repro.obs.hub import DISABLED
 from repro.pbft.config import PBFTConfig
+from repro.sim.faults import FaultInjector
 from repro.sim.simulator import Simulator
 from repro.sim.topology import symmetric_topology
+from tests.conftest import build_pair
 
 
 # ----------------------------------------------------------------------
@@ -55,6 +60,41 @@ def test_disabled_obs_records_nothing_during_run():
     fig4_local_commit.run_one(1_000, measured=5, warmup=1, seed=0, obs=obs)
     assert len(obs.registry) == 0
     assert len(obs.spans) == 0
+
+
+def test_obs_off_deployment_never_writes_to_the_shared_noop_hub(sim):
+    # Every instrumentation site has one sink behind one guard; a site
+    # that lost its ``obs.enabled``/``obs.forensics`` check would leak
+    # into the hub all obs-off deployments share.
+    config = BlockplaneConfig(
+        f_independent=1,
+        reserve_poll_interval_ms=60_000.0,
+        reserve_gap_threshold=100,
+    )
+    deployment = build_pair(sim, config=config)
+    assert deployment.obs is DISABLED
+    unit_a = deployment.unit("A")
+    FaultInjector(sim, deployment.network).drop_matching(
+        lambda src, dst, msg: isinstance(msg, TransmissionMessage),
+        start=0.0,
+        end=250.0,
+    )
+    sim.run_until_resolved(deployment.api("A").send("retried", to="B"))
+    backup = unit_a.nodes[1]
+    backup.crash()
+    sim.run_until_resolved(deployment.api("A").log_commit("while-down"))
+    backup.recover()
+    force_view_change(unit_a)
+    sim.run_until_resolved(
+        deployment.api("A").send("new-view", to="B"), max_events=20_000_000
+    )
+    sim.run(until=sim.now + 2_000.0)
+    log_b = deployment.unit("B").gateway_node().local_log
+    assert [e.value.record.message for e in log_b] == ["retried", "new-view"]
+    assert min(node.view for node in unit_a.nodes) >= 1
+    assert len(DISABLED.registry) == 0
+    assert DISABLED.journal.recorded == 0
+    assert len(DISABLED.spans) == 0
 
 
 # ----------------------------------------------------------------------

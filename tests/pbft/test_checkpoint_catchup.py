@@ -22,12 +22,12 @@ def test_checkpoint_preserves_executed_entries():
     assert_honest_agreement(replicas, expected_length=6)
 
 
-def test_checkpoint_traced():
+def test_checkpoint_traced(obs):
     config = PBFTConfig(checkpoint_interval=2)
-    sim, replicas = make_group(config=config)
+    sim, replicas = make_group(config=config, obs=obs)
     commit_values(sim, replicas[0], ["a", "b"])
     sim.run(until=sim.now + 20)
-    assert sim.trace.count("pbft.stable_checkpoint") >= 1
+    assert len(obs.journal.of_kind("pbft.stable_checkpoint")) >= 1
 
 
 def test_crashed_replica_catches_up_on_recovery():

@@ -81,12 +81,12 @@ def test_committed_entries_survive_view_change():
     assert values[-1] == "d" or "d" in values
 
 
-def test_view_change_vote_traced():
-    sim, replicas = make_group(config=FAST)
+def test_view_change_vote_traced(obs):
+    sim, replicas = make_group(config=FAST, obs=obs)
     replicas[0].crash()
     sim.run_until_resolved(replicas[1].submit("x"), max_events=20_000_000)
-    assert sim.trace.count("pbft.view_change_vote") >= 1
-    assert sim.trace.count("pbft.new_view") >= 1
+    assert len(obs.journal.of_kind("pbft.view_change")) >= 1
+    assert len(obs.journal.of_kind("pbft.new_view")) >= 1
 
 
 def test_recovered_old_leader_catches_up():

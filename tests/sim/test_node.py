@@ -120,9 +120,10 @@ def test_recover_hook_called():
     assert calls == [True]
 
 
-def test_crash_recover_traced():
+def test_crash_recover_traced(obs):
     sim, _network, a, _b = make_env()
+    a.obs = obs
     a.crash()
     a.recover()
-    assert sim.trace.count("node.crash") == 1
-    assert sim.trace.count("node.recover") == 1
+    assert [e.node for e in obs.journal.of_kind("node.crash")] == ["a"]
+    assert [e.node for e in obs.journal.of_kind("node.recover")] == ["a"]
