@@ -251,15 +251,3 @@ class FunctionCFG:
             if predicate(node):
                 return True
         return False
-
-
-def innermost_statement(
-    cfg: FunctionCFG, node: ast.AST
-) -> Optional[ast.stmt]:
-    """Convenience wrapper mirroring :meth:`FunctionCFG.statement_of`.
-
-    The statement-of lookup scans every CFG node, so for a handful of
-    uses per function this stays linear and simple — checkers should
-    not need their own parent maps.
-    """
-    return cfg.statement_of(node)

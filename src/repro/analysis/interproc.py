@@ -130,12 +130,12 @@ def entry_wire_param(fn: FunctionInfo) -> Optional[str]:
 
     Entry points are the dispatch targets byzantine peers reach
     directly: ``handle_*`` methods, the daemon ack path, and the
-    simulator's message entry points.
+    simulator's message entry point.
     """
     name = fn.name
     if not (
         name.startswith("handle_")
-        or name in ("on_ack", "on_message", "receive_message")
+        or name in ("on_ack", "on_message")
     ):
         return None
     params = fn.params

@@ -44,7 +44,7 @@ import dataclasses
 import json
 import sys
 import typing
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core import messages as _core_messages
 from repro.core import records as _records
@@ -750,23 +750,6 @@ def clear_wire_memos() -> None:
     """Drop every memoized wire encode/decode."""
     _ENCODE_MEMO.clear()
     _DECODE_MEMO.clear()
-
-
-def wire_memo_stats() -> dict:
-    """Hit/miss/size counters for the wire-level memos."""
-    return {
-        "encode_hits": _ENCODE_MEMO.hits,
-        "encode_misses": _ENCODE_MEMO.misses,
-        "decode_hits": _DECODE_MEMO.hits,
-        "decode_misses": _DECODE_MEMO.misses,
-        "encode_size": len(_ENCODE_MEMO),
-        "decode_size": len(_DECODE_MEMO),
-    }
-
-
-def wire_classes() -> Tuple[type, ...]:
-    """Every class covered by the generated codecs (manifest order)."""
-    return tuple(MANIFEST)
 
 
 def encode_wire(obj: Any) -> str:

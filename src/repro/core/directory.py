@@ -77,11 +77,3 @@ class Directory:
     def rtt_ms(self, a: str, b: str) -> float:
         """Round-trip time between two participants."""
         return self.topology.rtt_ms(a, b)
-
-    def closest_participants(self, origin: str) -> List[str]:
-        """Other participants ordered by ascending RTT from ``origin``."""
-        return [
-            name
-            for name, _rtt in self.topology.neighbors_by_distance(origin)
-            if name in self._units
-        ]

@@ -350,11 +350,3 @@ class GeoCoordinator:
             self._last_heard = self.node.sim.now
             for callback in list(self.on_primary_change):
                 callback(self.current_primary, self.epoch)
-
-
-def _entry_payload(mirror: MirrorEntry) -> int:
-    """Size estimate for a mirrored entry on the wire."""
-    value = mirror.value
-    if isinstance(value, (bytes, str)):
-        return len(value)
-    return 256

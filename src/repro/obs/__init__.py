@@ -30,16 +30,15 @@ reproduction makes:
 * :mod:`repro.obs.critpath` — critical-path latency attribution:
   folds each committed op's span tree into an ordered segment
   decomposition with a conservation invariant, computes per-segment
-  percentile budgets and p99-tail dominance, and backs the hub's SLO
-  tracker (:class:`~repro.obs.hub.SLO`) and the console's latency
-  panel.
+  percentile budgets and p99-tail dominance, and backs the console's
+  latency panel.
 
 Metric names, the span taxonomy, the segment taxonomy, and the journal
 event taxonomy are documented in ``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs import critpath
-from repro.obs.hub import DISABLED, Observability, SLO, TraceCtx
+from repro.obs.hub import DISABLED, Observability, TraceCtx
 from repro.obs.journal import EventJournal, ProtocolEvent
 from repro.obs.registry import (
     Counter,
@@ -60,7 +59,6 @@ from repro.obs.exporters import (
 __all__ = [
     "Observability",
     "DISABLED",
-    "SLO",
     "TraceCtx",
     "critpath",
     "MetricsRegistry",

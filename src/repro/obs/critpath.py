@@ -335,8 +335,8 @@ def attribute(
 ) -> Dict[str, Any]:
     """Fold per-trace decompositions into the run-level attribution
     report: per-segment percentile budgets, p99-tail dominance ranking,
-    and the conservation proof. JSON-ready (console bundles and SLO
-    tracking consume this shape)."""
+    and the conservation proof. JSON-ready (console bundles consume
+    this shape)."""
     ops = len(decompositions)
     e2e = [d.end_to_end_ms for d in decompositions]
     segment_names = sorted(

@@ -26,9 +26,8 @@ never covered by digests or signatures.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict, defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -44,33 +43,6 @@ from repro.obs.spans import Span, SpanLog
 
 #: Trace context as carried inside messages: (trace_id, parent_span_id).
 TraceCtx = Tuple[int, int]
-
-
-@dataclasses.dataclass(frozen=True)
-class SLO:
-    """One latency objective over the critical-path decomposition.
-
-    ``segment`` names a critpath segment (``"pbft.prepare"``,
-    ``"wan.transmit"``, ``"unattributed"``, …) or the whole commit via
-    ``"end_to_end"``. ``target`` is the fraction of ops that must land
-    at or under ``threshold_ms`` (0.99 = "99% of commits").
-    """
-
-    name: str
-    segment: str
-    threshold_ms: float
-    target: float = 0.99
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target <= 1.0:
-            raise ConfigurationError(
-                f"SLO {self.name!r}: target must be in (0, 1], "
-                f"got {self.target}"
-            )
-        if self.threshold_ms <= 0.0:
-            raise ConfigurationError(
-                f"SLO {self.name!r}: threshold_ms must be positive"
-            )
 
 
 class Observability:
@@ -324,65 +296,6 @@ class Observability:
         if span is not None:
             self.end_span(span)
         return span
-
-    # ------------------------------------------------------------------
-    # SLO tracking (post-run fold over the critical-path engine)
-    # ------------------------------------------------------------------
-    def track_slos(
-        self,
-        slos: Sequence[SLO],
-        decompositions: Optional[List] = None,
-    ) -> Dict[str, Dict[str, float]]:
-        """Evaluate latency SLOs against the traced commits.
-
-        Runs the critical-path engine over the span log (or reuses
-        ``decompositions`` when the caller already folded them), then
-        writes per-SLO burn accounting into the registry so it flows
-        through every existing exporter:
-
-        * ``slo_ops_total{slo=…}`` / ``slo_breach_total{slo=…}``
-          counters, and
-        * an ``slo_burn_ratio{slo=…}`` gauge — the observed breach
-          rate over the allowed error budget ``1 - target`` (>1.0
-          means the objective is burning faster than its budget).
-
-        Returns ``{slo name: {"ops", "breaches", "burn_ratio"}}``.
-        """
-        from repro.obs import critpath
-
-        if decompositions is None:
-            decompositions = critpath.decompose_all(self.spans)
-        summary: Dict[str, Dict[str, float]] = {}
-        for slo in slos:
-            if slo.segment == "end_to_end":
-                values = [d.end_to_end_ms for d in decompositions]
-            elif slo.segment == "unattributed":
-                values = [d.unattributed_ms for d in decompositions]
-            else:
-                values = [
-                    d.segments.get(slo.segment, 0.0)
-                    for d in decompositions
-                ]
-            ops = len(values)
-            breaches = sum(1 for v in values if v > slo.threshold_ms)
-            budget = 1.0 - slo.target
-            if ops == 0:
-                burn = 0.0
-            elif budget <= 0.0:
-                # target == 1.0: any breach is an infinite burn; keep
-                # the gauge finite but unmistakable.
-                burn = float(breaches)
-            else:
-                burn = (breaches / ops) / budget
-            self.counter("slo_ops_total", slo=slo.name).inc(ops)
-            self.counter("slo_breach_total", slo=slo.name).inc(breaches)
-            self.gauge("slo_burn_ratio", slo=slo.name).set(burn)
-            summary[slo.name] = {
-                "ops": float(ops),
-                "breaches": float(breaches),
-                "burn_ratio": burn,
-            }
-        return summary
 
 
 #: Shared no-op hub used as the default ``obs`` of every instrumented

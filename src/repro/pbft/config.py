@@ -19,10 +19,13 @@ class PBFTConfig:
         checkpoint_interval: Execute this many entries between
             checkpoint broadcasts; the message log below a stable
             checkpoint is garbage-collected.
-        catch_up_timeout_ms: How long a recovering replica waits for
-            catch-up responses before asking again.
-        max_log_gap: A replica that sees commitment running this far
-            ahead of its execution point proactively requests catch-up.
+        catch_up_timeout_ms: Polling period of
+            :func:`repro.core.recovery.resync_node`, the only reader:
+            it re-broadcasts a catch-up request this often until the
+            node stops advancing. The replica itself never re-asks on
+            a timer — it requests catch-up on recovery, on a stalled
+            view change, and when a stable checkpoint or a new view
+            proves it is behind.
         gc_executed_log: Garbage-collect the executed-entry log below
             each stable checkpoint. Requires signed checkpoints (a
             subclass overriding the certificate hooks, e.g. Blockplane
@@ -36,5 +39,4 @@ class PBFTConfig:
     view_change_timeout_ms: float = 100.0
     checkpoint_interval: int = 64
     catch_up_timeout_ms: float = 20.0
-    max_log_gap: int = 256
     gc_executed_log: bool = False

@@ -77,17 +77,13 @@ def request_digest(
     ``cached_digest(value)`` — the same string whether or not the memo
     is enabled — so a value object that already passed through the
     digest memo (record digests, earlier proposals) costs nothing to
-    bind again. Every request-digest computation in the protocol (and
-    in the byzantine forgers) goes through this one helper; the two
-    sides of a digest comparison always agree on the formula.
+    bind again. Every entry digest in the protocol — proposals, the
+    backups' check that a pre-prepare's digest binds its value, catch-up
+    vouching, the execution chain — and in the byzantine forgers goes
+    through this one helper; the two sides of a digest comparison
+    always agree on the formula.
     """
     return stable_digest((cached_digest(value), record_type, request_id))
-
-
-def catch_up_digest(value: Any, record_type: str, seq: int) -> str:
-    """Digest peers vote on when vouching a caught-up entry for a slot
-    (same value-folding rationale as :func:`request_digest`)."""
-    return stable_digest((cached_digest(value), record_type, seq))
 
 
 def checkpoint_digest(seq: int, state_digest: str, snapshot_digest: str) -> str:
@@ -250,8 +246,6 @@ class PBFTReplica(Node):
         self._executed_gc_seq = 0
         #: Diagnostics for the state-transfer path.
         self.snapshot_installs = 0
-        self.snapshot_install_seq = 0
-        self.snapshots_served = 0
         self.snapshot_offers_rejected = 0
         #: seq → trace context of a just-executed traced slot; consumed
         #: by subclasses that attach further spans (Blockplane's Local
@@ -259,7 +253,7 @@ class PBFTReplica(Node):
         self._slot_traces: Dict[int, Tuple[int, int]] = {}
         # Metric handles for the per-slot phase metrics, resolved once
         # instead of per executed slot.
-        self._phase_histograms: Optional[Tuple[Histogram, Histogram]] = None
+        self._phase_histograms: Optional[Tuple[Any, Any]] = None
         self._commit_counters: Dict[str, Any] = {}
         self._deferred_verification: set = set()
         self._catch_up_tally: Dict[int, Dict[str, set]] = {}
@@ -549,6 +543,13 @@ class PBFTReplica(Node):
             return
         if src != self.leader_of(msg.view):
             return  # only the view's leader may pre-prepare
+        if src != self.node_id and msg.digest != request_digest(
+            msg.value, msg.record_type, msg.request_id
+        ):
+            # Votes and the execution chain carry only the digest: a
+            # leader sending one digest with different values would
+            # otherwise fork the backups that accept them.
+            return
         emit = self._emit
         if emit is not None:
             emit(
@@ -791,7 +792,7 @@ class PBFTReplica(Node):
                     meta=None,
                     payload_bytes=0,
                 )
-                self._apply(entry, slot)
+                self._apply(entry, slot, _NOOP_FILL_DIGEST)
             else:
                 if rid != ("", 0):
                     self._executed_requests.add(rid)
@@ -804,14 +805,23 @@ class PBFTReplica(Node):
                     payload_bytes=slot.payload_bytes,
                     request_id=rid,
                 )
-                self._apply(entry, slot)
+                self._apply(entry, slot, slot.digest)
             self._retry_deferred_verification()
 
-    def _apply(self, entry: CommittedEntry, slot: _Slot) -> None:
-        self.executed_entries.append(entry)
+    def _chain_executed(self, digest: str) -> None:
+        """Fold the :func:`request_digest` of what was just *executed*
+        into the execution chain. Normal execution and catch-up replay
+        must chain the same digest per entry, or a replayed replica's
+        checkpoint votes never match its peers' again."""
         self._exec_chain = hashlib.sha256(
-            (self._exec_chain + slot.digest).encode()
+            (self._exec_chain + digest).encode()
         ).hexdigest()
+
+    def _apply(
+        self, entry: CommittedEntry, slot: _Slot, executed_digest: str
+    ) -> None:
+        self.executed_entries.append(entry)
+        self._chain_executed(executed_digest)
         if self.obs.enabled and entry.record_type != NOOP_RECORD_TYPE:
             self._record_slot_obs(entry, slot)
         for callback in self.on_executed:
@@ -1378,7 +1388,6 @@ class PBFTReplica(Node):
                     key=lambda entry: entry.seq,
                 )
                 entries = self.executed_entries[start:]
-                self.snapshots_served += 1
                 self.send(
                     src,
                     SnapshotResponse(
@@ -1424,7 +1433,9 @@ class PBFTReplica(Node):
         for entry in entries:
             if entry.seq <= self.last_executed:
                 continue
-            digest = catch_up_digest(entry.value, entry.record_type, entry.seq)
+            digest = request_digest(
+                entry.value, entry.record_type, entry.request_id
+            )
             tally = self._catch_up_tally.setdefault(entry.seq, {})
             tally.setdefault(digest, set()).add(src)
             # Staging, not state: _apply_caught_up installs an entry
@@ -1467,7 +1478,6 @@ class PBFTReplica(Node):
         payload was already installed by the subclass hook)."""
         seq = certificate.seq
         self.snapshot_installs += 1
-        self.snapshot_install_seq = seq
         self.last_executed = seq
         self._exec_chain = certificate.state_digest
         self.stable_checkpoint = seq
@@ -1519,9 +1529,7 @@ class PBFTReplica(Node):
             advanced = True
             slot = self.slots.setdefault(seq, _Slot(view=adopted.view))
             slot.view = adopted.view
-            slot.digest = catch_up_digest(
-                adopted.value, adopted.record_type, adopted.seq
-            )
+            slot.digest = digest
             slot.value = adopted.value
             slot.record_type = adopted.record_type
             slot.meta = adopted.meta
@@ -1558,9 +1566,7 @@ class PBFTReplica(Node):
                 request_id=adopted.request_id,
             )
             self.executed_entries.append(entry)
-            self._exec_chain = hashlib.sha256(
-                (self._exec_chain + slot.digest).encode()
-            ).hexdigest()
+            self._chain_executed(digest)
             for callback in self.on_executed:
                 callback(entry)
         if advanced and self.in_view_change:

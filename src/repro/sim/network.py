@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import UnknownNodeError
 from repro.sim.topology import Topology
@@ -55,8 +55,6 @@ class NetworkOptions:
         receiver_processing_ms: CPU cost charged per received message
             (serialized at the receiver), the knob behind Table II's
             latency growth with the number of replicas.
-        wan_bandwidth_mb_per_s: Bandwidth applied on cross-datacenter
-            hops; None means same as local bandwidth.
         jitter_ms: Uniform random extra delay in [0, jitter_ms] applied
             per hop. Zero keeps runs exactly reproducible (it is the
             default); tests of timeout logic turn it on.
@@ -74,16 +72,12 @@ class NetworkOptions:
     bandwidth_mb_per_s: float = 640.0
     per_message_overhead_bytes: int = 128
     receiver_processing_ms: float = 0.01
-    wan_bandwidth_mb_per_s: Optional[float] = None
     jitter_ms: float = 0.0
     wire_fidelity: bool = False
 
-    def bytes_per_ms(self, wide_area: bool) -> float:
+    def bytes_per_ms(self) -> float:
         """NIC throughput in bytes per virtual millisecond."""
-        bandwidth = self.bandwidth_mb_per_s
-        if wide_area and self.wan_bandwidth_mb_per_s is not None:
-            bandwidth = self.wan_bandwidth_mb_per_s
-        return bandwidth * 1e3  # MB/s == bytes/ms * 1e-3
+        return self.bandwidth_mb_per_s * 1e3  # MB/s == bytes/ms * 1e-3
 
 
 class Network:
@@ -157,50 +151,30 @@ class Network:
     def send(self, src_id: str, dst_id: str, message: "Message") -> None:
         """Transmit ``message`` from ``src_id`` to ``dst_id``.
 
-        The call returns immediately; delivery happens at a future
-        virtual time (or never, if a fault hook drops the message or the
-        destination is crashed at delivery time).
+        A unicast is a one-destination :meth:`broadcast`. The call
+        returns immediately; delivery happens at a future virtual time
+        (or never, if a fault hook drops the message or the destination
+        is crashed at delivery time).
         """
-        src = self.node(src_id)
-        dst = self.node(dst_id)
-        self.messages_sent += 1
-        if src.crashed:
-            return
-        for drop in self.drop_filters:
-            if drop(src_id, dst_id, message):
-                return
-        for tamper in self.tamper_hooks:
-            message = tamper(src_id, dst_id, message)
-            if message is None:
-                return
-        wide_area = src.site != dst.site
-        size = message.size_bytes() + self.options.per_message_overhead_bytes
-        self.bytes_sent += size
-        if self.obs.enabled:
-            self._count_link(src.site, dst.site, size)
-        if src_id == dst_id:
-            # Loopback: no NIC involved, only local processing cost.
-            self.sim.schedule(
-                self.options.receiver_processing_ms,
-                self._deliver, dst_id, src_id, message,
-            )
-            return
-        arrival = self._compute_arrival_time(src, dst, size, wide_area)
-        self.sim.schedule_at(arrival, self._arrive, dst_id, src_id, message, size)
+        self.broadcast(src_id, (dst_id,), message)
 
     def broadcast(
-        self, src_id: str, dst_ids: List[str], message: "Message"
+        self, src_id: str, dst_ids: Sequence[str], message: "Message"
     ) -> None:
-        """Fan ``message`` out to several destinations at once.
+        """Fan ``message`` out to one or more destinations.
 
-        Semantically equivalent to calling :meth:`send` per destination
-        (same egress serialization, same per-destination drop/tamper
-        hooks, same ingress model), but the wide-area/heap cost is
-        batched: all destinations in one site share a single composite
-        arrival event instead of one heap push each — a unit-wide PBFT
-        broadcast schedules one event per destination *site*, not per
-        replica. Ingress NIC reservations for a site's batch are made
-        in arrival order when the batch's first message lands.
+        The only transport path: drop filters, tamper hooks, loopback,
+        the jitter draw, the egress NIC cursor and the ingress
+        reservation are all implemented here and in
+        :meth:`_arrive_batch`. Each destination is charged its own
+        egress serialization behind the source's NIC cursor, then
+        propagation; all destinations in one site share a single
+        composite arrival event instead of one heap push each — a
+        unit-wide PBFT broadcast schedules one event per destination
+        *site*, not per replica. Ingress NIC reservations for a site's
+        batch are made in arrival order when the batch's first message
+        lands, so a message with long propagation cannot reserve the
+        receiver's NIC ahead of earlier arrivals.
         """
         src = self.node(src_id)
         self.messages_sent += len(dst_ids)
@@ -209,9 +183,9 @@ class Network:
         # A unit-wide PBFT broadcast runs for every protocol phase of
         # every slot, so this loop is the hottest transport code in the
         # library. Everything loop-invariant — option lookups, the
-        # egress NIC cursor, bandwidth conversions — is hoisted, and the
-        # egress reservation of :meth:`_compute_arrival_time` is inlined
-        # (same arithmetic, same rng order for jitter, one write-back).
+        # egress NIC cursor, the bandwidth conversion — is hoisted, and
+        # the cursor is written back once. Egress reservations are
+        # monotone because sends happen in event order.
         sim = self.sim
         now = sim.now
         nodes = self.nodes
@@ -221,8 +195,7 @@ class Network:
         obs_enabled = self.obs.enabled
         src_site = src.site
         overhead = options.per_message_overhead_bytes
-        local_bpm = options.bytes_per_ms(False)
-        wan_bpm = options.bytes_per_ms(True)
+        bytes_per_ms = options.bytes_per_ms()
         one_way_ms = self.topology.one_way_ms
         jitter = options.jitter_ms
         egress = self._egress_free_at
@@ -267,6 +240,7 @@ class Network:
                 link_msgs += 1
                 link_bytes += size
             if dst_id == src_id:
+                # Loopback: no NIC involved, only local processing cost.
                 sim.schedule(
                     options.receiver_processing_ms,
                     self._deliver, dst_id, src_id, delivered,
@@ -274,18 +248,15 @@ class Network:
                 continue
             # Egress serialization: back-to-back sends queue behind the
             # NIC cursor; propagation is added after the reservation.
-            tx_delay = size / (wan_bpm if src_site != dst_site else local_bpm)
-            arrival = free + tx_delay
-            free = arrival
+            free += size / bytes_per_ms
             reserved = True
             propagation = one_way_ms(src_site, dst_site)
             if jitter > 0:
                 propagation += sim.rng.uniform(0.0, jitter)
-            arrival += propagation
             group = groups.get(dst_site)
             if group is None:
                 group = groups[dst_site] = []
-            group.append((arrival, dst_id, delivered, size))
+            group.append((free + propagation, dst_id, delivered, size))
         self.bytes_sent += bytes_acc
         if link_msgs:
             self._count_link(src_site, link_site, link_bytes, link_msgs)
@@ -303,7 +274,7 @@ class Network:
         arrival order and schedule the per-destination deliveries."""
         sim = self.sim
         now = sim.now
-        bytes_per_ms = self.options.bytes_per_ms(wide_area=False)
+        bytes_per_ms = self.options.bytes_per_ms()
         processing = self.options.receiver_processing_ms
         free_at = self._ingress_free_at
         schedule_at = sim.schedule_at
@@ -340,39 +311,6 @@ class Network:
         counters[0].value += messages
         counters[1].value += size
 
-    def _compute_arrival_time(
-        self, src: "Node", dst: "Node", size: int, wide_area: bool
-    ) -> float:
-        """Egress serialization + propagation.
-
-        Egress reservations are monotone because sends happen in event
-        order; ingress serialization is applied separately at arrival
-        time (see :meth:`_arrive`) so a message with long propagation
-        cannot reserve the receiver's NIC ahead of earlier arrivals.
-        """
-        bytes_per_ms = self.options.bytes_per_ms(wide_area)
-        start = max(self.sim.now, self._egress_free_at.get(src.node_id, 0.0))
-        tx_delay = size / bytes_per_ms
-        self._egress_free_at[src.node_id] = start + tx_delay
-        propagation = self.topology.one_way_ms(src.site, dst.site)
-        if self.options.jitter_ms > 0:
-            propagation += self.sim.rng.uniform(0.0, self.options.jitter_ms)
-        return start + tx_delay + propagation
-
-    def _arrive(
-        self, dst_id: str, src_id: str, message: "Message", size: int
-    ) -> None:
-        """Serialize arrivals through the receiver NIC, then deliver."""
-        bytes_per_ms = self.options.bytes_per_ms(wide_area=False)
-        ingress_start = max(self.sim.now, self._ingress_free_at.get(dst_id, 0.0))
-        ingress_done = (
-            ingress_start
-            + size / bytes_per_ms
-            + self.options.receiver_processing_ms
-        )
-        self._ingress_free_at[dst_id] = ingress_done
-        self.sim.schedule_at(ingress_done, self._deliver, dst_id, src_id, message)
-
     def _deliver(self, dst_id: str, src_id: str, message: "Message") -> None:
         dst = self.nodes.get(dst_id)
         if dst is None or dst.crashed:
@@ -388,9 +326,6 @@ class Network:
                 self.wire_transcodes += 1
                 self.wire_bytes += nbytes
         self.messages_delivered += 1
-        # Dispatch via ``on_message`` directly: ``receive_message`` only
-        # re-checks ``crashed``, which this method already did, and the
-        # extra frame is measurable at one call per delivered message.
         dst.on_message(message, src_id)
 
     # ------------------------------------------------------------------

@@ -83,7 +83,6 @@ class Node:
         self.node_id = node_id
         self.site = site
         self.crashed = False
-        self._timers: list = []
         # Handler-dispatch memo: message kind → bound handler. Message
         # kinds are class-level constants, so the ``handle_<kind>``
         # lookup resolves to the same bound method every time; caching
@@ -102,32 +101,18 @@ class Node:
         self.network.send(self.node_id, dst_id, message)
 
     def broadcast(self, dst_ids: Iterable[str], message: Message) -> None:
-        """Send the same message to several nodes (self is skipped).
-
-        Multi-destination fan-out goes through the network's batched
-        broadcast path: one composite arrival event per destination
-        site instead of one heap push per destination.
-        """
+        """Send the same message to several nodes (self is skipped)."""
         if self.crashed:
             return
         targets = [dst_id for dst_id in dst_ids if dst_id != self.node_id]
-        if not targets:
-            return
-        if len(targets) == 1:
-            self.network.send(self.node_id, targets[0], message)
-        else:
+        if targets:
             self.network.broadcast(self.node_id, targets, message)
-
-    def receive_message(self, message: Message, src_id: str) -> None:
-        """Entry point used by the network; dispatches to a handler."""
-        if self.crashed:
-            return
-        self.on_message(message, src_id)
 
     def on_message(self, message: Message, src_id: str) -> None:
         """Dispatch ``message`` to ``handle_<kind>``.
 
-        Override for custom routing. Unknown messages raise
+        Entry point used by the network (which never delivers to a
+        crashed node). Override for custom routing. Unknown messages raise
         :class:`ProtocolError` — silent drops hide protocol bugs.
         """
         kind = message.kind
@@ -153,14 +138,7 @@ class Node:
             if not self.crashed:
                 fn(*args)
 
-        event = self.sim.schedule(delay, _guarded)
-        # Heap hygiene: drop references to timers that already fired or
-        # were cancelled (``owner`` is cleared once an event leaves the
-        # heap), so long-lived nodes don't pin every timer ever armed.
-        if len(self._timers) >= 256:
-            self._timers = [t for t in self._timers if t.owner is not None]
-        self._timers.append(event)
-        return event
+        return self.sim.schedule(delay, _guarded)
 
     # ------------------------------------------------------------------
     # Failure control

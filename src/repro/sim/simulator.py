@@ -17,6 +17,10 @@ Events fire in exactly ``(time, seq)`` order: ready-queue events always
 carry the current virtual time (zero delay), the queue drains in seq
 order before the clock can advance, and a same-time heap entry with a
 smaller seq is fired ahead of the ready head.
+
+There is one event loop, :meth:`Simulator._drain`; :meth:`Simulator.run`,
+:meth:`Simulator.step` and :meth:`Simulator.run_until_resolved` differ
+only in when they tell it to stop.
 """
 
 from __future__ import annotations
@@ -66,13 +70,12 @@ class Simulator:
         # Live/tombstone counters keep ``pending_events`` O(1) and
         # drive tombstone compaction; maintained by the schedule/cancel/
         # pop paths (events report their own cancellation via
-        # ``Event.owner``). Ready-queue tombstones are tracked
-        # separately: they are swept lazily at the queue head and never
-        # participate in heap compaction (the queue drains within the
-        # current virtual instant, so they cannot accumulate).
+        # ``Event.owner``). Ready-queue tombstones are not counted:
+        # they are swept lazily at the queue head and never participate
+        # in heap compaction (the queue drains within the current
+        # virtual instant, so they cannot accumulate).
         self._live = 0
         self._tombstones = 0
-        self._ready_tombstones = 0
         self._compactions = 0
         self._events_cancelled = 0
 
@@ -140,7 +143,6 @@ class Simulator:
             # head, within the current virtual instant. Kept out of the
             # heap tombstone counter so it cannot skew the compaction
             # trigger (which is sized against ``len(self._heap)``).
-            self._ready_tombstones += 1
             return
         self._tombstones += 1
         if (
@@ -176,11 +178,7 @@ class Simulator:
         Returns:
             True if an event fired, False if no events are pending.
         """
-        event = self._next_live()
-        if event is None:
-            return False
-        self._fire(event)
-        return True
+        return self._drain(None, 1, None) == 1
 
     def run(
         self,
@@ -189,109 +187,23 @@ class Simulator:
     ) -> None:
         """Run events until the queues drain or a bound is hit.
 
-        Selects and fires events exactly as ``_next_live``/``_fire``
-        (what :meth:`step` uses) do — same tombstone sweeps, same
-        (time, seq) tie-break between the ready queue and the heap, same
-        counter updates — but in one frame with every queue handle bound
-        locally. The loop body runs once per event (hundreds of
-        thousands of times per run), so the two method calls plus a
-        dozen attribute loads per event are worth eliminating. Counters
-        (``now``, ``_live``, ``_events_processed``) are still written
-        through ``self`` every iteration because event callbacks read
-        them mid-run. Relies on :meth:`_compact` mutating the heap list
-        in place.
-
         Args:
             until: Stop once the next event would fire after this virtual
                 time; the clock is advanced to ``until``.
             max_events: Stop after firing this many events (safety valve
-                against livelock in buggy protocols).
+                against livelock in buggy protocols); the clock stays at
+                the last fired event.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         try:
-            heap = self._heap
-            ready = self._ready
-            pop = heapq.heappop
-            popleft = ready.popleft
-            if until is None and max_events is None:
-                # Unbounded drain — the experiment shape (``run()`` with
-                # no arguments). Identical event selection without the
-                # per-event bound checks of the general loop below.
-                while True:
-                    while ready and ready[0].cancelled:
-                        tombstone = popleft()
-                        tombstone.owner = None
-                        self._ready_tombstones -= 1
-                    while heap and heap[0][2].cancelled:
-                        tombstone = pop(heap)[2]
-                        tombstone.owner = None
-                        self._tombstones -= 1
-                    if ready:
-                        event = ready[0]
-                        if heap:
-                            top = heap[0]
-                            if top[0] < event.time or (
-                                top[0] == event.time and top[1] < event.seq
-                            ):
-                                event = top[2]
-                    elif heap:
-                        event = heap[0][2]
-                    else:
-                        return
-                    if event.ready:
-                        popleft()
-                    else:
-                        pop(heap)
-                        self.now = event.time
-                    self._live -= 1
-                    event.owner = None
-                    self._events_processed += 1
-                    event.fn(*event.args)
-            fired = 0
-            limit = -1 if max_events is None else max_events
-            while True:
-                if fired == limit:
-                    return
-                while ready and ready[0].cancelled:
-                    tombstone = popleft()
-                    tombstone.owner = None
-                    self._ready_tombstones -= 1
-                while heap and heap[0][2].cancelled:
-                    tombstone = pop(heap)[2]
-                    tombstone.owner = None
-                    self._tombstones -= 1
-                if ready:
-                    event = ready[0]
-                    if heap:
-                        top = heap[0]
-                        if top[0] < event.time or (
-                            top[0] == event.time and top[1] < event.seq
-                        ):
-                            event = top[2]
-                elif heap:
-                    event = heap[0][2]
-                else:
-                    break
-                if until is not None and event.time > until:
-                    if until > self.now:
-                        self.now = until
-                    return
-                if event.ready:
-                    popleft()
-                else:
-                    pop(heap)
-                    self.now = event.time
-                self._live -= 1
-                event.owner = None
-                self._events_processed += 1
-                event.fn(*event.args)
-                fired += 1
-            if until is not None and until > self.now:
-                self.now = until
+            fired = self._drain(until, max_events, None)
         finally:
             self._running = False
+        # Stopped by ``until`` or by draining, not by ``max_events``.
+        if until is not None and until > self.now and fired != max_events:
+            self.now = until
 
     def run_until_resolved(self, future: "Future", max_events: int = 10_000_000):
         """Run until ``future`` resolves; return its value.
@@ -300,62 +212,77 @@ class Simulator:
             SimulationError: If the event queues drain (or ``max_events``
                 events fire) while the future is still pending.
         """
-        fired = 0
-        while not future.resolved:
+        fired = self._drain(None, max_events, future)
+        if not future.resolved:
             if fired >= max_events:
                 raise SimulationError(
                     f"future still pending after {max_events} events"
                 )
-            if not self.step():
-                raise SimulationError(
-                    "event heap drained before the awaited future resolved"
-                )
-            fired += 1
+            raise SimulationError(
+                "event heap drained before the awaited future resolved"
+            )
         return future.result()
 
-    def _next_live(self) -> Optional[Event]:
-        """Discard tombstones at the queue fronts; return (without
-        popping) the next live event, or None if everything drained.
+    def _drain(
+        self,
+        until: Optional[float],
+        limit: Optional[int],
+        stop: Optional["Future"],
+    ) -> int:
+        """The event loop behind :meth:`run`, :meth:`step` and
+        :meth:`run_until_resolved`; returns how many events it fired.
 
-        The next event is the (time, seq)-minimum across the ready queue
-        and the heap. The ready head always carries the current virtual
-        time, so the heap top only wins with an equal time and a smaller
-        seq (scheduled earlier via :meth:`schedule_at`).
+        Fires events in ``(time, seq)`` order until the queues drain,
+        ``limit`` events have fired, the next event lies after ``until``,
+        or ``stop`` has resolved. The next event is the minimum across
+        the ready queue and the heap: the ready head always carries the
+        current virtual time, so the heap top only wins with an equal
+        time and a smaller seq (scheduled earlier via
+        :meth:`schedule_at`).
+
+        The body runs once per event (hundreds of thousands of times per
+        run), so every queue handle is bound locally. Counters (``now``,
+        ``_live``, ``_events_processed``) are still written through
+        ``self`` every iteration because event callbacks read them
+        mid-run. Relies on :meth:`_compact` mutating the heap list in
+        place.
         """
         heap = self._heap
         ready = self._ready
-        while ready and ready[0].cancelled:
-            tombstone = ready.popleft()
-            tombstone.owner = None
-            self._ready_tombstones -= 1
-        while heap and heap[0][2].cancelled:
-            tombstone = heapq.heappop(heap)[2]
-            tombstone.owner = None
-            self._tombstones -= 1
-        if ready:
-            head = ready[0]
-            if heap:
-                top = heap[0]
-                if top[0] < head.time or (
-                    top[0] == head.time and top[1] < head.seq
-                ):
-                    return top[2]
-            return head
-        return heap[0][2] if heap else None
-
-    def _fire(self, event: Event) -> None:
-        """Pop ``event`` (the live front of its queue) and invoke it."""
-        if event.ready:
-            # Ready-queue events carry the current virtual time by
-            # construction, so the clock needs no update.
-            self._ready.popleft()
-        else:
-            heapq.heappop(self._heap)
-            self.now = event.time
-        self._live -= 1
-        event.owner = None
-        self._events_processed += 1
-        event.fn(*event.args)
+        pop = heapq.heappop
+        popleft = ready.popleft
+        fired = 0
+        while fired != limit and (stop is None or not stop.resolved):
+            while ready and ready[0].cancelled:
+                popleft().owner = None
+            while heap and heap[0][2].cancelled:
+                pop(heap)[2].owner = None
+                self._tombstones -= 1
+            if ready:
+                event = ready[0]
+                if heap:
+                    top = heap[0]
+                    if top[0] < event.time or (
+                        top[0] == event.time and top[1] < event.seq
+                    ):
+                        event = top[2]
+            elif heap:
+                event = heap[0][2]
+            else:
+                break
+            if until is not None and event.time > until:
+                break
+            if event.ready:
+                popleft()
+            else:
+                pop(heap)
+                self.now = event.time
+            self._live -= 1
+            event.owner = None
+            self._events_processed += 1
+            event.fn(*event.args)
+            fired += 1
+        return fired
 
     @property
     def pending_events(self) -> int:

@@ -5,6 +5,8 @@ These validate the claims Blockplane inherits from PBFT: with at most
 progress continues.
 """
 
+import dataclasses
+
 from repro.pbft.byzantine import (
     BogusProposer,
     EquivocatingLeader,
@@ -12,6 +14,8 @@ from repro.pbft.byzantine import (
     TamperingVoter,
 )
 from repro.pbft.config import PBFTConfig
+from repro.pbft.messages import PrePrepare
+from repro.pbft.replica import request_digest
 from tests.pbft.helpers import assert_honest_agreement, commit_values, make_group
 
 FAST = PBFTConfig(request_timeout_ms=20.0, view_change_timeout_ms=40.0)
@@ -50,6 +54,53 @@ def test_equivocating_leader_cannot_split_honest_replicas(obs):
     # change deposes the equivocator).
     view_changes = obs.counter("pbft_view_changes_total", participant="DC")
     assert future.resolved or view_changes.value > 0
+
+
+class SameDigestEquivocator(EquivocatingLeader):
+    """Equivocates *under one digest*: every backup gets the honest
+    proposal's digest, but the last one gets a forged value with it.
+    Votes and the execution chain are digest-only, so only a backup
+    checking that the digest binds the value can notice."""
+
+    def handle_client_request(self, msg, src):
+        if not self.is_leader or msg.request_id in self._assigned_requests:
+            return
+        seq = self.next_seq
+        self.next_seq += 1
+        self._assigned_requests[msg.request_id] = seq
+        honest = PrePrepare(
+            payload_bytes=msg.payload_bytes, view=self.view, seq=seq,
+            digest=request_digest(msg.value, msg.record_type, msg.request_id),
+            request_id=msg.request_id, value=msg.value,
+            record_type=msg.record_type, meta=msg.meta,
+        )
+        forged = dataclasses.replace(honest, value=self.forged_value)
+        *others, victim = [p for p in self.peers if p != self.node_id]
+        self.broadcast(others, honest)
+        self.send(victim, forged)
+        self.handle_pre_prepare(honest, self.node_id)
+
+
+def test_same_digest_equivocation_cannot_fork_honest_replicas():
+    config = PBFTConfig(
+        request_timeout_ms=20.0, view_change_timeout_ms=40.0,
+        checkpoint_interval=2,
+    )
+    sim, replicas = make_group(
+        overrides={0: SameDigestEquivocator},
+        config=config,
+        override_kwargs={"forged_value": "EVIL"},
+    )
+    commit_values(sim, replicas[1], ["GOOD", "ALSO-GOOD"])
+    sim.run(until=sim.now + 100)
+    honest = replicas[1:]
+    # No honest replica executes the forged value: the victim drops the
+    # pre-prepare whose digest does not bind its value, and rejoins by
+    # catch-up once the seq-2 checkpoint proves it is behind.
+    for replica in honest:
+        assert "EVIL" not in [e.value for e in replica.executed_entries]
+    assert_honest_agreement(honest, expected_length=2)
+    assert len({replica._exec_chain for replica in honest}) == 1
 
 
 def test_tampering_voter_cannot_corrupt_agreement():

@@ -5,7 +5,6 @@ schedules against the full middleware; the scenarios here reduce them
 to the smallest PBFT-level reproduction.
 """
 
-from repro.crypto.digest import stable_digest
 from repro.pbft.byzantine import SilentReplica
 from repro.pbft.config import PBFTConfig
 from repro.pbft.messages import (
@@ -15,6 +14,7 @@ from repro.pbft.messages import (
     PrePrepare,
     Prepare,
 )
+from repro.pbft.replica import request_digest
 
 from tests.pbft.helpers import commit_values, make_group
 
@@ -28,7 +28,7 @@ def _pre_prepare(value, seq=1, request_id=("c", 1)):
     return PrePrepare(
         view=0,
         seq=seq,
-        digest=stable_digest((value, RECORD_TYPE_COMMIT, request_id)),
+        digest=request_digest(value, RECORD_TYPE_COMMIT, request_id),
         request_id=request_id,
         value=value,
     )

@@ -40,6 +40,25 @@ def test_crashed_replica_catches_up_on_recovery():
     assert_honest_agreement(replicas, expected_length=5)
 
 
+def test_replayed_replica_still_votes_matching_checkpoints():
+    config = PBFTConfig(checkpoint_interval=4)
+    sim, replicas = make_group(config=config)
+    replicas[3].crash()
+    commit_values(sim, replicas[0], ["a", "b", "c"])
+    replicas[3].recover()
+    sim.run(until=sim.now + 100)
+    assert replicas[3].last_executed == 3
+    # Entry replay chains the same digests normal execution does.
+    assert len({replica._exec_chain for replica in replicas}) == 1
+    # With r2 down the seq-4 checkpoint needs all of r0, r1 and the
+    # replayed r3: it stabilizes only if r3's vote matches theirs.
+    replicas[2].crash()
+    commit_values(sim, replicas[0], ["d"])
+    sim.run(until=sim.now + 20)
+    for replica in (replicas[0], replicas[1], replicas[3]):
+        assert replica.stable_checkpoint == 4
+
+
 def test_catch_up_applies_in_order():
     sim, replicas = make_group()
     replicas[3].crash()

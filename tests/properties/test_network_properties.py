@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +21,11 @@ class Sink(Node):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.seen = []
+        self.seen_at = []
 
     def handle_tagged(self, msg, src):
         self.seen.append((src, msg.n))
+        self.seen_at.append(self.sim.now)
 
 
 def build(rtt, seed=0, options=None):
@@ -106,3 +109,76 @@ def test_drop_filters_drop_exactly_what_they_match(drop_every, count):
     sim.run()
     expected = [n for n in range(count) if n % drop_every != 0]
     assert [n for _src, n in b.seen] == expected
+
+
+@pytest.mark.parametrize("dst_id", ["a", "a2", "b"])
+@given(
+    sizes=st.lists(
+        st.integers(min_value=0, max_value=2_000_000), min_size=1, max_size=12
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_unicast_delivery_time_is_the_closed_form(dst_id, sizes):
+    # Loopback ("a"), same-site ("a2") and cross-site ("b") unicasts,
+    # sent back to back at t=0: egress cursor + size/bandwidth, one-way
+    # propagation, then the receiver's ingress queue + processing.
+    options = NetworkOptions(bandwidth_mb_per_s=100.0)
+    sim, a, b = build(rtt=20.0, options=options)
+    a2 = Sink(sim, a.network, "a2", "A")
+    dst = {"a": a, "a2": a2, "b": b}[dst_id]
+    for index, size in enumerate(sizes):
+        a.send(dst_id, Tagged(payload_bytes=size, n=index))
+    sim.run()
+    bytes_per_ms = options.bytes_per_ms()
+    one_way = a.network.topology.one_way_ms("A", dst.site)
+    egress_free = ingress_free = 0.0
+    expected = []
+    for size in sizes:
+        wire = size + options.per_message_overhead_bytes
+        if dst is a:  # no NIC involved
+            expected.append(options.receiver_processing_ms)
+            continue
+        egress_free += wire / bytes_per_ms
+        ingress_free = (
+            max(egress_free + one_way, ingress_free)
+            + wire / bytes_per_ms
+            + options.receiver_processing_ms
+        )
+        expected.append(ingress_free)
+    assert dst.seen_at == expected
+
+
+@pytest.mark.parametrize(
+    "scenario", ["plain", "drop", "tamper-none", "crashed-source", "jitter"]
+)
+@given(
+    sizes=st.lists(
+        st.integers(min_value=0, max_value=500_000), min_size=1, max_size=10
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_send_is_a_one_destination_broadcast(scenario, sizes):
+    def run(transmit):
+        options = NetworkOptions(jitter_ms=3.0 if scenario == "jitter" else 0.0)
+        sim, a, b = build(rtt=30.0, seed=5, options=options)
+        network = a.network
+        if scenario == "drop":
+            network.add_drop_filter(lambda src, dst, msg: msg.n % 2 == 0)
+        elif scenario == "tamper-none":
+            network.add_tamper_hook(
+                lambda src, dst, msg: None if msg.n % 3 == 0 else msg
+            )
+        elif scenario == "crashed-source":
+            a.crash()
+        for index, size in enumerate(sizes):
+            transmit(network, Tagged(payload_bytes=size, n=index))
+        sim.run()
+        return (
+            b.seen, b.seen_at, sim.events_processed, sim.rng.getstate(),
+            network.messages_sent, network.bytes_sent,
+            network.messages_delivered,
+        )
+
+    assert run(lambda network, msg: network.send("a", "b", msg)) == run(
+        lambda network, msg: network.broadcast("a", ["b"], msg)
+    )

@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from repro.errors import SimulationError
+from repro.sim.process import Future
 from repro.sim.simulator import Simulator
 
 
@@ -44,15 +46,37 @@ def _random_workload(sim: Simulator, trace: list, seed: int) -> list:
     return scheduled
 
 
+def _drain_by_run(sim: Simulator) -> None:
+    sim.run()
+
+
+def _drain_by_step(sim: Simulator) -> None:
+    while sim.step():
+        pass
+
+
+def _drain_by_run_until_resolved(sim: Simulator) -> None:
+    with pytest.raises(SimulationError, match="drained before"):
+        sim.run_until_resolved(Future(sim))  # never resolves
+
+
+def _sorted_order(scheduled: list) -> list:
+    live = [(e.time, e.seq, tag) for e, tag in scheduled if not e.cancelled]
+    return [(time, tag) for time, _seq, tag in sorted(live)]
+
+
 @pytest.mark.parametrize("seed", [1, 7, 23])
 def test_fire_order_is_time_then_seq(seed):
-    sim = Simulator(seed=seed)
-    trace: list = []
-    scheduled = _random_workload(sim, trace, seed)
-    sim.run()
-    live = [(e.time, e.seq, tag) for e, tag in scheduled if not e.cancelled]
-    assert trace == [(time, tag) for time, _seq, tag in sorted(live)]
-    assert {e.ready for e, _ in scheduled} == {True, False}  # both queues used
+    # Every entry point to the event loop gives the same order.
+    for drain in (_drain_by_run, _drain_by_step, _drain_by_run_until_resolved):
+        sim = Simulator(seed=seed)
+        trace: list = []
+        scheduled = _random_workload(sim, trace, seed)
+        drain(sim)
+        assert trace == _sorted_order(scheduled), drain.__name__
+        # both queues used
+        assert {e.ready for e, _ in scheduled} == {True, False}
+        assert sim.pending_events == 0
 
 
 def test_run_until_advances_the_clock_to_the_bound():
@@ -63,6 +87,33 @@ def test_run_until_advances_the_clock_to_the_bound():
     assert sim.now == 20.0
     assert trace and all(time <= 20.0 for time, _tag in trace)
     assert sim.pending_events > 0
+    sim.run(until=1_000.0)  # the queues drain first; the clock still advances
+    assert sim.pending_events == 0
+    assert sim.now == 1_000.0
+
+
+def test_max_events_does_not_advance_the_clock():
+    sim = Simulator(seed=3)
+    trace: list = []
+    _random_workload(sim, trace, 3)
+    sim.run(until=20.0, max_events=5)
+    assert len(trace) == sim.events_processed == 5
+    assert sim.now == trace[-1][0] < 20.0
+
+
+def test_run_until_resolved_stops_at_the_resolving_event():
+    sim = Simulator(seed=3)
+    trace: list = []
+    scheduled = _random_workload(sim, trace, 3)
+    future = Future(sim)
+    sim.schedule_at(20.0, future.resolve, "done")
+    assert sim.run_until_resolved(future) == "done"
+    assert sim.now == 20.0
+    assert trace and all(time <= 20.0 for time, _tag in trace)
+    with pytest.raises(SimulationError, match="still pending after 3 events"):
+        sim.run_until_resolved(Future(sim), max_events=3)
+    sim.run()  # nothing was lost or fired twice across the three calls
+    assert trace == _sorted_order(scheduled)
 
 
 def test_zero_delay_interleaves_with_same_time_heap_event():
