@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test shapes lint lint-rules lint-baseline chaos audit bench-selftest obs-cost console experiments
+.PHONY: test shapes lint lint-rules lint-baseline chaos audit bench-selftest obs-cost crypto-cost console experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,6 +48,13 @@ bench-selftest:
 obs-cost:
 	@python3 bench/run.py --workload wan_mixed | awk '$$2 == "commits_per_s"'
 	@python3 bench/run.py --workload wan_mixed_obs | awk '$$2 == "commits_per_s"'
+
+# What digesting costs a Blockplane-Paxos round: untraced throughput,
+# then the crypto layer's counters and host share from a traced run
+# (--trace 1 prints no commits_per_s). See docs/PERFORMANCE.md.
+crypto-cost:
+	@python3 bench/run.py --workload paxos_aws | awk '$$2 == "commits_per_s"'
+	@python3 bench/run.py --workload paxos_aws --trace 1 | awk '$$2 ~ /^crypto\./'
 
 # Seeded audited chaos run -> schema-checked bundle -> offline replay.
 console:

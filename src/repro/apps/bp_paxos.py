@@ -13,6 +13,17 @@ The participant state mirrors the paper's Algorithm 3:
 * ``l`` — whether this participant believes it is the leader,
 * ``max_val`` — the highest-ballot accepted value learned during
   leader election (it must be proposed first, per Paxos's rule).
+
+Every committed event and every message is a *record*: a sorted tuple
+of ``(field, value)`` pairs built by :func:`paxos_record` and read through
+:func:`record_field`, e.g. ``(("ballot", (1, "V")), ("event", "promise"))``.
+Records hold only ``tuple``/``str``/``int``/``bool``/``None`` (plus the
+caller's replicated value), so they are deeply immutable: the
+identity-keyed digest memo canonicalises each one once instead of once
+per replica per digest formula, and the wire codec's tuple fidelity
+decodes them to an equal value. Events carry an ``event`` field,
+messages a ``type`` and a ``sender``; a promise's ``accepted`` is a
+sorted tuple of ``(slot, (ballot, value))``.
 """
 
 from __future__ import annotations
@@ -35,7 +46,8 @@ if TYPE_CHECKING:
 #: Ballot: (round, participant) — lexicographic order, globally unique.
 Ballot = Tuple[int, str]
 
-_EVENTS = {
+# Tuples, not sets: membership of an unhashable byzantine field is False.
+_EVENTS = (
     "election-start",
     "ballot-update",
     "leader-elected",
@@ -44,8 +56,36 @@ _EVENTS = {
     "accept",
     "value-committed",
     "step-down",
-}
-_MESSAGES = {"paxos-prepare", "paxos-promise", "paxos-propose", "paxos-accept"}
+)
+_MESSAGES = ("paxos-prepare", "paxos-promise", "paxos-propose", "paxos-accept")
+
+#: A protocol record: sorted ``(field, value)`` pairs (module docstring).
+Record = Tuple[Tuple[str, Any], ...]
+
+
+def paxos_record(**fields: Any) -> Record:
+    """The one constructor of committed events and sent messages."""
+    return tuple(sorted(fields.items()))
+
+
+def record_field(record: Any, name: str) -> Any:
+    """``name``'s value in ``record``; None when it is absent or when
+    ``record`` is no record at all (byzantine input must not raise)."""
+    if type(record) is tuple:
+        for pair in record:
+            if type(pair) is tuple and len(pair) == 2 and pair[0] == name:
+                return pair[1]
+    return None
+
+
+def _is_ballot(ballot: Any) -> bool:
+    """Whether ``ballot`` is a well-formed, comparable ``(int, str)``."""
+    return (
+        type(ballot) is tuple
+        and len(ballot) == 2
+        and type(ballot[0]) is int
+        and type(ballot[1]) is str
+    )
 
 
 class PaxosVerification(VerificationRoutines):
@@ -69,13 +109,10 @@ class PaxosVerification(VerificationRoutines):
 
     def _replay(self, entry: LogEntry) -> None:
         if entry.record_type == RECORD_LOG_COMMIT:
-            value = entry.value
-            if not isinstance(value, dict):
-                return
-            event = value.get("event")
+            event = record_field(entry.value, "event")
             if event in ("promise", "accept"):
-                ballot = tuple(value.get("ballot", (0, "")))
-                if ballot >= self.promised:
+                ballot = record_field(entry.value, "ballot")
+                if _is_ballot(ballot) and ballot >= self.promised:
                     self.promised = ballot
                 kind = (
                     "paxos-promise" if event == "promise" else "paxos-accept"
@@ -90,33 +127,25 @@ class PaxosVerification(VerificationRoutines):
                     self._sendable.get("paxos-propose", 0) + 16
                 )
         elif entry.record_type == RECORD_COMMUNICATION:
-            value = entry.value
-            if isinstance(value, dict):
-                kind = value.get("type")
-                if kind in self._sendable:
-                    self._sendable[kind] -= 1
+            kind = record_field(entry.value, "type")
+            if kind in self._sendable:
+                self._sendable[kind] -= 1
 
     def verify_log_commit(
         self, value: Any, meta: Optional[Dict[str, Any]]
     ) -> bool:
-        if not isinstance(value, dict):
-            return False
-        event = value.get("event")
+        event = record_field(value, "event")
         if event not in _EVENTS:
             return False
         if event in ("promise", "accept"):
-            ballot = value.get("ballot")
-            if not isinstance(ballot, tuple) or len(ballot) != 2:
-                return False
-            return tuple(ballot) >= self.promised
+            ballot = record_field(value, "ballot")
+            return _is_ballot(ballot) and ballot >= self.promised
         return True
 
     def verify_send(
         self, message: Any, destination: str, meta: Optional[Dict[str, Any]]
     ) -> bool:
-        if not isinstance(message, dict):
-            return False
-        kind = message.get("type")
+        kind = record_field(message, "type")
         if kind not in _MESSAGES:
             return False
         # Each send must be warranted by a committed protocol event.
@@ -166,9 +195,9 @@ class BlockplanePaxosParticipant:
     def _pump_loop(self):
         while True:
             message = yield self.api.receive()
-            if not isinstance(message, dict):
+            if not _is_ballot(record_field(message, "ballot")):
                 continue
-            kind = message.get("type")
+            kind = record_field(message, "type")
             if kind == "paxos-prepare":
                 self.api.sim.spawn(self._on_prepare(message))
             elif kind == "paxos-propose":
@@ -181,42 +210,46 @@ class BlockplanePaxosParticipant:
     # ------------------------------------------------------------------
     def leader_election(self):
         """Generator process implementing the LeaderElection routine."""
-        yield self.api.log_commit({"event": "election-start"}, payload_bytes=64)
+        yield self.api.log_commit(
+            paxos_record(event="election-start"), payload_bytes=64
+        )
         self.r = (self.r[0] + 1, self.name)
         yield self.api.log_commit(
-            {"event": "ballot-update", "ballot": self.r}, payload_bytes=64
+            paxos_record(event="ballot-update", ballot=self.r),
+            payload_bytes=64,
         )
         collector = self._make_collector(("promise", self.r), self.majority - 1)
-        prepare = {"type": "paxos-prepare", "ballot": self.r, "from": self.name}
+        prepare = paxos_record(
+            type="paxos-prepare", ballot=self.r, sender=self.name
+        )
         for participant in self.others:
             yield self.api.send(prepare, to=participant, payload_bytes=64)
         responses = yield collector
-        positive = [resp for resp in responses if resp.get("ok")]
+        positive = [resp for resp in responses if record_field(resp, "ok")]
         if len(positive) + 1 >= self.majority:  # +1: our own vote
             self.l = True
             self.max_val = self._maximum_accepted_value(positive)
             yield self.api.log_commit(
-                {
-                    "event": "leader-elected",
-                    "leader": True,
-                    "max_val": self.max_val,
-                },
+                paxos_record(
+                    event="leader-elected", leader=True, max_val=self.max_val
+                ),
                 payload_bytes=64,
             )
         else:
             self.r = (self.r[0] + 1, self.name)
             yield self.api.log_commit(
-                {"event": "ballot-update", "ballot": self.r}, payload_bytes=64
+                paxos_record(event="ballot-update", ballot=self.r),
+                payload_bytes=64,
             )
         return self.l
 
     @staticmethod
-    def _maximum_accepted_value(responses: List[Dict[str, Any]]) -> Any:
+    def _maximum_accepted_value(responses: List[Record]) -> Any:
         best_ballot: Optional[Ballot] = None
         best_value: Any = None
         for response in responses:
-            for _slot, (ballot, value) in (response.get("accepted") or {}).items():
-                ballot = tuple(ballot)
+            accepted = record_field(response, "accepted") or ()
+            for _slot, (ballot, value) in accepted:
                 if best_ballot is None or ballot > best_ballot:
                     best_ballot = ballot
                     best_value = value
@@ -231,7 +264,7 @@ class BlockplanePaxosParticipant:
         Returns the slot on success, None if not leader / deposed.
         """
         yield self.api.log_commit(
-            {"event": "replication-start", "value": "<batch>"},
+            paxos_record(event="replication-start", value="<batch>"),
             payload_bytes=payload_bytes,
         )
         if not self.l:
@@ -246,72 +279,73 @@ class BlockplanePaxosParticipant:
         collector = self._make_collector(
             ("accept", self.r, slot), self.majority - 1
         )
-        propose = {
-            "type": "paxos-propose",
-            "ballot": self.r,
-            "slot": slot,
-            "value": value,
-            "from": self.name,
-        }
+        propose = paxos_record(
+            type="paxos-propose",
+            ballot=self.r,
+            slot=slot,
+            value=value,
+            sender=self.name,
+        )
         for participant in self.others:
             yield self.api.send(
                 propose, to=participant, payload_bytes=payload_bytes
             )
         responses = yield collector
-        positive = [resp for resp in responses if resp.get("ok")]
+        positive = [resp for resp in responses if record_field(resp, "ok")]
         if len(positive) + 1 >= self.majority:
             self.chosen[slot] = value
             yield self.api.log_commit(
-                {"event": "value-committed", "slot": slot}, payload_bytes=64
+                paxos_record(event="value-committed", slot=slot),
+                payload_bytes=64,
             )
             return slot
         self.r = (self.r[0] + 1, self.name)
         self.l = False
         yield self.api.log_commit(
-            {"event": "step-down", "ballot": self.r}, payload_bytes=64
+            paxos_record(event="step-down", ballot=self.r), payload_bytes=64
         )
         return None
 
     # ------------------------------------------------------------------
     # Acceptor handlers (the routines the paper omits "for brevity")
     # ------------------------------------------------------------------
-    def _on_prepare(self, message: Dict[str, Any]):
-        ballot = tuple(message["ballot"])
-        sender = message["from"]
+    def _on_prepare(self, message: Record):
+        ballot = record_field(message, "ballot")
+        sender = record_field(message, "sender")
         ok = ballot >= self.promised
         if ok:
             self.promised = ballot
             yield self.api.log_commit(
-                {"event": "promise", "ballot": ballot}, payload_bytes=64
+                paxos_record(event="promise", ballot=ballot), payload_bytes=64
             )
-        reply = {
-            "type": "paxos-promise",
-            "ballot": ballot,
-            "ok": ok,
-            "accepted": dict(self.accepted) if ok else {},
-            "from": self.name,
-        }
+        reply = paxos_record(
+            type="paxos-promise",
+            ballot=ballot,
+            ok=ok,
+            accepted=tuple(sorted(self.accepted.items())) if ok else (),
+            sender=self.name,
+        )
         yield self.api.send(reply, to=sender, payload_bytes=64)
 
-    def _on_propose(self, message: Dict[str, Any]):
-        ballot = tuple(message["ballot"])
-        sender = message["from"]
-        slot = message["slot"]
+    def _on_propose(self, message: Record):
+        ballot = record_field(message, "ballot")
+        sender = record_field(message, "sender")
+        slot = record_field(message, "slot")
         ok = ballot >= self.promised
         if ok:
             self.promised = ballot
-            self.accepted[slot] = (ballot, message["value"])
+            self.accepted[slot] = (ballot, record_field(message, "value"))
             yield self.api.log_commit(
-                {"event": "accept", "ballot": ballot, "slot": slot},
+                paxos_record(event="accept", ballot=ballot, slot=slot),
                 payload_bytes=64,
             )
-        reply = {
-            "type": "paxos-accept",
-            "ballot": ballot,
-            "slot": slot,
-            "ok": ok,
-            "from": self.name,
-        }
+        reply = paxos_record(
+            type="paxos-accept",
+            ballot=ballot,
+            slot=slot,
+            ok=ok,
+            sender=self.name,
+        )
         yield self.api.send(reply, to=sender, payload_bytes=64)
 
     # ------------------------------------------------------------------
@@ -319,33 +353,35 @@ class BlockplanePaxosParticipant:
     # ------------------------------------------------------------------
     def _make_collector(self, key: Tuple, needed: int) -> Future:
         future = Future(self.api.sim, label=f"collect:{key}")
-        self._collectors[key] = {
-            "future": future,
-            "needed": needed,
-            "responses": [],
-        }
         if needed == 0:
             future.resolve([])
+        else:
+            self._collectors[key] = {
+                "future": future,
+                "needed": needed,
+                "responses": [],
+            }
         return future
 
-    def _feed_collector(self, message: Dict[str, Any]) -> None:
-        ballot = tuple(message.get("ballot", (0, "")))
-        if message["type"] == "paxos-promise":
+    def _feed_collector(self, message: Record) -> None:
+        ballot = record_field(message, "ballot")
+        if record_field(message, "type") == "paxos-promise":
             key: Tuple = ("promise", ballot)
         else:
-            key = ("accept", ballot, message.get("slot"))
+            key = ("accept", ballot, record_field(message, "slot"))
+        # A resolved collector is gone: late answers find none.
         collector = self._collectors.get(key)
         if collector is None:
             return
-        collector["responses"].append(message)
+        responses = collector["responses"]
+        responses.append(message)
         # The paper waits for "a majority of positive votes"; with a
         # fixed quorum we resolve as soon as enough positives arrive, or
         # when everyone answered (all-negative case).
-        positives = [r for r in collector["responses"] if r.get("ok")]
-        future = collector["future"]
-        if future.resolved:
-            return
-        if len(positives) >= collector["needed"]:
-            future.resolve(list(collector["responses"]))
-        elif len(collector["responses"]) >= len(self.others):
-            future.resolve(list(collector["responses"]))
+        positives = sum(1 for r in responses if record_field(r, "ok"))
+        if (
+            positives >= collector["needed"]
+            or len(responses) >= len(self.others)
+        ):
+            del self._collectors[key]
+            collector["future"].resolve(responses)

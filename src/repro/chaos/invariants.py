@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 from repro.chaos.plan import (
     ACTION_KINDS,
     BYZANTINE_BEHAVIORS,
-    FaultAction,
     FaultPlan,
 )
 from repro.core.records import RECORD_RECEIVED

@@ -2,19 +2,33 @@
 
 import pytest
 
-from repro.apps.bp_paxos import BlockplanePaxosParticipant, PaxosVerification
+from repro.apps.bp_paxos import (
+    BlockplanePaxosParticipant,
+    PaxosVerification,
+    paxos_record,
+    record_field,
+)
 from repro.core import BlockplaneConfig, BlockplaneDeployment
+from repro.core.records import RECORD_LOG_COMMIT, RECORD_RECEIVED, LogEntry
+from repro.crypto.digest import (
+    _deeply_immutable,
+    clear_digest_cache,
+    digest_cache_stats,
+    stable_digest,
+)
+from repro.sim.network import NetworkOptions
+from repro.sim.simulator import Simulator
 from repro.sim.topology import aws_four_dc_topology
 
 
-@pytest.fixture
-def cluster(sim):
+def build_cluster(sim, network_options=None):
     topology = aws_four_dc_topology()
     deployment = BlockplaneDeployment(
         sim,
         topology,
         BlockplaneConfig(f_independent=1),
         routines_factory=lambda _name: PaxosVerification(),
+        network_options=network_options,
     )
     participants = {
         site: BlockplanePaxosParticipant(
@@ -25,6 +39,11 @@ def cluster(sim):
     for participant in participants.values():
         participant.start()
     return deployment, participants
+
+
+@pytest.fixture
+def cluster(sim):
+    return build_cluster(sim)
 
 
 def elect(sim, participant):
@@ -117,7 +136,7 @@ def test_all_protocol_traffic_is_in_local_logs(sim, cluster):
     sim.run(until=sim.now + 500)
     log_c = deployment.unit("C").gateway_node().local_log
     kinds = [
-        entry.value.get("type")
+        record_field(entry.value, "type")
         for entry in log_c
         if entry.record_type == "communication"
     ]
@@ -143,3 +162,163 @@ def test_verification_rejects_unwarranted_protocol_message(sim, cluster):
     )
     sim.run(until=2000.0, max_events=50_000_000)
     assert rogue.exception is not None
+
+
+def test_verification_rejects_unwarranted_record(sim, cluster):
+    # The same veto for a well-formed record: it is the missing
+    # replication-start warrant that rejects it, not its shape.
+    deployment, _participants = cluster
+    routines = deployment.unit("C").gateway_node().routines
+    propose = paxos_record(
+        type="paxos-propose", ballot=(99, "C"), slot=1, value="evil", sender="C"
+    )
+    assert routines.verify_send(propose, "V", None) is False
+    routines._sendable["paxos-propose"] = 1
+    assert routines.verify_send(propose, "V", None) is True
+    assert routines.verify_send(dict(propose), "V", None) is False
+
+
+# ----------------------------------------------------------------------
+# Malformed ballots: a byzantine gateway must not poison `promised`
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "ballot", [(1, 2), ("a", "b"), (None, "x"), ((1,), "x")], ids=repr
+)
+@pytest.mark.parametrize("event", ["promise", "accept"])
+def test_malformed_ballot_is_rejected_without_raising(event, ballot):
+    routines = PaxosVerification()
+    value = paxos_record(event=event, ballot=ballot, slot=1)
+    assert routines.verify_log_commit(value, None) is False
+    # Even if such an entry reached the log (state transfer, a faulty
+    # quorum), replaying it must leave the acceptor state comparable.
+    routines._replay(LogEntry(1, RECORD_LOG_COMMIT, value))
+    assert routines.promised == (0, "")
+    honest = paxos_record(event=event, ballot=(1, "V"), slot=1)
+    assert routines.verify_log_commit(honest, None) is True
+
+
+def test_true_is_not_a_round_number():
+    routines = PaxosVerification()
+    value = paxos_record(event="promise", ballot=(True, "V"))
+    assert routines.verify_log_commit(value, None) is False
+
+
+# ----------------------------------------------------------------------
+# Collectors are dropped when their future resolves
+# ----------------------------------------------------------------------
+def test_collectors_do_not_accumulate(sim, cluster):
+    _deployment, participants = cluster
+    leader = participants["V"]
+    elect(sim, leader)
+    for index in range(4):
+        sim.run_until_resolved(
+            sim.spawn(leader.replicate(f"v{index}")), max_events=100_000_000
+        )
+    # Let the late (post-quorum) promises and accepts arrive too.
+    sim.run(until=sim.now + 500)
+    assert len(leader.chosen) == 4
+    assert leader._collectors == {}
+
+
+# ----------------------------------------------------------------------
+# The payload contract the paxos_aws benchmark measures
+# ----------------------------------------------------------------------
+ROUNDS = 5
+
+
+def run_recorded(wire_fidelity=False):
+    """Election + ROUNDS rounds led by V on a fresh four-DC deployment.
+
+    Returns the deployment, every value handed to ``log_commit``/``send``
+    (the API is wrapped here; production has no hook), the virtual time
+    each slot committed at, and the digest-memo (hits, misses) deltas of
+    the election and of each round (each settled before the next).
+    """
+    sim = Simulator(seed=42)
+    deployment, participants = build_cluster(
+        sim, NetworkOptions(wire_fidelity=wire_fidelity)
+    )
+    handed = []
+    for participant in participants.values():
+        api = participant.api
+        for name in ("log_commit", "send"):
+            setattr(api, name, _recording(getattr(api, name), handed))
+    leader = participants["V"]
+    clear_digest_cache()
+    memo = []
+    seen = digest_cache_stats()
+
+    def settle():
+        nonlocal seen
+        sim.run(until=sim.now + 500)
+        now = digest_cache_stats()
+        memo.append(
+            (now["hits"] - seen["hits"], now["misses"] - seen["misses"])
+        )
+        seen = now
+
+    assert elect(sim, leader) is True
+    settle()
+    committed_at = {}
+    for index in range(ROUNDS):
+        slot = sim.run_until_resolved(
+            sim.spawn(leader.replicate(f"value-{index}")),
+            max_events=100_000_000,
+        )
+        committed_at[slot] = sim.now
+        settle()
+    return deployment, handed, committed_at, memo
+
+
+def _recording(method, handed):
+    def wrapper(value, *args, **kwargs):
+        handed.append(value)
+        return method(value, *args, **kwargs)
+
+    return wrapper
+
+
+def test_every_payload_handed_to_the_middleware_is_deeply_immutable():
+    _deployment, handed, committed_at, _memo = run_recorded()
+    assert sorted(committed_at) == list(range(1, ROUNDS + 1))
+    # 8 election payloads + 11 per round (see the memo test below).
+    assert len(handed) >= 8 + 11 * ROUNDS
+    for value in handed:
+        assert _deeply_immutable(value), value
+
+
+def test_digest_memo_applies_to_paxos_payloads():
+    _deployment, _handed, _committed_at, memo = run_recorded()
+    hits = sum(h for h, _m in memo)
+    misses = sum(m for _h, m in memo)
+    assert hits / (hits + misses) >= 0.5
+    # Exact and seed-independent: one miss per distinct payload object
+    # plus the wrappers whose `meta` dict keeps them out of the memo.
+    # With dict payloads this was (0, 348) + 5 x (0, 336). To re-derive
+    # after a deliberate protocol change, print(memo) here.
+    assert memo == [(194, 118)] + [(187, 113)] * ROUNDS
+
+
+def test_wire_fidelity_preserves_records_and_timing():
+    _plain, handed, committed_at, _memo = run_recorded()
+    deployment, handed_wire, committed_at_wire, _memo = run_recorded(
+        wire_fidelity=True
+    )
+    assert deployment.network.wire_transcodes > 0
+    assert committed_at_wire == committed_at
+    sent = {stable_digest(value): value for value in handed_wire}
+    assert set(sent) == {stable_digest(value) for value in handed}
+    decoded = [
+        entry.value.record.message
+        for site in ("C", "O", "V", "I")
+        for entry in deployment.unit(site).gateway_node().local_log
+        if entry.record_type == RECORD_RECEIVED
+    ]
+    assert len(decoded) >= 6 * (1 + ROUNDS)
+    for message in decoded:
+        assert _deeply_immutable(message), message
+        digest = stable_digest(message)
+        assert digest in sent
+        # The codec really ran: an equal value, not the sender's object.
+        assert message is not sent[digest]
+        assert message == sent[digest]

@@ -3,7 +3,6 @@ handling, duplicate suppression, position futures."""
 
 from repro.core.messages import SignRequest, TransmissionMessage
 from repro.core.records import (
-    RECORD_COMMUNICATION,
     RECORD_LOG_COMMIT,
     SealedTransmission,
     TransmissionRecord,

@@ -15,8 +15,6 @@ The uncached references are ``stable_digest`` and ``_verify_uncached``;
 every memoized verdict below is also compared against the latter.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.records import TransmissionRecord

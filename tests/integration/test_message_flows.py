@@ -12,7 +12,6 @@ one transmission crosses datacenters per send (per fanout target).
 
 
 from repro.core.messages import (
-    MirrorRequest,
     SignRequest,
     SignResponse,
     TransmissionMessage,

@@ -7,8 +7,6 @@ on the checkpoint interval and the admission window, not on how long
 the run is.
 """
 
-import pytest
-
 from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.obs import critpath
 from repro.obs.hub import Observability

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.topology import (
-    AWS_RTT_MS,
     AWS_SITES,
     Topology,
     aws_four_dc_topology,
