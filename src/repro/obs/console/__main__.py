@@ -139,23 +139,19 @@ def _demo_bundle(title: Optional[str]) -> Dict[str, Any]:
 def _chaos_bundle(
     args: argparse.Namespace, title: Optional[str]
 ) -> Dict[str, Any]:
-    from repro.chaos.generator import PROFILES, ScheduleGenerator
+    from repro.chaos.generator import PROFILES
     from repro.obs.console.bundle import build_bundle
-    from repro.obs.forensics.quality import audited_chaos_run
+    from repro.obs.forensics.quality import detection_sweep
 
     if args.profile not in PROFILES:
         raise SystemExit(
             f"unknown profile {args.profile!r}; choose from {PROFILES}"
         )
-    generator = ScheduleGenerator(
-        args.chaos_seed,
-        profile=args.profile,
-        batches=args.batches,
-        horizon_ms=args.horizon_ms,
-        settle_ms=args.settle_ms,
+    (run,) = detection_sweep(
+        args.chaos_seed, 1, profile=args.profile, batches=args.batches,
+        horizon_ms=args.horizon_ms, settle_ms=args.settle_ms,
     )
-    plan = generator.generate(0)
-    run = audited_chaos_run(plan)
+    plan = run.plan
     print(f"chaos run: {run.summary()}", file=sys.stderr)
     return build_bundle(
         run.obs,

@@ -33,6 +33,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.obs.console.schema import SCHEMA_NAME, SCHEMA_VERSION, check
+from repro.obs.exporters import journal_snapshot, metrics_snapshot
 
 #: Event-arg keys whose values name acting nodes (voter, signer,
 #: leader...) — used to sweep node ids out of a journal when no
@@ -56,15 +57,7 @@ def _journal_section(journal: Any) -> Dict[str, Any]:
     """Accept an EventJournal, a ``journal.json`` snapshot dict, or a
     plain event list; emit the bundle's journal section."""
     if hasattr(journal, "record") and hasattr(journal, "events"):
-        events = [event.to_dict() for event in journal.events()]
-        return {
-            "recorded": journal.recorded,
-            "retained": len(events),
-            "dropped": journal.dropped,
-            "first_event_id": journal.first_event_id,
-            "last_event_id": journal.last_event_id,
-            "events": events,
-        }
+        return journal_snapshot(journal)
     if isinstance(journal, list):
         journal = {"events": journal}
     if not isinstance(journal, dict):
@@ -75,7 +68,7 @@ def _journal_section(journal: Any) -> Dict[str, Any]:
     events = [dict(event) for event in journal.get("events", [])]
     retained = len(events)
     dropped = int(journal.get("dropped", 0))
-    section = {
+    return {
         "recorded": int(journal.get("recorded", retained + dropped)),
         "retained": retained,
         "dropped": dropped,
@@ -91,7 +84,6 @@ def _journal_section(journal: Any) -> Dict[str, Any]:
         ),
         "events": events,
     }
-    return section
 
 
 def _span_dicts(spans: Any) -> List[Dict[str, Any]]:
@@ -332,8 +324,6 @@ def build_bundle(
         if spans is None and len(obs.spans):
             spans = obs.spans
         if metrics is None and len(obs.registry):
-            from repro.obs.exporters import metrics_snapshot
-
             metrics = metrics_snapshot(obs)
     if journal is None:
         journal = {"events": []}

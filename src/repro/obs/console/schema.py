@@ -128,6 +128,23 @@ class SchemaError(ValueError):
     """A console bundle violates the schema."""
 
 
+def _field_errors(where: str, obj: Dict[str, Any], spec: Dict[str, Any]) -> List[str]:
+    """One violation per field of ``spec`` (name -> type) that ``obj``
+    lacks or holds with the wrong type; a bool is never a number."""
+    errors: List[str] = []
+    for field, expected in spec.items():
+        if field not in obj:
+            errors.append(f"{where} missing field {field!r}")
+        elif not isinstance(obj[field], expected) or isinstance(
+            obj[field], bool
+        ):
+            errors.append(
+                f"{where}.{field} must be {expected}, "
+                f"got {type(obj[field]).__name__}"
+            )
+    return errors
+
+
 def validate(document: Any) -> List[str]:
     """Return every schema violation in ``document`` (empty = valid)."""
     errors: List[str] = []
@@ -174,15 +191,7 @@ def validate(document: Any) -> List[str]:
 
 
 def _validate_topology(topology: Dict[str, Any]) -> List[str]:
-    errors: List[str] = []
-    for field, expected in _TOPOLOGY_FIELDS.items():
-        if field not in topology:
-            errors.append(f"topology missing field {field!r}")
-        elif not isinstance(topology[field], expected):
-            errors.append(
-                f"topology.{field} must be {expected}, "
-                f"got {type(topology[field]).__name__}"
-            )
+    errors = _field_errors("topology", topology, _TOPOLOGY_FIELDS)
     sites = topology.get("sites")
     site_set = set(sites) if isinstance(sites, list) else set()
     if isinstance(sites, list):
@@ -222,17 +231,7 @@ def _validate_topology(topology: Dict[str, Any]) -> List[str]:
 
 
 def _validate_journal(journal: Dict[str, Any]) -> List[str]:
-    errors: List[str] = []
-    for field, expected in _JOURNAL_FIELDS.items():
-        if field not in journal:
-            errors.append(f"journal missing field {field!r}")
-        elif not isinstance(journal[field], expected) or isinstance(
-            journal[field], bool
-        ):
-            errors.append(
-                f"journal.{field} must be {expected}, "
-                f"got {type(journal[field]).__name__}"
-            )
+    errors = _field_errors("journal", journal, _JOURNAL_FIELDS)
     for field in ("first_event_id", "last_event_id"):
         value = journal.get(field)
         if value is not None and (
@@ -253,16 +252,7 @@ def _validate_journal(journal: Dict[str, Any]) -> List[str]:
             if not isinstance(event, dict):
                 errors.append(f"{where} must be an object")
                 continue
-            for field, expected in _EVENT_FIELDS.items():
-                if field not in event:
-                    errors.append(f"{where} missing field {field!r}")
-                elif not isinstance(event[field], expected) or (
-                    expected is int and isinstance(event[field], bool)
-                ):
-                    errors.append(
-                        f"{where}.{field} must be {expected}, "
-                        f"got {type(event[field]).__name__}"
-                    )
+            errors.extend(_field_errors(where, event, _EVENT_FIELDS))
             event_id = event.get("event_id")
             if isinstance(event_id, int) and not isinstance(event_id, bool):
                 if event_id <= previous_id:
@@ -277,17 +267,9 @@ def _validate_journal(journal: Dict[str, Any]) -> List[str]:
 def _validate_audit(
     audit: Dict[str, Any], journal: Any
 ) -> List[str]:
-    errors: List[str] = []
-    for field, expected in (
-        ("suspicion", dict), ("accused", list), ("findings", list),
-    ):
-        if field not in audit:
-            errors.append(f"audit missing field {field!r}")
-        elif not isinstance(audit[field], expected):
-            errors.append(
-                f"audit.{field} must be {expected}, "
-                f"got {type(audit[field]).__name__}"
-            )
+    errors = _field_errors(
+        "audit", audit, {"suspicion": dict, "accused": list, "findings": list}
+    )
     event_ids = set()
     if isinstance(journal, dict):
         for event in journal.get("events") or []:
@@ -299,14 +281,7 @@ def _validate_audit(
         if not isinstance(finding, dict):
             errors.append(f"{where} must be an object")
             continue
-        for field, expected in _FINDING_FIELDS.items():
-            if field not in finding:
-                errors.append(f"{where} missing field {field!r}")
-            elif not isinstance(finding[field], expected):
-                errors.append(
-                    f"{where}.{field} must be {expected}, "
-                    f"got {type(finding[field]).__name__}"
-                )
+        errors.extend(_field_errors(where, finding, _FINDING_FIELDS))
         finding_id = finding.get("id")
         if finding_id in seen_ids:
             errors.append(f"duplicate finding id {finding_id!r}")
@@ -372,16 +347,7 @@ def _validate_chaos(chaos: Dict[str, Any], topology: Any) -> List[str]:
         if not isinstance(action, dict):
             errors.append(f"{where} must be an object")
             continue
-        for field, expected in _CHAOS_ACTION_FIELDS.items():
-            if field not in action:
-                errors.append(f"{where} missing field {field!r}")
-            elif not isinstance(action[field], expected) or isinstance(
-                action[field], bool
-            ):
-                errors.append(
-                    f"{where}.{field} must be {expected}, "
-                    f"got {type(action[field]).__name__}"
-                )
+        errors.extend(_field_errors(where, action, _CHAOS_ACTION_FIELDS))
         start, end = action.get("start"), action.get("end")
         if (
             isinstance(start, (int, float))

@@ -64,27 +64,21 @@ def _fmt(value: float) -> str:
 # ----------------------------------------------------------------------
 # JSON snapshot
 # ----------------------------------------------------------------------
+def _scalar(metric: Any) -> Dict[str, Any]:
+    return {
+        "name": metric.name,
+        "labels": dict(metric.labels),
+        "value": metric.value,
+    }
+
+
 def metrics_snapshot(obs: Observability) -> Dict[str, Any]:
     """Snapshot every metric into a JSON-serializable dict."""
     registry = obs.registry
     snapshot: Dict[str, Any] = {
         "virtual_time_ms": obs.now,
-        "counters": [
-            {
-                "name": c.name,
-                "labels": dict(c.labels),
-                "value": c.value,
-            }
-            for c in registry.counters()
-        ],
-        "gauges": [
-            {
-                "name": g.name,
-                "labels": dict(g.labels),
-                "value": g.value,
-            }
-            for g in registry.gauges()
-        ],
+        "counters": [_scalar(c) for c in registry.counters()],
+        "gauges": [_scalar(g) for g in registry.gauges()],
         "histograms": [
             {
                 "name": h.name,
@@ -194,15 +188,13 @@ def to_prometheus_text(obs: Observability) -> str:
     # Orphaned spans (retained children of evicted parents) count as
     # dropped — their subtree can no longer be rooted correctly — and
     # are also broken out on their own series.
-    _header("obs_spans_dropped_total", "counter")
-    lines.append(
-        "obs_spans_dropped_total "
-        f"{_fmt(obs.spans.dropped + obs.spans.orphaned)}"
-    )
-    _header("obs_spans_orphaned_total", "counter")
-    lines.append(f"obs_spans_orphaned_total {_fmt(obs.spans.orphaned)}")
-    _header("obs_events_dropped_total", "counter")
-    lines.append(f"obs_events_dropped_total {_fmt(obs.journal.dropped)}")
+    for name, value in (
+        ("obs_spans_dropped_total", obs.spans.dropped + obs.spans.orphaned),
+        ("obs_spans_orphaned_total", obs.spans.orphaned),
+        ("obs_events_dropped_total", obs.journal.dropped),
+    ):
+        _header(name, "counter")
+        lines.append(f"{name} {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -283,7 +275,7 @@ def to_chrome_trace(obs: Observability) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Journal snapshot
 # ----------------------------------------------------------------------
-def journal_snapshot(obs: Observability) -> Dict[str, Any]:
+def journal_snapshot(obs: Any) -> Dict[str, Any]:
     """Snapshot the flight-recorder journal into a JSON-ready dict.
 
     The header carries the eviction accounting (``dropped`` plus the
@@ -292,7 +284,7 @@ def journal_snapshot(obs: Observability) -> Dict[str, Any]:
     before this window" banner instead of presenting a silently
     truncated replay as complete.
     """
-    journal = obs.journal
+    journal = getattr(obs, "journal", obs)  # a hub, or a bare journal
     return {
         "recorded": journal.recorded,
         "retained": len(journal),

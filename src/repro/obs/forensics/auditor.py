@@ -154,7 +154,7 @@ class OnlineAuditor:
             "node.recover", "geo.take_over", "daemon.ship",
         )
         if journal is not None:
-            for event in journal.events():
+            for event in journal:  # one event in memory at a time
                 self.observe(event)
             journal.subscribe(self.observe)
 

@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
-from repro.obs.journal import EventJournal, ProtocolEvent
+from repro.obs.journal import EventJournal
 from repro.obs.registry import (
     Counter,
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -218,13 +218,12 @@ class Observability:
         node: str = "",
         trace: Optional[TraceCtx] = None,
         **args: Any,
-    ) -> Optional[ProtocolEvent]:
+    ) -> None:
         """Journal one protocol fact observed at ``node``, stamped with
         the bound clock. On a forensics hub this name is bound to
-        :meth:`EventJournal.emit`; what is left here is the off case,
-        which returns None — callers guard with ``if self.obs.forensics``
-        to keep the disabled path at a single attribute check."""
-        return None
+        :meth:`EventJournal.emit`; what is left here is the off case —
+        callers guard with ``if self.obs.forensics`` to keep the
+        disabled path at a single attribute check."""
 
     # ------------------------------------------------------------------
     # Cross-component correlation
@@ -280,11 +279,10 @@ class Observability:
             "wan.transmit", ctx, participant=source, node=node,
             destination=destination, position=position,
         )
-        if span is not None:
-            cap = self._max_spans
-            if cap is not None and len(self._wan_spans) >= cap:
-                self._wan_spans.popitem(last=False)
-            self._wan_spans[key] = span
+        cap = self._max_spans
+        if cap is not None and len(self._wan_spans) >= max(cap, 1):  # >= 1 open
+            self._wan_spans.popitem(last=False)
+        self._wan_spans[key] = span
         return span
 
     def end_wan_span(

@@ -28,23 +28,17 @@ Event kinds follow a dotted ``layer.what`` taxonomy (``pbft.vote``,
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+from array import array
 from types import SimpleNamespace
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.errors import ConfigurationError
 
 
 @dataclasses.dataclass(slots=True)
 class ProtocolEvent:
-    """One observed protocol fact.
+    """One observed protocol fact — a copy built from the journal's
+    columns on demand, so mutating it changes nothing stored.
 
     Attributes:
         event_id: Unique within the session, monotonically increasing
@@ -83,12 +77,13 @@ class ProtocolEvent:
 
 
 class EventJournal:
-    """Bounded, append-only store of :class:`ProtocolEvent`.
+    """Bounded, append-only columnar store of protocol facts; a
+    :class:`ProtocolEvent` exists only while something reads one.
 
     Args:
         max_events: Ring-buffer capacity; the oldest events are evicted
             (and counted in :attr:`dropped`) once exceeded. ``None``
-            means unbounded, for tests.
+            means unbounded, for tests; ``0`` retains nothing.
 
     Subscribers registered with :meth:`subscribe` are invoked
     synchronously with each freshly recorded event — this is how the
@@ -99,7 +94,21 @@ class EventJournal:
     """
 
     def __init__(self, max_events: Optional[int] = 200_000) -> None:
-        self._events: Deque[ProtocolEvent] = deque(maxlen=max_events)
+        if max_events is not None and max_events < 0:
+            raise ConfigurationError(
+                f"max_events must be >= 0 or None, got {max_events}"
+            )
+        self._max = max_events
+        # A retained event is a row across parallel columns, never an
+        # object; ids are consecutive, so none are stored. Its header —
+        # (kind, participant, node, arg names) — is an index into this
+        # dict's insertion order: about one per (kind, node) pair in a run.
+        self._header_ids: Dict[Tuple[str, str, str, tuple], int] = {}
+        self._header = array("I")
+        self._at = array("d")
+        self._values: List[Optional[tuple]] = []  # arg values
+        self._traces: Dict[int, Tuple[int, int]] = {}  # by event id; rare
+        self._head = 0  # evicted rows still at the front of the columns
         #: Total events ever recorded (including later-evicted ones);
         #: also the id of the newest event.
         self.recorded = 0
@@ -110,15 +119,15 @@ class EventJournal:
         self._subscribers: List[Callable[[ProtocolEvent], None]] = []
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._values) - self._head
 
     def __iter__(self) -> Iterator[ProtocolEvent]:
-        return iter(self._events)
+        return self._select()
 
     @property
     def dropped(self) -> int:
         """Events evicted from the ring buffer."""
-        return self.recorded - len(self._events)
+        return self.recorded - len(self)
 
     def subscribe(self, callback: Callable[[ProtocolEvent], None]) -> None:
         """Invoke ``callback`` with every subsequently recorded event."""
@@ -131,23 +140,44 @@ class EventJournal:
         node: str = "",
         trace: Optional[Tuple[int, int]] = None,
         **args: Any,
-    ) -> ProtocolEvent:
+    ) -> None:
         """Append one event stamped with the clock's current time.
 
         The journal's only write path, and — bound as
         ``Observability.event`` — the whole cost of one protocol fact:
-        this frame plus ``ProtocolEvent.__init__``. The event takes
-        ownership of the ``args`` dict the call just built.
+        this frame. The call's ``args`` dict is split into header names
+        and row values; an event object is built for subscribers only.
         """
+        header = (kind, participant, node, tuple(args))
+        try:
+            header_id = self._header_ids[header]
+        except KeyError:
+            header_id = self._header_ids[header] = len(self._header_ids)
+        now = self.clock.now
+        self._header.append(header_id)
+        self._at.append(now)
+        self._values.append(tuple(args.values()))
         event_id = self.recorded = self.recorded + 1
-        event = ProtocolEvent(
-            event_id, kind, self.clock.now, participant, node, trace, args
-        )
-        self._events.append(event)  # a full ring evicts its oldest
+        if trace is not None:
+            self._traces[event_id] = trace
+        cap = self._max
+        if cap is not None and event_id > cap:
+            # Full from here on: release what the oldest row holds, and
+            # cut the dead prefix off once it is an eighth of the ring.
+            head = self._head
+            self._values[head] = None
+            self._traces.pop(event_id - cap, None)
+            self._head = head = head + 1
+            if head > 64 + (cap >> 3):
+                for column in (self._header, self._at, self._values):
+                    del column[:head]
+                self._head = 0
         if self._subscribers:
+            event = ProtocolEvent(
+                event_id, kind, now, participant, node, trace, args
+            )
             for callback in self._subscribers:
                 callback(event)
-        return event
 
     def record(
         self,
@@ -159,13 +189,16 @@ class EventJournal:
         **args: Any,
     ) -> ProtocolEvent:
         """Append one event at an explicit virtual time ``at`` (tests,
-        replays): :meth:`emit` under a clock pinned to ``at``."""
-        clock = self.clock
-        self.clock = SimpleNamespace(now=at)
+        replays): :meth:`emit` under a clock pinned to ``at``. Returns
+        the event as a reader would see it."""
+        clock, self.clock = self.clock, SimpleNamespace(now=at)
         try:
-            return self.emit(kind, participant, node, trace, **args)
+            self.emit(kind, participant, node, trace, **args)
         finally:
             self.clock = clock
+        return ProtocolEvent(
+            self.recorded, kind, at, participant, node, trace, args
+        )
 
     # ------------------------------------------------------------------
     # Queries (tests, exporters, offline audits)
@@ -176,25 +209,41 @@ class EventJournal:
         above 1 means the ring evicted everything before it — exporters
         surface this so a replay can say "N events evicted before this
         window" instead of silently truncating."""
-        if not self._events:
-            return None
-        return self._events[0].event_id
+        return self.recorded - len(self) + 1 if len(self) else None
 
     @property
     def last_event_id(self) -> Optional[int]:
         """Id of the newest retained event (None when empty)."""
-        if not self._events:
-            return None
-        return self._events[-1].event_id
+        return self.recorded if len(self) else None
+
+    def _select(
+        self, field: int = 0, value: Optional[str] = None
+    ) -> Iterator[ProtocolEvent]:
+        """Retained events in record order, built one at a time as the
+        caller advances. With ``value``, only those whose header's
+        ``field`` (0 kind, 2 node) equals it — decided on the header
+        column, before an event is built."""
+        headers = list(self._header_ids)
+        keep = [value is None or header[field] == value for header in headers]
+        values, traces = self._values, self._traces
+        event_id = self.recorded - len(self)
+        for row in range(self._head, len(values)):
+            event_id += 1
+            if keep[self._header[row]]:
+                kind, participant, node, names = headers[self._header[row]]
+                yield ProtocolEvent(
+                    event_id, kind, self._at[row], participant, node,
+                    traces.get(event_id), dict(zip(names, values[row])),
+                )
 
     def events(self) -> List[ProtocolEvent]:
         """All retained events in record order."""
-        return list(self._events)
+        return list(self)
 
     def of_kind(self, kind: str) -> List[ProtocolEvent]:
         """Retained events of one kind, in record order."""
-        return [e for e in self._events if e.kind == kind]
+        return list(self._select(0, kind))
 
     def by_node(self, node: str) -> List[ProtocolEvent]:
         """Retained events observed at one node, in record order."""
-        return [e for e in self._events if e.node == node]
+        return list(self._select(2, node))

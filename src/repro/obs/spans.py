@@ -25,6 +25,8 @@ import dataclasses
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
+
 
 @dataclasses.dataclass
 class Span:
@@ -87,6 +89,10 @@ class SpanLog:
     """
 
     def __init__(self, max_spans: Optional[int] = 200_000) -> None:
+        if max_spans is not None and max_spans < 0:
+            raise ConfigurationError(
+                f"max_spans must be >= 0 or None, got {max_spans}"
+            )
         self._spans: Deque[Span] = deque(maxlen=max_spans)
         self._next_span_id = 1
         self._next_trace_id = 1
@@ -130,7 +136,7 @@ class SpanLog:
         if trace_id is None:
             trace_id = self.new_trace()
         maxlen = self._spans.maxlen
-        if maxlen is not None and len(self._spans) == maxlen:
+        if maxlen and len(self._spans) == maxlen:
             self._evict(self._spans[0])
         span = Span(
             span_id=self._next_span_id,
@@ -144,6 +150,9 @@ class SpanLog:
             args=dict(args) if args else {},
         )
         self._next_span_id += 1
+        if maxlen == 0:
+            self.dropped += 1  # nothing is retained, so nothing to link
+            return span
         self._spans.append(span)
         self._retained_ids.add(span.span_id)
         if parent_id is not None:

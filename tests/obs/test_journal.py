@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs import EventJournal, Observability
 from repro.obs.hub import DISABLED
+from repro.obs.spans import SpanLog
 from repro.sim.simulator import Simulator
 
 
@@ -37,6 +39,32 @@ def test_capacity_evicts_oldest_and_counts_drops():
     assert [e.args["position"] for e in journal.events()] == [4, 5, 6]
     # Event ids keep counting even across drops.
     assert [e.event_id for e in journal.events()] == [5, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "argument, ring", [("max_events", EventJournal), ("max_spans", SpanLog)]
+)
+def test_negative_ring_capacity_is_a_configuration_error(argument, ring):
+    with pytest.raises(ConfigurationError, match=argument):
+        ring(-1)
+    with pytest.raises(ConfigurationError, match=argument):
+        Observability(**{argument: -1})
+
+
+def test_zero_capacity_rings_retain_nothing_and_count_every_drop():
+    obs = Observability(max_events=0, max_spans=0)
+    seen = []
+    obs.journal.subscribe(seen.append)
+    for seq in range(3):
+        obs.event("pbft.vote", participant="C", node="C-1", seq=seq)
+        obs.begin_wan_span("C", "V", seq, None, node="C-0")
+        obs.end_span(obs.begin_span("commit", participant="C"))
+    assert obs.end_wan_span("C", "V", 2).end_ms is not None
+    assert (len(obs.journal), obs.journal.dropped) == (0, 3)
+    assert obs.journal.first_event_id is obs.journal.last_event_id is None
+    assert [event.event_id for event in seen] == [1, 2, 3]
+    assert (len(obs.spans), obs.spans.dropped, obs.spans.orphaned) == (0, 6, 0)
+    assert obs.correlations_retained == 0
 
 
 def test_queries_by_kind_and_node():
@@ -121,7 +149,8 @@ def test_hub_event_and_journal_record_store_the_same_event(fields):
     obs.journal.subscribe(lambda event: seen_hub.append(event.to_dict()))
     journal.subscribe(lambda event: seen_direct.append(event.to_dict()))
 
-    via_hub = obs.event(**fields)
+    obs.event(**fields)
+    (via_hub,) = obs.journal.events()
     fields = dict(fields)
     direct = journal.record(fields.pop("kind"), at, **fields)
 
@@ -131,4 +160,5 @@ def test_hub_event_and_journal_record_store_the_same_event(fields):
     assert seen_hub == seen_direct == [direct.to_dict()]
     # ``record`` pins the clock for one append only.
     assert journal.record("chain.advance", at + 1.0).at_ms == at + 1.0
-    assert obs.event("chain.advance").at_ms == at
+    assert obs.event("chain.advance") is None
+    assert obs.journal.events()[-1].at_ms == at
