@@ -4,8 +4,8 @@ An AST-based lint framework whose rules encode the *protocol* "
 invariants generic linters cannot see: determinism of the seeded
 simulation (BP001/BP007), quorum thresholds derived from the
 configured fault model (BP002), signature/proof discipline on the
-receive path (BP003/BP005), handler exhaustiveness and purity
-(BP004), exception discipline (BP006), hot-message ``__slots__``
+receive path (BP003/BP005), handler purity (BP004), exception
+discipline (BP006), hot-message ``__slots__``
 (BP008), interprocedural wire-taint and trust laundering
 (BP009/BP010), per-layer dispatch exhaustiveness (BP011), and the
 stale-suppression audit (BP012).

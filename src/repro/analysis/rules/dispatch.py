@@ -1,12 +1,11 @@
 """BP011 — handler state-machine exhaustiveness per consuming layer.
 
-BP004 proves every wire message class has a ``handle_<kind>`` method
-*somewhere* in the tree. That is too weak for a layered codebase: the
-PBFT replica, the Blockplane daemon node, and the Paxos baseline each
-run their own state machine over a distinct slice of the message
-inventory, and a handler defined on one layer does not help another
-(``HierarchicalPBFTNode`` handling ``global_accept`` says nothing
-about ``MultiPaxosNode`` receiving ``promise``).
+A ``handle_<kind>`` method existing *somewhere* in the tree is too weak
+for a layered codebase: the PBFT engine, the Blockplane daemon node,
+and the Paxos baseline each run their own state machine over a distinct
+slice of the message inventory, and a handler defined on one layer does
+not help another (``HierarchicalPBFTNode`` handling ``global_accept``
+says nothing about ``MultiPaxosNode`` receiving ``promise``).
 
 This rule extracts the dispatch table from the AST — methods that do
 ``getattr(self, f"handle_{...}")``, i.e. :meth:`Node.on_message` and
@@ -14,7 +13,10 @@ any future sibling — then checks, for every *root consuming layer* of
 a wire-format module, that **all** of that module's message kinds
 resolve to a registered handler through the layer's MRO, and that the
 layer actually inherits the dispatcher (the handler is reachable, not
-just defined).
+just defined). A layer need not *be* a node: a class whose bound
+handlers a dispatch-connected node installs into its dispatch table
+(``self._dispatch[...] = getattr(self.engine, ...)`` with ``engine``
+typed by annotation) is a consuming layer reachable through that host.
 
 A class is a *consuming layer* of a messages module when it defines
 its own handler for at least one of the module's kinds; it is a *root*
@@ -31,6 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Set, Tuple
 
+from repro.analysis.callgraph import _dotted, _resolve_class_name
 from repro.analysis.findings import Finding
 from repro.analysis.framework import Checker, Project, register
 from repro.analysis.rules.handlers import _is_message_subclass, _message_kind
@@ -80,6 +83,32 @@ def _is_handler_getattr(node: ast.AST) -> bool:
     return False
 
 
+def _held_layers(graph, hosts) -> Set[str]:
+    """Qualnames of classes whose bound handlers a class in ``hosts``
+    stores into ``self._dispatch[...]`` as ``getattr(self.<attr>, ...)``."""
+    held: Set[str] = set()
+    for host in hosts:
+        for method in host.methods.values():
+            for node in ast.walk(method.node):
+                if not (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Subscript)
+                    and _dotted(node.targets[0].value) == "self._dispatch"
+                    and isinstance(node.value, ast.Call)
+                    and _dotted(node.value.func) == "getattr"
+                    and node.value.args
+                ):
+                    continue
+                holder = _dotted(node.value.args[0]) or ""
+                type_name = host.attr_type(holder.partition("self.")[2])
+                engine = type_name and _resolve_class_name(
+                    graph, graph.modules.get(host.module), type_name
+                )
+                if engine:
+                    held.add(engine.qualname)
+    return held
+
+
 @register
 class DispatchExhaustivenessChecker(Checker):
     """BP011 — every consuming layer handles its whole message slice."""
@@ -96,7 +125,8 @@ class DispatchExhaustivenessChecker(Checker):
         "not save the PBFT replica from ProtocolError when the kind "
         "arrives there. Exhaustiveness must hold per consuming layer, "
         "through the MRO, and only counts if the layer inherits the "
-        "getattr dispatcher that would ever invoke the handler."
+        "getattr dispatcher that would ever invoke the handler — or is "
+        "held by a node that installs its handlers for dispatch."
     )
     requires_interproc = True
 
@@ -124,8 +154,19 @@ class DispatchExhaustivenessChecker(Checker):
 
         dispatchers = _dispatcher_methods(graph)
         dispatcher_classes = {qual for qual, _ in dispatchers}
+
+        def dispatch_connected(cls) -> bool:
+            return any(
+                c.qualname in dispatcher_classes for c in cls.mro()
+            )
+
+        # A held engine is dispatched to through its host's table.
+        dispatcher_classes |= _held_layers(
+            graph, [c for c in graph.classes.values() if dispatch_connected(c)]
+        )
         layers = [
-            cls for cls in graph.node_subclasses() if cls.chain_resolved
+            cls for cls in graph.classes.values()
+            if cls.chain_resolved and dispatch_connected(cls)
         ]
 
         def own_kinds(cls) -> Set[str]:
@@ -135,11 +176,6 @@ class DispatchExhaustivenessChecker(Checker):
                 if name.startswith(HANDLER_PREFIX)
             }
 
-        def dispatch_connected(cls) -> bool:
-            return any(
-                c.qualname in dispatcher_classes for c in cls.mro()
-            )
-
         def consumes(cls, module: str) -> bool:
             kinds = {kind for _, kind in inventories[module]}
             return bool(own_kinds(cls) & kinds)
@@ -148,8 +184,7 @@ class DispatchExhaustivenessChecker(Checker):
         for module, inventory in sorted(inventories.items()):
             roots = [
                 cls for cls in layers
-                if dispatch_connected(cls)
-                and consumes(cls, module)
+                if consumes(cls, module)
                 and not any(
                     consumes(base, module) for base in cls.mro()[1:]
                 )
@@ -173,8 +208,6 @@ class DispatchExhaustivenessChecker(Checker):
 
         # Orphan handlers: reachable dispatch can never name them.
         for cls in layers:
-            if not dispatch_connected(cls):
-                continue
             for name, method in sorted(cls.methods.items()):
                 if not name.startswith(HANDLER_PREFIX):
                     continue

@@ -1,21 +1,18 @@
-"""BP004 — handler exhaustiveness and handler purity.
+"""BP004 — handler purity.
 
-Half one is cross-module: every :class:`~repro.sim.node.Message`
-subclass defined in a ``*/messages.py`` wire-format module must have a
-``handle_<kind>`` method *somewhere* in the analyzed tree, because the
-dispatch in :meth:`Node.on_message` raises ``ProtocolError`` at
-runtime for missing handlers — this rule moves that discovery to lint
-time. Half two is local: no handler may mutate its incoming message.
-The network delivers messages by reference in-simulation, so a handler
-writing ``msg.x = ...`` corrupts the sender's (and every other
-recipient's) copy — the classic heisenbug of actor simulations.
+No handler may mutate its incoming message. The network delivers
+messages by reference in-simulation, so a handler writing
+``msg.x = ...`` corrupts the sender's (and every other recipient's)
+copy — the classic heisenbug of actor simulations. (That every message
+kind *has* a handler, per consuming layer, is BP011's job; this module
+keeps the message-kind helpers BP011 shares.)
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import List, Set, Tuple
+from typing import List
 
 from repro.analysis.findings import Finding
 from repro.analysis.framework import Checker, ModuleContext, register
@@ -62,46 +59,23 @@ def _is_message_subclass(node: ast.ClassDef) -> bool:
 
 @register
 class HandlerChecker(Checker):
-    """BP004 — every wire message handled; no handler mutates input."""
+    """BP004 — no handler mutates its incoming message."""
 
     rule = "BP004"
-    summary = (
-        "every */messages.py Message class has a handle_<kind> "
-        "somewhere; handlers never mutate the incoming message"
-    )
+    summary = "handlers never mutate the incoming message"
     rationale = (
-        "Node.on_message raises ProtocolError for unknown kinds at "
-        "runtime — under exactly the fault schedule that first emits "
-        "the message. Messages are delivered by reference in the "
-        "simulator, so handler-side mutation corrupts every other "
-        "recipient's copy and the sender's retransmission buffer."
+        "Messages are delivered by reference in the simulator, so "
+        "handler-side mutation corrupts every other recipient's copy "
+        "and the sender's retransmission buffer."
     )
-
-    def __init__(self) -> None:
-        #: (path, line, col, class name, kind) per message class.
-        self._messages: List[Tuple[str, int, int, str, str]] = []
-        self._handlers: Set[str] = set()
 
     def visit_module(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                if ctx.is_messages_module and _is_message_subclass(node):
-                    self._messages.append(
-                        (
-                            ctx.path,
-                            node.lineno,
-                            node.col_offset,
-                            node.name,
-                            _message_kind(node),
-                        )
-                    )
-            elif isinstance(
+            if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                if node.name.startswith("handle_"):
-                    self._handlers.add(node.name)
-                    findings.extend(self._check_mutation(ctx, node))
+            ) and node.name.startswith("handle_"):
+                findings.extend(self._check_mutation(ctx, node))
         return findings
 
     def _check_mutation(
@@ -143,18 +117,3 @@ class HandlerChecker(Checker):
             and isinstance(node.value, ast.Name)
             and node.value.id == msg_name
         )
-
-    def finalize(self) -> List[Finding]:
-        findings: List[Finding] = []
-        for path, line, col, name, kind in self._messages:
-            if f"handle_{kind}" not in self._handlers:
-                findings.append(
-                    Finding(
-                        self.rule, path, line, col,
-                        f"message class `{name}` (kind `{kind}`) has no "
-                        f"`handle_{kind}` handler anywhere in the "
-                        "analyzed tree; dispatch will raise "
-                        "ProtocolError at runtime",
-                    )
-                )
-        return findings

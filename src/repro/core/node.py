@@ -2,7 +2,8 @@
 
 Each participant runs ``3·fi + 1`` of these. A node is simultaneously:
 
-* a **PBFT replica** of its unit (local commitment, Section IV-B),
+* the host of its unit's **PBFT engine** (local commitment,
+  Section IV-B) and the *app* that engine consults,
 * a **Local Log** holder applying every executed entry,
 * a **signer** attesting transmission/mirror records it can verify
   against its own log copy (Section IV-C),
@@ -51,7 +52,8 @@ from repro.pbft.messages import (
     ClientRequest,
     CommittedEntry,
 )
-from repro.pbft.replica import NOOP_RECORD_TYPE, PBFTReplica, checkpoint_digest
+from repro.pbft.engine import NOOP_RECORD_TYPE, checkpoint_digest
+from repro.pbft.replica import PBFTReplica
 from repro.sim.process import Future
 
 
@@ -115,7 +117,6 @@ class BlockplaneNode(PBFTReplica):
             verifier=None,
             obs=obs,
         )
-        self.verifier = self._blockplane_verifier
         self.participant = participant
         self.bp_config = config
         self.directory = directory
@@ -159,7 +160,7 @@ class BlockplaneNode(PBFTReplica):
         self._read_collectors: Dict[Tuple[str, int], Dict[str, Any]] = {}
         #: Gateway-only guard: a truncation proposal is outstanding.
         self._truncate_inflight = False
-        self.on_executed.append(self._apply_entry)
+        self.engine.on_executed.append(self._apply_entry)
 
     # ------------------------------------------------------------------
     # Local commitment entry points
@@ -178,14 +179,14 @@ class BlockplaneNode(PBFTReplica):
         instruction. Returns a future resolving with the
         :class:`~repro.pbft.messages.CommittedEntry`.
         """
-        return self.submit(
-            value, record_type, meta, payload_bytes, trace_ctx=trace_ctx
-        )
+        return self.engine.submit(
+            value, record_type, meta, payload_bytes, trace_ctx
+        )[1]
 
     # ------------------------------------------------------------------
-    # Verification dispatch (PBFT hook)
+    # Verification dispatch (the engine's app hook)
     # ------------------------------------------------------------------
-    def _blockplane_verifier(
+    def verify(
         self, value: Any, record_type: str, meta: Optional[Dict[str, Any]]
     ) -> Optional[bool]:
         if record_type == RECORD_LOG_COMMIT:
@@ -302,7 +303,7 @@ class BlockplaneNode(PBFTReplica):
         checkpoint_seq = (meta or {}).get("checkpoint_seq")
         if not isinstance(checkpoint_seq, int) or checkpoint_seq < 1:
             return False
-        certified = self._stable_snapshot_payload
+        certified = self.engine._stable_snapshot_payload
         if self.stable_checkpoint < checkpoint_seq or not isinstance(
             certified, LogSnapshot
         ):
@@ -331,7 +332,7 @@ class BlockplaneNode(PBFTReplica):
             self.directory.registry, self.bp_config.proof_size, members
         )
 
-    def _pre_validate(self, msg: ClientRequest) -> Optional[str]:
+    def pre_validate(self, msg: ClientRequest) -> Optional[str]:
         """Leader gate: refuse duplicates and clearly invalid values
         without burning a sequence number. Stateful reception checks are
         NOT run here (they belong to the voting path)."""
@@ -359,7 +360,7 @@ class BlockplaneNode(PBFTReplica):
                 return "invalid mirror proof"
             self._proposed_mirrors.add(key)
             return None
-        verdict = self._blockplane_verifier(msg.value, msg.record_type, msg.meta)
+        verdict = self.verify(msg.value, msg.record_type, msg.meta)
         if verdict is False:
             return "verification routine rejected the value"
         return None
@@ -456,18 +457,18 @@ class BlockplaneNode(PBFTReplica):
         )
 
     # ------------------------------------------------------------------
-    # Signed checkpoints & snapshot state transfer (PBFT hook overrides)
+    # Signed checkpoints & snapshot state transfer (app hooks)
     # ------------------------------------------------------------------
-    def _checkpoint_payload(self, seq: int) -> LogSnapshot:
+    def checkpoint_payload(self, seq: int) -> LogSnapshot:
         """The middleware state a checkpoint at ``seq`` certifies: a
         snapshot folding the entire Local Log as of executing ``seq``
         (deterministic across honest replicas by Lemma 1)."""
         return self.local_log.snapshot()
 
-    def _sign_checkpoint(self, digest: str) -> Any:
+    def sign_checkpoint(self, digest: str) -> Any:
         return sign(self.directory.registry, self.node_id, digest)
 
-    def _checkpoint_vote_valid(self, msg) -> bool:
+    def checkpoint_vote_valid(self, msg) -> bool:
         """Accept only votes whose signature verifies over the vote's
         own (seq, state, snapshot) digest — unsigned or spoofed votes
         never count toward a certificate."""
@@ -480,7 +481,7 @@ class BlockplaneNode(PBFTReplica):
             checkpoint_digest(msg.seq, msg.state_digest, msg.snapshot_digest),
         )
 
-    def _certificate_valid(self, certificate: Any) -> bool:
+    def certificate_valid(self, certificate: Any) -> bool:
         """A transferred certificate convinces us with ``fi + 1`` valid
         member signatures (at least one honest voter stands behind it)."""
         if not isinstance(certificate, CheckpointCertificate):
@@ -500,7 +501,7 @@ class BlockplaneNode(PBFTReplica):
                 valid.add(replica)
         return len(valid) >= self.bp_config.proof_size
 
-    def _install_snapshot_payload(self, payload: Any, seq: int) -> bool:
+    def install_snapshot(self, payload: Any, seq: int) -> bool:
         """Adopt a certified Local Log snapshot (state transfer). The
         caller has already matched ``payload`` against the certificate's
         snapshot digest."""
@@ -518,7 +519,7 @@ class BlockplaneNode(PBFTReplica):
         self._reception_reorder.clear()
         return True
 
-    def _on_stable_checkpoint(
+    def on_stable_checkpoint(
         self, seq: int, certificate: Any, payload: Any
     ) -> None:
         """Gateway: propose folding the Local Log below the certified
@@ -553,7 +554,7 @@ class BlockplaneNode(PBFTReplica):
     # ------------------------------------------------------------------
     # View-change hygiene
     # ------------------------------------------------------------------
-    def _forget_in_flight_proposals(self) -> None:
+    def on_view_installed(self, new_view: int) -> None:
         """Drop the advisory duplicate-suppression sets on a view change.
 
         ``_proposed_receptions``/``_proposed_mirrors`` only exist so a
@@ -567,15 +568,7 @@ class BlockplaneNode(PBFTReplica):
         """
         self._proposed_receptions.clear()
         self._proposed_mirrors.clear()
-
-    def _install_view_as_leader(self, new_view, votes) -> None:
-        self._forget_in_flight_proposals()
-        super()._install_view_as_leader(new_view, votes)
-
-    def handle_new_view(self, msg, src: str) -> None:
-        if msg.new_view > self.view:
-            self._forget_in_flight_proposals()
-        super().handle_new_view(msg, src)
+        super().on_view_installed(new_view)
 
     def position_future(self, seq: int) -> Future:
         """Future resolving with the Local Log position of the entry
@@ -597,9 +590,7 @@ class BlockplaneNode(PBFTReplica):
         # submission won, cancel ours so its timer cannot fire forever.
         rid = self._submitted_receptions.pop(key, None)
         if rid is not None:
-            cancelled = self._pending.pop(rid, None)
-            if cancelled is not None and cancelled.span is not None:
-                self.obs.end_span(cancelled.span, superseded=True)
+            self.engine.abandon(rid)
         # Commit (slot) order can differ from chain order when a later
         # message raced ahead; deliver to the application strictly along
         # the source's chain pointers.
@@ -751,14 +742,13 @@ class BlockplaneNode(PBFTReplica):
             return  # duplicate delivery (extra daemons are expected)
         if key in self._submitted_receptions:
             return
-        future = self.submit(
+        self._submitted_receptions[key], future = self.engine.submit(
             sealed,
             RECORD_RECEIVED,
             meta={"source": record.source},
             payload_bytes=record.payload_bytes,
             trace_ctx=msg.trace,
         )
-        self._submitted_receptions[key] = (self.node_id, self._request_counter)
 
         def _done(completed: Future) -> None:
             # A leader rejection ("already proposed/committed") is the

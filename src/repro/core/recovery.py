@@ -58,7 +58,7 @@ def force_view_change(unit: BlockplaneUnit) -> None:
             target_view=target, live=[node.node_id for node in live],
         )
     for node in live:
-        node._start_view_change(target)
+        node.engine._start_view_change(target)
 
 
 def resync_node(node, patience: int = 3) -> Future:
@@ -85,7 +85,7 @@ def resync_node(node, patience: int = 3) -> Future:
     def _resync():
         silent = 0
         last_seen = node.last_executed
-        node._request_catch_up()
+        node.engine._request_catch_up()
         while silent < patience:
             yield sim.sleep(node.config.catch_up_timeout_ms)
             if node.crashed:
@@ -95,7 +95,7 @@ def resync_node(node, patience: int = 3) -> Future:
                 silent = 0
             else:
                 silent += 1
-            node._request_catch_up()
+            node.engine._request_catch_up()
         return node.last_executed
 
     return sim.spawn(_resync())

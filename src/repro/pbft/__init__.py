@@ -31,6 +31,7 @@ from repro.pbft.messages import (
     Reply,
     ViewChange,
 )
+from repro.pbft.engine import PBFTApp, PBFTEngine
 from repro.pbft.replica import PBFTReplica
 from repro.pbft.byzantine import (
     EquivocatingLeader,
@@ -40,6 +41,8 @@ from repro.pbft.byzantine import (
 
 __all__ = [
     "PBFTConfig",
+    "PBFTApp",
+    "PBFTEngine",
     "PBFTReplica",
     "ClientRequest",
     "PrePrepare",

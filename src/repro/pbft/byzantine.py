@@ -15,6 +15,11 @@ misbehaviours the test suite uses to check Blockplane's guarantees:
 
 None of these can break safety with at most ``f`` of them per unit —
 the tests assert exactly that.
+
+A misbehaviour in the *protocol* is an engine variant (its handlers are
+the honest engine's text with the lie edited in) named by a host's
+``engine_class``; one that needs no protocol state, like going silent,
+stays on the host.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.pbft.messages import ClientRequest, Commit, PrePrepare, Prepare
-from repro.pbft.replica import PBFTReplica, request_digest
+from repro.pbft.engine import PBFTEngine, request_digest
+from repro.pbft.replica import PBFTReplica
 
 
 class SilentReplica(PBFTReplica):
@@ -32,7 +38,7 @@ class SilentReplica(PBFTReplica):
         return
 
 
-class EquivocatingLeader(PBFTReplica):
+class EquivocatingEngine(PBFTEngine):
     """When leading, sends conflicting proposals to different peers.
 
     Half the peers receive the real value, the other half receive a
@@ -40,9 +46,7 @@ class EquivocatingLeader(PBFTReplica):
     (2f+1 of 3f+1) makes it impossible for both values to prepare.
     """
 
-    def __init__(self, *args: Any, forged_value: Any = "FORGED", **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.forged_value = forged_value
+    forged_value: Any = "FORGED"
 
     def handle_client_request(self, msg: ClientRequest, src: str) -> None:
         if not self.is_leader or self.in_view_change:
@@ -73,7 +77,17 @@ class EquivocatingLeader(PBFTReplica):
         self.handle_pre_prepare(honest, self.node_id)
 
 
-class TamperingVoter(PBFTReplica):
+class EquivocatingLeader(PBFTReplica):
+    """Hosts an :class:`EquivocatingEngine`."""
+
+    engine_class = EquivocatingEngine
+
+    def __init__(self, *args: Any, forged_value: Any = "FORGED", **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self.engine.forged_value = forged_value
+
+
+class TamperingEngine(PBFTEngine):
     """Votes with corrupted digests in both vote phases."""
 
     def handle_pre_prepare(self, msg: PrePrepare, src: str) -> None:
@@ -100,7 +114,13 @@ class TamperingVoter(PBFTReplica):
         return
 
 
-class BogusProposer(PBFTReplica):
+class TamperingVoter(PBFTReplica):
+    """Hosts a :class:`TamperingEngine`."""
+
+    engine_class = TamperingEngine
+
+
+class BogusEngine(PBFTEngine):
     """When leader, replaces every proposal with an invalid transition.
 
     Used to show that verification routines (not just digests) protect
@@ -109,19 +129,8 @@ class BogusProposer(PBFTReplica):
     commit and the value never executes.
     """
 
-    def __init__(
-        self,
-        *args: Any,
-        bogus_value: Any = ("illegal-transition",),
-        bogus_meta: Optional[Dict[str, Any]] = None,
-        **kwargs: Any,
-    ):
-        super().__init__(*args, **kwargs)
-        self.bogus_value = bogus_value
-        self.bogus_meta = bogus_meta
-
-    def _pre_validate(self, msg: ClientRequest):
-        return None  # a byzantine leader does not police itself
+    bogus_value: Any = ("illegal-transition",)
+    bogus_meta: Optional[Dict[str, Any]] = None
 
     def handle_client_request(self, msg: ClientRequest, src: str) -> None:
         forged = ClientRequest(
@@ -132,3 +141,23 @@ class BogusProposer(PBFTReplica):
             meta=self.bogus_meta if self.bogus_meta is not None else msg.meta,
         )
         super().handle_client_request(forged, src)
+
+
+class BogusProposer(PBFTReplica):
+    """Hosts a :class:`BogusEngine`."""
+
+    engine_class = BogusEngine
+
+    def __init__(
+        self,
+        *args: Any,
+        bogus_value: Any = ("illegal-transition",),
+        bogus_meta: Optional[Dict[str, Any]] = None,
+        **kwargs: Any,
+    ):
+        super().__init__(*args, **kwargs)
+        self.engine.bogus_value = bogus_value
+        self.engine.bogus_meta = bogus_meta
+
+    def pre_validate(self, msg: ClientRequest):
+        return None  # a byzantine leader does not police itself

@@ -198,3 +198,56 @@ def test_local_message_classes_count_for_orphan_inventory():
         ),
     )
     assert findings == []
+
+
+HOST = """
+from repro.sim.node import Node
+from repro.pbft.engine import Engine
+
+class Replica(Node):
+    def __init__(self):
+        self.engine: Engine = Engine()
+        for name in dir(self.engine):
+            self._dispatch[name[7:]] = getattr(self.engine, name)
+"""
+
+
+def held_engine_findings(engine_source):
+    return findings_of(
+        ("repro.sim.node", SIM_NODE),
+        ("repro.pbft.messages", MESSAGES),
+        ("repro.pbft.engine", engine_source),
+        ("repro.pbft.replica", HOST),
+    )
+
+
+def test_held_engine_missing_a_kind_is_flagged():
+    # The engine is no Node, but a Node installs its bound handlers for
+    # dispatch: it is the consuming layer, reachable through that host.
+    findings = held_engine_findings(
+        """
+        class Engine:
+            def handle_ping(self, msg, src):
+                pass
+        """
+    )
+    assert len(findings) == 1, findings
+    assert "Pong" in findings[0].message and "Engine" in findings[0].message
+
+
+def test_complete_held_engine_is_clean():
+    findings = held_engine_findings(
+        """
+        class Engine:
+            def handle_ping(self, msg, src):
+                pass
+
+            def handle_pong(self, msg, src):
+                pass
+
+        class TamperingEngine(Engine):
+            def handle_ping(self, msg, src):
+                pass
+        """
+    )
+    assert findings == []

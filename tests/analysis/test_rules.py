@@ -166,42 +166,8 @@ def test_bp003_flags_branch_that_skips_verification():
 
 
 # ----------------------------------------------------------------------
-# BP004 — handler exhaustiveness + purity
+# BP004 — handler purity (exhaustiveness is BP011: test_dispatch_rule.py)
 # ----------------------------------------------------------------------
-
-def test_bp004_flags_unhandled_message(tmp_path):
-    pkg = tmp_path / "repro" / "fake"
-    pkg.mkdir(parents=True)
-    (pkg / "messages.py").write_text(textwrap.dedent("""
-        from repro.sim.node import Message
-
-        class Ping(Message):
-            pass
-
-        class Pong(Message):
-            pass
-    """))
-    (pkg / "server.py").write_text(textwrap.dedent("""
-        class Server:
-            def handle_ping(self, msg, src):
-                return msg
-    """))
-    findings = run_analysis([str(tmp_path)], rules=["BP004"])
-    assert [f.rule for f in findings] == ["BP004"]
-    assert "Pong" in findings[0].message
-
-
-def test_bp004_respects_suppression_on_deliberate_gap(tmp_path):
-    pkg = tmp_path / "repro" / "fake"
-    pkg.mkdir(parents=True)
-    (pkg / "messages.py").write_text(textwrap.dedent("""
-        from repro.sim.node import Message
-
-        class Embedded(Message):  # bp-lint: disable=BP004
-            pass
-    """))
-    assert run_analysis([str(tmp_path)], rules=["BP004"]) == []
-
 
 def test_bp004_flags_handler_mutating_message():
     assert check("BP004", """

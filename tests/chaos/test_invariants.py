@@ -341,8 +341,8 @@ def test_snapshot_payload_certificate_mismatch_detected(sim):
     sim.run_until_resolved(sim.spawn(work()), max_events=5_000_000)
     sim.run(until=sim.now + 200.0)
     node = deployment.unit("DC").nodes[0]
-    node._stable_snapshot_payload = dataclasses.replace(
-        node._stable_snapshot_payload, entry_chain="forged"
+    node.engine._stable_snapshot_payload = dataclasses.replace(
+        node.engine._stable_snapshot_payload, entry_chain="forged"
     )
     violations = check_snapshot_certificates(deployment)
     assert invariants_of(violations) == ["snapshot-divergence"]
@@ -355,7 +355,7 @@ def test_recovery_from_snapshot_flags_nodes_without_installs(sim):
     node = deployment.unit("A").nodes[0]
     violations = check_recovery_from_snapshot(deployment, [node.node_id])
     assert invariants_of(violations) == ["recovery-from-snapshot"]
-    node.snapshot_installs = 1
+    node.engine.snapshot_installs = 1
     assert check_recovery_from_snapshot(deployment, [node.node_id]) == []
     # Unknown ids are ignored (the plan may name a node that was
     # removed by shrinking).

@@ -9,7 +9,7 @@ from repro.pbft.quorums import commit_quorum
 from repro.crypto.signatures import sign
 from repro.pbft.config import PBFTConfig
 from repro.pbft.messages import Checkpoint, SnapshotResponse
-from repro.pbft.replica import checkpoint_digest
+from repro.pbft.engine import checkpoint_digest
 from tests.conftest import build_single_dc
 
 
@@ -47,7 +47,7 @@ def test_stable_certificates_carry_verifying_signatures(sim):
         )
         # Transferable: any peer accepts it on signatures alone.
         for peer in unit.nodes:
-            assert peer._certificate_valid(certificate)
+            assert peer.certificate_valid(certificate)
 
 
 def test_certificate_without_proof_quorum_is_rejected(sim):
@@ -58,9 +58,9 @@ def test_certificate_without_proof_quorum_is_rejected(sim):
         certificate,
         signatures=certificate.signatures[: node.bp_config.proof_size - 1],
     )
-    assert not node._certificate_valid(stripped)
+    assert not node.certificate_valid(stripped)
     forged = dataclasses.replace(certificate, snapshot_digest="forged")
-    assert not node._certificate_valid(forged)
+    assert not node.certificate_valid(forged)
 
 
 def test_checkpoint_votes_verify_signer_and_content(sim):
@@ -75,15 +75,15 @@ def test_checkpoint_votes_verify_signer_and_content(sim):
         signature=sign(voter.directory.registry, voter.node_id, digest),
         replica=voter.node_id,
     )
-    assert judge._checkpoint_vote_valid(vote)
+    assert judge.checkpoint_vote_valid(vote)
     # Spoofed voter, tampered content, and missing signature all fail.
-    assert not judge._checkpoint_vote_valid(
+    assert not judge.checkpoint_vote_valid(
         dataclasses.replace(vote, replica=other.node_id)
     )
-    assert not judge._checkpoint_vote_valid(
+    assert not judge.checkpoint_vote_valid(
         dataclasses.replace(vote, state_digest="other")
     )
-    assert not judge._checkpoint_vote_valid(
+    assert not judge.checkpoint_vote_valid(
         dataclasses.replace(vote, signature=None)
     )
 
@@ -101,7 +101,7 @@ def test_committed_truncation_converges_across_the_unit(sim):
 def test_truncation_bound_is_revalidated_against_own_certificate(sim):
     deployment = checkpointed_deployment(sim, commits=12)
     node = deployment.unit("DC").nodes[0]
-    certified_base = node._stable_snapshot_payload.base_position
+    certified_base = node.engine._stable_snapshot_payload.base_position
     meta = {"checkpoint_seq": node.stable_checkpoint}
     assert node._verify_truncate(certified_base, meta) is True
     # A bound past what our own certificate covers is byzantine.
@@ -126,7 +126,7 @@ def test_replica_past_peer_gc_recovers_via_snapshot(sim):
     commit_values(sim, api, 10)
     sim.run(until=sim.now + 500.0)
     reference = unit.nodes[0]
-    assert reference._executed_gc_seq > 0, "peers retained the full log"
+    assert reference.engine._executed_gc_seq > 0, "peers retained the full log"
 
     lagger.crashed = False  # rejoin without the on-recover hook
     resync_node(lagger)
@@ -152,11 +152,11 @@ def test_tampered_snapshot_offer_is_rejected(sim):
     sim.run(until=sim.now + 500.0)
     honest = unit.nodes[0]
     certificate = honest.stable_certificate
-    payload = honest._stable_snapshot_payload
+    payload = honest.engine._stable_snapshot_payload
     victim.crashed = False
 
     tampered = dataclasses.replace(payload, entry_chain="forged-chain")
-    victim.handle_snapshot_response(
+    victim.engine.handle_snapshot_response(
         SnapshotResponse(
             certificate=certificate,
             snapshot=tampered,
@@ -165,12 +165,12 @@ def test_tampered_snapshot_offer_is_rejected(sim):
         ),
         honest.node_id,
     )
-    assert victim.snapshot_offers_rejected == 1
+    assert victim.engine.snapshot_offers_rejected == 1
     assert victim.snapshot_installs == 0
     assert victim.last_executed == 0
 
     # The genuine payload from the same certificate installs fine.
-    victim.handle_snapshot_response(
+    victim.engine.handle_snapshot_response(
         SnapshotResponse(
             certificate=certificate,
             snapshot=payload,

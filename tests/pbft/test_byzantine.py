@@ -9,13 +9,14 @@ import dataclasses
 
 from repro.pbft.byzantine import (
     BogusProposer,
+    EquivocatingEngine,
     EquivocatingLeader,
     SilentReplica,
     TamperingVoter,
 )
 from repro.pbft.config import PBFTConfig
 from repro.pbft.messages import PrePrepare
-from repro.pbft.replica import request_digest
+from repro.pbft.engine import request_digest
 from tests.pbft.helpers import assert_honest_agreement, commit_values, make_group
 
 FAST = PBFTConfig(request_timeout_ms=20.0, view_change_timeout_ms=40.0)
@@ -56,7 +57,7 @@ def test_equivocating_leader_cannot_split_honest_replicas(obs):
     assert future.resolved or view_changes.value > 0
 
 
-class SameDigestEquivocator(EquivocatingLeader):
+class SameDigestEngine(EquivocatingEngine):
     """Equivocates *under one digest*: every backup gets the honest
     proposal's digest, but the last one gets a forged value with it.
     Votes and the execution chain are digest-only, so only a backup
@@ -81,6 +82,10 @@ class SameDigestEquivocator(EquivocatingLeader):
         self.handle_pre_prepare(honest, self.node_id)
 
 
+class SameDigestEquivocator(EquivocatingLeader):
+    engine_class = SameDigestEngine
+
+
 def test_same_digest_equivocation_cannot_fork_honest_replicas():
     config = PBFTConfig(
         request_timeout_ms=20.0, view_change_timeout_ms=40.0,
@@ -100,7 +105,7 @@ def test_same_digest_equivocation_cannot_fork_honest_replicas():
     for replica in honest:
         assert "EVIL" not in [e.value for e in replica.executed_entries]
     assert_honest_agreement(honest, expected_length=2)
-    assert len({replica._exec_chain for replica in honest}) == 1
+    assert len({replica.engine._exec_chain for replica in honest}) == 1
 
 
 def test_tampering_voter_cannot_corrupt_agreement():

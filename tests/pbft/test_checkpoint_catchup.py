@@ -49,7 +49,7 @@ def test_replayed_replica_still_votes_matching_checkpoints():
     sim.run(until=sim.now + 100)
     assert replicas[3].last_executed == 3
     # Entry replay chains the same digests normal execution does.
-    assert len({replica._exec_chain for replica in replicas}) == 1
+    assert len({replica.engine._exec_chain for replica in replicas}) == 1
     # With r2 down the seq-4 checkpoint needs all of r0, r1 and the
     # replayed r3: it stabilizes only if r3's vote matches theirs.
     replicas[2].crash()
@@ -87,7 +87,7 @@ def test_catch_up_requires_f_plus_one_matching_peers():
         ],
         replica="r1",
     )
-    lagger.handle_catch_up_response(forged, "r1")
+    lagger.engine.handle_catch_up_response(forged, "r1")
     sim.run(until=sim.now + 100)
     values = [e.value for e in lagger.executed_entries]
     assert "forged" not in values

@@ -51,8 +51,8 @@ def test_concurrent_submissions_all_commit():
 
 def test_group_size_arithmetic():
     _sim, replicas = make_group(n=7)
-    assert replicas[0].n == 7
-    assert replicas[0].f == 2
+    assert replicas[0].engine.n == 7
+    assert replicas[0].engine.f == 2
 
 
 def test_too_small_group_rejected():
@@ -106,7 +106,7 @@ def test_duplicate_request_not_committed_twice():
     sim, replicas = make_group()
     commit_values(sim, replicas[0], ["v1"])
     # Re-dispatch the same request id (simulating a client retry).
-    replicas[0]._dispatch_request(("r0", 1))
+    replicas[0].engine._dispatch_request(("r0", 1))
     sim.run(until=sim.now + 20)
     assert_honest_agreement(replicas, expected_length=1)
 
@@ -115,5 +115,5 @@ def test_execution_chain_digests_agree():
     sim, replicas = make_group()
     commit_values(sim, replicas[0], ["a", "b", "c"])
     sim.run(until=sim.now + 10)
-    chains = {replica._exec_chain for replica in replicas}
+    chains = {replica.engine._exec_chain for replica in replicas}
     assert len(chains) == 1

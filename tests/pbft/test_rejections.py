@@ -21,7 +21,7 @@ def test_non_leader_cannot_kill_requests_with_forged_rejections():
     forged = RejectRequest(
         request_id=("r0", 1), reason="forged", replica="r2"
     )
-    replicas[0].handle_reject_request(forged, "r2")
+    replicas[0].engine.handle_reject_request(forged, "r2")
     entry = sim.run_until_resolved(future, max_events=5_000_000)
     assert entry.value == "victim"
 

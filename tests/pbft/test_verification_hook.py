@@ -92,8 +92,8 @@ def test_noop_record_type_always_passes_verification():
     sim, replicas = make_group(verifier=lambda v, rt, m: False)
     # Everything is rejected by this verifier except protocol no-ops;
     # the group must still be able to fill holes after view changes.
-    from repro.pbft.replica import NOOP_RECORD_TYPE
+    from repro.pbft.engine import NOOP_RECORD_TYPE
 
-    assert replicas[0]._verify_slot(
+    assert replicas[0].engine._verify_slot(
         type("S", (), {"record_type": NOOP_RECORD_TYPE, "value": None, "meta": None})()
     ) is True
