@@ -903,9 +903,9 @@ class PBFTEngine:
         """Origin side: resolve the submit future on f+1 matching
         replies."""
         pending = self._pending.get(msg.request_id)
-        if pending is None:
-            return
-        pending.replies[msg.replica] = (msg.view, msg.seq, msg.digest)
+        if pending is None or msg.replica != src:
+            return  # a replica may only reply as itself
+        pending.replies[src] = (msg.view, msg.seq, msg.digest)
         matching = [
             replica
             for replica, (view, seq, digest) in pending.replies.items()

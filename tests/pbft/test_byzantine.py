@@ -15,8 +15,9 @@ from repro.pbft.byzantine import (
     TamperingVoter,
 )
 from repro.pbft.config import PBFTConfig
-from repro.pbft.messages import PrePrepare
-from repro.pbft.engine import request_digest
+from repro.pbft.engine import PBFTEngine, request_digest
+from repro.pbft.messages import PrePrepare, Reply
+from repro.pbft.replica import PBFTReplica
 from tests.pbft.helpers import assert_honest_agreement, commit_values, make_group
 
 FAST = PBFTConfig(request_timeout_ms=20.0, view_change_timeout_ms=40.0)
@@ -145,3 +146,39 @@ def test_f_byzantine_is_masked_but_f_plus_one_can_stall():
     assert not future.resolved
     for replica in replicas[:2]:
         assert replica.executed_entries == []
+
+
+class ReplyForgingEngine(PBFTEngine):
+    """A leader that never orders a request and instead answers its
+    origin with ``f + 1`` replies, each naming a different backup."""
+
+    def handle_client_request(self, msg, src):
+        for ghost in ("r2", "r3"):
+            self.send(
+                msg.request_id[0],
+                Reply(
+                    view=self.view, seq=99, digest="f" * 64,
+                    request_id=msg.request_id, replica=ghost,
+                ),
+            )
+
+
+class ReplyForger(PBFTReplica):
+    engine_class = ReplyForgingEngine
+
+
+def test_one_replica_cannot_forge_a_reply_quorum():
+    sim, replicas = make_group(overrides={0: ReplyForger}, config=FAST)
+    future = replicas[1].submit("real")
+    sim.run(until=5.0)  # the forgeries arrive long before any timeout
+    # f + 1 matching replies from one sender are one voice, not a quorum.
+    assert not future.resolved
+    assert all(replica.executed_entries == [] for replica in replicas)
+    # The retry timer is still live: it deposes the forger, and the
+    # future resolves with what the honest quorum really executed.
+    entry = sim.run_until_resolved(future, max_events=20_000_000)
+    assert entry.seq != 99
+    for replica in replicas[1:]:
+        assert (entry.seq, "real") in [
+            (e.seq, e.value) for e in replica.executed_entries
+        ]
