@@ -409,9 +409,11 @@ class PBFTEngine:
 
     def abandon(self, request_id: Tuple[str, int]) -> None:
         """Give up on a submitted request whose outcome no longer
-        matters (someone else's submission of the same value won): it
-        is no longer retried and its future is never settled."""
-        self._close_request(request_id, superseded=True)
+        matters (the value committed through another submission): its
+        retry timer is cancelled and its future is never settled."""
+        pending = self._close_request(request_id, superseded=True)
+        if pending is not None and pending.timer is not None:
+            pending.timer.cancel()
 
     def _close_request(
         self, request_id: Tuple[str, int], **outcome: Any

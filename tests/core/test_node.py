@@ -113,6 +113,26 @@ def test_incoming_transmission_committed_once_despite_fanout(sim):
     assert len(received_entries) == 1
 
 
+def test_superseded_reception_submission_leaves_no_live_retry_timer(sim):
+    # Both fanout targets submit the same sealed transmission. Whoever
+    # applies the committed reception abandons its own submission: the
+    # request must leave the engine *and* take its retry timer with it.
+    deployment = build_pair(sim)
+    nodes_b = deployment.unit("B").nodes
+    retries = []
+    for node in nodes_b:
+        node.engine._request_timeout = retries.append
+    sim.run_until_resolved(deployment.api("A").send("once", to="B"))
+    sim.run(until=sim.now + 100.0)
+    submitters = [n for n in nodes_b if n.engine._request_counter]
+    assert len(submitters) == 2
+    assert all(not node.engine._pending for node in nodes_b)
+    # Far beyond the 50 ms request timeout: no retry timer fires, not
+    # even as a no-op on a request that is already gone.
+    sim.run(until=sim.now + 1_000.0)
+    assert retries == []
+
+
 def test_retransmitted_transmission_is_dropped(sim):
     deployment = build_pair(sim)
     api_b = deployment.api("B")
