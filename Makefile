@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test shapes lint lint-rules lint-baseline chaos audit bench-selftest obs-cost crypto-cost console experiments
+.PHONY: test shapes lint lint-rules lint-baseline chaos audit bench-selftest identical obs-cost crypto-cost console experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,6 +42,31 @@ audit:
 # BENCHMARK.json <-> bench/run.py lockstep (~10 s).
 bench-selftest:
 	python3 bench/run.py --selftest
+
+# A refactor must leave the seeded runs bit-identical: `make identical
+# BASE=<rev>` exports BASE (`git archive`, so no worktree stays
+# registered) into IDENTICAL_DIR, runs the traced benchmark there and in
+# the working tree on seeds 7 and 11, and fails on any `changed` exact
+# counter or any *_vms value that is not `same` (`--compare` itself only
+# fails on REGRESSED/unresolved host-time rows).
+IDENTICAL_DIR ?= /tmp/repro-identical
+identical:
+	@test -n "$(BASE)" || { echo "usage: make identical BASE=<rev>" >&2; exit 2; }
+	rm -rf $(IDENTICAL_DIR) && mkdir -p $(IDENTICAL_DIR)/base
+	git archive $(BASE) | tar -x -C $(IDENTICAL_DIR)/base
+	@status=0; for seed in 7 11; do \
+		run="bench/run.py --seed $$seed --repeats 1 --trace 1 --out"; \
+		(cd $(IDENTICAL_DIR)/base && python3 $$run ../base-$$seed.json) >/dev/null; \
+		python3 $$run $(IDENTICAL_DIR)/tree-$$seed.json >/dev/null; \
+		python3 bench/run.py --compare $(IDENTICAL_DIR)/base-$$seed.json \
+			$(IDENTICAL_DIR)/tree-$$seed.json >$(IDENTICAL_DIR)/compare-$$seed.txt; \
+		test -s $(IDENTICAL_DIR)/compare-$$seed.txt || status=1; \
+		awk -v seed=$$seed '$$NF == "changed" || ($$2 ~ /_vms$$/ && $$NF != "same") \
+			{ print "seed " seed ": " $$0; bad = 1 } END { exit bad }' \
+			$(IDENTICAL_DIR)/compare-$$seed.txt || status=1; \
+	done; \
+	test $$status -ne 0 || echo "identical on seeds 7 and 11: every exact counter and *_vms value"; \
+	exit $$status
 
 # What full observability costs: the same traffic with telemetry off
 # and on. Budget: wan_mixed_obs commits_per_s >= 0.80 x wan_mixed and

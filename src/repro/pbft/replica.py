@@ -140,19 +140,11 @@ class PBFTReplica(Node, PBFTApp):
         payload_bytes: int = 0,
         trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> Future:
-        """Submit a value for total-order commitment.
-
-        Args:
-            trace_ctx: Optional observability trace context
-                ``(trace_id, parent_span_id)``; when tracing is on the
-                consensus round and its phases are recorded as child
-                spans of it.
-
-        Returns:
-            A future resolving with the :class:`CommittedEntry` once
-            ``f + 1`` replicas have replied with matching execution
-            results (``engine.submit`` also hands back the request id).
-        """
+        """Submit a value for total-order commitment; see
+        :meth:`PBFTEngine.submit`, which also hands back the request id.
+        Returns the future alone. With tracing on and a ``trace_ctx``,
+        the consensus round and its phases are recorded as child spans
+        of that context."""
         return self.engine.submit(
             value, record_type, meta, payload_bytes, trace_ctx
         )[1]
