@@ -100,7 +100,9 @@ def _held_layers(graph, hosts) -> Set[str]:
                 ):
                     continue
                 holder = _dotted(node.value.args[0]) or ""
-                type_name = host.attr_type(holder.partition("self.")[2])
+                type_name = holder.startswith("self.") and host.attr_type(
+                    holder[len("self."):]
+                )
                 engine = type_name and _resolve_class_name(
                     graph, graph.modules.get(host.module), type_name
                 )

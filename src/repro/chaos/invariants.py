@@ -504,7 +504,7 @@ def check_snapshot_certificates(
             certificate = node.stable_certificate
             if certificate is None:
                 continue
-            payload = node.engine._stable_snapshot_payload
+            payload = node.stable_snapshot_payload
             if (
                 payload is not None
                 and payload.digest() != certificate.snapshot_digest

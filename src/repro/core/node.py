@@ -179,9 +179,7 @@ class BlockplaneNode(PBFTReplica):
         instruction. Returns a future resolving with the
         :class:`~repro.pbft.messages.CommittedEntry`.
         """
-        return self.engine.submit(
-            value, record_type, meta, payload_bytes, trace_ctx
-        )[1]
+        return self.submit(value, record_type, meta, payload_bytes, trace_ctx)
 
     # ------------------------------------------------------------------
     # Verification dispatch (the engine's app hook)
@@ -303,7 +301,7 @@ class BlockplaneNode(PBFTReplica):
         checkpoint_seq = (meta or {}).get("checkpoint_seq")
         if not isinstance(checkpoint_seq, int) or checkpoint_seq < 1:
             return False
-        certified = self.engine._stable_snapshot_payload
+        certified = self.stable_snapshot_payload
         if self.stable_checkpoint < checkpoint_seq or not isinstance(
             certified, LogSnapshot
         ):

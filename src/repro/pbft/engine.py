@@ -737,7 +737,7 @@ class PBFTEngine:
         # may return None to *defer* (e.g. a received record whose chain
         # predecessor has not been voted yet); the check is retried when
         # earlier slots make progress.
-        verdict = self._verify_slot(slot)
+        verdict = self.verdict(slot.value, slot.record_type, slot.meta)
         if verdict is None:
             self._deferred_verification.add(seq)
             return
@@ -770,11 +770,14 @@ class PBFTEngine:
         for seq in pending:
             self._check_prepared(seq)
 
-    def _verify_slot(self, slot: _Slot) -> Optional[bool]:
-        if slot.record_type == NOOP_RECORD_TYPE:
+    def verdict(
+        self, value: Any, record_type: str, meta: Optional[Dict[str, Any]]
+    ) -> Optional[bool]:
+        """The app's verification verdict on a proposal, made total."""
+        if record_type == NOOP_RECORD_TYPE:
             return True  # hole fillers are always legal
         try:
-            verdict = self.app.verify(slot.value, slot.record_type, slot.meta)
+            verdict = self.app.verify(value, record_type, meta)
         except Exception:
             # A crashing verification routine must read as a rejection:
             # byzantine proposals may be arbitrarily malformed.

@@ -127,6 +127,7 @@ class PBFTReplica(Node, PBFTApp):
     stable_certificate = _engine_state("stable_certificate")
     low_water = _engine_state("low_water")
     snapshot_installs = _engine_state("snapshot_installs")
+    stable_snapshot_payload = _engine_state("_stable_snapshot_payload")
 
     def leader_of(self, view: int) -> str:
         """Deterministic leader rotation: the view number modulo n."""
@@ -162,10 +163,7 @@ class PBFTReplica(Node, PBFTApp):
         proposal that can never gather commit votes."""
         if self.verifier is None:
             return None
-        slot_like = _Slot(
-            value=msg.value, record_type=msg.record_type, meta=msg.meta
-        )
-        if self.engine._verify_slot(slot_like) is False:
+        if self.engine.verdict(msg.value, msg.record_type, msg.meta) is False:
             return "verification routine rejected the value"
         return None
 

@@ -94,6 +94,4 @@ def test_noop_record_type_always_passes_verification():
     # the group must still be able to fill holes after view changes.
     from repro.pbft.engine import NOOP_RECORD_TYPE
 
-    assert replicas[0].engine._verify_slot(
-        type("S", (), {"record_type": NOOP_RECORD_TYPE, "value": None, "meta": None})()
-    ) is True
+    assert replicas[0].engine.verdict(None, NOOP_RECORD_TYPE, None) is True
