@@ -72,8 +72,8 @@ SANITIZER_NAME_RE = re.compile(
 )
 
 #: Verdict-returning verification primitives: calling one as a bare
-#: statement discards the verdict (BP010). Raising routines
-#: (``verify_received``) are detected by summary instead.
+#: statement discards the verdict (BP010). Raising checkers
+#: (``QuorumProof.check``) return no value and are legitimately bare.
 VERDICT_CALL_NAMES = frozenset({
     "is_valid", "verify", "check", "valid_signers",
     "verify_log_commit", "verify_send", "verify_received_payload",
@@ -96,6 +96,7 @@ METHOD_SINKS: Dict[Tuple[str, str], str] = {
     ("LocalLog", "append"): "Local Log append",
     ("LocalLog", "restore"): "Local Log restore",
     ("LocalLog", "truncate_before"): "Local Log truncation",
+    ("PBFTEngine", "submit"): "consensus proposal",
 }
 
 #: Instance attributes whose assignment is a state sink.

@@ -24,8 +24,7 @@ TRUST_CALLS = {
     "check",
     "valid_signers",
     "verify",
-    "verify_received",
-    "_ingress_valid",
+    "proof_valid",
     "_verify_reception",
     "_verify_mirror",
 }
@@ -169,7 +168,7 @@ class UncheckedProofChecker(Checker):
                     Finding(
                         self.rule, ctx.path, read.lineno, read.col_offset,
                         "transmission payload read without a dominating "
-                        "proof check (is_valid/verify_received/...); "
+                        "proof check (is_valid/proof_valid/...); "
                         "verify the fi+1 signatures before acting on "
                         "the record",
                     )

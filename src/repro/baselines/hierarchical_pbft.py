@@ -100,17 +100,25 @@ class HierarchicalPBFTNode(PBFTReplica):
             return
         if len(votes) >= self.deployment.site_majority:
             # Step 3: record the decision durably at the leader site.
-            final = self.submit(("chosen", msg.slot))
+            final = self._commit_unverified(("chosen", msg.slot))
             final.add_done_callback(
                 lambda _f: None if future.resolved else future.resolve(msg.slot)
             )
+
+    def _commit_unverified(self, value: Any, payload_bytes: int = 0) -> Future:
+        """Commit a value a remote site's message carries through this
+        site's PBFT. Nothing is checked: the ablation keeps Blockplane's
+        hierarchy but none of its verification (Section VIII-D)."""
+        return self.engine.submit(  # bp-lint: disable=BP009 -- ablation: unverified
+            value, payload_bytes=payload_bytes
+        )[1]
 
     # -- remote-site side ------------------------------------------------
     def handle_global_accept(self, msg: GlobalAccept, src: str) -> None:
         # Locally commit the accept through this site's PBFT (the SMR
         # log is the communication medium — no extra verification or
         # signature machinery).
-        committed = self.submit(
+        committed = self._commit_unverified(
             ("accept", msg.slot, msg.value), payload_bytes=msg.payload_bytes
         )
 

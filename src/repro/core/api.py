@@ -28,7 +28,7 @@ from repro.core.records import (
     RECORD_COMMUNICATION,
     RECORD_LOG_COMMIT,
 )
-from repro.errors import ConfigurationError, Overloaded
+from repro.errors import ConfigurationError, Overloaded, VerificationFailed
 from repro.sim.process import Future
 
 if TYPE_CHECKING:
@@ -225,21 +225,15 @@ class BlockplaneAPI:
         return self.sim.spawn(self._proven_read(position))
 
     def _proven_read(self, position: int):
-        from repro.errors import VerificationFailed
-
         gateway = self.unit.gateway_node()
         entry = yield gateway.read_quorum(position, 1)
         if entry is None:
             return None
+        digest = entry.digest()
         proof = yield gateway.collect_local_signatures(
-            position, entry.digest(), purpose="entry"
+            position, digest, purpose="entry"
         )
-        directory = self.unit.directory
-        if not proof.is_valid(
-            directory.registry,
-            self.unit.config.proof_size,
-            allowed_signers=directory.unit_members(self.participant),
-        ):
+        if not gateway.proof_valid(proof, digest, self.participant):
             raise VerificationFailed(
                 f"entry proof for position {position} did not validate"
             )

@@ -28,7 +28,6 @@ from repro.core.records import (
     LogEntry,
     RECORD_COMMUNICATION,
     SealedTransmission,
-    TransmissionRecord,
 )
 from repro.pbft.quorums import commit_quorum
 
@@ -133,7 +132,6 @@ class CommunicationDaemon:
     def _ship_process(self, entry: LogEntry):
         node = self.node
         obs = node.obs
-        log = node.local_log
         ctx = None
         ship_span = None
         if obs.tracing:
@@ -146,16 +144,7 @@ class CommunicationDaemon:
                     participant=node.participant, node=node.node_id,
                     destination=self.destination, position=entry.position,
                 )
-        record = TransmissionRecord(
-            source=node.participant,
-            destination=self.destination,
-            message=entry.value,
-            source_position=entry.position,
-            prev_position=log.previous_communication_position(
-                self.destination, entry.position
-            ),
-            payload_bytes=entry.payload_bytes,
-        )
+        record = node.local_log.transmission_record(entry)
         # Gather f_i + 1 signatures from local nodes (one local round).
         sign_started = node.sim.now
         proof = yield node.collect_local_signatures(

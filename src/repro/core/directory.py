@@ -52,10 +52,6 @@ class Directory:
                 f"unknown participant {participant!r}"
             ) from None
 
-    def all_unit_members(self) -> Dict[str, List[str]]:
-        """participant → node ids, for geo-proof validation."""
-        return {name: list(ids) for name, ids in self._units.items()}
-
     def gateway(self, participant: str) -> str:
         """The node user-space calls enter through (typically the unit's
         initial PBFT leader)."""

@@ -125,13 +125,7 @@ class GeoCoordinator:
         obs = node.obs
         gather_started = node.sim.now
         fg = node.bp_config.f_geo
-        mirror = MirrorEntry(
-            source=node.participant,
-            position=entry.position,
-            record_type=entry.record_type,
-            value=entry.value,
-            meta=entry.meta,
-        )
+        mirror = MirrorEntry.of(node.participant, entry)
         digest = mirror.digest()
         local_proof = yield node.collect_local_signatures(
             entry.position, digest, purpose="mirror"
@@ -253,13 +247,7 @@ class GeoCoordinator:
             return (target, None)
         response: MirrorResponse = outcome
         proof = response.proof
-        if proof is None or proof.digest != mirror.digest():
-            return (target, None)
-        if not proof.is_valid(
-            node.directory.registry,
-            node.bp_config.proof_size,
-            allowed_signers=node.directory.unit_members(target),
-        ):
+        if not node.proof_valid(proof, mirror.digest(), target):
             return (target, None)
         return (target, proof)
 

@@ -33,6 +33,7 @@ from repro.core.records import (
     RECORD_COMMUNICATION,
     RECORD_RECEIVED,
     SealedTransmission,
+    TransmissionRecord,
 )
 from repro.crypto.digest import stable_digest
 from repro.errors import LogError
@@ -394,6 +395,22 @@ class LocalLog:
             if head is not None and head < position:
                 return head
         return previous
+
+    def transmission_record(self, entry: LogEntry) -> TransmissionRecord:
+        """The wide-area envelope of a communication ``entry`` (``P`` in
+        Algorithm 2): what the daemon ships and what every unit member
+        re-derives from its own copy before attesting it."""
+        destination = entry.destination
+        return TransmissionRecord(
+            source=self.participant,
+            destination=destination,
+            message=entry.value,
+            source_position=entry.position,
+            prev_position=self.previous_communication_position(
+                destination, entry.position
+            ),
+            payload_bytes=entry.payload_bytes,
+        )
 
     # ------------------------------------------------------------------
     # Reception state (used by the receive verification routine)

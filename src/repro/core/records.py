@@ -197,6 +197,19 @@ class MirrorEntry:
     value: Any
     meta: Optional[Dict[str, Any]] = None
 
+    @classmethod
+    def of(cls, participant: str, entry: LogEntry) -> "MirrorEntry":
+        """``participant``'s Local Log ``entry`` as shipped to its
+        mirrors (what the gateway gathers proofs over and every unit
+        member re-derives before attesting)."""
+        return cls(
+            source=participant,
+            position=entry.position,
+            record_type=entry.record_type,
+            value=entry.value,
+            meta=entry.meta,
+        )
+
     def digest(self) -> str:
         """Digest covered by mirror proofs (identity-memoized)."""
         return cached_digest(self, _mirror_digest)

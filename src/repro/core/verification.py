@@ -7,24 +7,24 @@ record that is not a legal state transition of the wrapped protocol
 (Lemma 3).
 
 The *receive verification routine* is built into Blockplane itself
-(Section IV-C); :func:`verify_received` implements its three checks:
+(Section IV-C) and lives on the node that runs it,
+:meth:`repro.core.node.BlockplaneNode._verify_reception`, with its
+unit-proof test :meth:`~repro.core.node.BlockplaneNode.proof_valid`.
+Its three checks:
 
 1. the transmission record carries ``fi + 1`` valid signatures from the
    source participant's unit (plus ``fg`` participant proofs when geo
    tolerance is on),
-2. the record was not received before, and
+2. the record was not received before (a committed duplicate is voted
+   for idempotently and dropped at apply time), and
 3. no earlier transmission from that source is missing (the previous
-   pointer must equal the last received position).
+   pointer must equal the last received position; a predecessor still
+   in flight defers the vote).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
-
-from repro.core.local_log import LocalLog
-from repro.core.records import SealedTransmission
-from repro.crypto.keys import KeyRegistry
-from repro.errors import ReceiveVerificationError
+from typing import Any, Dict, Optional
 
 
 class VerificationRoutines:
@@ -79,77 +79,3 @@ class VerificationRoutines:
 class AcceptAll(VerificationRoutines):
     """Explicitly permissive routines (for tests and micro-benchmarks)."""
 
-
-def verify_received(
-    sealed: SealedTransmission,
-    log: LocalLog,
-    registry: KeyRegistry,
-    source_unit_members: Sequence[str],
-    required_signatures: int,
-    expected_destination: str,
-    geo_required: int = 0,
-    geo_unit_members: Optional[Dict[str, Sequence[str]]] = None,
-) -> None:
-    """The built-in receive verification routine.
-
-    Args:
-        sealed: The transmission record plus proofs as received.
-        log: The receiving node's Local Log copy.
-        registry: The deployment's key registry.
-        source_unit_members: Node ids of the claimed source unit.
-        required_signatures: ``fi + 1``.
-        expected_destination: This participant's name.
-        geo_required: ``fg`` — number of additional participant proofs
-            a transmission must carry when geo tolerance is enabled.
-        geo_unit_members: participant name → that unit's node ids, for
-            validating geo proofs.
-
-    Raises:
-        ReceiveVerificationError: Describing which check failed.
-    """
-    record = sealed.record
-    if record.destination != expected_destination:
-        raise ReceiveVerificationError(
-            f"transmission addressed to {record.destination!r}, "
-            f"we are {expected_destination!r}"
-        )
-    # Check 1 — the source-unit proof.
-    if sealed.proof.digest != record.digest():
-        raise ReceiveVerificationError("proof does not cover this record")
-    if not sealed.proof.is_valid(
-        registry, required_signatures, allowed_signers=source_unit_members
-    ):
-        raise ReceiveVerificationError(
-            f"fewer than {required_signatures} valid source signatures"
-        )
-    # Check 1b — geo proofs (Section V: "a node receiving a transmission
-    # record would only accept it if the proofs of the source
-    # participant and the other fg participants are valid").
-    if geo_required > 0:
-        valid_geo = 0
-        for participant, proof in sealed.geo_proofs:
-            members = (geo_unit_members or {}).get(participant)
-            if members is None or participant == record.source:
-                continue
-            if proof.digest != record.digest():
-                continue
-            if proof.is_valid(registry, required_signatures, members):
-                valid_geo += 1
-        if valid_geo < geo_required:
-            raise ReceiveVerificationError(
-                f"only {valid_geo} of {geo_required} required geo proofs "
-                "are valid"
-            )
-    # Check 2 — not a duplicate.
-    if log.has_received(record.source, record.source_position):
-        raise ReceiveVerificationError(
-            f"duplicate transmission {record.source}:{record.source_position}"
-        )
-    # Check 3 — no gap: the previous pointer must match what we have.
-    last = log.last_received_from(record.source)
-    expected_prev = last if last > 0 else None
-    if record.prev_position != expected_prev:
-        raise ReceiveVerificationError(
-            f"out-of-order transmission from {record.source}: previous "
-            f"pointer {record.prev_position}, last received {expected_prev}"
-        )

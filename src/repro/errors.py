@@ -58,8 +58,3 @@ class Overloaded(ReproError):
     """Admission control shed a submission: the participant already has
     ``admission_max_in_flight`` commits outstanding. Open-loop callers
     should back off and retry; the request was never proposed."""
-
-
-class ReceiveVerificationError(VerificationFailed):
-    """The built-in receive verification routine rejected a transmission
-    record (bad proof, duplicate, or gap in the per-destination chain)."""

@@ -13,7 +13,6 @@ from repro.errors import (
     NetworkError,
     ProcessError,
     ProtocolError,
-    ReceiveVerificationError,
     ReproError,
     SimulationError,
     UnknownNodeError,
@@ -38,13 +37,8 @@ def test_every_error_derives_from_repro_error():
         VerificationFailed,
         LogError,
         ConfigurationError,
-        ReceiveVerificationError,
     ):
         assert issubclass(error_class, ReproError)
-
-
-def test_receive_verification_is_a_verification_failure():
-    assert issubclass(ReceiveVerificationError, VerificationFailed)
 
 
 def test_unit_size_arithmetic():
