@@ -294,9 +294,10 @@ def test_digest_memo_applies_to_paxos_payloads():
     assert hits / (hits + misses) >= 0.5
     # Exact and seed-independent: one miss per distinct payload object
     # plus the wrappers whose `meta` dict keeps them out of the memo.
-    # With dict payloads this was (0, 348) + 5 x (0, 336). To re-derive
-    # after a deliberate protocol change, print(memo) here.
-    assert memo == [(194, 118)] + [(187, 113)] * ROUNDS
+    # With dict payloads this was (0, 348) + 5 x (0, 336); the leader's
+    # reception proof check added 6 hits per round. To re-derive after a
+    # deliberate protocol change, print(memo) here.
+    assert memo == [(200, 118)] + [(193, 113)] * ROUNDS
 
 
 def test_wire_fidelity_preserves_records_and_timing():

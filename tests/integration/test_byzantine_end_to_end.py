@@ -172,3 +172,39 @@ def test_byzantine_member_cannot_forge_counter_increments(sim):
             )
             for e in node.local_log
         )
+
+
+def test_one_member_cannot_wedge_its_unit_with_a_forged_reception(sim):
+    # A byzantine unit member submits a reception whose proof carries no
+    # valid source-unit signature. The honest leader must refuse it at
+    # pre-validation: once proposed, the slot prepares, no honest
+    # replica can verify it, and every later leader re-proposes it — a
+    # view-change storm in which nothing is ever received.
+    from repro.core.records import (
+        RECORD_RECEIVED,
+        SealedTransmission,
+        TransmissionRecord,
+    )
+    from repro.crypto.signatures import QuorumProof, collect_signatures
+
+    deployment = build_pair(sim)
+    forger = deployment.unit("B").nodes[2]
+    record = TransmissionRecord(
+        source="A",
+        destination="B",
+        message="forged",
+        source_position=1,
+        prev_position=None,
+    )
+    proof = QuorumProof.build(
+        record.digest(),
+        collect_signatures(deployment.registry, [forger.node_id], record.digest()),
+    )
+    forger.engine.submit(
+        SealedTransmission(record, proof), RECORD_RECEIVED, {"source": "A"}
+    )
+    deployment.api("A").send("m0", to="B")
+    received = deployment.api("B").receive("A")
+    sim.run(until=2000.0, max_events=20_000_000)
+    assert received.resolved and received.result() == "m0"
+    assert [node.view for node in deployment.unit("B").nodes] == [0, 0, 0, 0]
