@@ -110,9 +110,6 @@ class FunctionInfo:
     def line(self) -> int:
         return self.node.lineno
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<fn {self.qualname}>"
-
 
 class ClassInfo:
     """One class definition: bases, methods, and inferred attr types."""
@@ -174,12 +171,6 @@ class ClassInfo:
             if attr in cls.attr_elems:
                 return cls.attr_elems[attr]
         return None
-
-    def derives_from(self, qualname: str) -> bool:
-        return any(c.qualname == qualname for c in self.mro())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<class {self.qualname}>"
 
 
 class CallSite:
@@ -565,13 +556,6 @@ class CallGraph:
                 site.to_dict() for site in self.dynamic_sites()
             ],
         }
-
-    def node_subclasses(self) -> List[ClassInfo]:
-        """Classes deriving (in-tree) from repro.sim.node.Node."""
-        return [
-            cls for cls in self.classes.values()
-            if cls.derives_from("repro.sim.node.Node")
-        ]
 
 
 def build_call_graph(contexts: Sequence[ModuleContext]) -> CallGraph:

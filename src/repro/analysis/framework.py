@@ -190,22 +190,6 @@ class Suppressions:
         self.entries: List[SuppressionEntry] = []
         self._parse(source)
 
-    @property
-    def file_rules(self) -> Set[str]:
-        rules: Set[str] = set()
-        for entry in self.entries:
-            if entry.file_level:
-                rules |= entry.rules
-        return rules
-
-    @property
-    def line_rules(self) -> Dict[int, Set[str]]:
-        by_line: Dict[int, Set[str]] = {}
-        for entry in self.entries:
-            if not entry.file_level:
-                by_line.setdefault(entry.line, set()).update(entry.rules)
-        return by_line
-
     def _parse(self, source: str) -> None:
         code_lines: Set[int] = set()
         comments: List[Tuple[int, str]] = []

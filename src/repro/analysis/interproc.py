@@ -163,9 +163,6 @@ class SinkFlow:
     def key(self) -> Tuple[str, str, str, int]:
         return (self.token, self.sink, self.path, self.line)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<flow {self.token} -> {self.sink} @{self.line}>"
-
 
 class Summary:
     """Per-function taint transfer function."""
@@ -320,11 +317,6 @@ class TaintEngine:
                     bind_target(
                         item.optional_vars, evaluate(item.context_expr)
                     )
-        elif isinstance(stmt, ast.Match):
-            tokens = evaluate(stmt.subject)
-            for case in stmt.cases:
-                for name in _capture_names(case.pattern):
-                    bind(name, tokens)
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
             if not (
                 isinstance(stmt.value, ast.Constant)
@@ -668,19 +660,6 @@ def _call_name(node: ast.Call) -> Optional[str]:
     if isinstance(node.func, ast.Name):
         return node.func.id
     return None
-
-
-def _capture_names(pattern: ast.AST) -> List[str]:
-    """Names bound by a ``match`` case pattern."""
-    names: List[str] = []
-    for node in ast.walk(pattern):
-        if isinstance(node, ast.MatchAs) and node.name is not None:
-            names.append(node.name)
-        elif isinstance(node, ast.MatchStar) and node.name is not None:
-            names.append(node.name)
-        elif isinstance(node, ast.MatchMapping) and node.rest is not None:
-            names.append(node.rest)
-    return names
 
 
 def _target_names(target: ast.AST) -> List[str]:

@@ -58,7 +58,3 @@ class FlatPaxosDeployment:
     def replicate(self, value: Any, payload_bytes: int = 0) -> Future:
         """Run one Replication phase (the quantity Figure 7 reports)."""
         return self.leader.replicate(value, payload_bytes)
-
-    def chosen_log(self, site: str) -> Dict[int, Any]:
-        """The chosen values known at one site's node."""
-        return dict(self.nodes[site].chosen)

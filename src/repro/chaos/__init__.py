@@ -24,7 +24,7 @@ CLI::
 """
 
 from repro.chaos.generator import ScheduleGenerator
-from repro.chaos.invariants import Violation, check_all, check_plan_budget
+from repro.chaos.invariants import Violation, check_plan_budget
 from repro.chaos.plan import FaultAction, FaultBudget, FaultPlan
 from repro.chaos.runner import ChaosResult, ChaosRunner
 from repro.chaos.shrink import repro_script, shrink_plan
@@ -37,7 +37,6 @@ __all__ = [
     "FaultPlan",
     "ScheduleGenerator",
     "Violation",
-    "check_all",
     "check_plan_budget",
     "repro_script",
     "shrink_plan",

@@ -559,7 +559,7 @@ def check_recovery_from_snapshot(
                     "recovery-from-snapshot",
                     f"{node_id} rejoined without snapshot state transfer "
                     f"(last_executed={node.last_executed}, "
-                    f"low_water={node.low_water})",
+                    f"low_water={node.stable_checkpoint})",
                     site=node.participant,
                 )
             )
@@ -577,19 +577,3 @@ def check_post_heal(deployment) -> List[Violation]:
         for node in deployment.all_nodes()
         if node.crashed
     ]
-
-
-def check_all(
-    deployment, plan: FaultPlan, sites: Sequence[str] = DEFAULT_SITES
-) -> List[Violation]:
-    """The full suite over a finished run (budget check included, so a
-    caller holding only the deployment cannot forget it)."""
-    violations = check_plan_budget(plan, sites)
-    exclude = byzantine_node_ids(plan)
-    violations += check_post_heal(deployment)
-    violations += check_local_log_agreement(deployment, exclude)
-    violations += check_transmission_chains(deployment)
-    violations += check_at_most_once(deployment)
-    violations += check_geo_mirrors(deployment)
-    violations += check_snapshot_certificates(deployment, exclude)
-    return violations

@@ -42,13 +42,6 @@ from repro.core.api import BlockplaneAPI
 from repro.core.middleware import BlockplaneDeployment
 from repro.core.reads import ReadStrategy
 from repro.core.batching import Batcher
-from repro.core.replay import (
-    Snapshot,
-    SnapshotStore,
-    attach_replayer,
-    replay,
-    states_agree,
-)
 
 # Importing the codec compiles the per-class wire encoders/decoders and
 # fills ``repro.crypto.digest``'s canonical-expander and immutability
@@ -69,11 +62,6 @@ __all__ = [
     "AcceptAll",
     "ReadStrategy",
     "Batcher",
-    "Snapshot",
-    "SnapshotStore",
-    "attach_replayer",
-    "replay",
-    "states_agree",
     "RECORD_LOG_COMMIT",
     "RECORD_COMMUNICATION",
     "RECORD_RECEIVED",

@@ -64,11 +64,6 @@ class BlockplaneAPI:
         """The participant this API speaks for."""
         return self.unit.participant
 
-    @property
-    def gateway(self):
-        """The unit node currently serving user-space calls."""
-        return self.unit.gateway_node()
-
     # ------------------------------------------------------------------
     # log-commit / read
     # ------------------------------------------------------------------
@@ -238,10 +233,6 @@ class BlockplaneAPI:
                 f"entry proof for position {position} did not validate"
             )
         return (entry, proof)
-
-    def log_length(self) -> int:
-        """Length of the gateway's Local Log copy (committed entries)."""
-        return len(self.unit.gateway_node().local_log)
 
     # ------------------------------------------------------------------
     # receive

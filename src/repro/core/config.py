@@ -129,8 +129,3 @@ class BlockplaneConfig:
     def proof_size(self) -> int:
         """Signatures in a transmission proof: ``fi + 1``."""
         return quorums.proof_quorum(self.f_independent)
-
-    @property
-    def replication_set_size(self) -> int:
-        """Participants mirroring each other's state: ``2·fg + 1``."""
-        return quorums.replication_set_size(self.f_geo)

@@ -62,14 +62,6 @@ class Directory:
                 f"unknown participant {participant!r}"
             ) from None
 
-    def set_gateway(self, participant: str, node_id: str) -> None:
-        """Re-point a participant's gateway (e.g. after a failure)."""
-        if node_id not in self._units.get(participant, []):
-            raise ConfigurationError(
-                f"{node_id} is not a member of {participant!r}'s unit"
-            )
-        self._gateways[participant] = node_id
-
     def rtt_ms(self, a: str, b: str) -> float:
         """Round-trip time between two participants."""
         return self.topology.rtt_ms(a, b)

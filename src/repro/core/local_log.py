@@ -238,14 +238,6 @@ class LocalLog:
             )
         return self.entries[position - self.base_position]
 
-    def read_from(self, position: int) -> List[LogEntry]:
-        """All *retained* entries at or above a position (recovery
-        reads; positions below the snapshot boundary are represented by
-        the snapshot, not replayable entries)."""
-        if position < self.base_position:
-            position = self.base_position
-        return self.entries[position - self.base_position :]
-
     # ------------------------------------------------------------------
     # Snapshots and truncation
     # ------------------------------------------------------------------

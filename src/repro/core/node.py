@@ -590,24 +590,14 @@ class BlockplaneNode(PBFTReplica):
             self.engine.abandon(rid)
         # Commit (slot) order can differ from chain order when a later
         # message raced ahead; deliver to the application strictly along
-        # the source's chain pointers.
+        # the source's chain pointers. Pending records are keyed by their
+        # predecessor, so the next one to deliver is one lookup away.
         pending = self._reception_reorder.setdefault(source, {})
-        pending[sealed.record.source_position] = sealed.record
+        pending.setdefault(sealed.record.prev_position or 0, sealed.record)
         buffer = self.reception_buffers.setdefault(source, deque())
-        while True:
-            head = self._delivered_heads.get(source, 0)
-            ready = next(
-                (
-                    record
-                    for record in pending.values()
-                    if (record.prev_position or 0) == head
-                ),
-                None,
-            )
-            if ready is None:
-                break
-            del pending[ready.source_position]
-            self._delivered_heads[source] = ready.source_position
+        head = self._delivered_heads.get(source, 0)
+        while (ready := pending.pop(head, None)) is not None:
+            head = self._delivered_heads[source] = ready.source_position
             if self.obs.forensics:
                 self.obs.event(
                     "chain.advance", participant=self.participant,
@@ -1080,13 +1070,5 @@ def msg_payload_estimate(entry: MirrorEntry) -> int:
     return 256
 
 
-class _Empty:
-    """Sentinel distinguishing 'no message' from a None message."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<empty>"
-
-
-_EMPTY = _Empty()
+#: Sentinel distinguishing 'no message' from a None message.
+_EMPTY = object()

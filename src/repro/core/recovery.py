@@ -25,8 +25,7 @@ def current_leader(unit: BlockplaneUnit) -> Optional[str]:
     if not live:
         return None
     view = max(node.view for node in live)
-    leader = live[0].leader_of(view)
-    return leader
+    return live[0].engine.leader_of(view)
 
 
 def await_log_length(unit: BlockplaneUnit, length: int) -> Future:
@@ -59,43 +58,3 @@ def force_view_change(unit: BlockplaneUnit) -> None:
         )
     for node in live:
         node.engine._start_view_change(target)
-
-
-def resync_node(node, patience: int = 3) -> Future:
-    """Ask peers for the state this node is missing, re-asking until it
-    converges.
-
-    Peers answer with either the committed suffix or — when the node
-    fell below their garbage-collected history — a certified snapshot
-    plus the retained suffix (state transfer). A single request can be
-    lost or arrive while peers are mid-view-change, so this keeps
-    re-broadcasting on the catch-up timeout cadence until ``patience``
-    consecutive rounds pass without execution progress.
-
-    Returns a future resolving with the node's final ``last_executed``
-    (callers may ignore it; the process needs no supervision).
-    """
-    if node.obs.forensics:
-        node.obs.event(
-            "recovery.resync", participant=node.site, node=node.node_id,
-            from_seq=node.last_executed + 1,
-        )
-    sim = node.sim
-
-    def _resync():
-        silent = 0
-        last_seen = node.last_executed
-        node.engine._request_catch_up()
-        while silent < patience:
-            yield sim.sleep(node.config.catch_up_timeout_ms)
-            if node.crashed:
-                return node.last_executed
-            if node.last_executed > last_seen:
-                last_seen = node.last_executed
-                silent = 0
-            else:
-                silent += 1
-            node.engine._request_catch_up()
-        return node.last_executed
-
-    return sim.spawn(_resync())

@@ -130,13 +130,6 @@ class BlockplaneUnit:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def node(self, node_id: str) -> BlockplaneNode:
-        """Unit member by id."""
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise ConfigurationError(f"{node_id} is not in unit {self.participant}")
-
     def gateway_node(self) -> BlockplaneNode:
         """The node user-space enters through.
 

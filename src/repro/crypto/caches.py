@@ -13,8 +13,8 @@ Two caches amortize the dominant CPU costs of a simulated deployment:
 * the per-registry verification cache in
   :class:`~repro.crypto.keys.KeyRegistry` — keyed by the full
   ``(signer, digest, mac)`` triple plus the registry's mutation version,
-  so a forged mac never aliases a cached honest verdict and key
-  rotation invalidates every prior verdict wholesale.
+  so a forged mac never aliases a cached honest verdict and a key
+  registration invalidates every prior verdict wholesale.
 
 Both caches are **semantically invisible**: they only ever return a
 value that recomputing from scratch would also return.
@@ -80,9 +80,6 @@ class KeyedLRU:
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()

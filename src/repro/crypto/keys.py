@@ -11,7 +11,7 @@ be asymmetric key pairs — the trust and quorum arithmetic is identical.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from repro.crypto.caches import KeyedLRU
 from repro.errors import CryptoError
@@ -23,8 +23,8 @@ class KeyRegistry:
     The registry also owns the signature-verification memo for its key
     material (see :func:`repro.crypto.signatures.verify`): verdicts are
     a pure function of ``(signer, digest, mac)`` *and* the registered
-    secrets, so any mutation of the key set — a new registration or a
-    rotation — drops every cached verdict. That wholesale invalidation
+    secrets, so any mutation of the key set — a new registration —
+    drops every cached verdict. That wholesale invalidation
     is what makes negative caching safe: "unknown signer" can never
     outlive the registration that would change the answer.
 
@@ -35,7 +35,6 @@ class KeyRegistry:
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._keys: Dict[str, bytes] = {}
-        self._rotations: Dict[str, int] = {}
         #: Mutation counter; bumped whenever any secret (dis)appears.
         self.version = 0
         #: Bounded memo of verification verdicts under the current keys.
@@ -51,24 +50,6 @@ class KeyRegistry:
             material = f"key/{self._seed}/{node_id}".encode()
             self._keys[node_id] = hashlib.sha256(material).digest()
             self._invalidate()
-        return self._keys[node_id]
-
-    def rotate(self, node_id: str) -> bytes:
-        """Replace ``node_id``'s secret with a fresh one.
-
-        Signatures minted under the old secret stop verifying, and any
-        cached verdicts (positive or negative) are dropped.
-
-        Raises:
-            CryptoError: If the node was never registered.
-        """
-        if node_id not in self._keys:
-            raise CryptoError(f"cannot rotate unregistered node {node_id!r}")
-        generation = self._rotations.get(node_id, 0) + 1
-        self._rotations[node_id] = generation
-        material = f"key/{self._seed}/{node_id}/gen{generation}".encode()
-        self._keys[node_id] = hashlib.sha256(material).digest()
-        self._invalidate()
         return self._keys[node_id]
 
     def register_all(self, node_ids: Iterable[str]) -> None:
@@ -87,10 +68,6 @@ class KeyRegistry:
             return self._keys[node_id]
         except KeyError:
             raise CryptoError(f"no key registered for node {node_id!r}") from None
-
-    def known_nodes(self) -> List[str]:
-        """All registered node ids (sorted, for determinism)."""
-        return sorted(self._keys)
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._keys

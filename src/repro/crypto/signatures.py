@@ -12,10 +12,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, Optional, Sequence, Set
 
 from repro.crypto.keys import KeyRegistry
-from repro.errors import InsufficientProofError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,9 +66,9 @@ def verify(registry: KeyRegistry, signature: Signature, digest: str) -> bool:
     Verdicts are memoized per registry, keyed by the full
     ``(signer, digest, mac)`` triple: a forged mac over an
     honestly-signed digest is a *different* key and is always
-    recomputed (to False). Any registry mutation — registration or
-    rotation — clears the memo, so stale verdicts (positive or
-    negative) never survive a key change. The memo is therefore
+    recomputed (to False). Any registry mutation (a registration)
+    clears the memo, so stale verdicts (positive or negative) never
+    survive a key change. The memo is therefore
     semantically invisible.
     """
     if signature.digest != digest:
@@ -129,33 +128,14 @@ class QuorumProof:
                     break
         return signers
 
-    def check(
-        self,
-        registry: KeyRegistry,
-        required: int,
-        allowed_signers: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Raise unless at least ``required`` distinct valid signers.
-
-        Raises:
-            InsufficientProofError: Too few valid signatures.
-        """
-        signers = self.valid_signers(
-            registry, allowed_signers, required=required
-        )
-        if len(signers) < required:
-            raise InsufficientProofError(
-                f"proof over {self.digest[:12]}... has {len(signers)} valid "
-                f"signature(s), {required} required"
-            )
-
     def is_valid(
         self,
         registry: KeyRegistry,
         required: int,
         allowed_signers: Optional[Sequence[str]] = None,
     ) -> bool:
-        """Boolean form of :meth:`check` (same ``required`` fast path)."""
+        """At least ``required`` distinct valid signers (stops verifying
+        once that many are found)."""
         signers = self.valid_signers(
             registry, allowed_signers, required=required
         )
@@ -164,10 +144,3 @@ class QuorumProof:
     def size_bytes(self) -> int:
         """Approximate wire size of the serialized proof."""
         return sum(signature.size_bytes() for signature in self.signatures)
-
-
-def collect_signatures(
-    registry: KeyRegistry, signers: Sequence[str], digest: str
-) -> List[Signature]:
-    """Sign ``digest`` with each of ``signers`` (test/setup helper)."""
-    return [sign(registry, signer, digest) for signer in signers]

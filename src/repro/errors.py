@@ -30,14 +30,6 @@ class CryptoError(ReproError):
     """Signature creation or verification failed structurally."""
 
 
-class InvalidSignatureError(CryptoError):
-    """A signature did not verify against the signer's registered key."""
-
-
-class InsufficientProofError(CryptoError):
-    """A quorum proof carries fewer valid signatures than required."""
-
-
 class ProtocolError(ReproError):
     """A consensus protocol received a structurally invalid message."""
 

@@ -185,15 +185,6 @@ def run_backup_recovery(
     }
 
 
-def run(seed: int = 9) -> Dict[str, Dict[str, object]]:
-    """Both Figure 8 scenarios (plus the recovery extension)."""
-    return {
-        "backup_failure": run_backup_failure(seed=seed),
-        "primary_failure": run_primary_failure(seed=seed),
-        "backup_recovery": run_backup_recovery(seed=seed),
-    }
-
-
 def main(
     backup_batches: int = 100, primary_batches: int = 160
 ) -> Dict[str, Dict[str, object]]:

@@ -56,7 +56,7 @@ def finding_id(index: int, kind: str) -> str:
 def _journal_section(journal: Any) -> Dict[str, Any]:
     """Accept an EventJournal, a ``journal.json`` snapshot dict, or a
     plain event list; emit the bundle's journal section."""
-    if hasattr(journal, "record") and hasattr(journal, "events"):
+    if hasattr(journal, "emit"):
         return journal_snapshot(journal)
     if isinstance(journal, list):
         journal = {"events": journal}

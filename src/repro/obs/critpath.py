@@ -140,21 +140,6 @@ class TraceDecomposition:
             return 0.0
         return self.unattributed_ms / self.end_to_end_ms
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "end_to_end_ms": self.end_to_end_ms,
-            "commit_ms": self.commit_ms,
-            "segments": {
-                name: self.segments[name]
-                for name in sorted(self.segments, key=segment_sort_key)
-            },
-            "unattributed_ms": self.unattributed_ms,
-            "conservation_error_ms": self.conservation_error_ms,
-        }
-
 
 def _effective_end(span: Span) -> float:
     """Closed end, or zero width for spans left open (they cannot

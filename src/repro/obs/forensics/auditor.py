@@ -150,8 +150,8 @@ class OnlineAuditor:
         self._counted = (
             "pbft.new_view", "proof.verified", "mirror.ack",
             "reserve.probe", "reserve.response", "reserve.promoted",
-            "recovery.force_view_change", "recovery.resync",
-            "node.recover", "geo.take_over", "daemon.ship",
+            "recovery.force_view_change", "node.recover", "geo.take_over",
+            "daemon.ship",
         )
         if journal is not None:
             for event in journal:  # one event in memory at a time

@@ -142,11 +142,6 @@ class Observability:
             window_ms=self.histogram_window_ms, **labels,
         )
 
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        """Shorthand: observe into a (default-bucket) histogram at the
-        current virtual time."""
-        self.histogram(name, **labels).observe(value, at=self.now)
-
     # ------------------------------------------------------------------
     # Span helpers (all no-ops unless ``tracing``)
     # ------------------------------------------------------------------

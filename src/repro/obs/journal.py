@@ -179,27 +179,6 @@ class EventJournal:
             for callback in self._subscribers:
                 callback(event)
 
-    def record(
-        self,
-        kind: str,
-        at: float,
-        participant: str = "",
-        node: str = "",
-        trace: Optional[Tuple[int, int]] = None,
-        **args: Any,
-    ) -> ProtocolEvent:
-        """Append one event at an explicit virtual time ``at`` (tests,
-        replays): :meth:`emit` under a clock pinned to ``at``. Returns
-        the event as a reader would see it."""
-        clock, self.clock = self.clock, SimpleNamespace(now=at)
-        try:
-            self.emit(kind, participant, node, trace, **args)
-        finally:
-            self.clock = clock
-        return ProtocolEvent(
-            self.recorded, kind, at, participant, node, trace, args
-        )
-
     # ------------------------------------------------------------------
     # Queries (tests, exporters, offline audits)
     # ------------------------------------------------------------------
@@ -235,10 +214,6 @@ class EventJournal:
                     event_id, kind, self._at[row], participant, node,
                     traces.get(event_id), dict(zip(names, values[row])),
                 )
-
-    def events(self) -> List[ProtocolEvent]:
-        """All retained events in record order."""
-        return list(self)
 
     def of_kind(self, kind: str) -> List[ProtocolEvent]:
         """Retained events of one kind, in record order."""

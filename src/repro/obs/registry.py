@@ -73,15 +73,6 @@ class Gauge:
         self.labels = labels
         self.value = 0.0
 
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Cumulative-bucket histogram with optional virtual-time windows.

@@ -12,18 +12,17 @@ The log is append-only and bounded (``max_spans`` is a ring buffer so a
 long traced run cannot grow without limit). Eviction is accounted for:
 ``dropped`` counts evicted spans and ``orphaned`` counts retained spans
 whose parent was evicted (or was never retained), so tree consumers —
-:meth:`SpanLog.forest` here, the critical-path engine, the console —
-can treat orphaned subtrees as explicit roots instead of silently
-mis-rooting them. Like the metrics registry, recording spans is
-passive — no events, no randomness — so tracing can never change what
-a simulation does.
+the critical-path engine, the console — can treat orphaned subtrees as
+explicit roots instead of silently mis-rooting them. Like the metrics
+registry, recording spans is passive — no events, no randomness — so
+tracing can never change what a simulation does.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -220,39 +219,12 @@ class SpanLog:
     # ------------------------------------------------------------------
     # Queries (tests and exporters)
     # ------------------------------------------------------------------
-    def spans(self) -> List[Span]:
-        """All retained spans in record order."""
-        return list(self._spans)
-
     def by_trace(self, trace_id: int) -> List[Span]:
         """Spans of one trace, ordered by start time then id."""
         return sorted(
             (s for s in self._spans if s.trace_id == trace_id),
             key=lambda s: (s.start_ms, s.span_id),
         )
-
-    def forest(
-        self, trace_id: int
-    ) -> "Tuple[List[Span], Dict[int, List[Span]]]":
-        """Parent-linked trees of one trace, tolerant of eviction.
-
-        Returns ``(roots, children)`` where ``children`` maps a
-        retained span id to its retained children (start-time order)
-        and ``roots`` holds both true roots (``parent_id is None``) and
-        orphans whose parent is no longer retained — orphaned subtrees
-        surface as extra roots rather than being silently grafted
-        elsewhere or dropped.
-        """
-        spans = self.by_trace(trace_id)
-        retained = {s.span_id for s in spans}
-        roots: List[Span] = []
-        children: Dict[int, List[Span]] = {}
-        for span in spans:
-            if span.parent_id is None or span.parent_id not in retained:
-                roots.append(span)
-            else:
-                children.setdefault(span.parent_id, []).append(span)
-        return roots, children
 
     def named(self, name: str) -> List[Span]:
         """All retained spans with the given name."""

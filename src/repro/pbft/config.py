@@ -19,13 +19,6 @@ class PBFTConfig:
         checkpoint_interval: Execute this many entries between
             checkpoint broadcasts; the message log below a stable
             checkpoint is garbage-collected.
-        catch_up_timeout_ms: Polling period of
-            :func:`repro.core.recovery.resync_node`, the only reader:
-            it re-broadcasts a catch-up request this often until the
-            node stops advancing. The replica itself never re-asks on
-            a timer — it requests catch-up on recovery, on a stalled
-            view change, and when a stable checkpoint or a new view
-            proves it is behind.
         gc_executed_log: Garbage-collect the executed-entry log below
             each stable checkpoint. Requires signed checkpoints (a
             subclass overriding the certificate hooks, e.g. Blockplane
@@ -38,5 +31,4 @@ class PBFTConfig:
     request_timeout_ms: float = 50.0
     view_change_timeout_ms: float = 100.0
     checkpoint_interval: int = 64
-    catch_up_timeout_ms: float = 20.0
     gc_executed_log: bool = False

@@ -941,11 +941,6 @@ class PBFTEngine:
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
-    @property
-    def low_water(self) -> int:
-        """The low-water mark: the latest stable checkpoint's seq."""
-        return self.stable_checkpoint
-
     @staticmethod
     def _snapshot_digest_of(payload: Any) -> str:
         """Digest of a checkpoint's snapshot payload ("" for None)."""

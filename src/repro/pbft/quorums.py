@@ -22,8 +22,6 @@ members (Castro & Liskov; Blockplane Section IV):
   contains at least one honest signature (Lemma 2).
 * ``site_majority(sites)`` — a benign majority of participants for the
   wide-area (Paxos-style) phase.
-* ``replication_set_size(fg)`` — ``2fg + 1`` participants mirror each
-  other to survive ``fg`` geo-correlated outages (Section V).
 """
 
 from __future__ import annotations
@@ -62,8 +60,3 @@ def majority(n: int) -> int:
 def site_majority(sites: int) -> int:
     """Benign majority of ``sites`` participants (wide-area phase)."""
     return majority(sites)
-
-
-def replication_set_size(fg: int) -> int:
-    """Participants in a geo replication set: ``2·fg + 1``."""
-    return 2 * fg + 1

@@ -125,13 +125,8 @@ class PBFTReplica(Node, PBFTApp):
     slots = _engine_state("slots")
     stable_checkpoint = _engine_state("stable_checkpoint")
     stable_certificate = _engine_state("stable_certificate")
-    low_water = _engine_state("low_water")
     snapshot_installs = _engine_state("snapshot_installs")
     stable_snapshot_payload = _engine_state("_stable_snapshot_payload")
-
-    def leader_of(self, view: int) -> str:
-        """Deterministic leader rotation: the view number modulo n."""
-        return self.engine.leader_of(view)
 
     def submit(
         self,

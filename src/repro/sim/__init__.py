@@ -27,7 +27,7 @@ from repro.sim.topology import (
 )
 from repro.sim.node import Message, Node
 from repro.sim.faults import FaultInjector
-from repro.sim.metrics import LatencySeries, summarize
+from repro.sim.metrics import LatencySeries
 
 __all__ = [
     "Event",
@@ -49,5 +49,4 @@ __all__ = [
     "Node",
     "FaultInjector",
     "LatencySeries",
-    "summarize",
 ]

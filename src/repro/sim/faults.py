@@ -126,15 +126,6 @@ class FaultInjector:
 
         return self._install_windowed_drop(_blocked, start, end)
 
-    def drop_matching(
-        self,
-        predicate: Callable[[str, str, Any], bool],
-        start: float = 0.0,
-        end: Optional[float] = None,
-    ) -> DropFilter:
-        """Drop messages matching ``predicate`` inside a time window."""
-        return self._install_windowed_drop(predicate, start, end)
-
     def drop_probabilistically(
         self, probability: float, start: float = 0.0, end: Optional[float] = None
     ) -> DropFilter:
@@ -174,14 +165,3 @@ class FaultInjector:
                 self.network.remove_tamper_hook, _hook,
             )
         return _hook
-
-    def heal(self, *hooks: Any) -> None:
-        """Remove previously installed drop filters / tamper hooks."""
-        for hook in hooks:
-            self.network.remove_drop_filter(hook)
-            self.network.remove_tamper_hook(hook)
-
-    def active_hooks(self) -> int:
-        """How many fault hooks are currently installed (chaos runs
-        assert this returns to zero after every window expires)."""
-        return len(self.network.drop_filters) + len(self.network.tamper_hooks)

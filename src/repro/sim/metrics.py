@@ -2,14 +2,12 @@
 
 The paper reports average latencies over 1000 committed batches after a
 100-batch warm-up, and throughput as bytes committed per unit time. The
-helpers here implement exactly those aggregations plus the usual
-percentiles.
+helpers here implement exactly those two aggregations.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence
+from typing import List
 
 
 class LatencySeries:
@@ -23,10 +21,6 @@ class LatencySeries:
         """Record one sample."""
         self.samples.append(value)
 
-    def extend(self, values: Sequence[float]) -> None:
-        """Record many samples."""
-        self.samples.extend(values)
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -36,96 +30,6 @@ class LatencySeries:
         if not self.samples:
             return 0.0
         return sum(self.samples) / len(self.samples)
-
-    @property
-    def stddev(self) -> float:
-        """Sample standard deviation (n-1 denominator; 0.0 with fewer
-        than two samples)."""
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mean = self.mean
-        variance = sum((s - mean) ** 2 for s in self.samples) / (n - 1)
-        return math.sqrt(variance)
-
-    @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile, ``q`` in [0, 100]."""
-        if not self.samples:
-            return 0.0
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q} outside [0, 100]")
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = math.floor(rank)
-        high = math.ceil(rank)
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        # a + (b - a) * frac rather than a*(1-f) + b*f: exact when the
-        # neighbours are equal, keeping percentiles monotone in q.
-        return ordered[low] + (ordered[high] - ordered[low]) * frac
-
-    def histogram(self, bucket_bounds: Sequence[float]) -> List[int]:
-        """Counts per bucket for ascending upper bounds.
-
-        Returns ``len(bucket_bounds) + 1`` counts: one per bound
-        (samples ``<=`` that bound and above the previous one) plus a
-        final overflow bucket for samples above the last bound.
-        """
-        bounds = list(bucket_bounds)
-        if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError(
-                f"bucket bounds must be strictly ascending, got {bounds}"
-            )
-        counts = [0] * (len(bounds) + 1)
-        for sample in self.samples:
-            for index, bound in enumerate(bounds):
-                if sample <= bound:
-                    counts[index] += 1
-                    break
-            else:
-                counts[-1] += 1
-        return counts
-
-    def summary(self) -> Dict[str, float]:
-        """Dict with count/mean/stddev/p50/p95/p99/min/max."""
-        return {
-            "count": float(len(self.samples)),
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-    def drop_warmup(self, count: int) -> "LatencySeries":
-        """Return a new series without the first ``count`` samples.
-
-        Mirrors the paper's 100-batch warm-up before its 1000 measured
-        batches.
-        """
-        trimmed = LatencySeries(self.name)
-        trimmed.samples = self.samples[count:]
-        return trimmed
-
-
-def summarize(samples: Sequence[float]) -> Dict[str, float]:
-    """Convenience wrapper: summary stats for a plain sequence."""
-    series = LatencySeries()
-    series.extend(samples)
-    return series.summary()
 
 
 def throughput_mb_per_s(total_bytes: float, elapsed_ms: float) -> float:

@@ -166,7 +166,3 @@ class Node:
 
     def on_recover(self) -> None:
         """Hook for subclasses: run state catch-up after recovery."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "crashed" if self.crashed else "up"
-        return f"<{type(self).__name__} {self.node_id}@{self.site} {status}>"

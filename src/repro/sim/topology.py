@@ -13,7 +13,6 @@ import dataclasses
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.pbft.quorums import majority
 
 #: Site labels used throughout the paper's evaluation.
 AWS_SITES: Tuple[str, ...] = ("C", "O", "V", "I")
@@ -74,7 +73,6 @@ class Topology:
         self.sites: List[Site] = [
             Site(name, index) for index, name in enumerate(site_names)
         ]
-        self._by_name = {site.name: site for site in self.sites}
         self.intra_dc_one_way_ms = intra_dc_one_way_ms
         self._rtt: Dict[Tuple[str, str], float] = {}
         for (a, b), rtt in rtt_ms.items():
@@ -86,13 +84,6 @@ class Topology:
             for b in site_names:
                 if a != b and (a, b) not in self._rtt:
                     raise ConfigurationError(f"missing RTT for pair {(a, b)}")
-
-    def site(self, name: str) -> Site:
-        """Look up a site by name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ConfigurationError(f"unknown site {name!r}") from None
 
     @property
     def site_names(self) -> List[str]:
@@ -142,19 +133,6 @@ class Topology:
         ]
         pairs.sort(key=lambda pair: (pair[1], pair[0]))
         return pairs
-
-    def closest_majority_rtt(self, origin: str) -> float:
-        """RTT needed for ``origin`` to hear from a majority of sites.
-
-        With ``n`` sites a majority is ``n // 2 + 1`` including the
-        origin itself, so the answer is the RTT to the
-        ``(n // 2)``-th closest peer. This is the paper's model for the
-        Paxos Replication-phase latency (Figure 7).
-        """
-        needed_remote = majority(len(self.sites)) - 1
-        if needed_remote <= 0:
-            return 0.0
-        return self.neighbors_by_distance(origin)[needed_remote - 1][1]
 
 
 def aws_four_dc_topology(

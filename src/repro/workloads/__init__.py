@@ -1,11 +1,7 @@
 """Workload generation and experiment-running helpers."""
 
 from repro.workloads.generator import BatchWorkload, make_batch
-from repro.workloads.openloop import (
-    OpenLoopWorkload,
-    open_loop_process,
-    run_open_loop,
-)
+from repro.workloads.openloop import OpenLoopWorkload, open_loop_process
 from repro.workloads.runner import (
     sequential_commit_latency,
     sequential_process,
@@ -16,7 +12,6 @@ __all__ = [
     "OpenLoopWorkload",
     "make_batch",
     "open_loop_process",
-    "run_open_loop",
     "sequential_commit_latency",
     "sequential_process",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Iterator, List
+from typing import Iterator
 
 
 def make_batch(index: int, size_bytes: int, seed: int = 0) -> str:
@@ -55,7 +55,3 @@ class BatchWorkload:
         """Yield all batch payloads in commit order."""
         for index in range(self.total):
             yield make_batch(index, self.batch_bytes, self.seed)
-
-    def batch_list(self) -> List[str]:
-        """All batch payloads as a list."""
-        return list(self.batches())

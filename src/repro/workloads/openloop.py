@@ -7,8 +7,8 @@ admission control shed gracefully, do checkpoints keep up — need the
 opposite: arrivals that keep coming at a configured rate regardless of
 completion. :class:`OpenLoopWorkload` produces a deterministic, seeded
 arrival schedule (Poisson inter-arrival gaps, optionally punctuated by
-back-to-back bursts), and :func:`run_open_loop` drives a commit function
-with it, retrying submissions shed by admission control on a fixed
+back-to-back bursts), and :func:`open_loop_process` drives a commit
+function with it, retrying submissions shed by admission control on a fixed
 backoff instead of silently dropping offered load.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator
 
 from repro.errors import Overloaded
 from repro.sim.process import Future
@@ -134,39 +134,3 @@ def open_loop_process(
     ):
         yield sim.sleep(settle_poll_ms)
     stats["duration_ms"] = sim.now - started
-
-
-def run_open_loop(
-    sim: Simulator,
-    commit: Callable[[str, int], Any],
-    workload: Optional[OpenLoopWorkload] = None,
-    retry_after_ms: float = 5.0,
-    retry_budget: int = 50,
-    settle_poll_ms: float = 5.0,
-    max_events: int = 200_000_000,
-) -> Dict[str, Any]:
-    """Drive ``commit`` with an open-loop schedule to completion.
-
-    Returns a stats dict: ``offered`` arrivals, ``admitted``
-    submissions, ``shed`` admission rejections (retries re-count),
-    ``committed``/``failed`` settlements, ``dropped`` operations whose
-    retry budget ran out, and the schedule's ``duration_ms``.
-    """
-    workload = workload or OpenLoopWorkload()
-    stats: Dict[str, Any] = {
-        "offered": 0,
-        "admitted": 0,
-        "shed": 0,
-        "committed": 0,
-        "failed": 0,
-        "dropped": 0,
-        "duration_ms": 0.0,
-    }
-    process = sim.spawn(
-        open_loop_process(
-            sim, commit, workload, stats,
-            retry_after_ms, retry_budget, settle_poll_ms,
-        )
-    )
-    sim.run_until_resolved(process, max_events=max_events)
-    return stats

@@ -103,8 +103,6 @@ def test_suppressions_distinguish_code_and_standalone_lines():
         "# bp-lint: disable=BP002\n"
         "x = 1  # bp-lint: disable=BP007\n"
     )
-    assert sup.file_rules == {"BP002"}
-    assert sup.line_rules == {2: {"BP007"}}
     assert not sup.allows(Finding("BP002", "x.py", 99, 0, ""))
     assert not sup.allows(Finding("BP007", "x.py", 2, 0, ""))
     assert sup.allows(Finding("BP007", "x.py", 3, 0, ""))

@@ -47,8 +47,6 @@ def test_majority_helpers():
     assert quorums.majority(4) == 3
     assert quorums.majority(5) == 3
     assert quorums.site_majority(4) == 3
-    assert quorums.replication_set_size(0) == 1
-    assert quorums.replication_set_size(3) == 7
 
 
 def test_hierarchical_unit_sizing_follows_f():

@@ -128,9 +128,9 @@ def test_receive_blocks_until_message_arrives(sim):
 def test_log_length_reflects_commits(sim):
     deployment = build_single_dc(sim)
     api = deployment.api("DC")
-    assert api.log_length() == 0
+    assert len(api.unit.gateway_node().local_log) == 0
     sim.run_until_resolved(api.log_commit("x"))
-    assert api.log_length() == 1
+    assert len(api.unit.gateway_node().local_log) == 1
 
 
 def test_default_payload_bytes_config():
@@ -163,14 +163,14 @@ class TestAdmissionControl:
         # commits.
         position = sim.run_until_resolved(first)
         assert position == 1
-        assert api.log_length() == 1
+        assert len(api.unit.gateway_node().local_log) == 1
 
     def test_window_reopens_as_commits_settle(self, sim):
         api = self._deployment(sim, 1).api("DC")
         sim.run_until_resolved(api.log_commit("a"))
         assert api.in_flight == 0
         sim.run_until_resolved(api.log_commit("b"))
-        assert api.log_length() == 2
+        assert len(api.unit.gateway_node().local_log) == 2
 
     def test_sends_count_against_the_same_window(self, sim):
         from repro.errors import Overloaded
@@ -190,7 +190,7 @@ class TestAdmissionControl:
         for future in futures:
             sim.run_until_resolved(future)
         assert api.shed_total == 0
-        assert api.log_length() == 32
+        assert len(api.unit.gateway_node().local_log) == 32
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ConfigurationError):

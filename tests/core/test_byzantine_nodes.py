@@ -48,7 +48,7 @@ def test_promiscuous_signer_cannot_validate_forgeries_alone(sim):
     # proof with the corrupt node and verify receivers reject it.
     from repro.core.messages import TransmissionMessage
     from repro.core.records import SealedTransmission, TransmissionRecord
-    from repro.crypto.signatures import QuorumProof, collect_signatures
+    from repro.crypto.signatures import QuorumProof, sign
 
     record = TransmissionRecord(
         source="A",
@@ -59,7 +59,7 @@ def test_promiscuous_signer_cannot_validate_forgeries_alone(sim):
     )
     proof = QuorumProof.build(
         record.digest(),
-        collect_signatures(deployment.registry, ["A-2"], record.digest()),
+        [sign(deployment.registry, "A-2", record.digest())],
     )
     for node in deployment.unit("B").nodes:
         node.handle_transmission_message(
@@ -106,7 +106,7 @@ def test_impersonating_signer_rejected(sim):
 
 def test_counterfeiting_gateway_cannot_inject_messages(sim):
     deployment = build_with(sim, CounterfeitingGateway, node_id="A-1")
-    corrupt = deployment.unit("A").node("A-1")
+    corrupt = deployment.unit("A").nodes[1]
     corrupt.forge_and_ship("B", "minted-message")
     sim.run(until=2000.0, max_events=20_000_000)
     log_b = deployment.unit("B").gateway_node().local_log

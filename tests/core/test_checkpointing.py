@@ -4,7 +4,6 @@ at the Blockplane layer (the middleware overrides of the PBFT hooks)."""
 import dataclasses
 
 from repro.core import BlockplaneConfig
-from repro.core.recovery import resync_node
 from repro.pbft.quorums import commit_quorum
 from repro.crypto.signatures import sign
 from repro.pbft.config import PBFTConfig
@@ -128,8 +127,7 @@ def test_replica_past_peer_gc_recovers_via_snapshot(sim):
     reference = unit.nodes[0]
     assert reference.engine._executed_gc_seq > 0, "peers retained the full log"
 
-    lagger.crashed = False  # rejoin without the on-recover hook
-    resync_node(lagger)
+    lagger.recover()
     sim.run(until=sim.now + 1_000.0)
 
     assert lagger.snapshot_installs >= 1

@@ -189,8 +189,9 @@ def test_transmission_survives_message_loss_via_reserves(sim):
     )
     deployment = build_pair(sim, config=config)
     injector = FaultInjector(sim, deployment.network)
-    injector.drop_matching(
+    injector.tamper_matching(
         lambda src, dst, msg: isinstance(msg, TransmissionMessage),
+        lambda _msg: None,
         start=0.0,
         end=400.0,
     )
@@ -239,8 +240,9 @@ def test_retransmission_recovers_loss_without_reserves(sim, obs):
     )
     deployment = build_pair(sim, config=config, obs=obs)
     injector = FaultInjector(sim, deployment.network)
-    injector.drop_matching(
+    injector.tamper_matching(
         lambda src, dst, msg: isinstance(msg, TransmissionMessage),
+        lambda _msg: None,
         start=0.0,
         end=250.0,
     )
@@ -276,7 +278,7 @@ def test_retransmission_backs_off_and_gives_up(sim):
             return True
         return False
 
-    injector.drop_matching(blackhole, start=0.0)
+    injector.tamper_matching(blackhole, lambda _msg: None)
     sim.run_until_resolved(deployment.api("A").send("blackholed", to="B"))
     sim.run(until=10_000.0)
     sends = sorted(attempts)

@@ -2,6 +2,7 @@
 and latency behaviour (Section V / Figure 8 mechanics)."""
 
 from repro.core import BlockplaneConfig
+from repro.obs.forensics import OnlineAuditor
 
 from tests.conftest import build_four_dc
 
@@ -85,13 +86,20 @@ def test_backup_failure_fails_over_to_next_closest(sim):
     assert 61.0 < steady < 75.0
 
 
-def test_mirror_proofs_fail_without_enough_live_peers(sim):
-    deployment = build(sim)
+def test_mirror_proofs_fail_without_enough_live_peers(sim, obs):
+    deployment = build(sim, obs=obs)
+    auditor = OnlineAuditor(obs.journal)
     deployment.unit("O").crash()
     deployment.unit("V").crash()
     future = deployment.api("C").log_commit("unprovable")
     sim.run(until=2000.0, max_events=40_000_000)
     assert not future.resolved  # fg proofs unattainable: set peers dead
+    # Every mirror request timed out; the auditor names both dead sites.
+    diverged = {
+        finding.suspect for finding in auditor.report().findings
+        if finding.kind == "mirror-divergence"
+    }
+    assert diverged == {"O", "V"}
 
 
 def test_primary_failure_triggers_takeover(sim):

@@ -46,14 +46,6 @@ def test_read_positions_are_one_based():
         log.read(2)
 
 
-def test_read_from_returns_suffix():
-    log = LocalLog("DC")
-    for value in "abc":
-        log.append(RECORD_LOG_COMMIT, value)
-    assert [e.value for e in log.read_from(2)] == ["b", "c"]
-    assert [e.value for e in log.read_from(0)] == ["a", "b", "c"]
-
-
 def test_communication_records_require_destination():
     log = LocalLog("DC")
     with pytest.raises(LogError):

@@ -91,11 +91,6 @@ class TestTruncateBasics:
         assert first == again == backwards
         assert log.base_position == 5
 
-    def test_read_from_clamps_to_base(self):
-        log = build_log()
-        log.truncate_before(5)
-        assert [e.position for e in log.read_from(1)] == [5, 6, 7, 8]
-
 
 class TestReceptionAnswersSurviveTruncation:
     def test_duplicate_rejection_identical_before_and_after(self):

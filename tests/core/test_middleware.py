@@ -7,7 +7,6 @@ from repro.core.recovery import (
     await_log_length,
     current_leader,
     force_view_change,
-    resync_node,
 )
 from repro.errors import ConfigurationError
 from repro.sim.simulator import Simulator
@@ -134,7 +133,6 @@ def test_resync_node_catches_up(sim):
             yield api.log_commit(f"v{index}")
 
     sim.run_until_resolved(sim.spawn(committer()))
-    lagger.crashed = False  # silent rejoin without the recovery hook
-    resync_node(lagger)
+    lagger.recover()
     sim.run(until=sim.now + 100)
     assert len(lagger.local_log) == 4

@@ -7,7 +7,7 @@ from repro.core.records import (
     SealedTransmission,
     TransmissionRecord,
 )
-from repro.crypto.signatures import QuorumProof, collect_signatures
+from repro.crypto.signatures import QuorumProof, sign
 
 from tests.conftest import build_pair, build_single_dc
 
@@ -153,9 +153,10 @@ def test_retransmitted_transmission_is_dropped(sim):
     )
     proof = QuorumProof.build(
         record.digest(),
-        collect_signatures(
-            deployment.registry, ["A-0", "A-1"], record.digest()
-        ),
+        [
+            sign(deployment.registry, signer, record.digest())
+            for signer in ["A-0", "A-1"]
+        ],
     )
     for node in deployment.unit("B").nodes:
         node.handle_transmission_message(
@@ -179,7 +180,7 @@ def test_forged_transmission_never_commits(sim):
     )
     weak_proof = QuorumProof.build(
         record.digest(),
-        collect_signatures(deployment.registry, ["A-0"], record.digest()),
+        [sign(deployment.registry, "A-0", record.digest())],
     )
     for node in deployment.unit("B").nodes:
         node.handle_transmission_message(
@@ -218,7 +219,7 @@ def test_out_of_order_transmissions_delivered_in_chain_order(sim):
         )
         proof = QuorumProof.build(
             record.digest(),
-            collect_signatures(registry, ["A-0", "A-1"], record.digest()),
+            [sign(registry, signer, record.digest()) for signer in ["A-0", "A-1"]],
         )
         return SealedTransmission(record, proof)
 

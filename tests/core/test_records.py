@@ -9,7 +9,7 @@ from repro.core.records import (
     TransmissionRecord,
 )
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import QuorumProof, collect_signatures
+from repro.crypto.signatures import QuorumProof, sign
 
 
 def test_log_entry_destination_helper():
@@ -42,7 +42,7 @@ def test_sealed_transmission_size_includes_proofs():
     record = TransmissionRecord("A", "B", "m", 1, None, payload_bytes=100)
     proof = QuorumProof.build(
         record.digest(),
-        collect_signatures(registry, ["a", "b"], record.digest()),
+        [sign(registry, signer, record.digest()) for signer in ["a", "b"]],
     )
     sealed = SealedTransmission(record=record, proof=proof)
     assert sealed.size_bytes() == 100 + proof.size_bytes()

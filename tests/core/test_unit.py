@@ -84,11 +84,3 @@ def test_duplicate_unit_registration_rejected(sim):
     deployment = build_single_dc(sim)
     with pytest.raises(ConfigurationError):
         deployment.directory.register_unit("DC", ["DC-9"])
-
-
-def test_directory_gateway_repointing(sim):
-    deployment = build_single_dc(sim)
-    deployment.directory.set_gateway("DC", "DC-2")
-    assert deployment.unit("DC").gateway_node().node_id == "DC-2"
-    with pytest.raises(ConfigurationError):
-        deployment.directory.set_gateway("DC", "X-1")

@@ -11,7 +11,7 @@ from repro.core.records import (
     SealedTransmission,
     TransmissionRecord,
 )
-from repro.crypto.signatures import QuorumProof, collect_signatures
+from repro.crypto.signatures import QuorumProof, sign
 from repro.pbft.messages import ClientRequest
 
 from tests.conftest import build_four_dc, build_pair
@@ -21,7 +21,7 @@ META = {"source": "A"}
 
 def proof_over(registry, digest, signers):
     return QuorumProof.build(
-        digest, collect_signatures(registry, list(signers), digest)
+        digest, [sign(registry, signer, digest) for signer in signers]
     )
 
 

@@ -58,7 +58,7 @@ def test_lemma2_receiver_only_accepts_unit_backed_messages(sim):
     # Forge a transmission signed only by the corrupt node.
     from repro.core.messages import TransmissionMessage
     from repro.core.records import SealedTransmission, TransmissionRecord
-    from repro.crypto.signatures import QuorumProof, collect_signatures
+    from repro.crypto.signatures import QuorumProof, sign
 
     record = TransmissionRecord(
         source="A",
@@ -69,7 +69,7 @@ def test_lemma2_receiver_only_accepts_unit_backed_messages(sim):
     )
     proof = QuorumProof.build(
         record.digest(),
-        collect_signatures(deployment.registry, ["A-1"], record.digest()),
+        [sign(deployment.registry, "A-1", record.digest())],
     )
     for node in deployment.unit("B").nodes:
         node.handle_transmission_message(
@@ -185,7 +185,7 @@ def test_one_member_cannot_wedge_its_unit_with_a_forged_reception(sim):
         SealedTransmission,
         TransmissionRecord,
     )
-    from repro.crypto.signatures import QuorumProof, collect_signatures
+    from repro.crypto.signatures import QuorumProof, sign
 
     deployment = build_pair(sim)
     forger = deployment.unit("B").nodes[2]
@@ -198,7 +198,7 @@ def test_one_member_cannot_wedge_its_unit_with_a_forged_reception(sim):
     )
     proof = QuorumProof.build(
         record.digest(),
-        collect_signatures(deployment.registry, [forger.node_id], record.digest()),
+        [sign(deployment.registry, forger.node_id, record.digest())],
     )
     forger.engine.submit(
         SealedTransmission(record, proof), RECORD_RECEIVED, {"source": "A"}

@@ -97,8 +97,7 @@ def test_bundle_recomputes_header_ids_for_old_exports(golden_obs):
 def test_bundle_records_eviction_window():
     journal = EventJournal(max_events=10)
     for index in range(25):
-        journal.record("pbft.vote", at=float(index), participant="C",
-                       node="C-0", voter="C-1")
+        journal.emit("pbft.vote", participant="C", node="C-0", voter="C-1")
     bundle = build_bundle(journal=journal)
     section = bundle["journal"]
     assert section["recorded"] == 25

@@ -119,8 +119,8 @@ def test_page_is_self_contained(golden_page):
 
 def test_page_escapes_script_terminators():
     journal = EventJournal(max_events=100)
-    journal.record("log.append", at=1.0, participant="C", node="C-0",
-                   payload="</script><script>alert(1)</script>")
+    journal.emit("log.append", participant="C", node="C-0",
+                 payload="</script><script>alert(1)</script>")
     page = render_html(build_bundle(journal=journal))
     assert "</script><script>alert(1)" not in page
     embedded = _embedded_bundle(page)
@@ -152,8 +152,7 @@ def test_no_banner_on_a_complete_journal(golden_page):
 def test_eviction_banner_names_the_lost_window():
     journal = EventJournal(max_events=10)
     for index in range(25):
-        journal.record("pbft.vote", at=float(index), participant="C",
-                       node="C-0", voter="C-1")
+        journal.emit("pbft.vote", participant="C", node="C-0", voter="C-1")
     page = render_html(build_bundle(journal=journal))
     assert (
         "15 events evicted before this window "

@@ -54,13 +54,6 @@ class ReferenceJournal:
             callback(event)
         return event
 
-    def record(self, kind, at, participant="", node="", trace=None, **args):
-        clock, self.clock = self.clock, SimpleNamespace(now=at)
-        try:
-            return self.emit(kind, participant, node, trace, **args)
-        finally:
-            self.clock = clock
-
     @property
     def first_event_id(self):
         return self._events[0].event_id if self._events else None

@@ -25,7 +25,7 @@ def _populated_obs() -> Observability:
     obs = Observability(enabled=True, histogram_window_ms=50.0)
     obs.counter("commits_total", participant="C").inc(3)
     obs.counter("net_bytes_total", link="C->V").inc(1024)
-    obs.gauge("log_length", participant="C").set(7)
+    obs.gauge("log_length", participant="C").value = 7.0
     hist = obs.histogram("commit_latency_ms", participant="C")
     for value, at in ((0.4, 1.0), (1.2, 60.0), (80.0, 120.0)):
         hist.observe(value, at=at)

@@ -6,6 +6,8 @@ Each test runs a real simulation with the flight recorder on and an
 exactly the planted offender (or nobody).
 """
 
+import dataclasses
+
 from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.core.byzantine import (
     ForgingSigner,
@@ -13,10 +15,14 @@ from repro.core.byzantine import (
     PromiscuousSigner,
     SilentUnitMember,
 )
+from repro.core.messages import TransmissionAck, TransmissionMessage
+from repro.core.node import BlockplaneNode
+from repro.core.verification import AcceptAll
 from repro.obs import Observability
 from repro.obs.forensics import CanaryProber, OnlineAuditor
-from repro.pbft.byzantine import EquivocatingLeader, TamperingVoter
+from repro.pbft.byzantine import BogusEngine, EquivocatingLeader, TamperingVoter
 from repro.pbft.config import PBFTConfig
+from repro.sim.faults import FaultInjector
 from repro.sim.simulator import Simulator
 from repro.sim.topology import symmetric_topology
 from tests.pbft.helpers import commit_values, make_group
@@ -24,7 +30,8 @@ from tests.pbft.helpers import commit_values, make_group
 FAST = PBFTConfig(request_timeout_ms=20.0, view_change_timeout_ms=40.0)
 
 
-def _audited_pair(seed=9, node_class_overrides=None):
+def _audited_pair(seed=9, node_class_overrides=None, config=None,
+                  routines_factory=None):
     obs = Observability(enabled=True, tracing=False)
     auditor = OnlineAuditor(obs.journal)
     sim = Simulator(seed=seed)
@@ -32,7 +39,8 @@ def _audited_pair(seed=9, node_class_overrides=None):
     deployment = BlockplaneDeployment(
         sim,
         symmetric_topology(["A", "B"], 20.0),
-        BlockplaneConfig(f_independent=1),
+        config or BlockplaneConfig(f_independent=1),
+        routines_factory=routines_factory,
         node_class_overrides=node_class_overrides,
         obs=obs,
     )
@@ -149,7 +157,7 @@ def test_silent_member_attributed_only_in_active_unit():
 
 def test_crashed_node_is_never_accused_of_silence():
     sim, deployment, auditor = _audited_pair()
-    deployment.unit("A").node("A-2").crash()
+    deployment.unit("A").nodes[2].crash()
     for value in ("one", "two"):
         sim.run_until_resolved(
             deployment.api("A").log_commit(value), max_events=20_000_000
@@ -193,3 +201,82 @@ def test_canaries_spare_honest_deployments():
     assert prober.probes_fired > 0
     report = auditor.report()
     assert report.clean  # honest signers defer the bogus position
+
+
+# ----------------------------------------------------------------------
+# Link and health signals
+# ----------------------------------------------------------------------
+def test_tampered_transmission_is_refused_and_named_by_link():
+    # One destination node per shipment, so the tampered copy is the
+    # only one in flight and only the daemon's retransmission can land.
+    sim, deployment, auditor = _audited_pair(
+        config=BlockplaneConfig(f_independent=1, transmission_fanout=1)
+    )
+    tampered, acks = [], []
+
+    def first_wan_copy(src, dst, msg):
+        if tampered or not isinstance(msg, TransmissionMessage):
+            return False
+        if not (src.startswith("A-") and dst.startswith("B-")):
+            return False
+        tampered.append((dst, msg.sealed.record.source_position))
+        return True
+
+    def corrupt(msg):
+        record = dataclasses.replace(
+            msg.sealed.record, message=("corrupted", msg.sealed.record.message)
+        )
+        return dataclasses.replace(
+            msg, sealed=dataclasses.replace(msg.sealed, record=record)
+        )
+
+    def ack_seen(src, dst, msg):
+        if isinstance(msg, TransmissionAck):
+            acks.append((sim.now, src, msg.source_position))
+        return False
+
+    injector = FaultInjector(sim, deployment.network)
+    injector.tamper_matching(first_wan_copy, corrupt)
+    injector.tamper_matching(ack_seen, lambda msg: msg)
+    received = _roundtrip(sim, deployment, message="original")
+
+    ((target, position),) = tampered
+    (rejected,) = deployment.obs.journal.of_kind("proof.rejected")
+    assert (rejected.node, rejected.args["position"]) == (target, position)
+    assert rejected.args["reason"] == "ingress-proof"
+    # Refused without an ack: the receiver acknowledged the position only
+    # once the daemon's retransmission arrived, after the rejection.
+    ack_times = [at for at, src, pos in acks if src == target and pos == position]
+    assert ack_times and min(ack_times) > rejected.at_ms
+    assert received.result() == "original"
+    report = auditor.report()
+    (finding,) = [f for f in report.findings if f.kind == "tampered-transmission"]
+    assert (finding.suspect, finding.suspect_kind) == ("A->B", "link")
+    assert finding.participant == "B"
+    assert report.clean  # a link finding accuses no replica
+
+
+class _RejectIllegal(AcceptAll):
+    def verify_log_commit(self, value, meta):
+        return value != ("illegal-transition",)
+
+
+class _BogusLeader(BlockplaneNode):
+    """A unit leader that proposes values no honest member verifies."""
+
+    engine_class = BogusEngine
+
+    def pre_validate(self, msg):
+        return None
+
+
+def test_verify_rejects_are_counted_as_unit_health():
+    sim, deployment, auditor = _audited_pair(
+        node_class_overrides={"A-0": _BogusLeader},
+        routines_factory=lambda participant: _RejectIllegal(),
+    )
+    deployment.api("A").log_commit("legal-value")
+    sim.run(until=500.0, max_events=20_000_000)
+    health = auditor.report().health["participants"]
+    assert health["A"]["verify_rejects"] >= 2  # every honest member refused
+    assert health["B"]["verify_rejects"] == 0

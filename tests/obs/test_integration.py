@@ -74,8 +74,9 @@ def test_obs_off_deployment_never_writes_to_the_shared_noop_hub(sim):
     deployment = build_pair(sim, config=config)
     assert deployment.obs is DISABLED
     unit_a = deployment.unit("A")
-    FaultInjector(sim, deployment.network).drop_matching(
+    FaultInjector(sim, deployment.network).tamper_matching(
         lambda src, dst, msg: isinstance(msg, TransmissionMessage),
+        lambda _msg: None,
         start=0.0,
         end=250.0,
     )
@@ -176,9 +177,9 @@ def test_lifecycle_journal_matches_golden_fixture():
 
     journal = obs.journal
     assert journal.dropped == 0
-    assert journal.recorded == len(journal.events()) == 140
+    assert journal.recorded == len(journal) == 140
     kinds = {}
-    for event in journal.events():
+    for event in journal:
         kinds[event.kind] = kinds.get(event.kind, 0) + 1
     # The exact event census of the canonical demo: two 4-node units
     # (2 deploys), a local commit + a send at C and the reception at V

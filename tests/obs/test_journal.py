@@ -1,6 +1,7 @@
 """Flight-recorder journal: ring behavior, subscribers, hub gating."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,10 +17,12 @@ from repro.sim.simulator import Simulator
 # ----------------------------------------------------------------------
 def test_record_assigns_monotonic_ids_and_preserves_order():
     journal = EventJournal()
+    journal.clock = clock = SimpleNamespace(now=0.0)
     for index in range(5):
-        journal.record("pbft.vote", float(index), participant="C",
-                       node=f"C-{index % 4}", seq=index)
-    events = journal.events()
+        clock.now = float(index)
+        journal.emit("pbft.vote", participant="C", node=f"C-{index % 4}",
+                     seq=index)
+    events = list(journal)
     assert [e.event_id for e in events] == [1, 2, 3, 4, 5]
     assert [e.at_ms for e in events] == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert journal.recorded == 5
@@ -30,15 +33,14 @@ def test_record_assigns_monotonic_ids_and_preserves_order():
 def test_capacity_evicts_oldest_and_counts_drops():
     journal = EventJournal(max_events=3)
     for index in range(7):
-        journal.record("log.append", float(index), participant="C",
-                       position=index)
+        journal.emit("log.append", participant="C", position=index)
     assert journal.recorded == 7
     assert journal.dropped == 4
     assert len(journal) == 3
     # The retained window is the most recent suffix.
-    assert [e.args["position"] for e in journal.events()] == [4, 5, 6]
+    assert [e.args["position"] for e in journal] == [4, 5, 6]
     # Event ids keep counting even across drops.
-    assert [e.event_id for e in journal.events()] == [5, 6, 7]
+    assert [e.event_id for e in journal] == [5, 6, 7]
 
 
 @pytest.mark.parametrize(
@@ -69,9 +71,9 @@ def test_zero_capacity_rings_retain_nothing_and_count_every_drop():
 
 def test_queries_by_kind_and_node():
     journal = EventJournal()
-    journal.record("pbft.vote", 1.0, participant="C", node="C-1")
-    journal.record("pbft.vote", 2.0, participant="C", node="C-2")
-    journal.record("daemon.ship", 3.0, participant="C", node="C-0")
+    journal.emit("pbft.vote", participant="C", node="C-1")
+    journal.emit("pbft.vote", participant="C", node="C-2")
+    journal.emit("daemon.ship", participant="C", node="C-0")
     assert len(journal.of_kind("pbft.vote")) == 2
     assert [e.node for e in journal.of_kind("daemon.ship")] == ["C-0"]
     assert [e.kind for e in journal.by_node("C-1")] == ["pbft.vote"]
@@ -79,11 +81,12 @@ def test_queries_by_kind_and_node():
 
 def test_event_dict_form_is_json_safe():
     journal = EventJournal()
-    journal.record(
-        "pbft.pre_prepare", 4.25, participant="C", node="C-1",
+    journal.clock = SimpleNamespace(now=4.25)
+    journal.emit(
+        "pbft.pre_prepare", participant="C", node="C-1",
         trace=(7, 9), view=0, seq=3, digest="ab" * 32,
     )
-    (event,) = journal.events()
+    (event,) = journal
     decoded = json.loads(json.dumps(event.to_dict()))
     assert decoded["kind"] == "pbft.pre_prepare"
     assert decoded["at_ms"] == 4.25
@@ -99,7 +102,7 @@ def test_subscribers_see_every_event_synchronously():
     seen = []
     journal.subscribe(lambda event: seen.append(event.event_id))
     for index in range(5):
-        journal.record("chain.advance", float(index), participant="V")
+        journal.emit("chain.advance", participant="V")
     # Eviction does not affect subscribers: they saw all five.
     assert seen == [1, 2, 3, 4, 5]
     assert len(journal) == 2
@@ -125,7 +128,7 @@ def test_hub_event_records_only_when_forensics_enabled():
 
 
 # ----------------------------------------------------------------------
-# One write path: hub.event and EventJournal.record agree
+# One write path: hub.event is EventJournal.emit on the hub's clock
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "fields",
@@ -150,15 +153,13 @@ def test_hub_event_and_journal_record_store_the_same_event(fields):
     journal.subscribe(lambda event: seen_direct.append(event.to_dict()))
 
     obs.event(**fields)
-    (via_hub,) = obs.journal.events()
-    fields = dict(fields)
-    direct = journal.record(fields.pop("kind"), at, **fields)
+    (via_hub,) = obs.journal
+    journal.clock = sim
+    journal.emit(**fields)
+    (direct,) = journal
 
     assert via_hub.to_dict() == direct.to_dict()
     assert direct.at_ms == at
     # Subscribers saw the finished event, timestamp included.
     assert seen_hub == seen_direct == [direct.to_dict()]
-    # ``record`` pins the clock for one append only.
-    assert journal.record("chain.advance", at + 1.0).at_ms == at + 1.0
     assert obs.event("chain.advance") is None
-    assert obs.journal.events()[-1].at_ms == at

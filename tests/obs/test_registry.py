@@ -42,15 +42,6 @@ def test_counter_zero_increment_is_legal():
 # ----------------------------------------------------------------------
 # Gauge
 # ----------------------------------------------------------------------
-def test_gauge_moves_both_directions():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("log_length", participant="V")
-    gauge.set(10.0)
-    gauge.inc(5.0)
-    gauge.dec(12.0)
-    assert gauge.value == 3.0
-
-
 # ----------------------------------------------------------------------
 # Histogram
 # ----------------------------------------------------------------------

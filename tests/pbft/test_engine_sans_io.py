@@ -190,7 +190,7 @@ def test_checkpoint_stabilises_and_truncates_slots():
         router.drain()
     assert_agreement(router.engines, 5)
     for engine in router.engines:
-        assert engine.stable_checkpoint == engine.low_water == 4
+        assert engine.stable_checkpoint == 4
         assert engine.stable_certificate.state_digest
         assert sorted(engine.slots) == [5]
         assert not engine._checkpoints
@@ -253,6 +253,44 @@ def test_lagging_engine_rejoins_by_snapshot():
     router.drain()
     assert laggard.snapshot_installs == 1
     assert laggard.app.installed.seq == 4
+    assert_agreement(router.engines, 5)
+
+
+def _rejoin_past_gc(app):
+    """A replica that was down while its peers checkpointed and
+    garbage-collected the entries it is missing, back up."""
+    config = PBFTConfig(checkpoint_interval=2, gc_executed_log=True)
+    router = Router(4, config, app=app)
+    router.down.add("r3")
+    for value in "abcde":
+        router.engines[0].submit(value)
+        router.drain()
+    router.down.clear()
+    router.engines[3].on_recover()
+    router.drain()
+    return router, router.engines[3]
+
+
+def test_plain_group_refuses_unprovable_snapshot_offers():
+    # Unsigned checkpoint votes prove nothing a peer can transfer.
+    router, laggard = _rejoin_past_gc(PBFTApp)
+    assert laggard.snapshot_installs == 0
+    assert laggard.snapshot_offers_rejected > 0
+
+
+class SignedCheckpointApp(PBFTApp):
+    """Signed checkpoints, and no middleware state to snapshot."""
+
+    def sign_checkpoint(self, digest):
+        return ("signed", digest)
+
+    def certificate_valid(self, certificate):
+        return len(certificate.signatures) >= commit_quorum(1)
+
+
+def test_certified_watermark_alone_rejoins_a_group_without_snapshots():
+    router, laggard = _rejoin_past_gc(SignedCheckpointApp)
+    assert laggard.snapshot_installs == 1
     assert_agreement(router.engines, 5)
 
 

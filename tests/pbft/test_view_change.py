@@ -28,7 +28,7 @@ def test_new_leader_is_view_mod_n():
     future = replicas[1].submit("x")
     sim.run_until_resolved(future, max_events=20_000_000)
     view = max(r.view for r in replicas[1:])
-    leader_id = replicas[1].leader_of(view)
+    leader_id = replicas[1].engine.leader_of(view)
     assert leader_id != "r0"
 
 
@@ -56,7 +56,7 @@ def test_two_successive_leader_failures():
     replicas[0].recover()
     sim.run(until=sim.now + 200)
     view = max(r.view for r in replicas if not r.crashed)
-    new_leader_id = replicas[1].leader_of(view)
+    new_leader_id = replicas[1].engine.leader_of(view)
     new_leader = next(r for r in replicas if r.node_id == new_leader_id)
     new_leader.crash()
     submitter = next(

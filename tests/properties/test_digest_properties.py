@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.digest import stable_digest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.signatures import QuorumProof, collect_signatures, sign, verify
+from repro.crypto.signatures import QuorumProof, sign, verify
 
 # JSON-ish values that stable_digest must canonicalize.
 scalars = st.one_of(
@@ -80,6 +80,6 @@ def test_proof_validity_iff_enough_distinct_signers(signers, required):
     registry.register_all(["n0", "n1", "n2", "n3", "n4", "n5"])
     digest = stable_digest("quorum-payload")
     proof = QuorumProof.build(
-        digest, collect_signatures(registry, signers, digest)
+        digest, [sign(registry, signer, digest) for signer in signers]
     )
     assert proof.is_valid(registry, required) == (len(signers) >= required)

@@ -2,6 +2,7 @@
 the deque-of-``ProtocolEvent`` store it replaced (hypothesis)."""
 
 from itertools import cycle, islice
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,7 +64,7 @@ def _assert_same(journal, reference):
     assert journal.first_event_id == reference.first_event_id
     assert journal.last_event_id == reference.last_event_id
     expected = reference.events()
-    assert [_fields(e) for e in journal.events()] == [
+    assert [_fields(e) for e in journal] == [
         _fields(e) for e in expected
     ]
     assert [e.to_dict() for e in journal] == [e.to_dict() for e in expected]
@@ -88,6 +89,7 @@ def test_columnar_ring_equals_the_reference_journal(
     max_events, pattern, early, extra
 ):
     journal, reference = EventJournal(max_events), ReferenceJournal(max_events)
+    journal.clock = reference.clock = clock = SimpleNamespace(now=0.0)
     seen, expected_seen = [], []
     journal.subscribe(lambda event: seen.append(_fields(event)))
     reference.subscribe(lambda event: expected_seen.append(_fields(event)))
@@ -100,10 +102,9 @@ def test_columnar_ring_equals_the_reference_journal(
     ):
         if index == early:
             _assert_same(journal, reference)
+        clock.now = index * 0.25
         for target in (journal, reference):
-            target.record(
-                kind, index * 0.25, participant, node, trace, **args
-            )
+            target.emit(kind, participant, node, trace, **args)
     _assert_same(journal, reference)
     # Subscribers saw every event, later-evicted ones included.
     assert seen == expected_seen and len(seen) == total
@@ -114,9 +115,9 @@ def test_columnar_ring_equals_the_reference_journal(
 def test_read_events_are_copies(pattern):
     journal = EventJournal()
     for (kind, args), participant, node, trace in pattern:
-        journal.record(kind, 1.0, participant, node, trace, **args)
+        journal.emit(kind, participant, node, trace, **args)
     before = [e.to_dict() for e in journal]
-    for event in journal.events():
+    for event in journal:
         event.args["injected"] = True
         event.kind = "mutated"
     assert [e.to_dict() for e in journal] == before

@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import LatencySeries
 from repro.sim.simulator import Simulator
 
 
@@ -45,32 +44,6 @@ def test_seeded_runs_are_bit_identical(seed, n):
         return values
 
     assert run() == run()
-
-
-@given(
-    st.lists(
-        st.floats(min_value=0.001, max_value=1e6),
-        min_size=1,
-        max_size=100,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_latency_series_invariants(samples):
-    series = LatencySeries()
-    series.extend(samples)
-    # Tolerate one ulp of floating-point rounding in the aggregate.
-    slack = 1e-9 * max(abs(series.maximum), 1.0)
-    assert series.minimum - slack <= series.mean <= series.maximum + slack
-    assert series.percentile(0) == series.minimum
-    assert series.percentile(100) == series.maximum
-    assert (
-        series.percentile(50)
-        <= series.percentile(95) + slack
-    )
-    assert (
-        series.percentile(95)
-        <= series.percentile(99) + slack
-    )
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=2, max_size=30))

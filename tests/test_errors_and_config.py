@@ -7,8 +7,6 @@ from repro.core.config import BlockplaneConfig
 from repro.errors import (
     ConfigurationError,
     CryptoError,
-    InsufficientProofError,
-    InvalidSignatureError,
     LogError,
     NetworkError,
     ProcessError,
@@ -31,8 +29,6 @@ def test_every_error_derives_from_repro_error():
         NetworkError,
         UnknownNodeError,
         CryptoError,
-        InvalidSignatureError,
-        InsufficientProofError,
         ProtocolError,
         VerificationFailed,
         LogError,
@@ -45,7 +41,6 @@ def test_unit_size_arithmetic():
     assert BlockplaneConfig(f_independent=1).unit_size == 4
     assert BlockplaneConfig(f_independent=3).unit_size == 10
     assert BlockplaneConfig(f_independent=2).proof_size == 3
-    assert BlockplaneConfig(f_geo=2).replication_set_size == 5
 
 
 def test_invalid_config_rejected():

@@ -2,6 +2,7 @@
 
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import BatchWorkload, make_batch
+from repro.workloads.openloop import open_loop_process
 from repro.workloads.runner import sequential_commit_latency
 
 
@@ -21,7 +22,7 @@ def test_make_batch_distinct_per_index():
 
 def test_batch_workload_counts():
     workload = BatchWorkload(measured=10, warmup=3, batch_bytes=50)
-    batches = workload.batch_list()
+    batches = list(workload.batches())
     assert len(batches) == 13
     assert workload.total == 13
     assert all(len(batch) == 50 for batch in batches)
@@ -106,12 +107,24 @@ class TestRunOpenLoop:
         )
         return sim, deployment
 
+    def _drive(self, sim, commit, workload, retry_after_ms=5.0,
+               retry_budget=50):
+        stats = dict.fromkeys(
+            ("offered", "admitted", "shed", "committed", "failed", "dropped"),
+            0,
+        )
+        process = sim.spawn(open_loop_process(
+            sim, commit, workload, stats, retry_after_ms, retry_budget, 5.0
+        ))
+        sim.run_until_resolved(process, max_events=200_000_000)
+        return stats
+
     def test_all_offered_operations_commit(self):
-        from repro.workloads import OpenLoopWorkload, run_open_loop
+        from repro.workloads import OpenLoopWorkload
 
         sim, deployment = self._deployment()
         api = deployment.api("DC")
-        stats = run_open_loop(
+        stats = self._drive(
             sim,
             api.log_commit,
             OpenLoopWorkload(rate_per_s=2_000.0, total=300, seed=1),
@@ -131,11 +144,11 @@ class TestRunOpenLoop:
         assert retained_commits + log.base_position - 1 >= 300
 
     def test_shed_arrivals_are_retried_not_lost(self):
-        from repro.workloads import OpenLoopWorkload, run_open_loop
+        from repro.workloads import OpenLoopWorkload
 
         sim, deployment = self._deployment(max_in_flight=2)
         api = deployment.api("DC")
-        stats = run_open_loop(
+        stats = self._drive(
             sim,
             api.log_commit,
             OpenLoopWorkload(
@@ -151,18 +164,18 @@ class TestRunOpenLoop:
         assert stats["shed"] > 0, "window never filled — test is vacuous"
         assert stats["committed"] == 200
         assert stats["dropped"] == 0
-        assert api.log_length() >= 200
+        assert len(deployment.unit("DC").gateway_node().local_log) >= 200
 
     def test_exhausted_retry_budget_counts_dropped(self):
         from repro.errors import Overloaded
-        from repro.workloads import OpenLoopWorkload, run_open_loop
+        from repro.workloads import OpenLoopWorkload
 
         sim = Simulator(seed=3)
 
         def always_overloaded(value, batch_bytes):
             raise Overloaded("full")
 
-        stats = run_open_loop(
+        stats = self._drive(
             sim,
             always_overloaded,
             OpenLoopWorkload(rate_per_s=1_000.0, total=20, seed=3),
