@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test shapes lint lint-rules lint-baseline chaos audit bench-selftest identical obs-cost crypto-cost console experiments
+.PHONY: test shapes lint lint-rules lint-baseline chaos audit bench-selftest identical obs-cost crypto-cost console experiments census
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -90,3 +90,12 @@ console:
 
 experiments:
 	$(PYTHON) -m repro
+
+# Execution census (tools/census.py): every real path (the benchmark,
+# the shapes, the examples, every CLI the Makefile and CI run) and then
+# tier-1 run under a call tracer; lists each src/repro function no real
+# path enters, by bucket (~8 min). Fails when more are unreached than
+# CENSUS_MAX: lower it when a PR deletes, never raise it.
+CENSUS_MAX = 89
+census:
+	python3 tools/census.py --max $(CENSUS_MAX)
