@@ -32,12 +32,7 @@ def main() -> None:
     deployment = BlockplaneDeployment(
         sim,
         aws_four_dc_topology(),
-        BlockplaneConfig(
-            f_independent=1,
-            f_geo=1,
-            heartbeat_interval_ms=50.0,
-            heartbeat_suspect_ms=200.0,
-        ),
+        BlockplaneConfig(f_independent=1, f_geo=1),
         replication_sets=REPLICATION_SETS,
     )
     state = {"primary": "C"}

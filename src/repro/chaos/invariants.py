@@ -344,8 +344,8 @@ def check_transmission_chains(deployment) -> List[Violation]:
     Truncation-aware: communication records the source folded into its
     snapshot survive as a per-destination chain head, and receptions the
     destination folded survive as per-source floors — delivery of a
-    retained source record is checked through the destination's
-    floor-aware ``has_received``, and positions at or below the source's
+    retained source record is checked through the destination node's
+    ``has_received``, and positions at or below the source's
     folded head are exempt from the forgery/pointer comparison (their
     ground truth lives in the certified snapshot, which
     :func:`check_snapshot_certificates` covers)."""
@@ -359,14 +359,14 @@ def check_transmission_chains(deployment) -> List[Violation]:
             expected = source_log.communication_positions(destination)
             folded_head = source_log.folded_communication_head(destination)
             floor = folded_head if folded_head is not None else 0
-            destination_log = deployment.unit(destination).nodes[0].local_log
+            destination_node = deployment.unit(destination).nodes[0]
             records = _received_records(
                 deployment.unit(destination), source
             )
             missing = sorted(
                 position
                 for position in expected
-                if not destination_log.has_received(source, position)
+                if not destination_node.has_received(source, position)
             )
             if missing:
                 violations.append(

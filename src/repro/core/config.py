@@ -21,8 +21,6 @@ class BlockplaneConfig:
             gathers proofs from ``fg`` of the participant's ``2·fg``
             replication peers.
         pbft: Parameters of the unit-local PBFT groups.
-        sign_timeout_ms: How long a daemon waits for local signatures
-            before re-asking (covers crashed or silent unit members).
         transmission_fanout: How many destination nodes a transmission
             record is sent to. Values above 1 mask byzantine receivers;
             the destination deduplicates.
@@ -30,15 +28,9 @@ class BlockplaneConfig:
             participants for gaps (Section IV-C).
         reserve_gap_threshold: Source-log-position gap above which a
             reserve promotes itself to an active communication daemon.
-        transmission_retry_timeout_ms: How long a communication daemon
-            waits for a destination-node acknowledgement of a shipped
-            transmission before re-shipping it. Acknowledgements are
-            transport-level: any destination node that accepts the
-            record at ingress acks, so a single lost WAN message is
-            recovered without waiting for a reserve gap probe.
         transmission_retry_backoff: Multiplier applied to the retry
-            timeout after every unacknowledged attempt (exponential
-            backoff).
+            timeout (:data:`repro.core.daemon.TRANSMISSION_RETRY_TIMEOUT_MS`)
+            after every unacknowledged attempt (exponential backoff).
         transmission_retry_limit: Maximum re-ships per transmission
             record; once exhausted the reserve-daemon path is the only
             remaining recovery mechanism. 0 disables retransmission.
@@ -54,15 +46,8 @@ class BlockplaneConfig:
             :class:`~repro.errors.Overloaded` (0 = unlimited). This is
             the open-loop backpressure valve: arrivals beyond what the
             unit can drain fail fast instead of queueing unboundedly.
-        geo_request_timeout_ms: Extra slack (beyond the RTT estimate) a
-            primary waits for a mirror proof before failing over to the
-            next-closest secondary.
         geo_suspicion_ttl_ms: How long a timed-out mirror participant is
             demoted to last-resort before being retried eagerly.
-        heartbeat_interval_ms: Geo primary → secondary heartbeat period.
-        heartbeat_suspect_ms: Silence after which a secondary suspects
-            the primary and takes over (Figure 8(b)'s ~250 ms spikes
-            come from this detection window).
         default_payload_bytes: Size charged for a commit when the caller
             does not specify one (the paper's default batch is 1000
             bytes).
@@ -77,19 +62,14 @@ class BlockplaneConfig:
     pbft: PBFTConfig = dataclasses.field(
         default_factory=lambda: PBFTConfig(gc_executed_log=True)
     )
-    sign_timeout_ms: float = 10.0
     transmission_fanout: int = 2
     reserve_poll_interval_ms: float = 500.0
     reserve_gap_threshold: int = 8
-    transmission_retry_timeout_ms: float = 250.0
     transmission_retry_backoff: float = 2.0
     transmission_retry_limit: int = 3
     transmission_retry_max_delay_ms: float = 4_000.0
     admission_max_in_flight: int = 0
-    geo_request_timeout_ms: float = 60.0
     geo_suspicion_ttl_ms: float = 5_000.0
-    heartbeat_interval_ms: float = 50.0
-    heartbeat_suspect_ms: float = 200.0
     default_payload_bytes: int = 1000
 
     def __post_init__(self) -> None:
@@ -99,10 +79,6 @@ class BlockplaneConfig:
             raise ConfigurationError("f_geo cannot be negative")
         if self.transmission_fanout < 1:
             raise ConfigurationError("transmission_fanout must be at least 1")
-        if self.transmission_retry_timeout_ms <= 0:
-            raise ConfigurationError(
-                "transmission_retry_timeout_ms must be positive"
-            )
         if self.transmission_retry_backoff < 1.0:
             raise ConfigurationError(
                 "transmission_retry_backoff must be at least 1.0"

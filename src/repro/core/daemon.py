@@ -35,6 +35,13 @@ if TYPE_CHECKING:
     from repro.core.geo import GeoCoordinator
     from repro.core.node import BlockplaneNode
 
+#: How long a communication daemon waits for a destination-node
+#: acknowledgement of a shipped transmission before re-shipping it.
+#: Acknowledgements are transport-level: any destination node that
+#: accepts the record at ingress acks, so a single lost WAN message is
+#: recovered without waiting for a reserve gap probe.
+TRANSMISSION_RETRY_TIMEOUT_MS = 250.0
+
 
 def retry_delay(
     base_ms: float,
@@ -183,7 +190,7 @@ class CommunicationDaemon:
         if node.bp_config.transmission_retry_limit > 0:
             attempts = self._awaiting_ack.setdefault(entry.position, 0)
             delay = retry_delay(
-                node.bp_config.transmission_retry_timeout_ms,
+                TRANSMISSION_RETRY_TIMEOUT_MS,
                 node.bp_config.transmission_retry_backoff,
                 attempts,
                 node.bp_config.transmission_retry_max_delay_ms,

@@ -36,6 +36,15 @@ from repro.sim.process import Future, any_of
 if TYPE_CHECKING:
     from repro.core.node import BlockplaneNode
 
+#: Extra slack (beyond the RTT estimate) a primary waits for a mirror
+#: proof before failing over to the next-closest secondary.
+GEO_REQUEST_TIMEOUT_MS = 60.0
+#: Geo primary -> secondary heartbeat period.
+HEARTBEAT_INTERVAL_MS = 50.0
+#: Silence after which a secondary suspects the primary and takes over
+#: (Figure 8(b)'s ~250 ms spikes come from this detection window).
+HEARTBEAT_SUSPECT_MS = 200.0
+
 
 class GeoCoordinator:
     """Drives a participant's geo replication from its gateway node.
@@ -158,9 +167,7 @@ class GeoCoordinator:
                 # may have recovered) after a backoff.
                 attempt_round += 1
                 tried = set(succeeded)
-                yield node.sim.sleep(
-                    node.bp_config.geo_request_timeout_ms * attempt_round
-                )
+                yield node.sim.sleep(GEO_REQUEST_TIMEOUT_MS * attempt_round)
                 continue
             index, (target, proof) = yield any_of(node.sim, pending)
             pending.pop(index)
@@ -227,7 +234,7 @@ class GeoCoordinator:
             node.send(member, request)
         timeout = (
             node.directory.rtt_ms(node.participant, target)
-            + node.bp_config.geo_request_timeout_ms
+            + GEO_REQUEST_TIMEOUT_MS
         )
         which, outcome = yield any_of(
             node.sim, [waiter, node.sim.sleep(timeout)]
@@ -255,9 +262,7 @@ class GeoCoordinator:
     # Heartbeats and takeover (primary-copy recovery, Section V / VI-B)
     # ------------------------------------------------------------------
     def _schedule_heartbeat(self) -> None:
-        self.node.set_timer(
-            self.node.bp_config.heartbeat_interval_ms, self._heartbeat_tick
-        )
+        self.node.set_timer(HEARTBEAT_INTERVAL_MS, self._heartbeat_tick)
 
     def _heartbeat_tick(self) -> None:
         if self.is_primary:
@@ -274,9 +279,7 @@ class GeoCoordinator:
         self._schedule_heartbeat()
 
     def _schedule_monitor(self) -> None:
-        self.node.set_timer(
-            self.node.bp_config.heartbeat_interval_ms, self._monitor_tick
-        )
+        self.node.set_timer(HEARTBEAT_INTERVAL_MS, self._monitor_tick)
 
     def _monitor_tick(self) -> None:
         if not self.is_primary:
@@ -284,9 +287,7 @@ class GeoCoordinator:
             # Staggered suspicion: earlier-ranked secondaries fire first
             # so at most one takeover happens per failure.
             rank = self._takeover_rank()
-            threshold = self.node.bp_config.heartbeat_suspect_ms * (
-                1.0 + 0.5 * max(rank - 1, 0)
-            )
+            threshold = HEARTBEAT_SUSPECT_MS * (1.0 + 0.5 * max(rank - 1, 0))
             if rank >= 1 and silence > threshold:
                 self._take_over()
         self._schedule_monitor()

@@ -2,13 +2,13 @@
 
 Every Blockplane node keeps a copy (``L_i`` in the paper); entries are
 appended only through PBFT execution, so all honest copies agree
-(Lemma 1). On top of the raw sequence the log maintains the two indexes
-the middleware needs constantly:
+(Lemma 1). On top of the raw sequence the log maintains the one index
+the middleware needs constantly: per-destination chains of
+communication records (what the communication daemons walk).
 
-* per-destination chains of communication records (what the
-  communication daemons walk), and
-* per-source reception state (the last received source position, used
-  by the receive verification routine to reject duplicates and gaps).
+What a node has *received* is not indexed here: each
+:class:`~repro.core.node.BlockplaneNode` keeps one reception record per
+source and answers duplicate and gap questions from it.
 
 The paper treats the log as append-only forever; this implementation
 adds the production machinery that keeps memory bounded under
@@ -16,11 +16,11 @@ sustained load. Positions stay global and 1-based for the log's whole
 lifetime, but the *retained* window starts at :attr:`base_position`:
 :meth:`truncate_before` folds everything below a stable checkpoint's
 watermark into a :class:`~repro.core.records.LogSnapshot` (digest
-chain head + communication chain heads + reception floors), and
-:meth:`restore` installs such a snapshot on a recovering replica so it
-can catch up from the retained suffix instead of replaying from
-position 1. All chain-pointer and duplicate/gap questions keep
-answering identically across the truncation boundary.
+chain head + communication chain heads; the node supplies the reception
+floors), and :meth:`restore` installs such a snapshot on a recovering
+replica so it can catch up from the retained suffix instead of
+replaying from position 1. Chain-pointer questions keep answering
+identically across the truncation boundary.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ GENESIS_CHAIN = stable_digest(("local-log-genesis",))
 
 
 class LocalLog:
-    """A log of :class:`LogEntry` with Blockplane indexes and a
-    truncatable retained window.
+    """A log of :class:`LogEntry` with its communication-chain index
+    and a truncatable retained window.
 
     Args:
         participant: Name of the owning participant (for errors/traces).
@@ -70,12 +70,6 @@ class LocalLog:
         # Last *folded* communication position per destination: the
         # chain predecessor of the first retained comm record.
         self._comm_heads: Dict[str, int] = {}
-        self._last_received_from: Dict[str, int] = {}
-        self._received_positions: Dict[str, set] = {}
-        # Highest folded received source position per source; folded
-        # receptions all sit at or below it (receptions commit in
-        # source order), so membership below the floor means "received".
-        self._reception_floors: Dict[str, int] = {}
         # Metric handles resolved once per record type instead of per
         # append (a registry lookup canonicalizes the label set every
         # time; appends are the hottest metric site after the network).
@@ -169,15 +163,6 @@ class LocalLog:
             self._comm_by_destination.setdefault(destination, []).append(
                 entry.position
             )
-        elif record_type == RECORD_RECEIVED:
-            sealed = value
-            if isinstance(sealed, SealedTransmission):
-                source = sealed.record.source
-                position = sealed.record.source_position
-                self._last_received_from[source] = max(
-                    self._last_received_from.get(source, 0), position
-                )
-                self._received_positions.setdefault(source, set()).add(position)
         if self.obs.enabled:
             counter = self._append_counters.get(record_type)
             if counter is None:
@@ -241,33 +226,29 @@ class LocalLog:
     # ------------------------------------------------------------------
     # Snapshots and truncation
     # ------------------------------------------------------------------
-    def snapshot(self) -> LogSnapshot:
+    def snapshot(self, reception_floors: tuple = ()) -> LogSnapshot:
         """The snapshot that would result from folding *everything*
         written so far (what a checkpoint at the current watermark
-        certifies)."""
+        certifies), carrying the owning node's ``reception_floors``."""
         comm_heads = dict(self._comm_heads)
         for destination, positions in self._comm_by_destination.items():
             if positions:
                 comm_heads[destination] = positions[-1]
-        floors = dict(self._reception_floors)
-        for source, received in self._received_positions.items():
-            if received:
-                floors[source] = max(floors.get(source, 0), max(received))
         return LogSnapshot(
             participant=self.participant,
             base_position=self.next_position,
             entry_chain=self.entry_chain,
             comm_heads=tuple(sorted(comm_heads.items())),
-            reception_floors=tuple(sorted(floors.items())),
+            reception_floors=reception_floors,
         )
 
     def truncate_before(self, position: int) -> LogSnapshot:
         """Fold every entry below ``position`` into the base snapshot.
 
-        Communication records fold into per-destination chain heads,
-        received records into per-source reception floors; the digest
-        chain head advances so honest logs remain comparable. Returns
-        the snapshot describing the new base.
+        Communication records fold into per-destination chain heads;
+        received records need no folding (the node, not the log, tracks
+        receptions). The digest chain head advances so honest logs
+        remain comparable. Returns the snapshot describing the new base.
 
         Raises:
             LogError: If ``position`` lies beyond the next position
@@ -288,17 +269,6 @@ class LocalLog:
                 positions = self._comm_by_destination.get(destination)
                 if positions and positions[0] == entry.position:
                     positions.pop(0)
-            elif entry.record_type == RECORD_RECEIVED and isinstance(
-                entry.value, SealedTransmission
-            ):
-                source = entry.value.record.source
-                source_position = entry.value.record.source_position
-                self._reception_floors[source] = max(
-                    self._reception_floors.get(source, 0), source_position
-                )
-                received = self._received_positions.get(source)
-                if received is not None:
-                    received.discard(source_position)
         self.base_chain = self._chain_values[drop - 1]
         del self.entries[:drop]
         del self._chain_values[:drop]
@@ -326,7 +296,6 @@ class LocalLog:
             base_position=self.base_position,
             entry_chain=self.base_chain,
             comm_heads=tuple(sorted(self._comm_heads.items())),
-            reception_floors=tuple(sorted(self._reception_floors.items())),
         )
 
     def restore(self, snapshot: LogSnapshot) -> None:
@@ -345,11 +314,6 @@ class LocalLog:
         self.base_chain = snapshot.entry_chain
         self._comm_by_destination = {}
         self._comm_heads = dict(snapshot.comm_heads)
-        self._reception_floors = dict(snapshot.reception_floors)
-        self._received_positions = {}
-        self._last_received_from = {
-            source: floor for source, floor in snapshot.reception_floors
-        }
         if self.obs.enabled and self.obs.forensics:
             self.obs.event(
                 "log.restore", participant=self.participant,
@@ -403,24 +367,3 @@ class LocalLog:
             ),
             payload_bytes=entry.payload_bytes,
         )
-
-    # ------------------------------------------------------------------
-    # Reception state (used by the receive verification routine)
-    # ------------------------------------------------------------------
-    def last_received_from(self, source: str) -> int:
-        """Highest source-log position received from ``source`` (0 if
-        nothing yet). This is what nodes report to remote reserves."""
-        return max(
-            self._last_received_from.get(source, 0),
-            self._reception_floors.get(source, 0),
-        )
-
-    def has_received(self, source: str, source_position: int) -> bool:
-        """Whether a transmission at that source position was already
-        committed here (duplicate detection). Positions at or below the
-        reception floor were folded by truncation; everything folded
-        from a source sits below its floor, so the floor check is exact
-        for any position a well-formed transmission can carry."""
-        if source_position <= self._reception_floors.get(source, 0):
-            return True
-        return source_position in self._received_positions.get(source, set())

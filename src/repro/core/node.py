@@ -20,6 +20,7 @@ The communication daemons and geo coordinator are separate objects that
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import BlockplaneConfig
@@ -46,6 +47,7 @@ from repro.core.records import (
     RECORD_RECEIVED,
     RECORD_TRUNCATE,
     SealedTransmission,
+    TransmissionRecord,
 )
 from repro.core.verification import VerificationRoutines
 from repro.crypto.signatures import QuorumProof, sign, verify
@@ -57,6 +59,33 @@ from repro.pbft.messages import (
 from repro.pbft.engine import NOOP_RECORD_TYPE, checkpoint_digest
 from repro.pbft.replica import PBFTReplica
 from repro.sim.process import Future
+
+#: How long a signature collection waits before re-asking the unit
+#: (covers crashed or silent members).
+SIGN_TIMEOUT_MS = 10.0
+
+
+@dataclass(slots=True)
+class _Reception:
+    """What a node holds about one remote participant's transmissions
+    to it: the receive verification routine's duplicate and gap answers
+    (Section IV-C), chain-order delivery, and the proposal bookkeeping."""
+
+    #: Highest source position voted for or applied (the vote gate).
+    head: int = 0
+    #: Chain head delivered to ``receive()``.
+    delivered: int = 0
+    #: Applied records whose predecessor has not applied yet, keyed by
+    #: that predecessor, so the next one to deliver is one lookup away.
+    pending: Dict[int, TransmissionRecord] = field(default_factory=dict)
+    #: Delivered messages ``receive()`` has not returned yet.
+    buffer: deque = field(default_factory=deque)
+    #: Digest voted per position not yet delivered.
+    voted: Dict[int, str] = field(default_factory=dict)
+    #: Positions this node proposed as leader in the current view.
+    proposed: set = field(default_factory=set)
+    #: This node's own in-flight submissions: position -> request id.
+    submitted: Dict[int, Tuple[str, int]] = field(default_factory=dict)
 
 
 class _SignatureCollector:
@@ -129,20 +158,15 @@ class BlockplaneNode(PBFTReplica):
         # applied reception (registry lookups are hot at apply time).
         self._reception_counters: Dict[str, Any] = {}
         self.mirror_logs: Dict[str, List[MirrorEntry]] = {}
-        self.reception_buffers: Dict[str, deque] = {}
+        #: One reception record per remote participant.
+        self.receptions: Dict[str, _Reception] = {}
         self._reception_waiters: List[Tuple[Optional[str], Future]] = []
         #: Callbacks fired for every appended Local Log entry (daemons,
         #: geo coordinator, application apply functions hook in here).
         self.on_log_append: List[Callable[[LogEntry], None]] = []
         #: Callbacks fired for appended mirror entries.
         self.on_mirror_append: List[Callable[[MirrorEntry], None]] = []
-        self._voted_receptions: Dict[Tuple[str, int], str] = {}
-        self._reception_heads: Dict[str, int] = {}
         self._mirror_seen: set = set()
-        self._submitted_receptions: Dict[Tuple[str, int], Tuple[str, int]] = {}
-        self._proposed_receptions: set = set()
-        self._reception_reorder: Dict[str, Dict[int, Any]] = {}
-        self._delivered_heads: Dict[str, int] = {}
         self._proposed_mirrors: set = set()
         self._sign_collectors: Dict[Tuple[int, str, str], _SignatureCollector] = {}
         self._deferred_sign_requests: List[Tuple[str, SignRequest]] = []
@@ -214,8 +238,9 @@ class BlockplaneNode(PBFTReplica):
         if record.destination != self.participant:
             return False
         digest = record.digest()
-        key = (record.source, record.source_position)
-        if self._voted_receptions.get(key) == digest:
+        position = record.source_position
+        state = self.receptions.get(record.source)
+        if state is not None and state.voted.get(position) == digest:
             return True  # idempotent re-vote (view-change re-proposal)
         # Check 1 — fi+1 valid signatures from the source unit.
         if not self.proof_valid(sealed.proof, digest, record.source):
@@ -247,13 +272,11 @@ class BlockplaneNode(PBFTReplica):
         # stall the slot it landed in; the proof guarantees the content
         # is identical to what we already hold, because honest signers
         # only attest records matching their own log.
-        if self.local_log.has_received(record.source, record.source_position):
+        if self.has_received(record.source, position):
             return True
-        head = max(
-            self._reception_heads.get(record.source, 0),
-            self.local_log.last_received_from(record.source),
-        )
-        if record.source_position <= head:
+        state = self._reception(record.source)
+        head = state.head
+        if position <= head:
             return False  # stale vote for a position we voted differently
         expected_prev = head if head > 0 else None
         if record.prev_position != expected_prev:
@@ -265,8 +288,8 @@ class BlockplaneNode(PBFTReplica):
             record.message, record.source, {"source": record.source}
         ):
             return False
-        self._reception_heads[record.source] = record.source_position
-        self._voted_receptions[key] = digest
+        state.head = position
+        state.voted[position] = digest
         return True
 
     def _verify_truncate(
@@ -334,14 +357,15 @@ class BlockplaneNode(PBFTReplica):
             if not isinstance(sealed, SealedTransmission):
                 return "malformed transmission record"
             record = sealed.record
-            key = (record.source, record.source_position)
-            if key in self._proposed_receptions:
+            position = record.source_position
+            state = self.receptions.get(record.source)
+            if state is not None and position in state.proposed:
                 return "transmission already proposed"
-            if self.local_log.has_received(*key):
+            if self.has_received(record.source, position):
                 return "transmission already committed"
             if not self.proof_valid(sealed.proof, record.digest(), record.source):
                 return "invalid transmission proof"
-            self._proposed_receptions.add(key)
+            self._reception(record.source).proposed.add(position)
             return None
         if msg.record_type == RECORD_MIRROR:
             if not isinstance(msg.value, tuple) or len(msg.value) != 2:
@@ -371,10 +395,9 @@ class BlockplaneNode(PBFTReplica):
             self._apply_mirror(committed)
             return
         if committed.record_type == RECORD_RECEIVED:
-            sealed = committed.value
-            key = (sealed.record.source, sealed.record.source_position)
-            self._proposed_receptions.discard(key)
-            if self.local_log.has_received(*key):
+            record = committed.value.record
+            self._reception(record.source).proposed.discard(record.source_position)
+            if self.has_received(record.source, record.source_position):
                 # Duplicate commit of the same transmission: every
                 # honest replica skips it identically.
                 return
@@ -458,8 +481,12 @@ class BlockplaneNode(PBFTReplica):
     def checkpoint_payload(self, seq: int) -> LogSnapshot:
         """The middleware state a checkpoint at ``seq`` certifies: a
         snapshot folding the entire Local Log as of executing ``seq``
-        (deterministic across honest replicas by Lemma 1)."""
-        return self.local_log.snapshot()
+        (deterministic across honest replicas by Lemma 1), with each
+        source's highest applied position as its reception floor."""
+        return self.local_log.snapshot(tuple(sorted(
+            (source, applied) for source in self.receptions
+            if (applied := self.last_received_from(source))
+        )))
 
     def sign_checkpoint(self, digest: str) -> Any:
         return sign(self.directory.registry, self.node_id, digest)
@@ -507,13 +534,16 @@ class BlockplaneNode(PBFTReplica):
         if payload.participant != self.participant:
             return False
         self.local_log.restore(payload)
-        # Reception machinery resumes at the snapshot's floors: chain
-        # delivery and vote heads continue from the last folded source
-        # position of each remote participant.
+        # Reception machinery resumes at the snapshot's floors (0 for a
+        # source it does not name): chain delivery and vote heads both
+        # continue from each source's highest applied position.
         floors = dict(payload.reception_floors)
-        self._reception_heads = dict(floors)
-        self._delivered_heads = dict(floors)
-        self._reception_reorder.clear()
+        for source in floors:
+            self._reception(source)
+        for source, state in self.receptions.items():
+            state.head = state.delivered = floor = floors.get(source, 0)
+            state.pending.clear()
+            state.voted = {p: d for p, d in state.voted.items() if p > floor}
         return True
 
     def on_stable_checkpoint(
@@ -554,16 +584,17 @@ class BlockplaneNode(PBFTReplica):
     def on_view_installed(self, new_view: int) -> None:
         """Drop the advisory duplicate-suppression sets on a view change.
 
-        ``_proposed_receptions``/``_proposed_mirrors`` only exist so a
-        leader does not burn sequence numbers on *racing* duplicate
-        submissions. A proposal lost to a view change (its slot noop-ed
-        by the new leader) would otherwise wedge its key here forever:
+        The reception records' ``proposed`` sets and ``_proposed_mirrors``
+        only exist so a leader does not burn sequence numbers on *racing*
+        duplicate submissions. A proposal lost to a view change (its slot
+        noop-ed by the new leader) would otherwise wedge its key forever:
         every future tenure of this replica as leader rejects the
         resubmission as "already proposed", even though it never
         committed. Clearing is safe — committed duplicates are accepted
         idempotently at vote time and deduplicated at apply time.
         """
-        self._proposed_receptions.clear()
+        for state in self.receptions.values():
+            state.proposed.clear()
         self._proposed_mirrors.clear()
         super().on_view_installed(new_view)
 
@@ -580,32 +611,30 @@ class BlockplaneNode(PBFTReplica):
         return future
 
     def _apply_reception(self, entry: LogEntry) -> None:
-        sealed: SealedTransmission = entry.value
-        source = sealed.record.source
-        key = (source, sealed.record.source_position)
+        record = entry.value.record
+        state = self.receptions[record.source]
         # If we submitted this transmission ourselves and someone else's
         # submission won, cancel ours so its timer cannot fire forever.
-        rid = self._submitted_receptions.pop(key, None)
+        rid = state.submitted.pop(record.source_position, None)
         if rid is not None:
             self.engine.abandon(rid)
+        state.head = max(state.head, record.source_position)
         # Commit (slot) order can differ from chain order when a later
         # message raced ahead; deliver to the application strictly along
-        # the source's chain pointers. Pending records are keyed by their
-        # predecessor, so the next one to deliver is one lookup away.
-        pending = self._reception_reorder.setdefault(source, {})
-        pending.setdefault(sealed.record.prev_position or 0, sealed.record)
-        buffer = self.reception_buffers.setdefault(source, deque())
-        head = self._delivered_heads.get(source, 0)
-        while (ready := pending.pop(head, None)) is not None:
-            head = self._delivered_heads[source] = ready.source_position
+        # the source's chain pointers. A delivered position needs no
+        # vote digest: a re-vote for it passes as received.
+        state.pending.setdefault(record.prev_position or 0, record)
+        while (ready := state.pending.pop(state.delivered, None)) is not None:
+            state.delivered = ready.source_position
+            state.voted.pop(ready.source_position, None)
             if self.obs.forensics:
                 self.obs.event(
                     "chain.advance", participant=self.participant,
-                    node=self.node_id, source=source,
+                    node=self.node_id, source=record.source,
                     position=ready.source_position,
                     prev_position=ready.prev_position,
                 )
-            buffer.append(ready.message)
+            state.buffer.append(ready.message)
         self._wake_reception_waiters()
 
     def _apply_mirror(self, committed: CommittedEntry) -> None:
@@ -634,8 +663,36 @@ class BlockplaneNode(PBFTReplica):
         return future
 
     # ------------------------------------------------------------------
-    # Reception buffers (the receive() interface's node-side half)
+    # Reception records (duplicate/gap answers, receive()'s node side)
     # ------------------------------------------------------------------
+    def _reception(self, source: str) -> _Reception:
+        """``source``'s record, created once a proof from it verifies."""
+        state = self.receptions.get(source)
+        if state is None:
+            state = self.receptions[source] = _Reception()
+        return state
+
+    def has_received(self, source: str, source_position: int) -> bool:
+        """Whether the transmission at ``source_position`` already
+        applied here (duplicate detection): at or below the delivered
+        chain head, or applied and waiting for its predecessor."""
+        state = self.receptions.get(source)
+        return state is not None and (
+            source_position <= state.delivered
+            or any(record.source_position == source_position
+                   for record in state.pending.values())
+        )
+
+    def last_received_from(self, source: str) -> int:
+        """Highest source position applied from ``source`` (0 if none):
+        what this node reports to remote reserves."""
+        state = self.receptions.get(source)
+        if state is None:
+            return 0
+        return max(
+            [state.delivered, *(r.source_position for r in state.pending.values())]
+        )
+
     def poll_reception(self, source: Optional[str] = None) -> Future:
         """Return a future resolving with the next unread message
         (from ``source``, or from anyone when None)."""
@@ -658,13 +715,11 @@ class BlockplaneNode(PBFTReplica):
 
     def _pop_buffered(self, source: Optional[str]) -> Any:
         if source is not None:
-            buffer = self.reception_buffers.get(source)
-            if buffer:
-                return buffer.popleft()
-            return _EMPTY
-        for buffer in self.reception_buffers.values():
-            if buffer:
-                return buffer.popleft()
+            state = self.receptions.get(source)
+            return state.buffer.popleft() if state and state.buffer else _EMPTY
+        for state in self.receptions.values():
+            if state.buffer:
+                return state.buffer.popleft()
         return _EMPTY
 
     # ------------------------------------------------------------------
@@ -676,7 +731,7 @@ class BlockplaneNode(PBFTReplica):
         if sealed is None:
             return
         record = sealed.record
-        key = (record.source, record.source_position)
+        position = record.source_position
         if record.destination != self.participant:
             return
         # Ingress validation: the same source-unit proof the voting path
@@ -723,11 +778,12 @@ class BlockplaneNode(PBFTReplica):
             # span (duplicate deliveries are no-ops in the hub).
             self.obs.end_wan_span(record.source, record.destination,
                                   record.source_position)
-        if self.local_log.has_received(*key):
+        if self.has_received(record.source, position):
             return  # duplicate delivery (extra daemons are expected)
-        if key in self._submitted_receptions:
+        state = self._reception(record.source)
+        if position in state.submitted:
             return
-        self._submitted_receptions[key], future = self.engine.submit(
+        state.submitted[position], future = self.engine.submit(
             sealed,
             RECORD_RECEIVED,
             meta={"source": record.source},
@@ -740,7 +796,7 @@ class BlockplaneNode(PBFTReplica):
             # normal outcome when several receivers submit the same
             # transmission. Unblock re-submission for retransmissions.
             if completed.exception is not None:
-                self._submitted_receptions.pop(key, None)
+                state.submitted.pop(position, None)
 
         future.add_done_callback(_done)
 
@@ -779,7 +835,7 @@ class BlockplaneNode(PBFTReplica):
         self.broadcast(self.peers, request)
         if not future.resolved:
             collector.timer = self.set_timer(
-                self.bp_config.sign_timeout_ms, self._retry_sign_collection, key
+                SIGN_TIMEOUT_MS, self._retry_sign_collection, key
             )
         return future
 
@@ -793,7 +849,7 @@ class BlockplaneNode(PBFTReplica):
             SignRequest(position=position, digest=digest, purpose=purpose),
         )
         collector.timer = self.set_timer(
-            self.bp_config.sign_timeout_ms, self._retry_sign_collection, key
+            SIGN_TIMEOUT_MS, self._retry_sign_collection, key
         )
 
     def handle_sign_request(self, msg: SignRequest, src: str) -> None:
@@ -899,7 +955,7 @@ class BlockplaneNode(PBFTReplica):
             src,
             GapResponse(
                 source_participant=msg.source_participant,
-                last_source_position=self.local_log.last_received_from(
+                last_source_position=self.last_received_from(
                     msg.source_participant
                 ),
             ),

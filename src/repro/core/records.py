@@ -148,10 +148,10 @@ class LogSnapshot:
 
     * the digest chain head over the folded entries (so two snapshots
       of the same prefix are comparable without the entries), and
-    * the per-destination communication chain heads plus per-source
-      reception floors that keep ``previous_communication_position`` /
-      ``has_received`` / ``last_received_from`` answering identically
-      across the truncation boundary.
+    * the per-destination communication chain heads that keep
+      ``previous_communication_position`` answering identically across
+      the truncation boundary, plus the owning node's per-source
+      reception floors (a recovering node resumes receiving from them).
 
     Attributes:
         participant: Owning participant.
@@ -161,10 +161,10 @@ class LogSnapshot:
             ``1 .. base_position - 1``.
         comm_heads: Per destination, the position of the last folded
             communication record (sorted tuple of pairs).
-        reception_floors: Per source, the highest folded received
-            source position (sorted tuple of pairs). Receptions commit
-            in source order, so every folded reception from a source
-            sits at or below its floor.
+        reception_floors: Per source, the highest source position the
+            node had applied (sorted tuple of pairs); a node restored
+            from the snapshot treats every position at or below it as
+            received.
     """
 
     participant: str

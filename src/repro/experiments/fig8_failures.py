@@ -47,8 +47,6 @@ def _build(
         BlockplaneConfig(
             f_independent=1,
             f_geo=1,
-            heartbeat_interval_ms=50.0,
-            heartbeat_suspect_ms=200.0,
             geo_suspicion_ttl_ms=geo_suspicion_ttl_ms,
         ),
         replication_sets=FIG8_REPLICATION_SETS,

@@ -13,12 +13,13 @@ from repro.core.records import (
     RECORD_COMMUNICATION,
     RECORD_LOG_COMMIT,
     RECORD_RECEIVED,
+    RECORD_TRUNCATE,
     SealedTransmission,
     TransmissionRecord,
 )
 from repro.crypto.signatures import QuorumProof
 
-from tests.conftest import build_pair
+from tests.conftest import apply_committed, build_pair
 
 
 def plan_with(*actions, f_geo=0):
@@ -190,10 +191,14 @@ def test_chain_pointer_mismatch_is_detected(sim):
     log_a = deployment.unit("A").nodes[0].local_log
     first = log_a.append(RECORD_COMMUNICATION, "m1", meta={"destination": "B"})
     second = log_a.append(RECORD_COMMUNICATION, "m2", meta={"destination": "B"})
-    log_b = deployment.unit("B").nodes[0].local_log
-    log_b.append(RECORD_RECEIVED, _sealed("A", "B", first.position, None))
+    node_b = deployment.unit("B").nodes[0]
+    apply_committed(
+        node_b, RECORD_RECEIVED, _sealed("A", "B", first.position, None)
+    )
     # Claims the wrong predecessor for the second record.
-    log_b.append(RECORD_RECEIVED, _sealed("A", "B", second.position, None))
+    apply_committed(
+        node_b, RECORD_RECEIVED, _sealed("A", "B", second.position, None)
+    )
     violations = check_transmission_chains(deployment)
     assert invariants_of(violations) == ["chain-pointer"]
 
@@ -258,21 +263,29 @@ def test_fork_in_the_retained_overlap_still_reported(sim):
 def test_folded_receptions_do_not_read_as_chain_gaps(sim):
     deployment = build_pair(sim)
     log_a = deployment.unit("A").nodes[0].local_log
-    log_b = deployment.unit("B").nodes[0].local_log
+    node_b = deployment.unit("B").nodes[0]
     first = log_a.append(
         RECORD_COMMUNICATION, "m1", meta={"destination": "B"}
     )
     second = log_a.append(
         RECORD_COMMUNICATION, "m2", meta={"destination": "B"}
     )
-    log_b.append(RECORD_RECEIVED, _sealed("A", "B", first.position, None))
-    log_b.append(
-        RECORD_RECEIVED, _sealed("A", "B", second.position, first.position)
+    apply_committed(
+        node_b, RECORD_RECEIVED, _sealed("A", "B", first.position, None)
+    )
+    apply_committed(
+        node_b, RECORD_RECEIVED,
+        _sealed("A", "B", second.position, first.position),
     )
     assert check_transmission_chains(deployment) == []
-    # Receiver folds both receptions; the source folds the first comm
-    # record. Neither side may now read as a gap or a forgery.
-    log_b.truncate_before(log_b.next_position)
+    # Receiver folds both receptions through a committed truncation; the
+    # source folds the first comm record. Neither side may now read as a
+    # gap or a forgery.
+    apply_committed(
+        node_b, RECORD_TRUNCATE, node_b.local_log.next_position,
+        meta={"checkpoint_seq": 1},
+    )
+    assert node_b.local_log.base_position == 3
     log_a.truncate_before(first.position + 1)
     assert check_transmission_chains(deployment) == []
     assert check_at_most_once(deployment) == []

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.obs import Observability
+from repro.pbft.messages import CommittedEntry
 from repro.sim.simulator import Simulator
 from repro.sim.topology import (
     aws_four_dc_topology,
@@ -89,3 +90,14 @@ def drain(sim: Simulator, until: float = 10_000.0, max_events: int = 5_000_000):
 def resolve(sim: Simulator, future, max_events: int = 10_000_000):
     """Run until a future resolves; return its value."""
     return sim.run_until_resolved(future, max_events=max_events)
+
+
+def apply_committed(node, record_type: str, value, meta=None) -> None:
+    """Run ``node``'s apply path on ``value`` as if PBFT had just
+    committed it, without a consensus round."""
+    node._apply_entry(
+        CommittedEntry(
+            seq=node.local_log.next_position, view=0, value=value,
+            record_type=record_type, meta=meta,
+        )
+    )

@@ -15,12 +15,7 @@ GEO_SETS = {
 
 
 def geo_config(**kwargs):
-    defaults = dict(
-        f_independent=1,
-        f_geo=1,
-        heartbeat_interval_ms=50.0,
-        heartbeat_suspect_ms=200.0,
-    )
+    defaults = dict(f_independent=1, f_geo=1)
     defaults.update(kwargs)
     return BlockplaneConfig(**defaults)
 

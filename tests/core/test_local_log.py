@@ -1,4 +1,6 @@
-"""Unit tests for the Local Log and its Blockplane indexes."""
+"""Unit tests for the Local Log and its communication-chain index, and
+for the node-held reception state that answers duplicate and gap
+questions in its place."""
 
 import pytest
 
@@ -13,11 +15,13 @@ from repro.core.records import (
 from repro.crypto.signatures import QuorumProof
 from repro.errors import LogError
 
+from tests.conftest import apply_committed, build_pair
+
 
 def sealed(source, position, prev, message="m"):
     record = TransmissionRecord(
         source=source,
-        destination="DC",
+        destination="B",
         message=message,
         source_position=position,
         prev_position=prev,
@@ -65,22 +69,23 @@ def test_communication_chain_per_destination():
     assert log.previous_communication_position("X", 3) is None
 
 
-def test_reception_state_tracks_source_positions():
-    log = LocalLog("DC")
-    assert log.last_received_from("A") == 0
-    log.append(RECORD_RECEIVED, sealed("A", 2, None))
-    assert log.last_received_from("A") == 2
-    assert log.has_received("A", 2)
-    assert not log.has_received("A", 5)
-    log.append(RECORD_RECEIVED, sealed("A", 5, 2))
-    assert log.last_received_from("A") == 5
+def test_reception_state_tracks_source_positions(sim):
+    node = build_pair(sim).unit("B").nodes[1]
+    assert node.last_received_from("A") == 0
+    apply_committed(node, RECORD_RECEIVED, sealed("A", 2, None))
+    assert node.last_received_from("A") == 2
+    assert node.has_received("A", 2)
+    assert not node.has_received("A", 5)
+    apply_committed(node, RECORD_RECEIVED, sealed("A", 5, 2))
+    assert node.last_received_from("A") == 5
 
 
-def test_reception_state_is_per_source():
-    log = LocalLog("DC")
-    log.append(RECORD_RECEIVED, sealed("A", 3, None))
-    assert log.last_received_from("B") == 0
-    assert not log.has_received("B", 3)
+def test_reception_state_is_per_source(sim):
+    node = build_pair(sim).unit("B").nodes[1]
+    apply_committed(node, RECORD_RECEIVED, sealed("A", 3, None))
+    assert node.last_received_from("X") == 0
+    assert not node.has_received("X", 3)
+    assert "X" not in node.receptions  # a lookup allocates nothing
 
 
 def test_iteration_yields_entries_in_order():

@@ -1,10 +1,10 @@
 """Log truncation, snapshots, and restore (the bounded-memory layer).
 
 The contract under test: folding a prefix into a :class:`LogSnapshot`
-must not change any answer the middleware relies on — duplicate/gap
-rejection of receptions, communication chain pointers, digest-chain
-comparability — and a restore from a certified snapshot must leave a
-recovering log giving those same answers.
+must not change any answer the middleware relies on — the node's
+duplicate/gap rejection of receptions, communication chain pointers,
+digest-chain comparability — and a restore from a certified snapshot
+must leave a recovering node giving those same answers.
 """
 
 import pytest
@@ -14,17 +14,20 @@ from repro.core.records import (
     RECORD_COMMUNICATION,
     RECORD_LOG_COMMIT,
     RECORD_RECEIVED,
+    RECORD_TRUNCATE,
     SealedTransmission,
     TransmissionRecord,
 )
 from repro.crypto.signatures import QuorumProof
 from repro.errors import LogError
 
+from tests.conftest import apply_committed, build_pair
 
-def sealed(source, position, prev, message="m"):
+
+def sealed(source, position, prev, message="m", destination="DC"):
     record = TransmissionRecord(
         source=source,
-        destination="DC",
+        destination=destination,
         message=message,
         source_position=position,
         prev_position=prev,
@@ -50,6 +53,25 @@ def build_log(participant="DC"):
     log.append(RECORD_COMMUNICATION, "m3", meta={"destination": "X"})
     log.append(RECORD_LOG_COMMIT, "s3")
     return log
+
+
+def receiving_node(node):
+    """``node`` (a member of B in an A/B pair) after applying, through
+    its apply path: 1 state, 2 comm->A, 3 recv A@3, 4 state, 5 recv
+    A@7, 6 state."""
+    apply_committed(node, RECORD_LOG_COMMIT, "s1")
+    apply_committed(node, RECORD_COMMUNICATION, "m1", meta={"destination": "A"})
+    apply_committed(node, RECORD_RECEIVED, sealed("A", 3, 0, destination="B"))
+    apply_committed(node, RECORD_LOG_COMMIT, "s2")
+    apply_committed(node, RECORD_RECEIVED, sealed("A", 7, 3, destination="B"))
+    apply_committed(node, RECORD_LOG_COMMIT, "s3")
+    return node
+
+
+def fold(node, before):
+    """Fold ``node``'s Local Log below ``before`` through a committed
+    truncation (its marker entry takes the next position)."""
+    apply_committed(node, RECORD_TRUNCATE, before, meta={"checkpoint_seq": 1})
 
 
 class TestTruncateBasics:
@@ -93,36 +115,38 @@ class TestTruncateBasics:
 
 
 class TestReceptionAnswersSurviveTruncation:
-    def test_duplicate_rejection_identical_before_and_after(self):
-        # Source positions that actually carried transmissions to us
-        # (3 and 7) and everything above the floor must answer exactly
-        # as before folding. Positions below the floor that carried no
-        # transmission may flip to True — the floor is an
-        # over-approximation there, harmless because the source's chain
-        # can never offer them.
-        log = build_log()
+    def test_duplicate_rejection_identical_before_and_after(self, sim):
+        # The node answers from its reception record, so folding the
+        # Local Log changes nothing: the positions that carried
+        # transmissions to us (3 and 7) and everything above them
+        # answer exactly as before.
+        node = receiving_node(build_pair(sim).unit("B").nodes[1])
         exact = (3, 7, 8, 9)
-        before = {p: log.has_received("A", p) for p in exact}
-        log.truncate_before(7)  # folds both receptions (positions 3, 6)
-        after = {p: log.has_received("A", p) for p in exact}
+        before = {p: node.has_received("A", p) for p in exact}
+        fold(node, 7)  # folds both receptions (positions 3, 5)
+        assert node.local_log.base_position == 7
+        after = {p: node.has_received("A", p) for p in exact}
         assert before == after
         assert after[3] and after[7]
         assert not after[8] and not after[9]
 
-    def test_gap_detection_identical_before_and_after(self):
-        log = build_log()
-        assert log.last_received_from("A") == 7
-        log.truncate_before(7)
-        assert log.last_received_from("A") == 7
-        assert log.last_received_from("other") == 0
+    def test_gap_detection_identical_before_and_after(self, sim):
+        node = receiving_node(build_pair(sim).unit("B").nodes[1])
+        assert node.last_received_from("A") == 7
+        fold(node, 7)
+        assert node.last_received_from("A") == 7
+        assert node.last_received_from("other") == 0
 
-    def test_new_receptions_layer_over_the_floor(self):
-        log = build_log()
-        log.truncate_before(7)
-        log.append(RECORD_RECEIVED, sealed("A", 9, 7))
-        assert log.has_received("A", 9)
-        assert not log.has_received("A", 8)
-        assert log.last_received_from("A") == 9
+    def test_new_receptions_layer_over_the_floor(self, sim):
+        node = receiving_node(build_pair(sim).unit("B").nodes[1])
+        fold(node, 7)
+        # 9 commits ahead of its predecessor 8, which is still in flight.
+        apply_committed(
+            node, RECORD_RECEIVED, sealed("A", 9, 8, destination="B")
+        )
+        assert node.has_received("A", 9)
+        assert not node.has_received("A", 8)
+        assert node.last_received_from("A") == 9
 
 
 class TestCommunicationChainsSurviveTruncation:
@@ -172,21 +196,24 @@ class TestSnapshotRoundTrip:
         assert described == folded
         assert log.retained_count == 0
 
-    def test_restore_round_trip_preserves_all_answers(self):
-        source = build_log()
-        snapshot = source.snapshot()
-        restored = LocalLog("DC")
-        restored.restore(snapshot)
+    def test_restore_round_trip_preserves_all_answers(self, sim):
+        nodes = build_pair(sim).unit("B").nodes
+        source, restored = receiving_node(nodes[1]), nodes[2]
+        snapshot = source.checkpoint_payload(6)
+        assert snapshot.reception_floors == (("A", 7),)
+        assert restored.install_snapshot(snapshot, 6)
 
-        assert len(restored) == len(source)
-        assert restored.entry_chain == source.entry_chain
-        assert restored.base_position == source.next_position
+        log, restored_log = source.local_log, restored.local_log
+        assert len(restored_log) == len(log)
+        assert restored_log.entry_chain == log.entry_chain
+        assert restored_log.base_position == log.next_position
         for p in (3, 7, 8, 9):  # transmission positions + above-floor
             assert restored.has_received("A", p) == source.has_received("A", p)
         assert restored.last_received_from("A") == 7
-        for destination in ("B", "X"):
-            assert restored.folded_communication_head(destination) == (
-                source.communication_positions(destination) or [None]
+        assert restored.checkpoint_payload(6) == snapshot
+        for destination in ("A", "X"):
+            assert restored_log.folded_communication_head(destination) == (
+                log.communication_positions(destination) or [None]
             )[-1]
 
     def test_restore_then_append_continues_the_chain(self):
@@ -204,15 +231,15 @@ class TestSnapshotRoundTrip:
             LocalLog("Other").restore(snapshot)
 
     def test_duplicate_and_gap_rejection_after_restore_and_truncate_agree(
-        self,
+        self, sim,
     ):
-        # The satellite contract, end to end: a log answering from a
-        # restored snapshot and one answering from a truncated window
-        # reject exactly the same duplicates.
-        truncated = build_log()
-        truncated.truncate_before(truncated.next_position)
-        restored = LocalLog("DC")
-        restored.restore(build_log().snapshot())
+        # The contract end to end: a node answering from a restored
+        # snapshot and one whose log folded everything reject exactly
+        # the same duplicates.
+        nodes = build_pair(sim).unit("B").nodes
+        truncated, restored = receiving_node(nodes[1]), nodes[2]
+        restored.install_snapshot(truncated.checkpoint_payload(6), 6)
+        fold(truncated, truncated.local_log.next_position)
         for p in range(1, 10):
             assert truncated.has_received("A", p) == restored.has_received(
                 "A", p

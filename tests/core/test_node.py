@@ -4,12 +4,14 @@ handling, duplicate suppression, position futures."""
 from repro.core.messages import SignRequest, TransmissionMessage
 from repro.core.records import (
     RECORD_LOG_COMMIT,
+    RECORD_RECEIVED,
+    RECORD_TRUNCATE,
     SealedTransmission,
     TransmissionRecord,
 )
 from repro.crypto.signatures import QuorumProof, sign
 
-from tests.conftest import build_pair, build_single_dc
+from tests.conftest import apply_committed, build_pair, build_single_dc
 
 
 def commit(sim, api, value, record_type=RECORD_LOG_COMMIT, meta=None):
@@ -249,3 +251,29 @@ def test_out_of_order_transmissions_delivered_in_chain_order(sim):
         if entry.record_type == "received"
     )
     assert received_positions == [1, 2]
+
+
+def test_folding_past_a_gap_still_delivers_the_predecessor(sim):
+    # A successor (5, prev 3) commits before its predecessor, then a
+    # committed truncation folds both reception entries before 3
+    # commits. The fold must not make 3 read as already received:
+    # receive() still yields the whole chain, in chain order.
+    node = build_pair(sim).unit("B").nodes[1]
+
+    def received(position, prev):
+        record = TransmissionRecord(
+            source="A", destination="B", message=f"m{position}",
+            source_position=position, prev_position=prev,
+        )
+        proof = QuorumProof(digest=record.digest(), signatures=())
+        apply_committed(node, RECORD_RECEIVED, SealedTransmission(record, proof))
+
+    received(1, None)
+    received(5, 3)
+    apply_committed(node, RECORD_TRUNCATE, 3, meta={"checkpoint_seq": 1})
+    assert node.local_log.base_position == 3
+    received(3, 1)
+    polls = [node.poll_reception("A") for _ in range(3)]
+    assert [poll.result() for poll in polls if poll.resolved] == [
+        "m1", "m3", "m5",
+    ]

@@ -71,11 +71,11 @@ def test_view_change_clears_in_flight_gateway_proposals(sim):
     deployment = build_single_dc(sim)
     unit = deployment.unit("DC")
     gateway = unit.gateway_node()
-    gateway._proposed_receptions.add(("X", 1))
+    gateway._reception("X").proposed.add(1)
     gateway._proposed_mirrors.add(("X", 1))
     force_view_change(unit)
     sim.run(until=300.0)
-    assert gateway._proposed_receptions == set()
+    assert gateway.receptions["X"].proposed == set()
     assert gateway._proposed_mirrors == set()
 
 

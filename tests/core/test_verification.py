@@ -14,7 +14,7 @@ from repro.core.records import (
 from repro.crypto.signatures import QuorumProof, sign
 from repro.pbft.messages import ClientRequest
 
-from tests.conftest import build_four_dc, build_pair
+from tests.conftest import apply_committed, build_four_dc, build_pair
 
 META = {"source": "A"}
 
@@ -104,7 +104,7 @@ def test_committed_duplicate_accepted_idempotently(sim):
         if entry.record_type == RECORD_RECEIVED
     ]
     assert node.verify(sealed, RECORD_RECEIVED, META) is True
-    assert node.local_log.has_received("A", sealed.record.source_position)
+    assert node.has_received("A", sealed.record.source_position)
 
 
 def test_stale_position_voted_differently_rejected(sim):
@@ -116,7 +116,7 @@ def test_stale_position_voted_differently_rejected(sim):
 
 def test_gap_defers_while_predecessor_in_flight(sim):
     node, registry = receiver(sim)
-    node.local_log.append(RECORD_RECEIVED, make_sealed(registry, 1, None))
+    apply_committed(node, RECORD_RECEIVED, make_sealed(registry, 1, None))
     # Position 3 claims prev=2, but only 1 is committed: message 2 is
     # still in flight (or withheld), so the vote is deferred.
     sealed = make_sealed(registry, 3, 2)
@@ -125,7 +125,7 @@ def test_gap_defers_while_predecessor_in_flight(sim):
 
 def test_chain_successor_accepted(sim):
     node, registry = receiver(sim)
-    node.local_log.append(RECORD_RECEIVED, make_sealed(registry, 1, None))
+    apply_committed(node, RECORD_RECEIVED, make_sealed(registry, 1, None))
     assert node.verify(make_sealed(registry, 4, 1), RECORD_RECEIVED, META)
 
 
@@ -139,6 +139,7 @@ def test_forged_proof_refused_by_pre_validate(sim):
         meta=META,
     )
     assert node.pre_validate(request) == "invalid transmission proof"
+    assert "A" not in node.receptions  # a forged proof allocates nothing
     honest = ClientRequest(
         request_id=("B-3", 1), value=make_sealed(registry, 1, None),
         record_type=RECORD_RECEIVED, meta=META,

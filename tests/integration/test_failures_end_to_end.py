@@ -104,9 +104,7 @@ def test_sender_site_crash_after_send_message_still_delivered(sim):
 
 
 def test_geo_deployment_full_bounce_of_secondary(sim):
-    config = BlockplaneConfig(
-        f_independent=1, f_geo=1, heartbeat_suspect_ms=200.0
-    )
+    config = BlockplaneConfig(f_independent=1, f_geo=1)
     sets = {
         "C": ["C", "V", "O"],
         "V": ["C", "V", "O"],

@@ -21,6 +21,10 @@ OPS_PER_SITE = 1_000
 #: log). A checkpointing run peaks near 200 at 900 ops and at 3,000;
 #: without checkpoints a replica keeps every entry it ever executed.
 RETAINED_BOUND = 400
+#: Per-replica reception votes held. A vote is forgotten once its
+#: position is delivered, so only in-flight receptions hold one; a vote
+#: map that is never pruned holds every reception (~200 here).
+VOTES_BOUND = 32
 
 
 def _retained(node) -> int:
@@ -29,6 +33,10 @@ def _retained(node) -> int:
         + len(node.slots)
         + len(node.executed_entries)
     )
+
+
+def _votes(node) -> int:
+    return sum(len(state.voted) for state in node.receptions.values())
 
 
 def _commit_fn(api, others):
@@ -43,7 +51,8 @@ def _commit_fn(api, others):
 
 
 def _soak(checkpoint_interval: int, obs: Observability):
-    """Run the soak; returns (sim, per-site stats, retained high-water)."""
+    """Run the soak; returns (sim, per-site stats, retained high-water,
+    votes high-water)."""
     sim = Simulator(seed=11)
     obs.bind_clock(sim)
     deployment = BlockplaneDeployment(
@@ -58,11 +67,13 @@ def _soak(checkpoint_interval: int, obs: Observability):
         ),
         obs=obs,
     )
-    high_water = 0
+    high_water = votes_high_water = 0
 
     def sample():
-        nonlocal high_water
-        high_water = max(high_water, *map(_retained, deployment.all_nodes()))
+        nonlocal high_water, votes_high_water
+        nodes = deployment.all_nodes()
+        high_water = max(high_water, *map(_retained, nodes))
+        votes_high_water = max(votes_high_water, *map(_votes, nodes))
 
     def sampler():
         while True:
@@ -91,7 +102,7 @@ def _soak(checkpoint_interval: int, obs: Observability):
         assert sim.now < 60_000.0, "soak stopped draining"
         sim.run(until=sim.now + 1_000.0)
     sample()
-    return sim, stats, high_water
+    return sim, stats, high_water, votes_high_water
 
 
 def test_soak_commits_everything_in_bounded_state():
@@ -99,12 +110,15 @@ def test_soak_commits_everything_in_bounded_state():
         enabled=True, tracing=True, forensics=False, max_spans=None,
         trace_sample_every=16,
     )
-    sim, stats, high_water = _soak(checkpoint_interval=64, obs=obs)
+    sim, stats, high_water, votes_high_water = _soak(
+        checkpoint_interval=64, obs=obs
+    )
     for site_stats in stats:
         assert site_stats["offered"] == OPS_PER_SITE
         assert site_stats["committed"] == OPS_PER_SITE
         assert site_stats["failed"] == site_stats["dropped"] == 0
     assert high_water <= RETAINED_BOUND
+    assert votes_high_water <= VOTES_BOUND
     # The hub's entry-trace / open-WAN-span maps are pruned as logs
     # truncate and hops land; they must not outgrow the replicas.
     assert obs.correlations_retained <= RETAINED_BOUND
@@ -123,7 +137,7 @@ def test_soak_commits_everything_in_bounded_state():
 def test_soak_outgrows_the_bound_without_checkpoints():
     """The bound is a real constraint: the same load with checkpointing
     effectively off retains every entry."""
-    _sim, stats, high_water = _soak(
+    _sim, stats, high_water, _votes_high_water = _soak(
         checkpoint_interval=10**9, obs=Observability(enabled=False)
     )
     assert all(s["committed"] == OPS_PER_SITE for s in stats)

@@ -1,4 +1,5 @@
-"""Property-based tests for Local Log invariants (hypothesis)."""
+"""Property-based tests for Local Log invariants and the node's
+reception tracking (hypothesis)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +8,14 @@ from repro.core.local_log import LocalLog
 from repro.core.records import (
     RECORD_COMMUNICATION,
     RECORD_LOG_COMMIT,
+    RECORD_RECEIVED,
     SealedTransmission,
     TransmissionRecord,
 )
 from repro.crypto.signatures import QuorumProof
+from repro.sim.simulator import Simulator
+
+from tests.conftest import apply_committed, build_pair
 
 DESTINATIONS = ["B", "X", "Y"]
 
@@ -84,7 +89,7 @@ def test_chain_pointers_link_consecutive_comm_records(ops):
 )
 @settings(max_examples=100, deadline=None)
 def test_reception_tracking_monotone(positions):
-    log = LocalLog("B")
+    node = build_pair(Simulator(seed=1)).unit("B").nodes[1]
     received = []
     previous = 0
     for position in sorted(positions):
@@ -99,8 +104,8 @@ def test_reception_tracking_monotone(positions):
             record=record,
             proof=QuorumProof(digest=record.digest(), signatures=()),
         )
-        log.append("received", sealed)
+        apply_committed(node, RECORD_RECEIVED, sealed)
         received.append(position)
         previous = position
-        assert log.last_received_from("A") == max(received)
-        assert all(log.has_received("A", p) for p in received)
+        assert node.last_received_from("A") == max(received)
+        assert all(node.has_received("A", p) for p in received)
