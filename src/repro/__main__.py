@@ -17,10 +17,12 @@ Usage::
 With ``--obs-out DIR`` the obs-aware drivers (fig4/fig5/fig6/table2)
 record metrics and commit-lifecycle spans into one shared
 :class:`~repro.obs.Observability` session, a canonical fully traced
-cross-datacenter commit is appended, and three artifacts are written to
-``DIR``: ``metrics.json``, ``metrics.prom`` (Prometheus text format),
-and ``trace.json`` (Chrome trace-event JSON — load it in
-``chrome://tracing`` or Perfetto).
+cross-datacenter commit is appended, and :func:`repro.obs.export_all`
+writes ``DIR``: ``metrics.json``, ``metrics.prom`` (Prometheus text
+format), ``trace.json`` (Chrome trace-event JSON — load it in
+``chrome://tracing`` or Perfetto), ``journal.json``, and the console
+bundle ``console.json`` (replay it with ``python -m repro console
+--bundle DIR/console.json``) with its rendered ``console.html``.
 
 Each driver prints its table with the paper's reported values alongside.
 """
@@ -139,7 +141,7 @@ def _print_help() -> None:
     print()
     print("experiment flags:")
     print("  --full         paper-sized runs (slower)")
-    print("  --obs-out DIR  export metrics/trace/journal artifacts")
+    print("  --obs-out DIR  export metrics/trace/journal + console bundle")
 
 
 def main(argv: list) -> int:

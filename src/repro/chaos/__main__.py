@@ -14,7 +14,7 @@ invariant suite. Exit status 1 iff any run produced violations.
 ``--shrink`` delta-debugs the first failing plan down to a minimal
 reproducing schedule and prints a standalone reproduction script.
 ``--obs-out DIR`` writes per-failing-run artifacts (plan JSON,
-violation report, metrics/trace exports) under ``DIR/run-N``.
+violation report, telemetry exports, console bundle) under ``DIR/run-N``.
 """
 
 from __future__ import annotations

@@ -444,9 +444,9 @@ def write_artifacts(
     result: ChaosResult, directory: str, obs=None
 ) -> Dict[str, str]:
     """Write a run's artifacts: ``plan.json``, ``violations.txt``, and
-    (when an enabled obs hub is given) metrics/trace exports plus a
-    console-ready replay bundle (``console.json`` + ``console.html``,
-    see :mod:`repro.obs.console`). Returns artifact name → path."""
+    (when an enabled obs hub is given) everything
+    :func:`repro.obs.export_all` writes, the console bundle carrying
+    the plan as ground truth. Returns artifact name → path."""
     os.makedirs(directory, exist_ok=True)
     paths: Dict[str, str] = {}
     plan_path = os.path.join(directory, "plan.json")
@@ -463,19 +463,9 @@ def write_artifacts(
     paths["violations"] = report_path
     if obs is not None and getattr(obs, "enabled", False):
         from repro.obs import export_all
-        from repro.obs.console import build_bundle, write_bundle, write_html
 
-        paths.update(export_all(obs, directory))
-        latency = None
-        if getattr(obs, "tracing", False) and len(obs.spans):
-            from repro.obs.critpath import attribute_log
-
-            report = attribute_log(obs.spans)
-            if report["ops"]:
-                latency = report
-        bundle = build_bundle(
-            obs,
-            latency=latency,
+        paths.update(export_all(
+            obs, directory,
             # Ground truth: the injected schedule renders beside
             # whatever the auditor detected.
             chaos=result.plan,
@@ -483,11 +473,5 @@ def write_artifacts(
                 f"chaos replay: seed {result.plan.seed}, "
                 f"profile {result.plan.profile}"
             ),
-        )
-        paths["console.json"] = write_bundle(
-            bundle, os.path.join(directory, "console.json")
-        )
-        paths["console.html"] = write_html(
-            bundle, os.path.join(directory, "console.html")
-        )
+        ))
     return paths

@@ -1,12 +1,12 @@
 """``repro.obs.console`` — the operator console.
 
-Folds a run's observability artifacts (flight-recorder journal, span
-trees, metrics snapshots, auditor findings) into one schema-versioned
-``repro.console/v2`` JSON bundle and renders it as a **single
-self-contained HTML replay**: message flows animated on the site
-topology, per-node swimlane timelines, and an auditor overlay that
-badges suspects and links each finding to its verbatim evidence
-events. Zero runtime dependencies beyond the standard library; the
+Folds a run's observability hub (flight-recorder journal, span trees,
+metrics, latency attribution) and auditor findings into one
+schema-versioned ``repro.console/v2`` JSON bundle and renders it as a
+**single self-contained HTML replay**: message flows animated on the
+site topology, per-node swimlane timelines, and an auditor overlay that
+badges suspects and links each finding to its verbatim evidence events.
+Zero runtime dependencies beyond the standard library; the
 optional ``--serve`` mode uses stdlib ``http.server``.
 
 Entry point: ``python -m repro console`` (see
@@ -18,7 +18,6 @@ from repro.obs.console.bundle import (
     build_bundle,
     finding_id,
     load_bundle,
-    spans_from_chrome_trace,
     write_bundle,
 )
 from repro.obs.console.render import render_html, write_html
@@ -42,7 +41,6 @@ __all__ = [
     "load_bundle",
     "render_html",
     "serve_html",
-    "spans_from_chrome_trace",
     "validate",
     "write_bundle",
     "write_html",

@@ -2,11 +2,9 @@
 
 Usage::
 
-    # Render a flight-recorder export (plus optional trace / metrics /
-    # audit artifacts) into one self-contained HTML replay:
-    python -m repro console --journal obs/journal.json \\
-        --trace obs/trace.json --audit audit/report.json \\
-        --out replay.html
+    # Replay a past run: every export (--obs-out, chaos --obs-out,
+    # obs-audit --out) writes its console.json beside the others:
+    python -m repro console --bundle obs/console.json --out replay.html
 
     # One command from chaos plan to explorable replay (recorder on,
     # auditor attached):
@@ -16,9 +14,8 @@ Usage::
     # The canonical traced cross-DC commit (no inputs needed):
     python -m repro console --demo --out replay.html
 
-    # Validate an archived bundle / re-render it:
+    # Validate an archived bundle:
     python -m repro console --validate bundle.json
-    python -m repro console --bundle bundle.json --out replay.html
 
     # Serve the rendered page on stdlib http.server:
     python -m repro console --demo --serve --port 8123
@@ -37,25 +34,14 @@ from typing import Any, Dict, List, Optional
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro console",
-        description="Fold run artifacts into a self-contained HTML "
-                    "replay: message flows on the site topology, "
+        description="Render a console bundle into a self-contained "
+                    "HTML replay: message flows on the site topology, "
                     "per-node swimlanes, and auditor findings.",
     )
     source = parser.add_argument_group("inputs (pick one source)")
-    source.add_argument("--journal", metavar="FILE",
-                        help="journal.json flight-recorder export")
-    source.add_argument("--trace", metavar="FILE",
-                        help="Chrome trace.json to derive swimlanes from")
-    source.add_argument("--metrics", metavar="FILE",
-                        help="metrics.json snapshot to embed")
-    source.add_argument("--audit", metavar="FILE",
-                        help="auditor report.json for the overlay")
-    source.add_argument("--plan", metavar="FILE",
-                        help="chaos plan.json whose injected faults "
-                             "render as ground truth on the timeline")
     source.add_argument("--bundle", metavar="FILE",
-                        help="prebuilt repro.console/v2 bundle "
-                             "(skips folding)")
+                        help="repro.console/v2 bundle, e.g. the "
+                             "console.json an export wrote")
     source.add_argument("--demo", action="store_true",
                         help="render the canonical traced cross-DC "
                              "commit (golden journal)")
@@ -79,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", metavar="FILE", default="replay.html",
                         help="HTML output path (default replay.html)")
     output.add_argument("--bundle-out", metavar="FILE",
-                        help="also write the folded bundle JSON here")
+                        help="also write the bundle JSON here")
     output.add_argument("--title",
                         help="replay heading (default derived from "
                              "the source)")
@@ -130,9 +116,7 @@ def _demo_bundle(title: Optional[str]) -> Dict[str, Any]:
     obs = Observability(enabled=True)
     trace_commit_lifecycle(obs)
     return build_bundle(
-        obs,
-        latency=_latency_report(obs),
-        title=title or "canonical cross-DC commit (C -> V)",
+        obs, title=title or "canonical cross-DC commit (C -> V)"
     )
 
 
@@ -156,42 +140,10 @@ def _chaos_bundle(
     return build_bundle(
         run.obs,
         audit=run.report,
-        latency=_latency_report(run.obs),
         chaos=plan,
         title=title or (
             f"chaos replay: seed {plan.seed}, profile {plan.profile}"
         ),
-    )
-
-
-def _latency_report(obs: Any) -> Optional[Dict[str, Any]]:
-    """The critical-path attribution report for a traced hub, or None
-    when the run recorded no commit traces to decompose."""
-    if not getattr(obs, "tracing", False) or not len(obs.spans):
-        return None
-    from repro.obs.critpath import attribute_log
-
-    report = attribute_log(obs.spans)
-    return report if report["ops"] else None
-
-
-def _folded_bundle(
-    args: argparse.Namespace, title: Optional[str]
-) -> Dict[str, Any]:
-    from repro.obs.console.bundle import build_bundle
-
-    journal = _read_json(args.journal) if args.journal else None
-    spans = _read_json(args.trace) if args.trace else None
-    metrics = _read_json(args.metrics) if args.metrics else None
-    audit = _read_json(args.audit) if args.audit else None
-    chaos = _read_json(args.plan) if args.plan else None
-    return build_bundle(
-        journal=journal,
-        spans=spans,
-        metrics=metrics,
-        audit=audit,
-        chaos=chaos,
-        title=title or f"replay of {args.journal}",
     )
 
 
@@ -213,12 +165,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             bundle = _chaos_bundle(args, args.title)
         elif args.demo:
             bundle = _demo_bundle(args.title)
-        elif args.journal or args.trace:
-            bundle = _folded_bundle(args, args.title)
         else:
             print(
-                "error: no input — pass --journal/--trace, --bundle, "
-                "--demo, or --chaos-seed",
+                "error: no input — pass --bundle, --demo, or --chaos-seed",
                 file=sys.stderr,
             )
             return 2

@@ -14,8 +14,10 @@ Three renderings of one observability session:
   (participant → pid, node → tid) track, with trace/span ids in
   ``args`` for correlation.
 
-:func:`export_all` writes the three artifacts into a directory — this
-is what ``python -m repro --obs-out DIR`` calls.
+:func:`export_all` writes them, the journal snapshot and the console
+bundle into a directory — the one artifact writer: ``python -m repro
+--obs-out DIR``, ``repro.chaos --obs-out`` and ``obs-audit --out`` all
+call it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.obs.hub import Observability
 
@@ -275,7 +277,7 @@ def to_chrome_trace(obs: Observability) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Journal snapshot
 # ----------------------------------------------------------------------
-def journal_snapshot(obs: Any) -> Dict[str, Any]:
+def journal_snapshot(obs: Observability) -> Dict[str, Any]:
     """Snapshot the flight-recorder journal into a JSON-ready dict.
 
     The header carries the eviction accounting (``dropped`` plus the
@@ -284,7 +286,7 @@ def journal_snapshot(obs: Any) -> Dict[str, Any]:
     before this window" banner instead of presenting a silently
     truncated replay as complete.
     """
-    journal = getattr(obs, "journal", obs)  # a hub, or a bare journal
+    journal = obs.journal
     return {
         "recorded": journal.recorded,
         "retained": len(journal),
@@ -299,16 +301,34 @@ def journal_snapshot(obs: Any) -> Dict[str, Any]:
 # Artifact bundle
 # ----------------------------------------------------------------------
 def export_all(
-    obs: Observability, directory: str, prefix: str = ""
+    obs: Observability,
+    directory: str,
+    *,
+    audit: Any = None,
+    chaos: Any = None,
+    title: Optional[str] = None,
 ) -> Dict[str, str]:
-    """Write metrics.json / metrics.prom / trace.json / journal.json
-    into ``directory`` (created if needed); returns name → path."""
+    """Write a session's artifacts into ``directory`` (created if
+    needed): metrics.json / metrics.prom / trace.json / journal.json,
+    and the console bundle of the same hub — ``console.json`` plus its
+    rendered ``console.html``. ``audit``, ``chaos`` and ``title`` go to
+    :func:`~repro.obs.console.bundle.build_bundle`. Returns name → path.
+    """
+    # The console package imports this module, so it is imported here.
+    from repro.obs.console.bundle import (
+        DEFAULT_TITLE,
+        build_bundle,
+        write_bundle,
+    )
+    from repro.obs.console.render import write_html
+
     os.makedirs(directory, exist_ok=True)
     paths = {
-        "metrics.json": os.path.join(directory, f"{prefix}metrics.json"),
-        "metrics.prom": os.path.join(directory, f"{prefix}metrics.prom"),
-        "trace.json": os.path.join(directory, f"{prefix}trace.json"),
-        "journal.json": os.path.join(directory, f"{prefix}journal.json"),
+        name: os.path.join(directory, name)
+        for name in (
+            "metrics.json", "metrics.prom", "trace.json", "journal.json",
+            "console.json", "console.html",
+        )
     }
     with open(paths["metrics.json"], "w", encoding="utf-8") as fh:
         json.dump(metrics_snapshot(obs), fh, indent=2, sort_keys=True)
@@ -321,4 +341,9 @@ def export_all(
     with open(paths["journal.json"], "w", encoding="utf-8") as fh:
         json.dump(journal_snapshot(obs), fh)
         fh.write("\n")
+    bundle = build_bundle(
+        obs, audit=audit, chaos=chaos, title=title or DEFAULT_TITLE
+    )
+    write_bundle(bundle, paths["console.json"])
+    write_html(bundle, paths["console.html"])
     return paths

@@ -13,7 +13,8 @@ auditor's accusations against the plan's ground truth (precision and
 recall). ``--fault-free`` strips every action first — the zero-false-
 accusation sweep. ``--strict`` exits 1 unless every run scores
 precision and recall 1.0 (this is what CI's audit-smoke job runs).
-``--out DIR`` writes per-run evidence bundles under ``DIR/run-N``.
+``--out DIR`` writes per-run evidence bundles, the telemetry exports
+and the console bundle under ``DIR/run-N``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str]) -> int:
     args = _build_parser().parse_args(argv)
     from repro.chaos.generator import PROFILES
+    from repro.obs import export_all
     from repro.obs.forensics.quality import detection_sweep
 
     if args.profile not in PROFILES:
@@ -103,30 +105,15 @@ def main(argv: List[str]) -> int:
                 handle.write(
                     json.dumps(run.score.to_dict(), indent=2) + "\n"
                 )
-            if run.obs is not None:
-                # Console-ready artifacts: the bundle archives the
-                # journal + findings, the HTML is the explorable
-                # replay (see docs/OBSERVABILITY.md, operator console).
-                from repro.obs.console import (
-                    build_bundle,
-                    write_bundle,
-                    write_html,
-                )
-
-                bundle = build_bundle(
-                    run.obs,
-                    audit=run.report,
-                    title=(
-                        f"audit replay: seed {run.plan.seed}, "
-                        f"profile {run.plan.profile}, run {index}"
-                    ),
-                )
-                write_bundle(
-                    bundle, os.path.join(directory, "console.json")
-                )
-                write_html(
-                    bundle, os.path.join(directory, "console.html")
-                )
+            # The exports and the console bundle: journal + findings,
+            # and the explorable replay (docs/OBSERVABILITY.md).
+            export_all(
+                run.obs, directory, audit=run.report,
+                title=(
+                    f"audit replay: seed {run.plan.seed}, "
+                    f"profile {run.plan.profile}, run {index}"
+                ),
+            )
         if args.json:
             documents.append({
                 "run": index,

@@ -1,16 +1,16 @@
 """Console bundle assembly and the ``repro.console/v2`` validator.
 
-The bundle is the stable interface between every producer (chaos
-runner, obs-audit CLI, hand-rolled scripts) and the HTML renderer, so
-the validator is exercised against both the golden lifecycle run and
-hand-corrupted documents covering each rule.
+The bundle is the stable interface between the one producer
+(``build_bundle`` over a hub, written by every export) and the HTML
+renderer, so the validator is exercised against both the golden
+lifecycle run and hand-corrupted documents covering each rule.
 """
 
 import copy
 
 import pytest
 
-from repro.obs import Observability, to_chrome_trace
+from repro.obs import Observability
 from repro.obs.console import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
@@ -18,12 +18,11 @@ from repro.obs.console import (
     build_bundle,
     check,
     finding_id,
-    spans_from_chrome_trace,
     validate,
 )
 from repro.obs.demo import trace_commit_lifecycle
 from repro.obs.exporters import journal_snapshot
-from repro.obs.journal import EventJournal
+from repro.obs.forensics.findings import AuditReport, Finding
 
 
 @pytest.fixture(scope="module")
@@ -80,25 +79,15 @@ def test_bundle_embeds_spans_and_metrics(golden_bundle, golden_obs):
 
 
 def test_bundle_from_journal_snapshot_matches_hub(golden_obs):
-    from_hub = build_bundle(golden_obs)
-    from_snapshot = build_bundle(journal=journal_snapshot(golden_obs))
-    assert from_snapshot["journal"] == from_hub["journal"]
-    assert from_snapshot["topology"] == from_hub["topology"]
-
-
-def test_bundle_recomputes_header_ids_for_old_exports(golden_obs):
-    snapshot = journal_snapshot(golden_obs)
-    del snapshot["first_event_id"], snapshot["last_event_id"]
-    bundle = build_bundle(journal=snapshot)
-    assert bundle["journal"]["first_event_id"] == 1
-    assert bundle["journal"]["last_event_id"] == 140
+    # The bundle's journal is exactly the journal.json export.
+    assert build_bundle(golden_obs)["journal"] == journal_snapshot(golden_obs)
 
 
 def test_bundle_records_eviction_window():
-    journal = EventJournal(max_events=10)
+    obs = Observability(enabled=True, max_events=10)
     for index in range(25):
-        journal.emit("pbft.vote", participant="C", node="C-0", voter="C-1")
-    bundle = build_bundle(journal=journal)
+        obs.event("pbft.vote", participant="C", node="C-0", voter="C-1")
+    bundle = build_bundle(obs)
     section = bundle["journal"]
     assert section["recorded"] == 25
     assert section["retained"] == 10
@@ -109,7 +98,7 @@ def test_bundle_records_eviction_window():
 
 
 def test_empty_bundle_defaults_to_aws_topology():
-    bundle = build_bundle()
+    bundle = build_bundle(Observability(enabled=True))
     assert bundle["topology"]["sites"] == ["C", "O", "V", "I"]
     assert bundle["topology"]["nodes"] == []
     assert bundle["journal"]["events"] == []
@@ -117,55 +106,27 @@ def test_empty_bundle_defaults_to_aws_topology():
 
 
 # ----------------------------------------------------------------------
-# Chrome-trace span recovery
-# ----------------------------------------------------------------------
-def test_spans_recovered_from_chrome_trace(golden_obs):
-    document = to_chrome_trace(golden_obs)
-    recovered = spans_from_chrome_trace(document)
-    direct = [span.to_dict() for span in golden_obs.spans]
-    assert len(recovered) == len(direct)
-    by_id = {span["span_id"]: span for span in recovered}
-    for span in direct:
-        twin = by_id[span["span_id"]]
-        assert twin["name"] == span["name"]
-        assert twin["trace_id"] == span["trace_id"]
-        assert twin["parent_id"] == span["parent_id"]
-        assert twin["participant"] == span["participant"]
-        assert twin["start_ms"] == pytest.approx(span["start_ms"])
-        assert twin["end_ms"] == pytest.approx(span["end_ms"])
-
-
-def test_bundle_accepts_trace_document_as_spans(golden_obs):
-    bundle = build_bundle(
-        journal=journal_snapshot(golden_obs),
-        spans=to_chrome_trace(golden_obs),
-    )
-    assert len(bundle["spans"]) == len(golden_obs.spans)
-
-
-# ----------------------------------------------------------------------
 # Audit folding
 # ----------------------------------------------------------------------
-def _fake_audit():
-    return {
-        "suspicion": {"C-2": 1.0},
-        "accused": ["C-2"],
-        "events_seen": 140,
-        "health": {},
-        "findings": [
-            {
-                "kind": "equivocation",
-                "suspect": "C-2",
-                "suspect_kind": "node",
-                "participant": "C",
-                "score": 1.0,
-                "summary": "two pre-prepares for one slot",
-                "count": 2,
-                "context": {},
-                "evidence": [{"event_id": 5}, {"event_id": 9}],
-            },
+def _fake_audit(*evidence_ids):
+    return AuditReport(
+        findings=[
+            Finding(
+                kind="equivocation",
+                suspect="C-2",
+                suspect_kind="replica",
+                participant="C",
+                score=1.0,
+                summary="two pre-prepares for one slot",
+                evidence=tuple(
+                    {"event_id": event_id}
+                    for event_id in evidence_ids or (5, 9)
+                ),
+                count=2,
+            ),
         ],
-    }
+        events_seen=140,
+    )
 
 
 def test_audit_findings_get_stable_ids_and_evidence_links(golden_obs):
@@ -179,8 +140,6 @@ def test_audit_findings_get_stable_ids_and_evidence_links(golden_obs):
 
 
 def test_audit_from_live_report_round_trips(golden_obs):
-    from repro.obs.forensics.findings import AuditReport, Finding
-
     report = AuditReport(
         findings=[
             Finding(
@@ -328,8 +287,7 @@ def test_check_raises_with_every_violation(golden_bundle):
 
 
 def test_build_bundle_validates_by_default(golden_obs):
-    bad_audit = _fake_audit()
-    bad_audit["findings"][0]["evidence"] = [{"event_id": 9999}]
+    bad_audit = _fake_audit(9999)
     with pytest.raises(SchemaError):
         build_bundle(golden_obs, audit=bad_audit)
     document = build_bundle(golden_obs, audit=bad_audit, validate=False)
@@ -354,15 +312,17 @@ def _plan():
     )
 
 
-def test_bundle_with_latency_section(golden_obs):
+def test_bundle_with_latency_section(golden_obs, golden_bundle):
     from repro.obs.critpath import attribute_log
 
-    bundle = build_bundle(
-        golden_obs, latency=attribute_log(golden_obs.spans)
-    )
-    assert validate(bundle) == []
-    assert bundle["latency"]["ops"] > 0
-    assert bundle["latency"]["conservation"]["ok"] is True
+    # A traced hub's bundle carries its critical-path attribution.
+    assert golden_bundle["latency"] == attribute_log(golden_obs.spans)
+    assert golden_bundle["latency"]["ops"] > 0
+    assert golden_bundle["latency"]["conservation"]["ok"] is True
+    # Without tracing there is nothing to decompose.
+    untraced = Observability(enabled=True, tracing=False)
+    trace_commit_lifecycle(untraced)
+    assert "latency" not in build_bundle(untraced)
 
 
 def test_bundle_with_chaos_plan(golden_obs):
@@ -381,16 +341,6 @@ def test_bundle_with_chaos_plan(golden_obs):
     assert plant["end"] == pytest.approx(
         chaos["horizon_ms"] + chaos["settle_ms"]
     )
-
-
-def test_bundle_accepts_chaos_plan_dict(golden_obs):
-    bundle = build_bundle(golden_obs, chaos=_plan().to_dict())
-    assert len(bundle["chaos"]["actions"]) == 2
-
-
-def test_bundle_rejects_malformed_chaos():
-    with pytest.raises(TypeError):
-        build_bundle(journal={"events": []}, chaos="crash everything")
 
 
 def test_validator_rejects_v1_bundle(golden_bundle):

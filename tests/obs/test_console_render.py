@@ -17,30 +17,25 @@ import pytest
 from repro.obs import Observability
 from repro.obs.console import build_bundle, build_server, render_html
 from repro.obs.demo import trace_commit_lifecycle
-from repro.obs.journal import EventJournal
+from repro.obs.forensics.findings import AuditReport, Finding
 
-_FAKE_AUDIT = {
-    "suspicion": {"C-2": 1.0, "V-3": 0.6},
-    "accused": ["C-2", "V-3"],
-    "events_seen": 140,
-    "health": {},
-    "findings": [
-        {
-            "kind": "equivocation", "suspect": "C-2",
-            "suspect_kind": "replica", "participant": "C",
-            "score": 1.0, "summary": "two pre-prepares for slot 1",
-            "count": 2, "context": {},
-            "evidence": [{"event_id": 5}, {"event_id": 9}],
-        },
-        {
-            "kind": "silent-replica", "suspect": "V-3",
-            "suspect_kind": "replica", "participant": "V",
-            "score": 0.6, "summary": "no votes after slot 2",
-            "count": 1, "context": {},
-            "evidence": [{"event_id": 100}],
-        },
+_FAKE_AUDIT = AuditReport(
+    findings=[
+        Finding(
+            kind="equivocation", suspect="C-2",
+            suspect_kind="replica", participant="C",
+            score=1.0, summary="two pre-prepares for slot 1",
+            count=2, evidence=({"event_id": 5}, {"event_id": 9}),
+        ),
+        Finding(
+            kind="silent-replica", suspect="V-3",
+            suspect_kind="replica", participant="V",
+            score=0.6, summary="no votes after slot 2",
+            evidence=({"event_id": 100},),
+        ),
     ],
-}
+    events_seen=140,
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +113,10 @@ def test_page_is_self_contained(golden_page):
 
 
 def test_page_escapes_script_terminators():
-    journal = EventJournal(max_events=100)
-    journal.emit("log.append", participant="C", node="C-0",
-                 payload="</script><script>alert(1)</script>")
-    page = render_html(build_bundle(journal=journal))
+    obs = Observability(enabled=True)
+    obs.event("log.append", participant="C", node="C-0",
+              payload="</script><script>alert(1)</script>")
+    page = render_html(build_bundle(obs))
     assert "</script><script>alert(1)" not in page
     embedded = _embedded_bundle(page)
     (event,) = embedded["journal"]["events"]
@@ -130,7 +125,9 @@ def test_page_escapes_script_terminators():
 
 def test_title_is_html_escaped():
     page = render_html(
-        build_bundle(title="<img src=x onerror=alert(1)>")
+        build_bundle(
+            Observability(enabled=True), title="<img src=x onerror=alert(1)>"
+        )
     )
     # The raw string may only survive inside the JSON data block — the
     # markup half must carry the escaped form.
@@ -150,10 +147,10 @@ def test_no_banner_on_a_complete_journal(golden_page):
 
 
 def test_eviction_banner_names_the_lost_window():
-    journal = EventJournal(max_events=10)
+    obs = Observability(enabled=True, max_events=10)
     for index in range(25):
-        journal.emit("pbft.vote", participant="C", node="C-0", voter="C-1")
-    page = render_html(build_bundle(journal=journal))
+        obs.event("pbft.vote", participant="C", node="C-0", voter="C-1")
+    page = render_html(build_bundle(obs))
     assert (
         "15 events evicted before this window "
         "(first retained event id 16)"
@@ -187,7 +184,6 @@ def test_served_page_round_trips(golden_page):
 @pytest.fixture(scope="module")
 def v2_page() -> str:
     from repro.chaos.plan import FaultAction, FaultPlan
-    from repro.obs.critpath import attribute_log
 
     obs = Observability(enabled=True)
     trace_commit_lifecycle(obs)
@@ -198,10 +194,7 @@ def v2_page() -> str:
                         start=10.0, end=50.0),
         ),
     )
-    bundle = build_bundle(
-        obs, latency=attribute_log(obs.spans), chaos=plan,
-        title="v2 replay",
-    )
+    bundle = build_bundle(obs, chaos=plan, title="v2 replay")
     return render_html(bundle)
 
 
@@ -228,13 +221,16 @@ def test_v2_stats_line_counts_attribution_and_faults(v2_page):
     assert "1 injected faults" in v2_page
 
 
-def test_v1_bundle_without_new_sections_still_renders(golden_page):
-    # Panels exist but the JS falls back to empty notes — the bundle
-    # itself carries neither section.
-    bundle = _embedded_bundle(golden_page)
+def test_v1_bundle_without_new_sections_still_renders():
+    # Panels exist but the JS falls back to empty notes — an untraced,
+    # chaos-free run's bundle carries neither section.
+    obs = Observability(enabled=True, tracing=False)
+    trace_commit_lifecycle(obs)
+    page = render_html(build_bundle(obs))
+    bundle = _embedded_bundle(page)
     assert "latency" not in bundle
     assert "chaos" not in bundle
-    assert 'id="flame-box"' in golden_page
+    assert 'id="flame-box"' in page
 
 
 def test_noscript_lists_injected_faults(v2_page):

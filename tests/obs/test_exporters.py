@@ -1,4 +1,5 @@
-"""Exporter validity: JSON snapshot, Prometheus text, Chrome trace."""
+"""Exporter validity: JSON snapshot, Prometheus text, Chrome trace, and
+the artifact set ``export_all`` writes."""
 
 import json
 import re
@@ -10,6 +11,7 @@ from repro.obs import (
     to_chrome_trace,
     to_prometheus_text,
 )
+from repro.obs.console import build_bundle, render_html
 
 #: One Prometheus sample line: name{labels} value  (labels optional).
 _PROM_SAMPLE = re.compile(
@@ -136,19 +138,32 @@ def test_chrome_trace_parent_links_preserved():
 # ----------------------------------------------------------------------
 def test_export_all_writes_four_artifacts(tmp_path):
     obs = _populated_obs()
-    paths = export_all(obs, str(tmp_path / "session"), prefix="run1-")
+    paths = export_all(obs, str(tmp_path / "session"))
     assert sorted(paths) == [
+        "console.html", "console.json",
         "journal.json", "metrics.json", "metrics.prom", "trace.json",
     ]
-    snapshot = json.loads((tmp_path / "session" / "run1-metrics.json").read_text())
+    snapshot = json.loads((tmp_path / "session" / "metrics.json").read_text())
     assert snapshot["counters"]
-    trace = json.loads((tmp_path / "session" / "run1-trace.json").read_text())
+    trace = json.loads((tmp_path / "session" / "trace.json").read_text())
     assert trace["traceEvents"]
-    prom = (tmp_path / "session" / "run1-metrics.prom").read_text()
+    prom = (tmp_path / "session" / "metrics.prom").read_text()
     assert "# TYPE" in prom
-    journal = json.loads((tmp_path / "session" / "run1-journal.json").read_text())
+    journal = json.loads((tmp_path / "session" / "journal.json").read_text())
     assert journal["dropped"] == 0
     assert journal["recorded"] == len(journal["events"])
+
+
+def test_export_all_console_bundle_is_build_bundle(tmp_path):
+    # Every export writes the console bundle of its hub, and the page
+    # rendered from it.
+    obs = _populated_obs()
+    paths = export_all(obs, str(tmp_path))
+    with open(paths["console.json"], encoding="utf-8") as handle:
+        written = json.load(handle)
+    assert written == json.loads(json.dumps(build_bundle(obs)))
+    with open(paths["console.html"], encoding="utf-8") as handle:
+        assert handle.read() == render_html(build_bundle(obs))
 
 
 def test_snapshot_and_prometheus_surface_drop_counters():

@@ -36,7 +36,11 @@ def test_subcommand_help_is_forwarded(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["console", "--help"])
     assert excinfo.value.code == 0
-    assert "--journal" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--bundle" in out
+    # The bundle is the console's one input besides its own runs.
+    for flag in ("--journal", "--trace", "--metrics", "--audit", "--plan"):
+        assert flag not in out
 
 
 def test_multiple_experiments_separated(capsys):

@@ -187,10 +187,8 @@ def real_paths(work: str) -> List[List[str]]:
         repro + ["console", "--validate", "{w}/bundle.json"],
         repro + ["console", "--bundle", "{w}/bundle.json", "--out",
                  "{w}/rebundled.html"],
-        repro + ["console", "--journal", "{w}/obs/journal.json", "--trace",
-                 "{w}/obs/trace.json", "--metrics", "{w}/obs/metrics.json",
-                 "--audit", "{w}/audit/run-0/report.json", "--plan",
-                 "{w}/audit/run-0/plan.json", "--out", "{w}/folded.html"],
+        repro + ["console", "--bundle", "{w}/obs/console.json", "--out",
+                 "{w}/replayed.html"],
         lint,
         lint + ["--callgraph-out", "{w}/callgraph.json", "--format", "json"],
         lint + ["--format", "sarif"],
