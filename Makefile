@@ -96,6 +96,6 @@ experiments:
 # tier-1 run under a call tracer; lists each src/repro function no real
 # path enters, by bucket (~8 min). Fails when more are unreached than
 # CENSUS_MAX: lower it when a PR deletes, never raise it.
-CENSUS_MAX = 89
+CENSUS_MAX = 80
 census:
 	python3 tools/census.py --max $(CENSUS_MAX)

@@ -34,6 +34,10 @@ from repro.sim.process import Future
 if TYPE_CHECKING:
     from repro.core.unit import BlockplaneUnit
 
+#: Size charged for a commit when the caller does not specify one (the
+#: paper's default batch is 1000 bytes).
+DEFAULT_PAYLOAD_BYTES = 1000
+
 
 class BlockplaneAPI:
     """A participant's handle to its Blockplane unit.
@@ -136,7 +140,7 @@ class BlockplaneAPI:
         payload_bytes: Optional[int],
     ):
         if payload_bytes is None:
-            payload_bytes = self.unit.config.default_payload_bytes
+            payload_bytes = DEFAULT_PAYLOAD_BYTES
         obs = self.unit.obs
         started = self.sim.now
         root = None

@@ -28,18 +28,6 @@ class BlockplaneConfig:
             participants for gaps (Section IV-C).
         reserve_gap_threshold: Source-log-position gap above which a
             reserve promotes itself to an active communication daemon.
-        transmission_retry_backoff: Multiplier applied to the retry
-            timeout (:data:`repro.core.daemon.TRANSMISSION_RETRY_TIMEOUT_MS`)
-            after every unacknowledged attempt (exponential backoff).
-        transmission_retry_limit: Maximum re-ships per transmission
-            record; once exhausted the reserve-daemon path is the only
-            remaining recovery mechanism. 0 disables retransmission.
-        transmission_retry_max_delay_ms: Ceiling on the exponential
-            retransmission backoff (0 = uncapped). Keeps the retry
-            cadence responsive through long destination outages instead
-            of letting the delay grow without bound; a deterministic
-            per-(node, destination, attempt) jitter of up to 10% is
-            added on top so daemons do not retry in lockstep.
         admission_max_in_flight: Maximum concurrently outstanding
             ``log_commit``/``send`` calls per participant API before new
             submissions are shed with
@@ -48,9 +36,6 @@ class BlockplaneConfig:
             unit can drain fail fast instead of queueing unboundedly.
         geo_suspicion_ttl_ms: How long a timed-out mirror participant is
             demoted to last-resort before being retried eagerly.
-        default_payload_bytes: Size charged for a commit when the caller
-            does not specify one (the paper's default batch is 1000
-            bytes).
     """
 
     f_independent: int = 1
@@ -65,12 +50,8 @@ class BlockplaneConfig:
     transmission_fanout: int = 2
     reserve_poll_interval_ms: float = 500.0
     reserve_gap_threshold: int = 8
-    transmission_retry_backoff: float = 2.0
-    transmission_retry_limit: int = 3
-    transmission_retry_max_delay_ms: float = 4_000.0
     admission_max_in_flight: int = 0
     geo_suspicion_ttl_ms: float = 5_000.0
-    default_payload_bytes: int = 1000
 
     def __post_init__(self) -> None:
         if self.f_independent < 1:
@@ -79,18 +60,6 @@ class BlockplaneConfig:
             raise ConfigurationError("f_geo cannot be negative")
         if self.transmission_fanout < 1:
             raise ConfigurationError("transmission_fanout must be at least 1")
-        if self.transmission_retry_backoff < 1.0:
-            raise ConfigurationError(
-                "transmission_retry_backoff must be at least 1.0"
-            )
-        if self.transmission_retry_limit < 0:
-            raise ConfigurationError(
-                "transmission_retry_limit cannot be negative"
-            )
-        if self.transmission_retry_max_delay_ms < 0:
-            raise ConfigurationError(
-                "transmission_retry_max_delay_ms cannot be negative"
-            )
         if self.admission_max_in_flight < 0:
             raise ConfigurationError(
                 "admission_max_in_flight cannot be negative"

@@ -41,6 +41,17 @@ if TYPE_CHECKING:
 #: accepts the record at ingress acks, so a single lost WAN message is
 #: recovered without waiting for a reserve gap probe.
 TRANSMISSION_RETRY_TIMEOUT_MS = 250.0
+#: Multiplier applied to the retry timeout after every unacknowledged
+#: attempt (exponential backoff).
+TRANSMISSION_RETRY_BACKOFF = 2.0
+#: Maximum re-ships per transmission record; once exhausted the
+#: reserve-daemon path is the only remaining recovery mechanism.
+TRANSMISSION_RETRY_LIMIT = 3
+#: Ceiling on the exponential retransmission backoff: keeps the retry
+#: cadence responsive through long destination outages instead of
+#: letting the delay grow without bound (:func:`retry_delay` adds its
+#: jitter on top).
+TRANSMISSION_RETRY_MAX_DELAY_MS = 4_000.0
 
 
 def retry_delay(
@@ -187,22 +198,21 @@ class CommunicationDaemon:
         message = TransmissionMessage(sealed=sealed, trace=trace_field)
         for target in targets[:fanout]:
             node.send(target, message)
-        if node.bp_config.transmission_retry_limit > 0:
-            attempts = self._awaiting_ack.setdefault(entry.position, 0)
-            delay = retry_delay(
-                TRANSMISSION_RETRY_TIMEOUT_MS,
-                node.bp_config.transmission_retry_backoff,
-                attempts,
-                node.bp_config.transmission_retry_max_delay_ms,
-                node.node_id,
-                self.destination,
-            )
-            stale = self._retry_timers.get(entry.position)
-            if stale is not None:
-                stale.cancel()  # superseded by this attempt's timer
-            self._retry_timers[entry.position] = node.set_timer(
-                delay, self._retransmit_if_unacked, entry.position, attempts
-            )
+        attempts = self._awaiting_ack.setdefault(entry.position, 0)
+        delay = retry_delay(
+            TRANSMISSION_RETRY_TIMEOUT_MS,
+            TRANSMISSION_RETRY_BACKOFF,
+            attempts,
+            TRANSMISSION_RETRY_MAX_DELAY_MS,
+            node.node_id,
+            self.destination,
+        )
+        stale = self._retry_timers.get(entry.position)
+        if stale is not None:
+            stale.cancel()  # superseded by this attempt's timer
+        self._retry_timers[entry.position] = node.set_timer(
+            delay, self._retransmit_if_unacked, entry.position, attempts
+        )
         if obs.enabled:
             obs.counter(
                 "bp_transmissions_total",
@@ -230,21 +240,27 @@ class CommunicationDaemon:
         yet transport-acknowledged, or None when everything retained was
         acked. Local Log truncation never folds past this: a record the
         destination may still be missing must stay re-shippable."""
-        base = self.node.local_log.base_position
-        if self._acked_positions:
-            # Positions folded by a past truncation can never be asked
-            # about again; drop them so the set tracks the window.
-            self._acked_positions = {
-                position
-                for position in self._acked_positions
-                if position >= base
-            }
         for position in self.node.local_log.communication_positions(
             self.destination
         ):
             if position not in self._acked_positions:
                 return position
         return None
+
+    def forget_folded(self, base: int) -> None:
+        """Drop the positions a Local Log truncation folded: they can
+        never be asked about or shipped again, so both sets track the
+        retained window."""
+        self._acked_positions = {
+            position
+            for position in self._acked_positions
+            if position >= base
+        }
+        self.shipped = {
+            position
+            for position in self.shipped
+            if position >= base
+        }
 
     def _retransmit_if_unacked(self, position: int, attempts_at_send: int) -> None:
         """Re-ship a transmission whose transport ack never arrived."""
@@ -260,7 +276,7 @@ class CommunicationDaemon:
             # delivery floor holds truncation back), so nothing to do.
             self._awaiting_ack.pop(position, None)
             return
-        if attempts >= node.bp_config.transmission_retry_limit:
+        if attempts >= TRANSMISSION_RETRY_LIMIT:
             # Out of budget: leave recovery to the reserve-daemon path.
             self._awaiting_ack.pop(position, None)
             return

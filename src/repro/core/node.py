@@ -164,8 +164,6 @@ class BlockplaneNode(PBFTReplica):
         #: Callbacks fired for every appended Local Log entry (daemons,
         #: geo coordinator, application apply functions hook in here).
         self.on_log_append: List[Callable[[LogEntry], None]] = []
-        #: Callbacks fired for appended mirror entries.
-        self.on_mirror_append: List[Callable[[MirrorEntry], None]] = []
         self._mirror_seen: set = set()
         self._proposed_mirrors: set = set()
         self._sign_collectors: Dict[Tuple[int, str, str], _SignatureCollector] = {}
@@ -440,6 +438,18 @@ class BlockplaneNode(PBFTReplica):
         before = self.local_log.retained_count
         self.local_log.truncate_before(committed.value)
         dropped = before - self.local_log.retained_count
+        # A folded own-log position is never attestable or shipped
+        # again: drop its settled signature collections and let the
+        # daemons forget it.
+        base = self.local_log.base_position
+        for key in [
+            key for key, collector in self._sign_collectors.items()
+            if key[2] != "mirror-held" and 0 < key[0] < base
+            and collector.future.resolved
+        ]:
+            del self._sign_collectors[key]
+        for daemon in self.comm_daemons:
+            daemon.forget_folded(base)
         if self.obs.enabled:
             self.obs.counter(
                 "bp_log_truncations_total", participant=self.participant
@@ -649,8 +659,6 @@ class BlockplaneNode(PBFTReplica):
         for waiter in self._mirror_applied_waiters.pop(key, []):
             if not waiter.resolved:
                 waiter.resolve(entry)
-        for callback in list(self.on_mirror_append):
-            callback(entry)
         self._retry_deferred_sign_requests()
 
     def _mirror_applied_future(self, key: Tuple[str, int]) -> Future:

@@ -148,15 +148,6 @@ class AuditReport:
             if score >= threshold
         ]
 
-    def accusations(self) -> List[Finding]:
-        """Only the accusing findings."""
-        return [finding for finding in self.findings if finding.accusing]
-
-    @property
-    def clean(self) -> bool:
-        """True when the auditor accuses nobody."""
-        return not self.accusations()
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------

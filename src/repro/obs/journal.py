@@ -121,9 +121,6 @@ class EventJournal:
     def __len__(self) -> int:
         return len(self._values) - self._head
 
-    def __iter__(self) -> Iterator[ProtocolEvent]:
-        return self._select()
-
     @property
     def dropped(self) -> int:
         """Events evicted from the ring buffer."""
@@ -195,30 +192,16 @@ class EventJournal:
         """Id of the newest retained event (None when empty)."""
         return self.recorded if len(self) else None
 
-    def _select(
-        self, field: int = 0, value: Optional[str] = None
-    ) -> Iterator[ProtocolEvent]:
+    def __iter__(self) -> Iterator[ProtocolEvent]:
         """Retained events in record order, built one at a time as the
-        caller advances. With ``value``, only those whose header's
-        ``field`` (0 kind, 2 node) equals it — decided on the header
-        column, before an event is built."""
+        caller advances."""
         headers = list(self._header_ids)
-        keep = [value is None or header[field] == value for header in headers]
         values, traces = self._values, self._traces
         event_id = self.recorded - len(self)
         for row in range(self._head, len(values)):
             event_id += 1
-            if keep[self._header[row]]:
-                kind, participant, node, names = headers[self._header[row]]
-                yield ProtocolEvent(
-                    event_id, kind, self._at[row], participant, node,
-                    traces.get(event_id), dict(zip(names, values[row])),
-                )
-
-    def of_kind(self, kind: str) -> List[ProtocolEvent]:
-        """Retained events of one kind, in record order."""
-        return list(self._select(0, kind))
-
-    def by_node(self, node: str) -> List[ProtocolEvent]:
-        """Retained events observed at one node, in record order."""
-        return list(self._select(2, node))
+            kind, participant, node, names = headers[self._header[row]]
+            yield ProtocolEvent(
+                event_id, kind, self._at[row], participant, node,
+                traces.get(event_id), dict(zip(names, values[row])),
+            )

@@ -306,9 +306,5 @@ class MetricsRegistry:
     def histograms(self) -> List[Histogram]:
         return [m for m in self.all_metrics() if isinstance(m, Histogram)]
 
-    def get(self, name: str, **labels: Any):
-        """Look up an existing metric (None if never registered)."""
-        return self._metrics.get((name, _label_key(labels)))
-
     def __len__(self) -> int:
         return len(self._metrics)

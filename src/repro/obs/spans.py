@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, Optional
 
 from repro.errors import ConfigurationError
 
@@ -55,13 +55,6 @@ class Span:
     participant: str = ""
     node: str = ""
     args: Dict[str, Any] = dataclasses.field(default_factory=dict)
-
-    @property
-    def duration_ms(self) -> float:
-        """Span length in virtual milliseconds (0.0 while open)."""
-        if self.end_ms is None:
-            return 0.0
-        return self.end_ms - self.start_ms
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (console bundles, archives)."""
@@ -215,21 +208,3 @@ class SpanLog:
         )
         span.end_ms = end
         return span
-
-    # ------------------------------------------------------------------
-    # Queries (tests and exporters)
-    # ------------------------------------------------------------------
-    def by_trace(self, trace_id: int) -> List[Span]:
-        """Spans of one trace, ordered by start time then id."""
-        return sorted(
-            (s for s in self._spans if s.trace_id == trace_id),
-            key=lambda s: (s.start_ms, s.span_id),
-        )
-
-    def named(self, name: str) -> List[Span]:
-        """All retained spans with the given name."""
-        return [s for s in self._spans if s.name == name]
-
-    def open_spans(self) -> List[Span]:
-        """Spans begun but never ended (diagnostic aid)."""
-        return [s for s in self._spans if s.end_ms is None]

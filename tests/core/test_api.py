@@ -5,7 +5,6 @@ import pytest
 from repro.core import BlockplaneConfig
 from repro.core.records import RECORD_COMMUNICATION, RECORD_LOG_COMMIT
 from repro.errors import ConfigurationError
-from repro.sim.simulator import Simulator
 
 from tests.conftest import build_four_dc, build_pair, build_single_dc
 
@@ -131,17 +130,6 @@ def test_log_length_reflects_commits(sim):
     assert len(api.unit.gateway_node().local_log) == 0
     sim.run_until_resolved(api.log_commit("x"))
     assert len(api.unit.gateway_node().local_log) == 1
-
-
-def test_default_payload_bytes_config():
-    sim = Simulator(seed=1)
-    deployment = build_single_dc(
-        sim, config=BlockplaneConfig(default_payload_bytes=5000)
-    )
-    api = deployment.api("DC")
-    position = sim.run_until_resolved(api.log_commit("x"))
-    entry = deployment.unit("DC").gateway_node().local_log.read(position)
-    assert entry.payload_bytes == 5000
 
 
 class TestAdmissionControl:

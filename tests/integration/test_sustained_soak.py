@@ -25,6 +25,11 @@ RETAINED_BOUND = 400
 #: position is delivered, so only in-flight receptions hold one; a vote
 #: map that is never pruned holds every reception (~200 here).
 VOTES_BOUND = 32
+#: Per-replica signature collections and per-daemon shipped positions.
+#: Both forget what a truncation folds, so they follow the log window
+#: (a peak near 15 here); kept forever they grow with every send
+#: (~200 collections, ~100 positions).
+SENDING_BOUND = 32
 
 
 def _retained(node) -> int:
@@ -37,6 +42,13 @@ def _retained(node) -> int:
 
 def _votes(node) -> int:
     return sum(len(state.voted) for state in node.receptions.values())
+
+
+def _sending(node) -> int:
+    return max(
+        [len(node._sign_collectors)]
+        + [len(daemon.shipped) for daemon in node.comm_daemons]
+    )
 
 
 def _commit_fn(api, others):
@@ -52,7 +64,7 @@ def _commit_fn(api, others):
 
 def _soak(checkpoint_interval: int, obs: Observability):
     """Run the soak; returns (sim, per-site stats, retained high-water,
-    votes high-water)."""
+    votes high-water, sending-side high-water)."""
     sim = Simulator(seed=11)
     obs.bind_clock(sim)
     deployment = BlockplaneDeployment(
@@ -67,13 +79,14 @@ def _soak(checkpoint_interval: int, obs: Observability):
         ),
         obs=obs,
     )
-    high_water = votes_high_water = 0
+    high_water = votes_high_water = sending_high_water = 0
 
     def sample():
-        nonlocal high_water, votes_high_water
+        nonlocal high_water, votes_high_water, sending_high_water
         nodes = deployment.all_nodes()
         high_water = max(high_water, *map(_retained, nodes))
         votes_high_water = max(votes_high_water, *map(_votes, nodes))
+        sending_high_water = max(sending_high_water, *map(_sending, nodes))
 
     def sampler():
         while True:
@@ -102,7 +115,7 @@ def _soak(checkpoint_interval: int, obs: Observability):
         assert sim.now < 60_000.0, "soak stopped draining"
         sim.run(until=sim.now + 1_000.0)
     sample()
-    return sim, stats, high_water, votes_high_water
+    return sim, stats, high_water, votes_high_water, sending_high_water
 
 
 def test_soak_commits_everything_in_bounded_state():
@@ -110,7 +123,7 @@ def test_soak_commits_everything_in_bounded_state():
         enabled=True, tracing=True, forensics=False, max_spans=None,
         trace_sample_every=16,
     )
-    sim, stats, high_water, votes_high_water = _soak(
+    sim, stats, high_water, votes_high_water, sending_high_water = _soak(
         checkpoint_interval=64, obs=obs
     )
     for site_stats in stats:
@@ -119,6 +132,7 @@ def test_soak_commits_everything_in_bounded_state():
         assert site_stats["failed"] == site_stats["dropped"] == 0
     assert high_water <= RETAINED_BOUND
     assert votes_high_water <= VOTES_BOUND
+    assert sending_high_water <= SENDING_BOUND
     # The hub's entry-trace / open-WAN-span maps are pruned as logs
     # truncate and hops land; they must not outgrow the replicas.
     assert obs.correlations_retained <= RETAINED_BOUND
@@ -137,7 +151,7 @@ def test_soak_commits_everything_in_bounded_state():
 def test_soak_outgrows_the_bound_without_checkpoints():
     """The bound is a real constraint: the same load with checkpointing
     effectively off retains every entry."""
-    _sim, stats, high_water, _votes_high_water = _soak(
+    _sim, stats, high_water, _votes_high_water, _sending_high_water = _soak(
         checkpoint_interval=10**9, obs=Observability(enabled=False)
     )
     assert all(s["committed"] == OPS_PER_SITE for s in stats)

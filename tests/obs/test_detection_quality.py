@@ -47,7 +47,7 @@ def test_byzantine_seed_attributes_forger_and_silent_node():
     assert run.result.ok  # safety invariants held throughout
     assert "I-2" in run.score.expected and "V-3" in run.score.expected
     assert run.score.perfect, run.score.summary()
-    kinds = {f.kind for f in run.report.accusations()}
+    kinds = {f.kind for f in run.report.findings if f.accusing}
     assert "forged-signature" in kinds or "silent-replica" in kinds
 
 
@@ -65,8 +65,8 @@ def test_mixed_seed_attributes_effective_withholding():
         "regenerate if the chaos generator changed"
     )
     withheld = next(
-        f for f in run.report.accusations()
-        if f.kind == "withheld-transmissions"
+        f for f in run.report.findings
+        if f.accusing and f.kind == "withheld-transmissions"
     )
     assert withheld.suspect_kind == "daemon"
     assert withheld.context["positions"]
@@ -104,7 +104,9 @@ def test_expected_accusations_reads_plan_ground_truth():
 def test_fault_free_replays_accuse_nobody():
     for seed, profile in ((7, "byzantine"), (11, "mixed")):
         run = fault_free_run(_plan(seed, profile))
-        assert run.report.clean, run.report.to_text()
+        assert not any(
+            f.accusing for f in run.report.findings
+        ), run.report.to_text()
         assert run.score.perfect
         assert run.score.expected == () == run.score.detected
 
@@ -112,4 +114,4 @@ def test_fault_free_replays_accuse_nobody():
 def test_detection_sweep_fault_free_flag_strips_actions():
     (run,) = detection_sweep(7, 1, fault_free=True, **_SWEEP)
     assert run.plan.actions == ()
-    assert run.report.clean
+    assert not any(f.accusing for f in run.report.findings)

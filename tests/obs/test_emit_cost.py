@@ -65,12 +65,6 @@ class ReferenceJournal:
     def events(self):
         return list(self._events)
 
-    def of_kind(self, kind):
-        return [e for e in self._events if e.kind == kind]
-
-    def by_node(self, node):
-        return [e for e in self._events if e.node == node]
-
 
 def _bound_hub(**kwargs) -> Observability:
     obs = Observability(**kwargs)

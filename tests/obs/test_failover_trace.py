@@ -35,12 +35,12 @@ def test_failover_commit_is_one_trace_tree():
     assert position == 1  # the commit survived the crashed leader
 
     # The commit landed in view 1 — a real failover happened.
-    proposals = [e for e in obs.journal.of_kind("pbft.pre_prepare")
-                 if e.participant == "A"]
+    proposals = [e for e in obs.journal
+                 if e.kind == "pbft.pre_prepare" and e.participant == "A"]
     assert proposals
     assert {e.args["view"] for e in proposals} == {1}
-    assert obs.journal.of_kind("pbft.view_change")
-    assert obs.journal.of_kind("pbft.new_view")
+    assert [e for e in obs.journal if e.kind == "pbft.view_change"]
+    assert [e for e in obs.journal if e.kind == "pbft.new_view"]
 
     # Every proposal carries the SAME, non-None trace context.
     traces = {e.trace for e in proposals}
@@ -51,8 +51,8 @@ def test_failover_commit_is_one_trace_tree():
     # Every survivor's apply is stitched onto that same trace,
     # including the first replica to apply (registration happens
     # before its own append).
-    appends = [e for e in obs.journal.of_kind("log.append")
-               if e.participant == "A"]
+    appends = [e for e in obs.journal
+               if e.kind == "log.append" and e.participant == "A"]
     assert sorted(e.node for e in appends) == ["A-1", "A-2", "A-3"]
     assert {e.trace for e in appends} == {trace}
 
@@ -60,8 +60,8 @@ def test_failover_commit_is_one_trace_tree():
 def test_failover_spans_share_one_root():
     obs = Observability(enabled=True)
     _failover_commit(obs)
-    proposals = [e for e in obs.journal.of_kind("pbft.pre_prepare")
-                 if e.participant == "A"]
+    proposals = [e for e in obs.journal
+                 if e.kind == "pbft.pre_prepare" and e.participant == "A"]
     trace_id = proposals[0].trace[0]
     spans = [s for s in obs.spans if s.trace_id == trace_id]
     roots = [s for s in spans if s.parent_id is None]

@@ -72,11 +72,11 @@ def test_equivocating_leader_attributed():
     sim.run(until=500.0, max_events=20_000_000)
     report = auditor.report()
     assert report.accused() == ["r0"]
-    kinds = {f.kind for f in report.accusations() if f.suspect == "r0"}
+    kinds = {f.kind for f in report.findings if f.accusing and f.suspect == "r0"}
     assert "equivocation" in kinds
     # The signed conflicting proposals are in the evidence bundle.
     equivocation = next(
-        f for f in report.accusations() if f.kind == "equivocation"
+        f for f in report.findings if f.accusing and f.kind == "equivocation"
     )
     assert len(equivocation.context["digests"]) == 2
     assert equivocation.evidence
@@ -90,7 +90,7 @@ def test_tampering_voter_attributed():
     sim.run(until=sim.now + 10)
     report = auditor.report()
     assert report.accused() == ["r2"]
-    kinds = {f.kind for f in report.accusations()}
+    kinds = {f.kind for f in report.findings if f.accusing}
     assert "vote-mismatch" in kinds
 
 
@@ -101,7 +101,7 @@ def test_honest_group_accuses_nobody():
     commit_values(sim, replicas[0], ["a", "b", "c"])
     sim.run(until=sim.now + 10)
     report = auditor.report()
-    assert report.clean
+    assert not any(f.accusing for f in report.findings)
     assert report.events_seen > 0
 
 
@@ -117,7 +117,7 @@ def test_forging_signer_attributed():
     report = auditor.report()
     assert report.accused() == ["A-2"]
     forged = next(
-        f for f in report.accusations() if f.kind == "forged-signature"
+        f for f in report.findings if f.accusing and f.kind == "forged-signature"
     )
     assert forged.suspect == "A-2"
 
@@ -130,7 +130,7 @@ def test_impersonating_signer_attributed():
     assert received.resolved
     report = auditor.report()
     assert "A-2" in report.accused()
-    kinds = {f.kind for f in report.accusations() if f.suspect == "A-2"}
+    kinds = {f.kind for f in report.findings if f.accusing and f.suspect == "A-2"}
     assert "impersonation" in kinds
 
 
@@ -146,7 +146,7 @@ def test_silent_member_attributed_only_in_active_unit():
     report = auditor.report()
     assert report.accused() == ["A-2"]
     silent = next(
-        f for f in report.accusations() if f.kind == "silent-replica"
+        f for f in report.findings if f.accusing and f.kind == "silent-replica"
     )
     assert silent.participant == "A"
     assert silent.context["unit_log_length"] >= 2
@@ -164,7 +164,8 @@ def test_crashed_node_is_never_accused_of_silence():
         )
     sim.run(until=sim.now + 200, max_events=20_000_000)
     report = auditor.report()
-    assert report.clean  # the crash is journaled, silence is explained
+    # The crash is journaled, silence is explained.
+    assert not any(f.accusing for f in report.findings)
     assert "A-2" in report.health["crashed_nodes"]
 
 
@@ -184,8 +185,8 @@ def test_canary_catches_promiscuous_signer():
     report = auditor.report()
     assert report.accused() == ["A-1"]
     promiscuous = next(
-        f for f in report.accusations()
-        if f.kind == "promiscuous-signature"
+        f for f in report.findings
+        if f.accusing and f.kind == "promiscuous-signature"
     )
     assert promiscuous.suspect == "A-1"
     assert report.health["canaries"] == 2  # one per site
@@ -200,7 +201,8 @@ def test_canaries_spare_honest_deployments():
     assert received.resolved
     assert prober.probes_fired > 0
     report = auditor.report()
-    assert report.clean  # honest signers defer the bogus position
+    # Honest signers defer the bogus position.
+    assert not any(f.accusing for f in report.findings)
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +243,7 @@ def test_tampered_transmission_is_refused_and_named_by_link():
     received = _roundtrip(sim, deployment, message="original")
 
     ((target, position),) = tampered
-    (rejected,) = deployment.obs.journal.of_kind("proof.rejected")
+    (rejected,) = [e for e in deployment.obs.journal if e.kind == "proof.rejected"]
     assert (rejected.node, rejected.args["position"]) == (target, position)
     assert rejected.args["reason"] == "ingress-proof"
     # Refused without an ack: the receiver acknowledged the position only
@@ -253,7 +255,8 @@ def test_tampered_transmission_is_refused_and_named_by_link():
     (finding,) = [f for f in report.findings if f.kind == "tampered-transmission"]
     assert (finding.suspect, finding.suspect_kind) == ("A->B", "link")
     assert finding.participant == "B"
-    assert report.clean  # a link finding accuses no replica
+    # A link finding accuses no replica.
+    assert not any(f.accusing for f in report.findings)
 
 
 class _RejectIllegal(AcceptAll):

@@ -105,14 +105,14 @@ def test_lifecycle_trace_covers_full_commit_path():
     obs = Observability(enabled=True)
     trace_commit_lifecycle(obs)
 
-    assert obs.spans.open_spans() == []  # every span closed
+    assert all(span.end_ms is not None for span in obs.spans)  # all closed
 
     # The send commit's trace reaches from the API call at C through the
     # WAN hop to the reception apply at V.
-    (wan,) = obs.spans.named("wan.transmit")
+    (wan,) = [span for span in obs.spans if span.name == "wan.transmit"]
     assert wan.participant == "C"
     assert wan.args["destination"] == "V"
-    tree = obs.spans.by_trace(wan.trace_id)
+    tree = [span for span in obs.spans if span.trace_id == wan.trace_id]
     names = {span.name for span in tree}
     assert names >= {
         "commit", "pbft.consensus", "pbft.pre_prepare", "pbft.prepare",
@@ -137,7 +137,7 @@ def test_lifecycle_trace_covers_full_commit_path():
     assert apply_c.participant == "C"
     assert apply_v.participant == "V"
     assert ship.start_ms >= apply_c.end_ms
-    assert wan.duration_ms > 10.0  # C<->V is a ~30 ms WAN link
+    assert wan.end_ms - wan.start_ms > 10.0  # C<->V is a ~30 ms WAN link
     assert apply_v.start_ms >= wan.end_ms
 
     # Both sides recorded PBFT phase latencies and the WAN byte flow.
@@ -201,19 +201,21 @@ def test_lifecycle_journal_matches_golden_fixture():
     # The send is one causal story: the C-side communication appends,
     # the ship intent, V's proof verification, and V's reception
     # applies all share the ship's trace id.
-    (ship,) = journal.of_kind("daemon.ship")
+    (ship,) = [e for e in journal if e.kind == "daemon.ship"]
     assert ship.participant == "C" and ship.args["destination"] == "V"
     trace_id = ship.trace[0]
-    comm_appends = [e for e in journal.of_kind("log.append")
+    appends = [e for e in journal if e.kind == "log.append"]
+    comm_appends = [e for e in appends
                     if e.args.get("record_type") == "communication"]
-    received_appends = [e for e in journal.of_kind("log.append")
+    received_appends = [e for e in appends
                         if e.args.get("record_type") == "received"]
     assert len(comm_appends) == len(received_appends) == 4
     for event in comm_appends + received_appends:
         assert event.trace is not None
         assert event.trace[0] == trace_id
-    for event in journal.of_kind("proof.verified"):
-        assert event.trace[0] == trace_id
+    for event in journal:
+        if event.kind == "proof.verified":
+            assert event.trace[0] == trace_id
 
     # The journal serializes cleanly alongside the other artifacts.
     from repro.obs.exporters import journal_snapshot

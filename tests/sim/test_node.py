@@ -125,5 +125,5 @@ def test_crash_recover_traced(obs):
     a.obs = obs
     a.crash()
     a.recover()
-    assert [e.node for e in obs.journal.of_kind("node.crash")] == ["a"]
-    assert [e.node for e in obs.journal.of_kind("node.recover")] == ["a"]
+    assert [e.node for e in obs.journal if e.kind == "node.crash"] == ["a"]
+    assert [e.node for e in obs.journal if e.kind == "node.recover"] == ["a"]
