@@ -47,8 +47,9 @@ bench-selftest:
 # BASE=<rev>` exports BASE (`git archive`, so no worktree stays
 # registered) into IDENTICAL_DIR, runs the traced benchmark there and in
 # the working tree on seeds 7 and 11, and fails on any `changed` exact
-# counter or any *_vms value that is not `same` (`--compare` itself only
-# fails on REGRESSED/unresolved host-time rows).
+# counter, any *_vms value that is not `same`, or any workload whose
+# schedule_digest, failed or correct differs between the two result files
+# (`--compare` itself only fails on REGRESSED/unresolved host-time rows).
 IDENTICAL_DIR ?= /tmp/repro-identical
 identical:
 	@test -n "$(BASE)" || { echo "usage: make identical BASE=<rev>" >&2; exit 2; }
@@ -64,8 +65,19 @@ identical:
 		awk -v seed=$$seed '$$NF == "changed" || ($$2 ~ /_vms$$/ && $$NF != "same") \
 			{ print "seed " seed ": " $$0; bad = 1 } END { exit bad }' \
 			$(IDENTICAL_DIR)/compare-$$seed.txt || status=1; \
+		python3 -c 'import json, sys; \
+			base, tree = (json.load(open(path))["workloads"] for path in sys.argv[2:]); \
+			bad = ["seed %s: %s %s %r -> %r" % (sys.argv[1], name, key, \
+				base.get(name, {}).get(key), tree.get(name, {}).get(key)) \
+				for name in sorted(base.keys() | tree.keys()) \
+				for key in ("schedule_digest", "failed", "correct") \
+				if base.get(name, {}).get(key) != tree.get(name, {}).get(key)]; \
+			print("\n".join(bad)) if bad else None; \
+			sys.exit(1 if bad else 0)' \
+			$$seed $(IDENTICAL_DIR)/base-$$seed.json $(IDENTICAL_DIR)/tree-$$seed.json \
+			|| status=1; \
 	done; \
-	test $$status -ne 0 || echo "identical on seeds 7 and 11: every exact counter and *_vms value"; \
+	test $$status -ne 0 || echo "identical on seeds 7 and 11: every exact counter, *_vms value, schedule_digest, failed and correct"; \
 	exit $$status
 
 # What full observability costs: the same traffic with telemetry off
@@ -96,6 +108,6 @@ experiments:
 # tier-1 run under a call tracer; lists each src/repro function no real
 # path enters, by bucket (~8 min). Fails when more are unreached than
 # CENSUS_MAX: lower it when a PR deletes, never raise it.
-CENSUS_MAX = 80
+CENSUS_MAX = 77
 census:
 	python3 tools/census.py --max $(CENSUS_MAX)

@@ -12,6 +12,7 @@ Run:
 """
 
 from repro.core import BlockplaneConfig, BlockplaneDeployment
+from repro.core.byzantine import SilentUnitMember
 from repro.core.verification import VerificationRoutines
 from repro.errors import VerificationFailed
 from repro.obs import Observability
@@ -35,14 +36,13 @@ def main() -> None:
         aws_four_dc_topology(),
         BlockplaneConfig(f_independent=1),
         routines_factory=lambda _name: PositiveNumbersOnly(),
+        # Byzantine node 1: goes completely silent.
+        node_class_overrides={"C-3": SilentUnitMember},
         obs=obs,
     )
     unit = deployment.unit("C")
     api = deployment.api("C")
-
-    # Byzantine node 1: goes completely silent.
     silent = unit.nodes[3]
-    silent.on_message = lambda message, src: None
     # Byzantine node 2: tries to commit an illegal transition directly.
     corrupt = unit.nodes[2]
 
@@ -62,6 +62,7 @@ def main() -> None:
     process = sim.spawn(workload())
     sim.run(until=10_000.0)
     assert process.resolved
+    assert len(silent.local_log) == 0
 
     honest_logs = [
         [entry.value for entry in node.local_log]

@@ -6,7 +6,7 @@ deterministic tie-breaking, generator-based processes (so protocol code
 reads like the paper's blocking pseudocode), a wide-area network model
 driven by the paper's Table I RTT matrix, a NIC bandwidth serialization
 model, fault injection, and post-run latency/throughput aggregation.
-Each mechanism exists once: one event loop behind ``run`` / ``step`` /
+Each mechanism exists once: one event loop behind ``run`` /
 ``run_until_resolved``, and one transport path (``Network.broadcast``; a
 unicast is a one-destination broadcast).
 It holds no telemetry store: protocol code reports to :mod:`repro.obs`.

@@ -1,35 +1,35 @@
-"""Scheduled events for the discrete-event simulator.
+"""Cancellable handles for the discrete-event simulator.
 
-An :class:`Event` is a callback scheduled at a virtual timestamp. Events
-are ordered by ``(time, seq)`` where ``seq`` is a monotonically increasing
-insertion counter — two events at the same instant always fire in the
-order they were scheduled, which keeps every simulation deterministic.
+An :class:`Event` is the handle :meth:`Simulator.schedule` returns for a
+callback scheduled at a virtual timestamp. Events are ordered by
+``(time, seq)`` where ``seq`` is a monotonically increasing insertion
+counter — two events at the same instant always fire in the order they
+were scheduled, which keeps every simulation deterministic.
 
-The simulator (see :mod:`repro.sim.simulator`) stores heap entries as
-plain ``(time, seq, event)`` tuples so ordering is resolved by C-level
-tuple comparison; events themselves are never compared.
+The simulator (see :mod:`repro.sim.simulator`) stores queue entries as
+plain ``(time, seq, fn, args, handle)`` tuples so ordering is resolved by
+C-level tuple comparison; handles themselves are never compared.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Optional, Tuple
+import types
+from typing import Any, Optional
 
 
 @dataclasses.dataclass(slots=True)
 class Event:
-    """A callback scheduled on the simulator's virtual clock.
+    """A cancellable callback on the simulator's virtual clock.
 
     Attributes:
         time: Virtual timestamp (milliseconds) at which the event fires.
         seq: Insertion sequence number used to break timestamp ties.
-        fn: The callback to invoke.
-        args: Positional arguments passed to ``fn``.
         cancelled: When true the event is skipped at fire time. Use
             :meth:`cancel` rather than mutating this directly.
-        owner: The simulator whose heap currently holds this event; set
-            at schedule time and cleared when the event leaves the heap.
-            Lets :meth:`cancel` report to the owner's live-event
+        owner: The simulator whose queue currently holds this event; set
+            at schedule time and cleared when the event leaves the queue.
+            Lets :meth:`cancel` report to the owner's tombstone
             counters without the simulator scanning its heap.
         ready: True when the event lives in the owner's zero-delay ready
             queue instead of the time-ordered heap. Maintained by the
@@ -40,8 +40,6 @@ class Event:
 
     time: float
     seq: int
-    fn: Callable[..., Any]
-    args: Tuple[Any, ...] = ()
     cancelled: bool = False
     owner: Optional[Any] = dataclasses.field(default=None, repr=False)
     ready: bool = False
@@ -61,3 +59,8 @@ class Event:
         owner = self.owner
         if owner is not None:
             owner._note_cancelled(self)
+
+
+#: The handle of every entry nobody can cancel: never a tombstone, and
+#: the event loop's release of it is a harmless write.
+_FIRE_AND_FORGET = types.SimpleNamespace(cancelled=False, owner=None)

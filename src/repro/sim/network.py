@@ -20,10 +20,13 @@ used by :mod:`repro.sim.faults` and by byzantine tests.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import math
 import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.errors import UnknownNodeError
+from repro.errors import ConfigurationError, UnknownNodeError
+from repro.sim.events import _FIRE_AND_FORGET
 from repro.sim.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -74,6 +77,15 @@ class NetworkOptions:
     receiver_processing_ms: float = 0.01
     jitter_ms: float = 0.0
     wire_fidelity: bool = False
+
+    def __post_init__(self) -> None:
+        # Chained comparisons, so NaN fails them too.
+        if not 0 < self.bandwidth_mb_per_s < math.inf:
+            raise ConfigurationError("bandwidth_mb_per_s must be finite and > 0")
+        for name in ("per_message_overhead_bytes", "receiver_processing_ms",
+                     "jitter_ms"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0")
 
     def bytes_per_ms(self) -> float:
         """NIC throughput in bytes per virtual millisecond."""
@@ -176,7 +188,9 @@ class Network:
         lands, so a message with long propagation cannot reserve the
         receiver's NIC ahead of earlier arrivals.
         """
-        src = self.node(src_id)
+        src = self.nodes.get(src_id)
+        if src is None:
+            src = self.node(src_id)  # raises UnknownNodeError
         self.messages_sent += len(dst_ids)
         if src.crashed:
             return
@@ -196,6 +210,9 @@ class Network:
         src_site = src.site
         overhead = options.per_message_overhead_bytes
         bytes_per_ms = options.bytes_per_ms()
+        # Every copy has the same wire size unless a tamper hook
+        # substitutes the message.
+        message_size = message.size_bytes() + overhead
         one_way_ms = self.topology.one_way_ms
         jitter = options.jitter_ms
         egress = self._egress_free_at
@@ -204,11 +221,14 @@ class Network:
             free = now
         reserved = False
         bytes_acc = 0
-        # Link counters are bumped once per run of same-site
-        # destinations (a unit-wide broadcast is a single run).
+        # Link counters are bumped, and propagation looked up, once per
+        # run of same-site destinations (a unit-wide broadcast is a
+        # single run).
         link_site = src_site
         link_msgs = 0
         link_bytes = 0
+        run_site = None
+        run_propagation = 0.0
         groups: Dict[str, List[tuple]] = {}
         for dst_id in dst_ids:
             dst = nodes.get(dst_id)
@@ -227,7 +247,10 @@ class Network:
                 if delivered is None:
                     continue
             dst_site = dst.site
-            size = delivered.size_bytes() + overhead
+            if delivered is message:
+                size = message_size
+            else:
+                size = delivered.size_bytes() + overhead
             bytes_acc += size
             if obs_enabled:
                 if dst_site != link_site:
@@ -243,20 +266,24 @@ class Network:
                 # Loopback: no NIC involved, only local processing cost.
                 sim.schedule(
                     options.receiver_processing_ms,
-                    self._deliver, dst_id, src_id, delivered,
+                    self._deliver, dst, src_id, delivered,
                 )
                 continue
             # Egress serialization: back-to-back sends queue behind the
             # NIC cursor; propagation is added after the reservation.
-            free += size / bytes_per_ms
+            transmit = size / bytes_per_ms
+            free += transmit
             reserved = True
-            propagation = one_way_ms(src_site, dst_site)
+            if dst_site != run_site:
+                run_site = dst_site
+                run_propagation = one_way_ms(src_site, dst_site)
+            propagation = run_propagation
             if jitter > 0:
                 propagation += sim.rng.uniform(0.0, jitter)
             group = groups.get(dst_site)
             if group is None:
                 group = groups[dst_site] = []
-            group.append((free + propagation, dst_id, delivered, size))
+            group.append((free + propagation, dst, delivered, transmit))
         self.bytes_sent += bytes_acc
         if link_msgs:
             self._count_link(src_site, link_site, link_bytes, link_msgs)
@@ -271,23 +298,32 @@ class Network:
 
     def _arrive_batch(self, src_id: str, entries: List[tuple]) -> None:
         """Composite arrival: reserve each destination's ingress NIC in
-        arrival order and schedule the per-destination deliveries."""
+        arrival order (charging the egress transmit time again) and push
+        the deliveries straight onto the heap — the entries and seqs
+        :meth:`Simulator.schedule_at` would push, minus a call each."""
         sim = self.sim
         now = sim.now
-        bytes_per_ms = self.options.bytes_per_ms()
         processing = self.options.receiver_processing_ms
         free_at = self._ingress_free_at
-        schedule_at = sim.schedule_at
+        heap = sim._heap
+        push = heapq.heappush
+        seq = sim._seq
         deliver = self._deliver
-        for arrival, dst_id, message, size in entries:
+        for arrival, dst, message, transmit in entries:
+            dst_id = dst.node_id
             ingress_start = free_at.get(dst_id, 0.0)
             if arrival > ingress_start:
                 ingress_start = arrival
             if now > ingress_start:
                 ingress_start = now
-            ingress_done = ingress_start + size / bytes_per_ms + processing
+            ingress_done = ingress_start + transmit + processing
             free_at[dst_id] = ingress_done
-            schedule_at(ingress_done, deliver, dst_id, src_id, message)
+            push(heap, (
+                ingress_done, seq, deliver, (dst, src_id, message),
+                _FIRE_AND_FORGET,
+            ))
+            seq += 1
+        sim._seq = seq
 
     def _count_link(
         self, src_site: str, dst_site: str, size: int, messages: int = 1
@@ -311,9 +347,9 @@ class Network:
         counters[0].value += messages
         counters[1].value += size
 
-    def _deliver(self, dst_id: str, src_id: str, message: "Message") -> None:
-        dst = self.nodes.get(dst_id)
-        if dst is None or dst.crashed:
+    def _deliver(self, dst: "Node", src_id: str, message: "Message") -> None:
+        """The one frame between the event loop and the handler."""
+        if dst.crashed:
             return
         if self._transcode is not None:
             src = self.nodes.get(src_id)
@@ -326,7 +362,11 @@ class Network:
                 self.wire_transcodes += 1
                 self.wire_bytes += nbytes
         self.messages_delivered += 1
-        dst.on_message(message, src_id)
+        handler = dst._direct.get(message.kind)
+        if handler is None:
+            dst.on_message(message, src_id)
+        else:
+            handler(message, src_id)
 
     # ------------------------------------------------------------------
     # Fault hooks

@@ -89,6 +89,10 @@ class Node:
         # it removes an f-string build plus a getattr from every
         # delivered message (the single hottest dispatch in a run).
         self._dispatch: dict = {}
+        # The memo the network delivers through; never filled for a
+        # class that overrides ``on_message``, so its override sees all.
+        overridden = type(self).on_message is not Node.on_message
+        self._direct = {} if overridden else self._dispatch
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -111,9 +115,11 @@ class Node:
     def on_message(self, message: Message, src_id: str) -> None:
         """Dispatch ``message`` to ``handle_<kind>``.
 
-        Entry point used by the network (which never delivers to a
-        crashed node). Override for custom routing. Unknown messages raise
-        :class:`ProtocolError` — silent drops hide protocol bugs.
+        The network calls it for a kind not yet in the dispatch memo,
+        and never for a crashed node. Override it in a subclass for
+        custom routing; the network then calls it for every message.
+        Unknown messages raise :class:`ProtocolError` — silent drops
+        hide protocol bugs.
         """
         kind = message.kind
         handler = self._dispatch.get(kind)
@@ -133,12 +139,11 @@ class Node:
     def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule a callback that is suppressed if the node is crashed
         when it fires (crashed machines do not execute local work)."""
+        return self.sim.schedule(delay, self._fire_timer, fn, args)
 
-        def _guarded() -> None:
-            if not self.crashed:
-                fn(*args)
-
-        return self.sim.schedule(delay, _guarded)
+    def _fire_timer(self, fn: Callable[..., Any], args: tuple) -> None:
+        if not self.crashed:
+            fn(*args)
 
     # ------------------------------------------------------------------
     # Failure control

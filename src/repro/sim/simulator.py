@@ -6,9 +6,11 @@ network links, consensus protocols, the middleware, workloads — schedules
 work through it, so a whole deployment advances deterministically from a
 single seed.
 
-The scheduler keeps two queues. Heap entries are plain ``(time, seq,
-event)`` tuples so heap sift comparisons resolve at C speed, and
-zero-delay events — the deliver→handle→send cascades produced by the
+The scheduler keeps two queues of plain ``(time, seq, fn, args,
+handle)`` tuples, so heap sift comparisons resolve at C speed. ``handle``
+is the :class:`Event` that :meth:`Simulator.schedule` returns, or a
+shared never-cancelled one for fire-and-forget :meth:`Simulator.schedule_at`.
+Zero-delay events — the deliver→handle→send cascades produced by the
 generator-process machinery, the dominant event class in a run — skip
 the heap entirely and go through a FIFO ready deque. The heap is
 reserved for genuinely future work (timers, RTT-delayed arrivals).
@@ -18,9 +20,9 @@ carry the current virtual time (zero delay), the queue drains in seq
 order before the clock can advance, and a same-time heap entry with a
 smaller seq is fired ahead of the ready head.
 
-There is one event loop, :meth:`Simulator._drain`; :meth:`Simulator.run`,
-:meth:`Simulator.step` and :meth:`Simulator.run_until_resolved` differ
-only in when they tell it to stop.
+There is one event loop, :meth:`Simulator._drain`; :meth:`Simulator.run`
+and :meth:`Simulator.run_until_resolved` differ only in when they tell
+it to stop.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import random
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import _FIRE_AND_FORGET, Event
 
 
 class Simulator:
@@ -67,14 +69,12 @@ class Simulator:
         self._seq = 0
         self._events_processed = 0
         self._running = False
-        # Live/tombstone counters keep ``pending_events`` O(1) and
-        # drive tombstone compaction; maintained by the schedule/cancel/
-        # pop paths (events report their own cancellation via
+        # Tombstone counters drive compaction; maintained by the
+        # cancel/pop paths (events report their own cancellation via
         # ``Event.owner``). Ready-queue tombstones are not counted:
-        # they are swept lazily at the queue head and never participate
-        # in heap compaction (the queue drains within the current
-        # virtual instant, so they cannot accumulate).
-        self._live = 0
+        # they are swept at the queue head and never participate in
+        # heap compaction (the queue drains within the current virtual
+        # instant, so they cannot accumulate).
         self._tombstones = 0
         self._compactions = 0
         self._events_cancelled = 0
@@ -95,48 +95,45 @@ class Simulator:
             to revoke it.
 
         Raises:
-            SimulationError: If ``delay`` is negative.
+            SimulationError: If ``delay`` is negative or NaN.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
         # ``delay >= 0`` already guarantees ``when >= now``, so the
         # relative form pushes directly instead of re-validating through
-        # :meth:`schedule_at` (this is the hottest call in the library —
-        # every message hop and timer goes through it).
+        # :meth:`schedule_at` (every timer goes through it).
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         if delay == 0.0:
-            event = Event(self.now, seq, fn, args, False, self, True)
-            self._ready.append(event)
+            now = self.now
+            event = Event(now, seq, False, self, True)
+            self._ready.append((now, seq, fn, args, event))
         else:
             when = self.now + delay
-            event = Event(when, seq, fn, args, False, self)
-            heapq.heappush(self._heap, (when, seq, event))
+            event = Event(when, seq, False, self)
+            heapq.heappush(self._heap, (when, seq, fn, args, event))
         return event
 
-    def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
-        if when < self.now:
+    def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at absolute virtual time ``when``
+        (not before ``now``, not NaN). Fire-and-forget: no
+        :class:`Event` is built, so the entry cannot be cancelled."""
+        if not when >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={when} before current time t={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        event = Event(when, seq, fn, args, False, self)
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
+        heapq.heappush(self._heap, (when, seq, fn, args, _FIRE_AND_FORGET))
 
     def _note_cancelled(self, event: Event) -> None:
         """Called by :meth:`Event.cancel` while the event is queue-held.
 
-        Keeps the live count exact and sweeps the heap once tombstones
-        outnumber live events (retransmission timers cancel far more
-        events than ever fire; without compaction they dominate the
-        heap and every push/pop pays their log factor).
+        Sweeps the heap once tombstones outnumber live entries
+        (retransmission timers cancel far more events than ever fire;
+        without compaction they dominate the heap and every push/pop
+        pays their log factor).
         """
-        self._live -= 1
         self._events_cancelled += 1
         if event.ready:
             # Ready-queue tombstone: swept when it reaches the queue
@@ -155,9 +152,9 @@ class Simulator:
         """Rebuild the heap without tombstones (O(n), amortized free)."""
         live = []
         for entry in self._heap:
-            event = entry[2]
-            if event.cancelled:
-                event.owner = None  # fully detached now
+            handle = entry[4]
+            if handle.cancelled:
+                handle.owner = None  # fully detached now
             else:
                 live.append(entry)
         # In-place replacement: the run loop holds a direct
@@ -172,14 +169,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the single next pending event.
-
-        Returns:
-            True if an event fired, False if no events are pending.
-        """
-        return self._drain(None, 1, None) == 1
-
     def run(
         self,
         until: Optional[float] = None,
@@ -229,23 +218,23 @@ class Simulator:
         limit: Optional[int],
         stop: Optional["Future"],
     ) -> int:
-        """The event loop behind :meth:`run`, :meth:`step` and
+        """The event loop behind :meth:`run` and
         :meth:`run_until_resolved`; returns how many events it fired.
 
-        Fires events in ``(time, seq)`` order until the queues drain,
-        ``limit`` events have fired, the next event lies after ``until``,
-        or ``stop`` has resolved. The next event is the minimum across
+        Fires entries in ``(time, seq)`` order until the queues drain,
+        ``limit`` entries have fired, the next one lies after ``until``,
+        or ``stop`` has resolved. The next entry is the minimum across
         the ready queue and the heap: the ready head always carries the
         current virtual time, so the heap top only wins with an equal
         time and a smaller seq (scheduled earlier via
-        :meth:`schedule_at`).
+        :meth:`schedule_at`) — a plain tuple comparison, since seqs are
+        unique and never let it reach ``fn``.
 
         The body runs once per event (hundreds of thousands of times per
-        run), so every queue handle is bound locally. Counters (``now``,
-        ``_live``, ``_events_processed``) are still written through
-        ``self`` every iteration because event callbacks read them
-        mid-run. Relies on :meth:`_compact` mutating the heap list in
-        place.
+        run), so every queue handle is bound locally. ``now`` and
+        ``_events_processed`` are still written through ``self`` every
+        iteration because event callbacks read them mid-run. Relies on
+        :meth:`_compact` mutating the heap list in place.
         """
         heap = self._heap
         ready = self._ready
@@ -253,49 +242,30 @@ class Simulator:
         popleft = ready.popleft
         fired = 0
         while fired != limit and (stop is None or not stop.resolved):
-            while ready and ready[0].cancelled:
-                popleft().owner = None
-            while heap and heap[0][2].cancelled:
-                pop(heap)[2].owner = None
+            while ready and ready[0][4].cancelled:
+                popleft()[4].owner = None
+            while heap and heap[0][4].cancelled:
+                pop(heap)[4].owner = None
                 self._tombstones -= 1
-            if ready:
-                event = ready[0]
-                if heap:
-                    top = heap[0]
-                    if top[0] < event.time or (
-                        top[0] == event.time and top[1] < event.seq
-                    ):
-                        event = top[2]
-            elif heap:
-                event = heap[0][2]
-            else:
-                break
-            if until is not None and event.time > until:
-                break
-            if event.ready:
+            if ready and not (heap and heap[0] < ready[0]):
+                entry = ready[0]
+                if until is not None and entry[0] > until:
+                    break
                 popleft()
-            else:
+            elif heap:
+                entry = heap[0]
+                if until is not None and entry[0] > until:
+                    break
                 pop(heap)
-                self.now = event.time
-            self._live -= 1
-            event.owner = None
+                self.now = entry[0]
+            else:
+                break
+            _time, _seq, fn, args, handle = entry
+            handle.owner = None
             self._events_processed += 1
-            event.fn(*event.args)
+            fn(*args)
             fired += 1
         return fired
-
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1):
-        maintained by the schedule/cancel/pop paths)."""
-        return self._live
-
-    @property
-    def heap_size(self) -> int:
-        """Physical queue length — heap plus ready queue, tombstones
-        included (for diagnostics and the heap-hygiene regression
-        tests)."""
-        return len(self._heap) + len(self._ready)
 
     @property
     def compactions(self) -> int:

@@ -1,17 +1,12 @@
 """End-to-end byzantine scenarios through the whole middleware stack —
 the paper's Lemmas 1–3 exercised as running systems."""
 
-from repro.core import BlockplaneConfig
+from repro.core import BlockplaneConfig, BlockplaneDeployment
+from repro.core.byzantine import SilentUnitMember
 from repro.core.node import BlockplaneNode
+from repro.sim import symmetric_topology
 
 from tests.conftest import build_pair
-
-
-class SilentBlockplaneNode(BlockplaneNode):
-    """A unit member that participates in nothing."""
-
-    def on_message(self, message, src_id) -> None:
-        return
 
 
 class LyingSignerNode(BlockplaneNode):
@@ -23,11 +18,13 @@ class LyingSignerNode(BlockplaneNode):
 
 
 def test_lemma1_unit_agreement_with_silent_member(sim):
-    deployment = build_pair(
-        sim, config=BlockplaneConfig(f_independent=1)
+    # One silent node inside A's unit.
+    deployment = BlockplaneDeployment(
+        sim,
+        symmetric_topology(["A", "B"], 20.0),
+        BlockplaneConfig(f_independent=1),
+        node_class_overrides={"A-2": SilentUnitMember},
     )
-    # Re-plant: one silent node inside A's unit.
-    deployment.unit("A").nodes[2].on_message = lambda m, s: None
 
     def workload():
         api = deployment.api("A")
@@ -44,6 +41,7 @@ def test_lemma1_unit_agreement_with_silent_member(sim):
     logs = [[e.value for e in node.local_log] for node in honest]
     assert all(log == logs[0] for log in logs)
     assert logs[0] == [f"v{index}" for index in range(5)]
+    assert len(deployment.unit("A").nodes[2].local_log) == 0
 
 
 def test_lemma2_receiver_only_accepts_unit_backed_messages(sim):

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.errors import UnknownNodeError
+from repro.errors import ConfigurationError, UnknownNodeError
 from repro.sim.network import Network, NetworkOptions
 from repro.sim.node import Message, Node
 from repro.sim.simulator import Simulator
@@ -184,3 +184,32 @@ def test_nodes_at_site():
     a2 = Recorder(sim, network, "a2", "A")
     Recorder(sim, network, "b1", "B")
     assert set(n.node_id for n in network.nodes_at_site("A")) == {"a1", "a2"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bandwidth_mb_per_s", float("nan")),
+        ("bandwidth_mb_per_s", float("inf")),
+        ("bandwidth_mb_per_s", 0.0),
+        ("bandwidth_mb_per_s", -640.0),
+        ("per_message_overhead_bytes", -1),
+        ("receiver_processing_ms", -0.01),
+        ("receiver_processing_ms", float("nan")),
+        ("jitter_ms", float("nan")),
+        ("jitter_ms", -1.0),
+    ],
+)
+def test_network_options_reject_non_finite_or_out_of_range(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        NetworkOptions(**{field: value})
+
+
+def test_network_options_defaults_are_valid_and_unchanged():
+    assert vars(NetworkOptions()) == {
+        "bandwidth_mb_per_s": 640.0,
+        "per_message_overhead_bytes": 128,
+        "receiver_processing_ms": 0.01,
+        "jitter_ms": 0.0,
+        "wire_fidelity": False,
+    }

@@ -15,32 +15,45 @@ from repro.sim.process import Future
 from repro.sim.simulator import Simulator
 
 
+def _queued(sim: Simulator) -> int:
+    """Entries still held by either queue, tombstones included."""
+    return len(sim._heap) + len(sim._ready)
+
+
 def _random_workload(sim: Simulator, trace: list, seed: int) -> list:
     """Schedule a deterministic tangle: mixed delays, zero-delay
     cascades, absolute-time ties, and cancellations. Returns every
-    ``(event, tag)`` scheduled, including those scheduled while running."""
+    entry scheduled, including those scheduled while running, as
+    ``(time, order, tag, handle)``: ``order`` is the scheduling order
+    (the simulator's seq order) and ``handle`` the :class:`Event` that
+    ``schedule`` returned, or None for a fire-and-forget ``schedule_at``."""
     rng = random.Random(seed)
     scheduled = []
 
     def fire(tag):
         trace.append((sim.now, tag))
         if rng.random() < 0.4:  # ready-queue cascade
-            later(sim.schedule, 0.0, tag * 1000 + 1)
+            later(0.0, tag * 1000 + 1)
         if rng.random() < 0.3:
-            later(sim.schedule, rng.choice([0.0, 1.0, 2.5]), tag * 1000 + 2)
+            later(rng.choice([0.0, 1.0, 2.5]), tag * 1000 + 2)
 
-    def later(schedule, when, tag):
-        event = schedule(when, fire, tag)
-        scheduled.append((event, tag))
+    def later(delay, tag):
+        time = sim.now + delay
+        event = sim.schedule(delay, fire, tag)
+        scheduled.append((time, len(scheduled), tag, event))
         return event
+
+    def at(when, tag):
+        assert sim.schedule_at(when, fire, tag) is None
+        scheduled.append((when, len(scheduled), tag, None))
 
     cancellable = []
     for i in range(200):
-        event = later(sim.schedule, rng.uniform(0.0, 50.0), i)
+        event = later(rng.uniform(0.0, 50.0), i)
         if rng.random() < 0.5:
             cancellable.append(event)
         if rng.random() < 0.2:
-            later(sim.schedule_at, round(rng.uniform(0.0, 50.0)), -i)
+            at(round(rng.uniform(0.0, 50.0)), -i)
     for event in cancellable[::2]:
         event.cancel()
     return scheduled
@@ -50,33 +63,34 @@ def _drain_by_run(sim: Simulator) -> None:
     sim.run()
 
 
-def _drain_by_step(sim: Simulator) -> None:
-    while sim.step():
-        pass
-
-
 def _drain_by_run_until_resolved(sim: Simulator) -> None:
     with pytest.raises(SimulationError, match="drained before"):
         sim.run_until_resolved(Future(sim))  # never resolves
 
 
 def _sorted_order(scheduled: list) -> list:
-    live = [(e.time, e.seq, tag) for e, tag in scheduled if not e.cancelled]
-    return [(time, tag) for time, _seq, tag in sorted(live)]
+    live = [
+        (time, order, tag)
+        for time, order, tag, event in scheduled
+        if event is None or not event.cancelled
+    ]
+    return [(time, tag) for time, _order, tag in sorted(live)]
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23])
 def test_fire_order_is_time_then_seq(seed):
     # Every entry point to the event loop gives the same order.
-    for drain in (_drain_by_run, _drain_by_step, _drain_by_run_until_resolved):
+    for drain in (_drain_by_run, _drain_by_run_until_resolved):
         sim = Simulator(seed=seed)
         trace: list = []
         scheduled = _random_workload(sim, trace, seed)
         drain(sim)
         assert trace == _sorted_order(scheduled), drain.__name__
-        # both queues used
-        assert {e.ready for e, _ in scheduled} == {True, False}
-        assert sim.pending_events == 0
+        # both queues used, fire-and-forget entries among them
+        events = [event for *_, event in scheduled if event is not None]
+        assert {event.ready for event in events} == {True, False}
+        assert any(event is None for *_, event in scheduled)
+        assert _queued(sim) == 0
 
 
 def test_run_until_advances_the_clock_to_the_bound():
@@ -86,9 +100,9 @@ def test_run_until_advances_the_clock_to_the_bound():
     sim.run(until=20.0)
     assert sim.now == 20.0
     assert trace and all(time <= 20.0 for time, _tag in trace)
-    assert sim.pending_events > 0
+    assert _queued(sim) > 0
     sim.run(until=1_000.0)  # the queues drain first; the clock still advances
-    assert sim.pending_events == 0
+    assert _queued(sim) == 0
     assert sim.now == 1_000.0
 
 

@@ -91,18 +91,42 @@ def test_seeded_rng_is_deterministic():
     assert values_a == values_b
 
 
-def test_step_returns_false_when_empty():
+def test_run_on_an_empty_simulator_fires_nothing():
     sim = Simulator()
-    assert sim.step() is False
+    sim.run(max_events=1)
+    assert sim.events_processed == 0
+    assert sim.now == 0.0
 
 
 def test_pending_events_counts_uncancelled():
     sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    assert sim.pending_events == 2
+    fired = []
+    event = sim.schedule(1.0, fired.append, "cancelled")
+    sim.schedule(2.0, fired.append, "kept")
+    assert sim.events_cancelled == 0
     event.cancel()
-    assert sim.pending_events == 1
+    assert sim.events_cancelled == 1
+    sim.run()
+    assert fired == ["kept"]
+    assert sim.events_processed == 1
+
+
+@pytest.mark.parametrize("delay", [-0.1, float("nan"), float("-inf")])
+def test_schedule_rejects_a_delay_that_is_not_non_negative(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(delay, lambda: None)
+    assert sim.now == 0.0
+
+
+@pytest.mark.parametrize("when", [float("nan"), float("-inf"), -1.0])
+def test_schedule_at_rejects_a_time_that_is_not_at_or_after_now(when):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(when, lambda: None)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert sim.now == 1.0
 
 
 def test_run_until_resolved_raises_on_drained_heap():
