@@ -1,14 +1,12 @@
 """Cancellable handles for the discrete-event simulator.
 
-An :class:`Event` is the handle :meth:`Simulator.schedule` returns for a
-callback scheduled at a virtual timestamp. Events are ordered by
-``(time, seq)`` where ``seq`` is a monotonically increasing insertion
-counter — two events at the same instant always fire in the order they
-were scheduled, which keeps every simulation deterministic.
-
-The simulator (see :mod:`repro.sim.simulator`) stores queue entries as
-plain ``(time, seq, fn, args, handle)`` tuples so ordering is resolved by
-C-level tuple comparison; handles themselves are never compared.
+:meth:`Simulator.schedule` returns an :class:`Event`, the handle that
+revokes the callback it scheduled. The simulator (see
+:mod:`repro.sim.simulator`) keeps the callback itself in a plain
+``(time, seq, fn, args, handle)`` queue entry, ordered by C-level tuple
+comparison: ``seq`` is a monotonically increasing insertion counter, so
+two entries at the same instant always fire in the order they were
+scheduled, which keeps every simulation deterministic.
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ from typing import Any, Optional
 
 @dataclasses.dataclass(slots=True)
 class Event:
-    """A cancellable callback on the simulator's virtual clock.
+    """The handle of a callback scheduled on the simulator's clock.
 
     Attributes:
-        time: Virtual timestamp (milliseconds) at which the event fires.
-        seq: Insertion sequence number used to break timestamp ties.
         cancelled: When true the event is skipped at fire time. Use
             :meth:`cancel` rather than mutating this directly.
         owner: The simulator whose queue currently holds this event; set
@@ -38,8 +34,6 @@ class Event:
             never compacted).
     """
 
-    time: float
-    seq: int
     cancelled: bool = False
     owner: Optional[Any] = dataclasses.field(default=None, repr=False)
     ready: bool = False

@@ -105,12 +105,11 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         if delay == 0.0:
-            now = self.now
-            event = Event(now, seq, False, self, True)
-            self._ready.append((now, seq, fn, args, event))
+            event = Event(False, self, True)
+            self._ready.append((self.now, seq, fn, args, event))
         else:
             when = self.now + delay
-            event = Event(when, seq, False, self)
+            event = Event(False, self)
             heapq.heappush(self._heap, (when, seq, fn, args, event))
         return event
 
