@@ -1,18 +1,18 @@
 """Blockplane-Paxos: the byzantized Paxos of Algorithm 3 / Section VI-E.
 
-Plain (benign) Paxos, written against the Blockplane programming model:
-every state change is a ``log_commit``, every message crosses through
+The benign protocol — the :class:`~repro.paxos.core.PaxosCore` the flat
+baseline runs too — hosted on the Blockplane programming model: every
+transition is a ``log_commit``, every message crosses through
 ``send``/``receive``, and verification routines let unit replicas judge
-each transition. The wide-area pattern stays Paxos's single round trip
-to a majority — byzantine masking happens inside each datacenter —
-which is why Figure 7 shows Blockplane-Paxos far below flat PBFT.
+each transition by the core's own acceptor rule. The wide-area pattern
+stays Paxos's single round trip to a majority — byzantine masking
+happens inside each datacenter — which is why Figure 7 shows
+Blockplane-Paxos far below flat PBFT.
 
-The participant state mirrors the paper's Algorithm 3:
-
-* ``r`` — the proposal (ballot) number, unique per participant,
-* ``l`` — whether this participant believes it is the leader,
-* ``max_val`` — the highest-ballot accepted value learned during
-  leader election (it must be proposed first, per Paxos's rule).
+Algorithm 3's ``r`` and ``l`` are the core's ``ballot`` and ``leader``;
+``max_val``, committed with ``leader-elected``, is the ``(slot, value)``
+pairs the election adopted (None if none), each re-proposed at its own
+slot before the election returns.
 
 Every committed event and every message is a *record*: a sorted tuple
 of ``(field, value)`` pairs built by :func:`paxos_record` and read through
@@ -23,7 +23,8 @@ identity-keyed digest memo canonicalises each one once instead of once
 per replica per digest formula, and the wire codec's tuple fidelity
 decodes them to an equal value. Events carry an ``event`` field,
 messages a ``type`` and a ``sender``; a promise's ``accepted`` is a
-sorted tuple of ``(slot, (ballot, value))``.
+sorted tuple of ``(slot, (ballot, value))``. A refusing acceptor
+commits a ``reject`` event and answers ``ok=False`` with ``promised``.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ from repro.core.records import (
     RECORD_LOG_COMMIT,
 )
 from repro.core.verification import VerificationRoutines
-from repro.pbft.quorums import majority
+from repro.paxos.core import PaxosAcceptor, PaxosCore
 from repro.sim.process import Future
 
 if TYPE_CHECKING:
     from repro.core.api import BlockplaneAPI
 
-
-#: Ballot: (round, participant) — lexicographic order, globally unique.
-Ballot = Tuple[int, str]
 
 # Tuples, not sets: membership of an unhashable byzantine field is False.
 _EVENTS = (
@@ -54,10 +52,19 @@ _EVENTS = (
     "replication-start",
     "promise",
     "accept",
+    "reject",
     "value-committed",
     "step-down",
 )
 _MESSAGES = ("paxos-prepare", "paxos-promise", "paxos-propose", "paxos-accept")
+
+#: Committed event -> the protocol message it warrants, and how many.
+_WARRANTS = (
+    ("election-start", "paxos-prepare", 16),
+    ("replication-start", "paxos-propose", 16),
+    ("promise", "paxos-promise", 1),
+    ("accept", "paxos-accept", 1),
+)
 
 #: A protocol record: sorted ``(field, value)`` pairs (module docstring).
 Record = Tuple[Tuple[str, Any], ...]
@@ -88,48 +95,45 @@ def _is_ballot(ballot: Any) -> bool:
     )
 
 
-class PaxosVerification(VerificationRoutines):
+class PaxosVerification(PaxosAcceptor, VerificationRoutines):
     """Stateful verification routines for Blockplane-Paxos.
 
-    Replays the node's Local Log to track the promised ballot and the
-    set of committed-but-unsent protocol events, so replicas reject:
+    An acceptor replayed from the node's Local Log: a committed
+    ``ballot-update`` (the proposer promising its own ballot),
+    ``promise`` or ``accept`` runs the core's promise transition (an
+    accept moves ``promised`` as a promise does; no values are kept).
+    It also counts the committed-but-unsent protocol events, so
+    replicas reject:
 
-    * promise/accept events that would *lower* the promised ballot
-      (an illegal acceptor transition), and
+    * a ``promise``/``accept`` event the acceptor rule refuses at the
+      replayed state, and a ``reject`` event it would grant, and
     * outgoing protocol messages with no committed event warranting
       them (a malicious unit member inventing traffic).
     """
 
     def __init__(self) -> None:
-        self.promised: Ballot = (0, "")
+        super().__init__()
         self._sendable: Dict[str, int] = {}
 
     def bind(self, node) -> None:
         node.on_log_append.append(self._replay)
 
     def _replay(self, entry: LogEntry) -> None:
-        if entry.record_type == RECORD_LOG_COMMIT:
-            event = record_field(entry.value, "event")
-            if event in ("promise", "accept"):
-                ballot = record_field(entry.value, "ballot")
-                if _is_ballot(ballot) and ballot >= self.promised:
-                    self.promised = ballot
-                kind = (
-                    "paxos-promise" if event == "promise" else "paxos-accept"
-                )
-                self._sendable[kind] = self._sendable.get(kind, 0) + 1
-            elif event == "election-start":
-                self._sendable["paxos-prepare"] = (
-                    self._sendable.get("paxos-prepare", 0) + 16
-                )
-            elif event == "replication-start":
-                self._sendable["paxos-propose"] = (
-                    self._sendable.get("paxos-propose", 0) + 16
-                )
-        elif entry.record_type == RECORD_COMMUNICATION:
+        if entry.record_type == RECORD_COMMUNICATION:
             kind = record_field(entry.value, "type")
             if kind in self._sendable:
                 self._sendable[kind] -= 1
+        elif entry.record_type == RECORD_LOG_COMMIT:
+            event = record_field(entry.value, "event")
+            ballot = record_field(entry.value, "ballot")
+            if event in ("ballot-update", "promise", "accept") and _is_ballot(ballot):
+                self.promise(ballot)
+            if event == "reject":  # warrants the refused request's reply
+                slot = record_field(entry.value, "slot")
+                event = "promise" if slot is None else "accept"
+            for name, kind, count in _WARRANTS:
+                if event == name:
+                    self._sendable[kind] = self._sendable.get(kind, 0) + count
 
     def verify_log_commit(
         self, value: Any, meta: Optional[Dict[str, Any]]
@@ -137,9 +141,11 @@ class PaxosVerification(VerificationRoutines):
         event = record_field(value, "event")
         if event not in _EVENTS:
             return False
-        if event in ("promise", "accept"):
+        if event in ("promise", "accept", "reject"):
+            # A grant the acceptor rule admits at the replayed state; a
+            # refusal, one it refuses.
             ballot = record_field(value, "ballot")
-            return _is_ballot(ballot) and ballot >= self.promised
+            return _is_ballot(ballot) and self.admits(ballot) != (event == "reject")
         return True
 
     def verify_send(
@@ -164,23 +170,16 @@ class BlockplanePaxosParticipant:
         self.api = api
         self.name = api.participant
         self.participants = list(participants)
-        # -- Algorithm 3 state --
-        self.r: Ballot = (0, self.name)
-        self.l = False
-        self.max_val: Any = None
-        # -- acceptor state --
-        self.promised: Ballot = (0, "")
-        self.accepted: Dict[int, Tuple[Ballot, Any]] = {}
-        # -- learner state --
-        self.chosen: Dict[int, Any] = {}
-        self.next_slot = 1
-        self._collectors: Dict[Tuple, Dict[str, Any]] = {}
+        self.core = PaxosCore(self.name, self.participants)
+        self.accepted = self.core.accepted
+        self.chosen = self.core.chosen
+        self._collectors: Dict[Tuple, Future] = {}  # by tally key
         self._pump = None
 
     @property
-    def majority(self) -> int:
-        """Participants needed for a quorum (including ourselves)."""
-        return majority(len(self.participants))
+    def l(self) -> bool:  # noqa: E743 - Algorithm 3's name
+        """Whether this participant believes it is the leader."""
+        return self.core.leader
 
     @property
     def others(self) -> List[str]:
@@ -198,10 +197,8 @@ class BlockplanePaxosParticipant:
             if not _is_ballot(record_field(message, "ballot")):
                 continue
             kind = record_field(message, "type")
-            if kind == "paxos-prepare":
-                self.api.sim.spawn(self._on_prepare(message))
-            elif kind == "paxos-propose":
-                self.api.sim.spawn(self._on_propose(message))
+            if kind in ("paxos-prepare", "paxos-propose"):
+                self.api.sim.spawn(self._answer(message))
             elif kind in ("paxos-promise", "paxos-accept"):
                 self._feed_collector(message)
 
@@ -209,51 +206,37 @@ class BlockplanePaxosParticipant:
     # Algorithm 3 — LeaderElection
     # ------------------------------------------------------------------
     def leader_election(self):
-        """Generator process implementing the LeaderElection routine."""
+        """Generator process implementing the LeaderElection routine.
+
+        Returns whether this participant won; a winner has re-proposed
+        every value the election adopted.
+        """
         yield self.api.log_commit(
             paxos_record(event="election-start"), payload_bytes=64
         )
-        self.r = (self.r[0] + 1, self.name)
-        yield self.api.log_commit(
-            paxos_record(event="ballot-update", ballot=self.r),
-            payload_bytes=64,
-        )
-        collector = self._make_collector(("promise", self.r), self.majority - 1)
-        prepare = paxos_record(
-            type="paxos-prepare", ballot=self.r, sender=self.name
-        )
+        outcome = self.core.start_election()
+        ballot = self.core.ballot
+        update = paxos_record(event="ballot-update", ballot=ballot)
+        yield self.api.log_commit(update, payload_bytes=64)
+        collector = self._collect((ballot, None), outcome)
+        prepare = paxos_record(type="paxos-prepare", ballot=ballot, sender=self.name)
         for participant in self.others:
             yield self.api.send(prepare, to=participant, payload_bytes=64)
-        responses = yield collector
-        positive = [resp for resp in responses if record_field(resp, "ok")]
-        if len(positive) + 1 >= self.majority:  # +1: our own vote
-            self.l = True
-            self.max_val = self._maximum_accepted_value(positive)
+        if not (yield collector):
             yield self.api.log_commit(
-                paxos_record(
-                    event="leader-elected", leader=True, max_val=self.max_val
-                ),
+                paxos_record(event="step-down", ballot=self.core.ballot),
                 payload_bytes=64,
             )
-        else:
-            self.r = (self.r[0] + 1, self.name)
-            yield self.api.log_commit(
-                paxos_record(event="ballot-update", ballot=self.r),
-                payload_bytes=64,
-            )
+            return False
+        adopted = tuple(self.core.adopted)
+        yield self.api.log_commit(
+            paxos_record(event="leader-elected", leader=True, max_val=adopted or None),
+            payload_bytes=64,
+        )
+        for slot, value in adopted:
+            if (yield from self._replicate(value, 64, slot)) is None:
+                return False
         return self.l
-
-    @staticmethod
-    def _maximum_accepted_value(responses: List[Record]) -> Any:
-        best_ballot: Optional[Ballot] = None
-        best_value: Any = None
-        for response in responses:
-            accepted = record_field(response, "accepted") or ()
-            for _slot, (ballot, value) in accepted:
-                if best_ballot is None or ballot > best_ballot:
-                    best_ballot = ballot
-                    best_value = value
-        return best_value
 
     # ------------------------------------------------------------------
     # Algorithm 3 — Replication
@@ -263,25 +246,23 @@ class BlockplanePaxosParticipant:
 
         Returns the slot on success, None if not leader / deposed.
         """
+        return (yield from self._replicate(value, payload_bytes, None))
+
+    def _replicate(self, value: Any, payload_bytes: int, slot: Optional[int]):
+        """Phase 2 for ``value`` at ``slot`` (the next free one if None)."""
         yield self.api.log_commit(
             paxos_record(event="replication-start", value="<batch>"),
             payload_bytes=payload_bytes,
         )
         if not self.l:
             return None
-        if self.max_val is not None:
-            value, self.max_val = self.max_val, None
-        slot = self.next_slot
-        self.next_slot += 1
-        # Our own acceptance counts toward the majority.
-        self.promised = max(self.promised, self.r)
-        self.accepted[slot] = (self.r, value)
-        collector = self._make_collector(
-            ("accept", self.r, slot), self.majority - 1
-        )
+        if slot is None:
+            slot = self.core.claim_slot()
+        ballot = self.core.ballot
+        collector = self._collect((ballot, slot), self.core.propose(slot, value))
         propose = paxos_record(
             type="paxos-propose",
-            ballot=self.r,
+            ballot=ballot,
             slot=slot,
             value=value,
             sender=self.name,
@@ -290,98 +271,71 @@ class BlockplanePaxosParticipant:
             yield self.api.send(
                 propose, to=participant, payload_bytes=payload_bytes
             )
-        responses = yield collector
-        positive = [resp for resp in responses if record_field(resp, "ok")]
-        if len(positive) + 1 >= self.majority:
-            self.chosen[slot] = value
+        if (yield collector):
             yield self.api.log_commit(
                 paxos_record(event="value-committed", slot=slot),
                 payload_bytes=64,
             )
             return slot
-        self.r = (self.r[0] + 1, self.name)
-        self.l = False
         yield self.api.log_commit(
-            paxos_record(event="step-down", ballot=self.r), payload_bytes=64
+            paxos_record(event="step-down", ballot=self.core.ballot), payload_bytes=64
         )
         return None
 
     # ------------------------------------------------------------------
-    # Acceptor handlers (the routines the paper omits "for brevity")
+    # Acceptor (the routines the paper omits "for brevity")
     # ------------------------------------------------------------------
-    def _on_prepare(self, message: Record):
+    def _answer(self, message: Record):
+        """Commit the core's transition for a prepare or a propose, then
+        answer it; a refusal commits ``reject`` and names ``promised``."""
         ballot = record_field(message, "ballot")
-        sender = record_field(message, "sender")
-        ok = ballot >= self.promised
-        if ok:
-            self.promised = ballot
-            yield self.api.log_commit(
-                paxos_record(event="promise", ballot=ballot), payload_bytes=64
-            )
-        reply = paxos_record(
-            type="paxos-promise",
-            ballot=ballot,
-            ok=ok,
-            accepted=tuple(sorted(self.accepted.items())) if ok else (),
-            sender=self.name,
+        if record_field(message, "type") == "paxos-prepare":
+            kind, event, where = "paxos-promise", "promise", {}
+            accepted = self.core.promise(ballot)
+            ok = accepted is not None
+            extra = {"accepted": tuple(sorted(accepted.items()))} if ok else {}
+        else:
+            slot = record_field(message, "slot")
+            kind, event, where, extra = "paxos-accept", "accept", {"slot": slot}, {}
+            ok = self.core.accept(ballot, slot, record_field(message, "value"))
+        if not ok:
+            event, extra = "reject", {"promised": self.core.promised}
+        yield self.api.log_commit(
+            paxos_record(event=event, ballot=ballot, **where), payload_bytes=64
         )
-        yield self.api.send(reply, to=sender, payload_bytes=64)
-
-    def _on_propose(self, message: Record):
-        ballot = record_field(message, "ballot")
-        sender = record_field(message, "sender")
-        slot = record_field(message, "slot")
-        ok = ballot >= self.promised
-        if ok:
-            self.promised = ballot
-            self.accepted[slot] = (ballot, record_field(message, "value"))
-            yield self.api.log_commit(
-                paxos_record(event="accept", ballot=ballot, slot=slot),
-                payload_bytes=64,
-            )
         reply = paxos_record(
-            type="paxos-accept",
-            ballot=ballot,
-            slot=slot,
-            ok=ok,
-            sender=self.name,
+            type=kind, ballot=ballot, ok=ok, sender=self.name, **where, **extra
         )
+        sender = record_field(message, "sender")
         yield self.api.send(reply, to=sender, payload_bytes=64)
 
     # ------------------------------------------------------------------
     # Response collection
     # ------------------------------------------------------------------
-    def _make_collector(self, key: Tuple, needed: int) -> Future:
+    def _collect(self, key: Tuple, outcome: Optional[bool]) -> Future:
+        """The future a routine awaits for tally ``key``: resolved now if
+        our own answer decided it, else by the answer that does."""
         future = Future(self.api.sim, label=f"collect:{key}")
-        if needed == 0:
-            future.resolve([])
+        if outcome is None:
+            self._collectors[key] = future
         else:
-            self._collectors[key] = {
-                "future": future,
-                "needed": needed,
-                "responses": [],
-            }
+            future.resolve(outcome)
         return future
 
     def _feed_collector(self, message: Record) -> None:
         ballot = record_field(message, "ballot")
-        if record_field(message, "type") == "paxos-promise":
-            key: Tuple = ("promise", ballot)
+        slot = record_field(message, "slot")
+        sender = record_field(message, "sender")
+        if record_field(message, "ok"):
+            accepted = record_field(message, "accepted") or ()
+            outcome = self.core.vote(sender, ballot, slot, accepted=accepted)
         else:
-            key = ("accept", ballot, record_field(message, "slot"))
-        # A resolved collector is gone: late answers find none.
-        collector = self._collectors.get(key)
-        if collector is None:
-            return
-        responses = collector["responses"]
-        responses.append(message)
-        # The paper waits for "a majority of positive votes"; with a
-        # fixed quorum we resolve as soon as enough positives arrive, or
-        # when everyone answered (all-negative case).
-        positives = sum(1 for r in responses if record_field(r, "ok"))
-        if (
-            positives >= collector["needed"]
-            or len(responses) >= len(self.others)
-        ):
-            del self._collectors[key]
-            collector["future"].resolve(responses)
+            promised = record_field(message, "promised")
+            if not _is_ballot(promised):
+                return
+            outcome = self.core.vote(sender, ballot, slot, promised=promised)
+        # A decided tally is closed: late answers find no collector.
+        if outcome is not None:
+            collector = self._collectors.pop((ballot, slot), None)
+            if collector is not None:
+                collector.resolve(outcome)

@@ -189,9 +189,7 @@ MANIFEST: Dict[type, Tuple[str, Tuple[str, ...]]] = {
         "@ss", ("payload_bytes", "certificate", "snapshot", "entries", "replica"),
     ),
     # paxos
-    _paxos_messages.PaxosPrepare: (
-        "@xp", ("payload_bytes", "ballot", "first_unchosen"),
-    ),
+    _paxos_messages.PaxosPrepare: ("@xp", ("payload_bytes", "ballot")),
     _paxos_messages.Promise: (
         "@xm", ("payload_bytes", "ballot", "accepted", "acceptor"),
     ),
@@ -200,7 +198,6 @@ MANIFEST: Dict[type, Tuple[str, Tuple[str, ...]]] = {
         "@xd", ("payload_bytes", "ballot", "slot", "acceptor"),
     ),
     _paxos_messages.Nack: ("@xn", ("payload_bytes", "ballot", "promised", "slot")),
-    _paxos_messages.Learn: ("@xl", ("payload_bytes", "slot", "value")),
 }
 
 #: Fields whose string content is an identity that repeats across many

@@ -1,23 +1,24 @@
 """Paxos (Lamport, "Paxos Made Simple").
 
-Used three ways in this reproduction, mirroring the paper:
+One sans-IO protocol core, :class:`PaxosCore` (multi-decree Paxos with
+ballot-based leader election amortized across slots and per-slot
+replication), runs under two hosts, mirroring the paper:
 
-* as the **flat wide-area baseline** of Figure 7 (one node per
-  datacenter, no byzantine tolerance),
-* as the global layer of the **Hierarchical PBFT** baseline, and
-* as the benign protocol ``P`` that Section VI-E *byzantizes* through
-  the Blockplane API (:mod:`repro.apps.bp_paxos`) — that variant speaks
-  Paxos purely through ``log_commit``/``send``/``receive``.
+* :class:`MultiPaxosNode`, the **flat wide-area baseline** of Figure 7
+  (one node per datacenter, no byzantine tolerance), and
+* :class:`repro.apps.bp_paxos.BlockplanePaxosParticipant`, the benign
+  protocol ``P`` that Section VI-E *byzantizes* through the Blockplane
+  API — it speaks the same core purely through
+  ``log_commit``/``send``/``receive``.
 
-This package is the classic message-passing implementation: multi-decree
-Paxos with ballot-based leader election (Phase 1) amortized across slots
-and per-slot replication (Phase 2).
+The Hierarchical PBFT baseline does not use it: its global layer is
+its own ``GlobalAccept`` round (:mod:`repro.baselines.hierarchical_pbft`).
 """
 
+from repro.paxos.core import PaxosAcceptor, PaxosCore
 from repro.paxos.messages import (
     Accept,
     Accepted,
-    Learn,
     Nack,
     PaxosPrepare,
     Promise,
@@ -25,11 +26,12 @@ from repro.paxos.messages import (
 from repro.paxos.node import MultiPaxosNode
 
 __all__ = [
+    "PaxosCore",
+    "PaxosAcceptor",
     "MultiPaxosNode",
     "PaxosPrepare",
     "Promise",
     "Accept",
     "Accepted",
     "Nack",
-    "Learn",
 ]

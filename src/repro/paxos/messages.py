@@ -1,8 +1,6 @@
-"""Paxos wire messages.
+"""Paxos wire messages of the flat host (:mod:`repro.paxos.node`).
 
-Ballots are ``(round, node_id)`` tuples: lexicographic comparison gives
-the total order Paxos needs, and including the node id makes ballots
-unique across proposers.
+Ballots are :data:`repro.paxos.core.Ballot` ``(round, node_id)`` tuples.
 """
 
 from __future__ import annotations
@@ -10,10 +8,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional, Tuple
 
+from repro.paxos.core import Ballot
 from repro.sim.node import Message
-
-#: A ballot number: (round, proposer node id).
-Ballot = Tuple[int, str]
 
 
 @dataclasses.dataclass(slots=True)
@@ -21,15 +17,14 @@ class PaxosPrepare(Message):
     """Phase-1a: a proposer asks acceptors to promise a ballot."""
 
     ballot: Ballot = (0, "")
-    first_unchosen: int = 0
 
 
 @dataclasses.dataclass(slots=True)
 class Promise(Message):
     """Phase-1b: an acceptor promises and reports accepted values.
 
-    ``accepted`` maps slot → (ballot, value) for every slot at or above
-    the proposer's ``first_unchosen`` that this acceptor has accepted.
+    ``accepted`` maps slot → (ballot, value) for every slot this
+    acceptor has accepted.
     """
 
     ballot: Ballot = (0, "")
@@ -64,11 +59,3 @@ class Nack(Message):
     ballot: Ballot = (0, "")
     promised: Ballot = (0, "")
     slot: Optional[int] = None
-
-
-@dataclasses.dataclass(slots=True)
-class Learn(Message):
-    """The leader announces a chosen value (asynchronous)."""
-
-    slot: int = 0
-    value: Any = None

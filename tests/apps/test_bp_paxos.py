@@ -197,6 +197,21 @@ def test_malformed_ballot_is_rejected_without_raising(event, ballot):
     assert routines.verify_log_commit(honest, None) is True
 
 
+def test_reject_event_must_be_a_refusal_at_the_replayed_state():
+    routines = PaxosVerification()
+    refusal = paxos_record(event="reject", ballot=(1, "C"))
+    assert routines.verify_log_commit(refusal, None) is False
+    # A proposer's ballot-update replays as its promise to that ballot.
+    update = paxos_record(event="ballot-update", ballot=(1, "V"))
+    routines._replay(LogEntry(1, RECORD_LOG_COMMIT, update))
+    assert routines.verify_log_commit(refusal, None) is True
+    grant = paxos_record(event="promise", ballot=(1, "C"))
+    assert routines.verify_log_commit(grant, None) is False
+    # The committed refusal warrants exactly one reply of its kind.
+    routines._replay(LogEntry(2, RECORD_LOG_COMMIT, refusal))
+    assert routines._sendable == {"paxos-promise": 1}
+
+
 def test_true_is_not_a_round_number():
     routines = PaxosVerification()
     value = paxos_record(event="promise", ballot=(True, "V"))
@@ -323,3 +338,35 @@ def test_wire_fidelity_preserves_records_and_timing():
         # The codec really ran: an equal value, not the sender's object.
         assert message is not sent[digest]
         assert message == sent[digest]
+
+
+# ----------------------------------------------------------------------
+# A lower ballot loses; the next leader keeps every chosen slot
+# ----------------------------------------------------------------------
+def run_bounded(sim, routine, window_ms=5000.0):
+    """Run ``routine`` for at most ``window_ms`` of virtual time; return
+    its result, failing (instead of hanging) if it never finished."""
+    process = sim.spawn(routine)
+    sim.run(until=sim.now + window_ms, max_events=200_000_000)
+    assert process.resolved, "routine still running after its window"
+    return process.result()
+
+
+def test_lower_ballot_loses_and_new_leader_keeps_chosen_slots():
+    sim = Simulator(seed=42)
+    _deployment, participants = build_cluster(sim)
+    old, new = participants["V"], participants["C"]
+    assert run_bounded(sim, old.leader_election()) is True
+    assert [run_bounded(sim, old.replicate(v)) for v in "abc"] == [1, 2, 3]
+    for participant in participants.values():
+        assert sorted(participant.accepted) == [1, 2, 3]
+    # (1, "C") is below every acceptor's (1, "V"): the refusals, each
+    # committed as a `reject` event, must end the election.
+    assert run_bounded(sim, new.leader_election()) is False
+    assert new.core.ballot == (1, "C")
+    # The next round, (2, "C"), wins and adopts slots 1-3 one by one.
+    assert run_bounded(sim, new.leader_election()) is True
+    assert new.core.adopted == [(1, "a"), (2, "b"), (3, "c")]
+    assert {slot: new.chosen[slot] for slot in (1, 2, 3)} == old.chosen
+    assert run_bounded(sim, new.replicate("x")) == 4
+    assert new.chosen == {1: "a", 2: "b", 3: "c", 4: "x"}

@@ -28,7 +28,8 @@ after that would read as never run.
 
 Prints the count per bucket and per package, then the list. Exits 1
 when a real path or tier-1 fails, an owning test no longer runs its
-function, or the unreached total exceeds ``--max``.
+function, a ``FAILURE_PATHS`` entry names no failure-path function (a
+stale entry), or the unreached total exceeds ``--max``.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ FAILURE_PATHS: Dict[str, str] = {
     "repro.core.codec:_bad":
         "tests/properties/test_codec_properties.py::"
         "test_malformed_frames_raise_protocol_error[wrong-arity]",
-    # A deposed Paxos leader, an overflowing span ring, shed load.
+    # A refused Paxos ballot (the flat host's end of PaxosCore.vote's
+    # reject path), an overflowing span ring, shed load.
     "repro.paxos.node:MultiPaxosNode.handle_nack":
         "tests/paxos/test_paxos.py::test_higher_ballot_deposes_leader",
     "repro.obs.spans:SpanLog._evict":
@@ -398,7 +400,7 @@ def main(argv=None) -> int:
     with open(os.path.join(REPO, args.out), "w") as handle:
         handle.write(report)
     print(report, end="")
-    status = 1 if failed or unowned else 0
+    status = 1 if failed or unowned or stale else 0
     if args.max is not None and unreached > args.max:
         print(f"census: {unreached} unreached functions, more than the "
               f"ratchet's {args.max}", file=sys.stderr)
