@@ -59,7 +59,7 @@ _SUBCOMMANDS = {
     ),
     "lint": (
         "repro.analysis.__main__",
-        "protocol-aware static analysis (BP001-BP012)",
+        "protocol-aware static analysis (rules: --list-rules)",
     ),
     "obs-audit": (
         "repro.obs.forensics.__main__",

@@ -5,10 +5,8 @@ invariants generic linters cannot see: determinism of the seeded
 simulation (BP001/BP007), quorum thresholds derived from the
 configured fault model (BP002), signature/proof discipline on the
 receive path (BP003/BP005), handler purity (BP004), exception
-discipline (BP006), hot-message ``__slots__``
-(BP008), interprocedural wire-taint and trust laundering
-(BP009/BP010), per-layer dispatch exhaustiveness (BP011), and the
-stale-suppression audit (BP012).
+discipline (BP006), interprocedural wire-taint and trust laundering
+(BP009/BP010), and the stale-suppression audit (BP012).
 
 Run it as ``python -m repro.analysis [paths]`` (or
 ``python -m repro lint``); see ``docs/STATIC_ANALYSIS.md`` for the
@@ -25,7 +23,6 @@ from repro.analysis.framework import (
     analyze_source,
     register,
     registered_checkers,
-    run_analysis,
     run_report,
 )
 
@@ -40,6 +37,5 @@ __all__ = [
     "analyze_source",
     "register",
     "registered_checkers",
-    "run_analysis",
     "run_report",
 ]

@@ -1,8 +1,6 @@
 """CLI: ``python -m repro.analysis [paths] [--interproc] [--format ..]``.
 
-Exit codes: 0 clean, 1 findings reported, 2 usage error. With
-``--baseline FILE`` only findings absent from the baseline fail the
-run (the full set is still reported).
+Exit codes: 0 clean, 1 findings reported, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,11 +11,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import (
-    load_baseline,
-    new_findings,
-    render_baseline,
-)
 from repro.analysis.framework import registered_checkers, run_report
 from repro.analysis.reporters import (
     render_json,
@@ -57,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the interprocedural pass (call graph + taint "
-            "fixpoint) enabling BP009-BP011"
+            "fixpoint) enabling BP009 and BP010"
         ),
     )
     parser.add_argument(
@@ -67,16 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
             "write the resolved call graph (stats, edges, unresolved "
             "and dynamic sites) as JSON; implies --interproc"
         ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="fail only on findings not fingerprinted in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record current findings as the accepted baseline and exit",
     )
     parser.add_argument(
         "--list-rules",
@@ -107,21 +90,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dumps(report.graph.to_dict(), indent=2, sort_keys=True)
             + "\n"
         )
-    if options.write_baseline:
-        Path(options.write_baseline).write_text(render_baseline(findings))
-        print(
-            f"baseline: {len(findings)} finding(s) recorded to "
-            f"{options.write_baseline}"
-        )
-        return 0
-    blocking = findings
-    if options.baseline:
-        try:
-            accepted = load_baseline(options.baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        blocking = new_findings(findings, accepted)
     if options.format == "json":
         stats = report.graph.stats() if report.graph is not None else None
         print(render_json(findings, interproc=stats))
@@ -129,12 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_sarif(findings, registered_checkers()))
     else:
         print(render_text(findings))
-        if options.baseline and findings:
-            print(
-                f"baseline: {len(findings) - len(blocking)} accepted, "
-                f"{len(blocking)} new"
-            )
-    return 1 if blocking else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

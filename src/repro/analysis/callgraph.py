@@ -1,6 +1,6 @@
 """A conservative, module-qualified call graph over the analyzed tree.
 
-The interprocedural rules (BP009-BP011) need to know *who calls whom*
+The interprocedural rules (BP009/BP010) need to know *who calls whom*
 across module boundaries. Full Python call resolution is undecidable;
 this builder resolves the cases that actually occur in protocol code
 and keeps an explicit report of everything it could not resolve, so the

@@ -11,7 +11,7 @@ class Finding:
     """One rule violation at one source location.
 
     Attributes:
-        rule: Stable rule identifier (``BP001`` … ``BP008``, or
+        rule: Stable rule identifier (``BP001`` … ``BP012``, or
             ``BP000`` for files the parser itself rejects).
         path: Path of the offending file as given to the analyzer.
         line: 1-based source line.

@@ -1,10 +1,9 @@
 """The checker framework: registry, module contexts, suppressions.
 
 A checker is a class with a ``rule`` id; the framework instantiates the
-registered checkers once per run, feeds every analyzed module to
-:meth:`Checker.visit_module`, and finally calls
-:meth:`Checker.finalize` so cross-module rules (e.g. handler
-exhaustiveness) can emit findings after seeing the whole tree.
+registered checkers once per run and feeds every analyzed module to
+:meth:`Checker.visit_module`; whole-program rules instead read the
+call graph and taint engine in :meth:`Checker.analyze_project`.
 
 Suppressions use ``# bp-lint: disable=RULE[,RULE...] -- rationale``
 comments:
@@ -84,11 +83,6 @@ class ModuleContext:
             for pkg in PROTOCOL_PACKAGES
         )
 
-    @property
-    def is_messages_module(self) -> bool:
-        """Whether this is a ``*/messages.py`` wire-format module."""
-        return self.module.rsplit(".", 1)[-1] == "messages"
-
 
 def _module_of(path: str) -> str:
     """Dotted module name from a file path (anchored at ``repro``)."""
@@ -107,8 +101,8 @@ class Checker:
 
     Subclasses set :attr:`rule`, :attr:`summary`, and :attr:`rationale`
     (the protocol property the rule protects — surfaced by
-    ``--list-rules`` and the docs), override :meth:`visit_module`, and
-    optionally :meth:`finalize` for whole-project rules. Checkers are
+    ``--list-rules`` and the docs) and override :meth:`visit_module` or,
+    for interprocedural rules, :meth:`analyze_project`. Checkers are
     instantiated fresh for every run, so instance state is per-run
     state.
     """
@@ -132,10 +126,6 @@ class Checker:
         carries the parsed contexts, the :class:`~repro.analysis.
         callgraph.CallGraph`, and the converged ``TaintEngine``.
         """
-        return []
-
-    def finalize(self) -> List[Finding]:
-        """Emit findings that need the whole project (default: none)."""
         return []
 
 
@@ -289,15 +279,14 @@ class Suppressions:
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    found: List[str] = []
+    """Expand files/directories into a sorted list of ``.py`` files,
+    each listed once however many of ``paths`` cover it."""
+    found: Dict[Path, str] = {}
     for raw in paths:
         path = Path(raw)
-        if path.is_dir():
-            found.extend(str(p) for p in sorted(path.rglob("*.py")))
-        else:
-            found.append(str(path))
-    return found
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            found.setdefault(file.resolve(), str(file))
+    return sorted(found.values())
 
 
 def analyze_source(
@@ -370,8 +359,8 @@ def run_report(
     Explicitly selecting an interprocedural rule enables the pass.
 
     Note: file-level suppressions silence a rule's *per-module*
-    findings in that file, and cross-module findings (``finalize`` /
-    ``analyze_project``) whose location falls in that file.
+    findings in that file, and interprocedural findings
+    (``analyze_project``) whose location falls in that file.
     """
     registry = registered_checkers()
     if rules is not None:
@@ -427,8 +416,6 @@ def run_report(
         project = Project(contexts, graph, engine)
         for checker in checkers:
             findings.extend(checker.analyze_project(project))
-    for checker in checkers:
-        findings.extend(checker.finalize())
     kept: List[Finding] = []
     for finding in findings:
         suppressions = suppressions_by_path.get(finding.path)
@@ -443,11 +430,3 @@ def run_report(
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return Report(kept, graph=graph, interproc=interproc)
 
-
-def run_analysis(
-    paths: Sequence[str],
-    rules: Optional[Iterable[str]] = None,
-    interproc: bool = False,
-) -> List[Finding]:
-    """Back-compat wrapper over :func:`run_report`: findings only."""
-    return run_report(paths, rules=rules, interproc=interproc).findings

@@ -6,9 +6,7 @@ rule.
 """
 
 from repro.analysis.rules import (  # noqa: F401
-    codec_sync,
     determinism,
-    dispatch,
     handlers,
     hygiene,
     proofs,

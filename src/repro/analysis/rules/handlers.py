@@ -3,58 +3,16 @@
 No handler may mutate its incoming message. The network delivers
 messages by reference in-simulation, so a handler writing
 ``msg.x = ...`` corrupts the sender's (and every other recipient's)
-copy — the classic heisenbug of actor simulations. (That every message
-kind *has* a handler, per consuming layer, is BP011's job; this module
-keeps the message-kind helpers BP011 shares.)
+copy — the classic heisenbug of actor simulations.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import List
 
 from repro.analysis.findings import Finding
 from repro.analysis.framework import Checker, ModuleContext, register
-
-
-def _snake_case(name: str) -> str:
-    # Mirrors repro.sim.node._snake_case (kind derivation).
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
-
-
-def _message_kind(node: ast.ClassDef) -> str:
-    """The dispatch kind: an explicit ``kind = "..."`` class attribute
-    or the snake_cased class name."""
-    for stmt in node.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "kind"
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, str)
-        ):
-            return stmt.value.value
-        if (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id == "kind"
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, str)
-        ):
-            return stmt.value.value
-    return _snake_case(node.name)
-
-
-def _is_message_subclass(node: ast.ClassDef) -> bool:
-    for base in node.bases:
-        name = base.attr if isinstance(base, ast.Attribute) else getattr(
-            base, "id", None
-        )
-        if name == "Message":
-            return True
-    return False
 
 
 @register

@@ -1,9 +1,7 @@
-"""BP006 (exception discipline) and BP008 (hot-message ``__slots__``).
+"""BP006 — exception discipline.
 
 Protocol code that swallows exceptions silently converts byzantine
-evidence into silence; vote/ack message classes allocated millions of
-times per run pay real memory and attribute-lookup cost without
-``__slots__``.
+evidence into silence.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from typing import List
 
 from repro.analysis.findings import Finding
 from repro.analysis.framework import Checker, ModuleContext, register
-from repro.analysis.rules.handlers import _is_message_subclass
 
 
 @register
@@ -67,61 +64,3 @@ class BareExceptChecker(Checker):
                 )
         return findings
 
-
-def _has_slots(node: ast.ClassDef) -> bool:
-    # Either `@dataclass(slots=True)` or an explicit `__slots__`.
-    for decorator in node.decorator_list:
-        if isinstance(decorator, ast.Call):
-            for keyword in decorator.keywords:
-                if (
-                    keyword.arg == "slots"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                ):
-                    return True
-    for stmt in node.body:
-        targets = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "__slots__":
-                return True
-    return False
-
-
-@register
-class SlotsChecker(Checker):
-    """BP008 — wire-format message classes must be slotted."""
-
-    rule = "BP008"
-    summary = "*/messages.py Message dataclasses need slots=True"
-    rationale = (
-        "Vote and ack messages (Prepare/Commit/Reply/...) are the "
-        "hottest allocations in a run — every commit creates O(n²) of "
-        "them. Without __slots__ each instance carries a dict; with "
-        "@dataclass(slots=True) attribute access is faster and "
-        "per-message memory drops severalfold. Scoped to */messages.py "
-        "so ad-hoc test doubles stay unconstrained."
-    )
-
-    def visit_module(self, ctx: ModuleContext) -> List[Finding]:
-        if not ctx.is_messages_module:
-            return []
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not _is_message_subclass(node):
-                continue
-            if not _has_slots(node):
-                findings.append(
-                    Finding(
-                        self.rule, ctx.path, node.lineno, node.col_offset,
-                        f"hot message class `{node.name}` lacks "
-                        "`__slots__`; declare it with "
-                        "`@dataclasses.dataclass(slots=True)`",
-                    )
-                )
-        return findings

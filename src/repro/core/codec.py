@@ -2,8 +2,8 @@
 
 This module is the repo's one serializer. At import time, one
 encoder/decoder pair per wire dataclass is compiled (``exec``) from the
-class's field inventory (BP008 guarantees every ``*/messages.py``
-dataclass is slotted, so the inventory is exact and closed). The
+class's field inventory (every ``*/messages.py`` dataclass is slotted,
+so the inventory is exact and closed). The
 generated format is a flat positional JSON array — ``["@Sg", signer,
 digest, mac]`` — with:
 
@@ -31,11 +31,12 @@ produce them. The reflective walks stay in ``digest`` for dataclasses
 outside the manifest, and are the oracle the parity tests compare
 against.
 
-The :data:`MANIFEST` below is the codec coverage contract: BP013
-(``repro.analysis``) statically cross-checks it against every
-``*/messages.py`` dataclass and fails ``make lint`` on a missing class
-or a field list drifting from ``__slots__``; the import-time generation
-re-verifies the same invariant at runtime.
+The :data:`MANIFEST` below is the codec coverage contract, checked on
+the live classes before anything is generated
+(:func:`check_manifest`): every ``Message`` subclass the core, Paxos
+and PBFT ``messages`` modules define must be listed and slotted, and
+every entry's field list must match its dataclass. A violation makes
+this module refuse to import.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import dataclasses
 import json
 import sys
 import typing
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.core import messages as _core_messages
 from repro.core import records as _records
@@ -54,6 +55,7 @@ from repro.crypto.signatures import QuorumProof, Signature
 from repro.errors import ProtocolError
 from repro.paxos import messages as _paxos_messages
 from repro.pbft import messages as _pbft_messages
+from repro.sim.node import Message
 
 # ----------------------------------------------------------------------
 # Coverage manifest
@@ -61,9 +63,9 @@ from repro.pbft import messages as _pbft_messages
 
 #: Every wire dataclass, its two-letter wire tag, and its exact field
 #: inventory. The tag is part of the wire format (do not renumber); the
-#: field tuples are the drift tripwire — import-time generation and the
-#: BP013 lint both fail when a class's real fields diverge from this
-#: manifest. Message subclasses inherit ``payload_bytes`` first.
+#: field tuples are the drift tripwire — import fails when a class's
+#: real fields diverge from this manifest. Message subclasses inherit
+#: ``payload_bytes`` first.
 MANIFEST: Dict[type, Tuple[str, Tuple[str, ...]]] = {
     # crypto
     Signature: ("@Sg", ("signer", "digest", "mac")),
@@ -510,6 +512,44 @@ def _imm_kind(spec: Any) -> str:
     return "dynamic"
 
 
+def check_manifest(modules: Sequence[Any], manifest: Dict[type, Any]) -> None:
+    """Raise ``RuntimeError`` naming the class unless every ``Message``
+    subclass defined in ``modules`` is in ``manifest`` and slotted, and
+    every ``manifest`` entry lists its dataclass's fields exactly and
+    defines no ``__post_init__`` (generated decoders bypass it)."""
+    for module in modules:
+        for cls in vars(module).values():
+            if not (
+                isinstance(cls, type)
+                and issubclass(cls, Message)
+                and cls.__module__ == module.__name__
+            ):
+                continue
+            if cls not in manifest:
+                raise RuntimeError(
+                    f"codec: wire class {cls.__name__} ({module.__name__}) "
+                    "is missing from MANIFEST"
+                )
+            if "__slots__" not in vars(cls):
+                raise RuntimeError(
+                    f"codec: wire class {cls.__name__} ({module.__name__}) "
+                    "is not slotted; declare it with "
+                    "@dataclasses.dataclass(slots=True)"
+                )
+    for cls, (_tag, expected_fields) in manifest.items():
+        actual = tuple(f.name for f in dataclasses.fields(cls))
+        if actual != expected_fields:
+            raise RuntimeError(
+                f"codec manifest drift for {cls.__name__}: manifest lists "
+                f"{expected_fields!r} but the dataclass has {actual!r}"
+            )
+        if hasattr(cls, "__post_init__"):
+            raise RuntimeError(
+                f"codec: {cls.__name__} defines __post_init__; the "
+                "generated decoder would bypass it"
+            )
+
+
 def _generate() -> None:
     ns: Dict[str, Any] = {
         "_ev": _encode_value,
@@ -525,12 +565,6 @@ def _generate() -> None:
         "_ileaves": _digest._IMMUTABLE_LEAVES,
     }
     for cls, (tag, expected_fields) in MANIFEST.items():
-        actual = tuple(f.name for f in dataclasses.fields(cls))
-        if actual != expected_fields:
-            raise RuntimeError(
-                f"codec manifest drift for {cls.__name__}: manifest lists "
-                f"{expected_fields!r} but the dataclass has {actual!r}"
-            )
         hints = typing.get_type_hints(cls)
         specs = [
             _SPEC_OVERRIDES.get((cls, name), None)
@@ -550,13 +584,8 @@ def _generate() -> None:
         # dataclass ``__init__`` does internally, minus the ``__init__``
         # call and argument-binding overhead (~25% of construction on
         # the profiled hot path). No wire class defines
-        # ``__post_init__`` (the generation pass asserts this), so
+        # ``__post_init__`` (``check_manifest`` asserts this), so
         # bypassing ``__init__`` cannot skip behavior.
-        if hasattr(cls, "__post_init__"):
-            raise RuntimeError(
-                f"codec: {cls.__name__} defines __post_init__; the "
-                f"generated decoder would bypass it"
-            )
         sets = "".join(
             f"        _osa(o, {field!r}, "
             f"{gen.dec(spec, f'a[{k + 1}]', f'{name}.{field}')})\n"
@@ -846,4 +875,5 @@ def transcode(obj: Any) -> Tuple[Any, int]:
     return decode_wire(text), len(text.encode("utf-8"))
 
 
+check_manifest((_core_messages, _paxos_messages, _pbft_messages), MANIFEST)
 _generate()

@@ -177,7 +177,7 @@ class CheckpointCertificate:
 
 
 @dataclasses.dataclass(slots=True)
-class PreparedCertificate(Message):  # bp-lint: disable=BP011 -- embedded proof
+class PreparedCertificate(Message):
     """Evidence inside a view change that a slot was prepared."""
 
     view: int = 0

@@ -1,27 +1,18 @@
-"""SARIF reporter, JSON interproc section, and baseline diff mode."""
+"""SARIF reporter and the JSON interproc section."""
 
 import json
 
 from repro.analysis.__main__ import main
-from repro.analysis.baseline import (
-    fingerprint,
-    load_baseline,
-    new_findings,
-    render_baseline,
-)
 from repro.analysis.findings import Finding
 from repro.analysis.framework import registered_checkers
 from repro.analysis.reporters import render_json, render_sarif
 
 
-def bad_module(tmp_path, name="clock.py", body=None):
+def bad_module(tmp_path):
     pkg = tmp_path / "repro" / "core"
-    pkg.mkdir(parents=True, exist_ok=True)
-    target = pkg / name
-    target.write_text(
-        body
-        or "import time\n\ndef now():\n    return time.time()\n"
-    )
+    pkg.mkdir(parents=True)
+    target = pkg / "clock.py"
+    target.write_text("import time\n\ndef now():\n    return time.time()\n")
     return target
 
 
@@ -56,46 +47,3 @@ def test_cli_sarif_format(tmp_path, capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["runs"][0]["results"][0]["ruleId"] == "BP001"
 
-
-def test_fingerprint_ignores_line_numbers():
-    a = Finding("BP001", "x.py", 4, 0, "wall-clock read")
-    b = Finding("BP001", "x.py", 90, 7, "wall-clock read")
-    assert fingerprint(a) == fingerprint(b)
-    assert fingerprint(a) != fingerprint(
-        Finding("BP002", "x.py", 4, 0, "wall-clock read")
-    )
-
-
-def test_baseline_round_trip(tmp_path):
-    finding = Finding("BP001", "x.py", 4, 0, "wall-clock read")
-    path = tmp_path / "baseline.json"
-    path.write_text(render_baseline([finding]))
-    accepted = load_baseline(str(path))
-    assert new_findings([finding], accepted) == []
-    fresh = Finding("BP002", "x.py", 9, 0, "raw quorum arithmetic")
-    assert new_findings([finding, fresh], accepted) == [fresh]
-
-
-def test_cli_baseline_diff_mode(tmp_path, capsys):
-    bad = bad_module(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    # Record the legacy finding, then the same run passes against it.
-    assert main(["--write-baseline", str(baseline), str(bad)]) == 0
-    assert main(["--baseline", str(baseline), str(bad)]) == 0
-    out = capsys.readouterr().out
-    assert "1 accepted, 0 new" in out
-    # A new finding elsewhere still fails the run.
-    worse = bad_module(
-        tmp_path,
-        name="clock2.py",
-        body="import random\n\ndef roll():\n    return random.random()\n",
-    )
-    assert main(["--baseline", str(baseline), str(bad), str(worse)]) == 1
-
-
-def test_cli_rejects_malformed_baseline(tmp_path, capsys):
-    bad = bad_module(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{}")
-    assert main(["--baseline", str(baseline), str(bad)]) == 2
-    assert "malformed baseline" in capsys.readouterr().err

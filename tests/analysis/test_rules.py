@@ -3,7 +3,7 @@ id, known-good must pass."""
 
 import textwrap
 
-from repro.analysis import analyze_source, registered_checkers, run_analysis
+from repro.analysis import analyze_source, registered_checkers
 
 
 def check(rule, source, module="repro.core.fixture"):
@@ -166,7 +166,7 @@ def test_bp003_flags_branch_that_skips_verification():
 
 
 # ----------------------------------------------------------------------
-# BP004 — handler purity (exhaustiveness is BP011: test_dispatch_rule.py)
+# BP004 — handler purity
 # ----------------------------------------------------------------------
 
 def test_bp004_flags_handler_mutating_message():
@@ -260,43 +260,3 @@ def test_bp007_allows_sentinel_and_ordered_comparison():
                 return False
             return self.sim.now >= deadline_ms
     """) == []
-
-
-# ----------------------------------------------------------------------
-# BP008 — slotted wire messages
-# ----------------------------------------------------------------------
-
-def test_bp008_flags_unslotted_message():
-    assert check("BP008", """
-        import dataclasses
-        from repro.sim.node import Message
-
-        @dataclasses.dataclass
-        class Vote(Message):
-            seq: int = 0
-    """, module="repro.fake.messages") == ["BP008"]
-
-
-def test_bp008_allows_slots_dataclass_and_explicit_slots():
-    assert check("BP008", """
-        import dataclasses
-        from repro.sim.node import Message
-
-        @dataclasses.dataclass(slots=True)
-        class Vote(Message):
-            seq: int = 0
-
-        class Manual(Message):
-            __slots__ = ("seq",)
-    """, module="repro.fake.messages") == []
-
-
-def test_bp008_ignores_non_message_modules():
-    assert check("BP008", """
-        import dataclasses
-        from repro.sim.node import Message
-
-        @dataclasses.dataclass
-        class Scratch(Message):
-            seq: int = 0
-    """, module="repro.fake.helpers") == []

@@ -60,8 +60,6 @@ _SHRINK_TESTS = "tests/chaos/test_shrink.py::"
 #: tier-1 test that owns it (``path::test``).
 FAILURE_PATHS: Dict[str, str] = {
     # The linter found something (the tree it checks is clean).
-    "repro.analysis.baseline:fingerprint":
-        "tests/analysis/test_reporting.py::test_fingerprint_ignores_line_numbers",
     "repro.analysis.findings:Finding.__str__":
         "tests/analysis/test_selfcheck.py::test_cli_exit_one_with_findings",
     "repro.analysis.findings:Finding.to_dict":
@@ -194,8 +192,6 @@ def real_paths(work: str) -> List[List[str]]:
         lint,
         lint + ["--callgraph-out", "{w}/callgraph.json", "--format", "json"],
         lint + ["--format", "sarif"],
-        lint + ["--write-baseline", "{w}/baseline.json"],
-        lint + ["--baseline", "{w}/baseline.json"],
         [py, "-m", "repro.analysis", "--list-rules"],
     ]
     return [[arg.format(w=work) for arg in command] for command in commands]
