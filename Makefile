@@ -27,9 +27,12 @@ lint-rules:
 chaos:
 	$(PYTHON) -m repro.chaos --seed 7 --runs 5 --profile mixed --shrink
 
+# Both verdicts per run, at the audit's plan sizes: --strict fails a
+# run on any invariant violation or imperfect attribution.
+AUDIT_SIZES = --batches 6 --horizon-ms 12000 --settle-ms 8000
 audit:
-	$(PYTHON) -m repro obs-audit --seed 2 --runs 2 --profile byzantine --strict
-	$(PYTHON) -m repro obs-audit --seed 7 --runs 2 --profile byzantine --fault-free --strict
+	$(PYTHON) -m repro.chaos --seed 2 --runs 2 --profile byzantine $(AUDIT_SIZES) --strict --obs-out audit-artifacts
+	$(PYTHON) -m repro.chaos --seed 7 --runs 2 --profile byzantine $(AUDIT_SIZES) --fault-free --strict --obs-out audit-artifacts/fault-free
 
 # The repo benchmark (bench/, BENCHMARK.json) checking itself: every
 # workload at 1/20 size, determinism, obs-on == obs-off work, and
@@ -90,9 +93,9 @@ crypto-cost:
 
 # Seeded audited chaos run -> schema-checked bundle -> offline replay.
 console:
-	$(PYTHON) -m repro console --chaos-seed 2 --profile byzantine \
-		--out replay.html --bundle-out replay-bundle.json
-	$(PYTHON) -m repro console --validate replay-bundle.json
+	$(PYTHON) -m repro.chaos --seed 2 --runs 1 --profile byzantine $(AUDIT_SIZES) --obs-out console-run
+	$(PYTHON) -m repro console --validate console-run/run-0/console.json
+	$(PYTHON) -m repro console --bundle console-run/run-0/console.json --out replay.html
 
 experiments:
 	$(PYTHON) -m repro
@@ -102,6 +105,6 @@ experiments:
 # tier-1 run under a call tracer; lists each src/repro function no real
 # path enters, by bucket (~8 min). Fails when more are unreached than
 # CENSUS_MAX: lower it when a PR deletes, never raise it.
-CENSUS_MAX = 75
+CENSUS_MAX = 68
 census:
 	python3 tools/census.py --max $(CENSUS_MAX)

@@ -10,8 +10,8 @@ Usage::
 
     python -m repro console --demo --out replay.html
     python -m repro chaos --seed 7 --runs 5 --profile mixed
+    python -m repro chaos --seed 2 --profile byzantine --strict
     python -m repro lint src tests
-    python -m repro obs-audit --seed 2 --profile byzantine --strict
     python -m repro console --help  # per-subcommand help is forwarded
 
 With ``--obs-out DIR`` the obs-aware drivers (fig4/fig5/fig6/table2)
@@ -49,21 +49,17 @@ from repro.experiments import (
 _SUBCOMMANDS = {
     "console": (
         "repro.obs.console.__main__",
-        "fold journal/trace/audit artifacts into a self-contained "
-        "HTML replay (topology animation, swimlanes, auditor overlay)",
+        "render a console bundle into a self-contained HTML replay "
+        "(topology animation, swimlanes, auditor overlay)",
     ),
     "chaos": (
         "repro.chaos.__main__",
-        "seeded fault injection with global invariant checking "
-        "and schedule shrinking",
+        "seeded fault injection, checked by the global invariants and "
+        "scored by the byzantine auditor; schedule shrinking",
     ),
     "lint": (
         "repro.analysis.__main__",
         "protocol-aware static analysis (rules: --list-rules)",
-    ),
-    "obs-audit": (
-        "repro.obs.forensics.__main__",
-        "byzantine forensics audit scored against chaos ground truth",
     ),
 }
 

@@ -9,8 +9,9 @@ A property-based robustness harness for the Blockplane reproduction:
   plans from a single seed (profiles: ``crash``, ``geo``,
   ``byzantine``, ``mixed``);
 * :mod:`repro.chaos.runner` — executes a plan against a fresh
-  deterministic deployment with a retry-hardened workload and collects
-  artifacts;
+  deterministic deployment with a retry-hardened workload, audits it
+  with the byzantine auditor (:mod:`repro.obs.forensics`) and writes
+  its artifacts;
 * :mod:`repro.chaos.invariants` — the global invariant suite (budget
   conformance, Local-Log agreement, transmission-chain integrity,
   geo mirror consistency, at-most-once delivery, post-heal
@@ -18,9 +19,10 @@ A property-based robustness harness for the Blockplane reproduction:
 * :mod:`repro.chaos.shrink` — delta-debugs a failing plan down to a
   minimal reproducing schedule and renders it as a standalone script.
 
-CLI::
+CLI (the one command that runs a fault plan)::
 
     python -m repro.chaos --seed 7 --runs 10 --profile mixed
+    python -m repro.chaos --seed 2 --profile byzantine --strict
 """
 
 from repro.chaos.generator import ScheduleGenerator

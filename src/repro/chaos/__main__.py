@@ -4,17 +4,25 @@ Usage::
 
     python -m repro.chaos --seed 7 --runs 10 --profile mixed
     python -m repro.chaos --seed 3 --runs 5 --profile geo --obs-out DIR
+    python -m repro.chaos --seed 2 --runs 2 --profile byzantine --strict
+    python -m repro.chaos --seed 7 --runs 2 --fault-free --strict
     python -m repro.chaos --plan failing-plan.json --shrink
     python -m repro.chaos --seed 1 --runs 1 --show-plan
 
 Each run draws one budget-bounded fault plan from the seed, executes it
-against a fresh four-datacenter deployment, and checks the global
-invariant suite. Exit status 1 iff any run produced violations.
+against a fresh four-datacenter deployment with the byzantine auditor
+attached, and prints two verdicts: the global invariant suite's, and
+the auditor's accusations scored against the plan's ground truth
+(precision and recall). Exit status 1 iff any run produced violations,
+or, under ``--strict``, any run's attribution is imperfect.
+``--fault-free`` strips every action first: any accusation is then a
+false one.
 
 ``--shrink`` delta-debugs the first failing plan down to a minimal
 reproducing schedule and prints a standalone reproduction script.
-``--obs-out DIR`` writes per-failing-run artifacts (plan JSON,
-violation report, telemetry exports, console bundle) under ``DIR/run-N``.
+``--obs-out DIR`` writes every run's artifacts (plan JSON, violation
+report, audit score and report, evidence bundles, telemetry exports,
+console bundle) under ``DIR/run-N``.
 """
 
 from __future__ import annotations
@@ -55,8 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shrink", action="store_true",
                         help="delta-debug the first failing plan to a "
                              "minimal reproduction")
+    parser.add_argument("--fault-free", action="store_true",
+                        help="strip every action: any accusation is a "
+                             "false positive")
+    parser.add_argument("--strict", action="store_true",
+                        help="also exit 1 unless every run's attribution "
+                             "has precision and recall 1.0")
     parser.add_argument("--obs-out", metavar="DIR",
-                        help="write artifacts for failing runs under DIR")
+                        help="write every run's artifacts under DIR/run-N")
     parser.add_argument("--show-plan", action="store_true",
                         help="print each plan's schedule before running")
     return parser
@@ -72,32 +86,26 @@ def _run_one(
         print(f"{label} schedule:")
         for line in plan.describe():
             print(f"  {line}")
-    obs = None
-    if obs_out is not None:
-        from repro.obs import Observability
-
-        obs = Observability(enabled=True, histogram_window_ms=1_000.0)
-    result = ChaosRunner(plan, obs=obs).run()
+    runner = ChaosRunner(plan)
+    result = runner.run()
     print(f"{label} {result.summary()}")
     for violation in result.violations:
         print(f"    {violation}")
-    if obs_out is not None and not result.ok:
-        directory = os.path.join(obs_out, label.replace(" ", ""))
-        paths = write_artifacts(result, directory, obs=obs)
-        print(f"    artifacts: {', '.join(sorted(paths.values()))}")
+    if result.report is not None:
+        for line in result.report.to_text().splitlines():
+            print(f"  {line}")
+    if obs_out is not None:
+        directory = os.path.join(obs_out, label)
+        write_artifacts(result, directory, obs=runner.obs)
+        print(f"    artifacts: {directory}")
     return result
 
 
 def main(argv: List[str]) -> int:
     args = _build_parser().parse_args(argv)
-    results: List[ChaosResult] = []
-
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = FaultPlan.from_json(handle.read())
-        results.append(
-            _run_one(plan, "replay", args.obs_out, args.show_plan)
-        )
+            labelled = [("replay", FaultPlan.from_json(handle.read()))]
     else:
         generator = ScheduleGenerator(
             args.seed,
@@ -106,18 +114,28 @@ def main(argv: List[str]) -> int:
             horizon_ms=args.horizon_ms,
             settle_ms=args.settle_ms,
         )
-        for run_index in range(args.runs):
-            plan = generator.generate(run_index)
-            results.append(
-                _run_one(
-                    plan, f"run-{run_index}", args.obs_out, args.show_plan
-                )
-            )
+        labelled = [
+            (f"run-{run_index}", generator.generate(run_index))
+            for run_index in range(args.runs)
+        ]
+    results = [
+        _run_one(
+            plan.with_actions(()) if args.fault_free else plan,
+            label, args.obs_out, args.show_plan,
+        )
+        for label, plan in labelled
+    ]
 
     failing = [result for result in results if not result.ok]
+    attributed = [
+        result for result in results
+        if result.score is not None and result.score.perfect
+    ]
+    profile = "replay" if args.plan else args.profile
     print(
-        f"\n{len(results) - len(failing)}/{len(results)} runs clean "
-        f"(profile={'replay' if args.plan else args.profile})"
+        f"\n{len(results) - len(failing)}/{len(results)} runs clean, "
+        f"{len(attributed)}/{len(results)} with perfect attribution "
+        f"(profile={profile}{', fault-free' if args.fault_free else ''})"
     )
     if failing and args.shrink:
         first = failing[0]
@@ -140,7 +158,9 @@ def main(argv: List[str]) -> int:
             with open(script_path, "w", encoding="utf-8") as handle:
                 handle.write(repro_script(report.minimal))
             print(f"saved: {script_path}")
-    return 1 if failing else 0
+    if failing or (args.strict and len(attributed) != len(results)):
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,16 +18,23 @@ topology:
 4. after the horizon the deployment gets fault-free settle windows,
    then the global invariant suite runs over the final state.
 
-Artifacts (plan JSON, violation report, obs metrics/trace exports) are
-written by :func:`write_artifacts`.
+Every run is audited too: the flight recorder is on, an
+:class:`~repro.obs.forensics.auditor.OnlineAuditor` reads the journal,
+and canary probes are armed, so each result carries both verdicts —
+the invariants' (safety) and the auditor's attribution scored against
+the plan's ground truth.
+
+Artifacts (plan JSON, violation report, audit score and report,
+evidence bundles, obs exports) are written by :func:`write_artifacts`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.invariants import (
     DEFAULT_SITES,
@@ -51,10 +58,15 @@ from repro.core.byzantine import (
 )
 from repro.core.messages import TransmissionMessage
 from repro.core.records import RECORD_COMMUNICATION
+from repro.obs.hub import Observability
 from repro.sim.faults import FaultInjector
 from repro.sim.process import any_of
 from repro.sim.simulator import Simulator
 from repro.sim.topology import aws_four_dc_topology
+
+if TYPE_CHECKING:
+    from repro.obs.forensics.findings import AuditReport
+    from repro.obs.forensics.quality import DetectionScore
 
 #: Plan behavior keys → byzantine node classes (``core.byzantine``).
 BYZANTINE_CLASSES = {
@@ -78,6 +90,10 @@ class ChaosResult:
     violations: List[Violation]
     ran: bool
     stats: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    #: The auditor's verdict (None when the plan was refused unrun).
+    report: Optional[AuditReport] = None
+    #: The report's accusations scored against the plan's ground truth.
+    score: Optional[DetectionScore] = None
 
     @property
     def ok(self) -> bool:
@@ -85,16 +101,20 @@ class ChaosResult:
 
     def summary(self) -> str:
         if self.ok:
-            return (
+            line = (
                 f"OK   seed={self.plan.seed} profile={self.plan.profile} "
                 f"actions={len(self.plan.actions)} "
                 f"committed={self.stats.get('communications_committed', '?')}"
             )
-        head = self.violations[0]
-        return (
-            f"FAIL seed={self.plan.seed} profile={self.plan.profile} "
-            f"violations={len(self.violations)} first={head}"
-        )
+        else:
+            line = (
+                f"FAIL seed={self.plan.seed} profile={self.plan.profile} "
+                f"violations={len(self.violations)} first={self.violations[0]}"
+            )
+        if self.score is None:
+            return line
+        attribution = "perfect" if self.score.perfect else "IMPERFECT"
+        return f"{line} | attribution {attribution} {self.score.summary()}"
 
 
 def byzantine_overrides(plan: FaultPlan) -> Dict[str, Any]:
@@ -169,9 +189,10 @@ class ChaosRunner:
     Args:
         plan: The schedule to run.
         sites: Participants (must match the plan's site references).
-        obs: Optional :class:`~repro.obs.Observability` hub; when given,
-            the deployment records metrics/spans into it (exported via
-            :func:`write_artifacts`).
+        obs: The :class:`~repro.obs.Observability` hub the deployment
+            records into and the auditor reads (exported via
+            :func:`write_artifacts`). Defaults to a flight-recorder hub
+            with tracing off.
         checkpoint_interval: Override the unit PBFT groups' checkpoint
             interval (None keeps the config default). Short chaos runs
             use a small interval so checkpointing, log truncation, and
@@ -190,6 +211,10 @@ class ChaosRunner:
         checkpoint_interval: Optional[int] = None,
         expect_snapshot_recovery: Sequence[str] = (),
     ) -> None:
+        if obs is None:
+            # Spans are off: the journal is the forensic record, and the
+            # recorder-only configuration is the cheap one.
+            obs = Observability(enabled=True, tracing=False)
         self.plan = plan
         self.sites = tuple(sites)
         self.obs = obs
@@ -199,11 +224,20 @@ class ChaosRunner:
 
     # ------------------------------------------------------------------
     def run(self, max_events: int = 50_000_000) -> ChaosResult:
+        # Imported here: importing repro.chaos never loads forensics.
+        from repro.obs.forensics.auditor import OnlineAuditor
+        from repro.obs.forensics.probes import CanaryProber
+        from repro.obs.forensics.quality import (
+            DetectionScore,
+            expected_accusations,
+        )
+
         plan = self.plan
         budget_violations = check_plan_budget(plan, self.sites)
         if budget_violations:
             return ChaosResult(plan, budget_violations, ran=False)
 
+        auditor = OnlineAuditor(self.obs.journal)
         sim = Simulator(seed=plan.seed)
         overrides = byzantine_overrides(plan)
         config_kwargs: Dict[str, Any] = {}
@@ -224,19 +258,19 @@ class ChaosRunner:
             reserve_gap_threshold=0,
             **config_kwargs,
         )
-        kwargs: Dict[str, Any] = {}
-        if self.obs is not None:
-            kwargs["obs"] = self.obs
         deployment = BlockplaneDeployment(
             sim,
             aws_four_dc_topology(),
             config,
             node_class_overrides=overrides or None,
-            **kwargs,
+            obs=self.obs,
         )
         self.deployment = deployment
         injector = FaultInjector(sim, deployment.network)
-        self._schedule_actions(sim, deployment, injector)
+        schedule_plan_actions(sim, deployment, injector, plan)
+        CanaryProber(
+            sim, deployment, auditor=auditor, times_ms=_probe_times(plan)
+        )
 
         senders = [
             sim.spawn(self._sender(sim, deployment, site, index))
@@ -266,19 +300,15 @@ class ChaosRunner:
             if not violations:
                 break
 
-        stats = self._stats(sim, deployment)
-        return ChaosResult(plan, violations, ran=True, stats=stats)
-
-    # ------------------------------------------------------------------
-    # Fault scheduling
-    # ------------------------------------------------------------------
-    def _schedule_actions(
-        self,
-        sim: Simulator,
-        deployment: BlockplaneDeployment,
-        injector: FaultInjector,
-    ) -> None:
-        schedule_plan_actions(sim, deployment, injector, self.plan)
+        report = auditor.report()
+        score = DetectionScore(
+            expected=tuple(sorted(expected_accusations(plan, auditor))),
+            detected=tuple(sorted(report.accused())),
+        )
+        return ChaosResult(
+            plan, violations, ran=True,
+            stats=self._stats(sim, deployment), report=report, score=score,
+        )
 
     # ------------------------------------------------------------------
     # Workload
@@ -418,6 +448,18 @@ class ChaosRunner:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
+def _probe_times(plan: FaultPlan) -> Tuple[float, ...]:
+    """Three canary probes spread over the faulty phase plus one in the
+    settle window (so a probe lands outside every crash window)."""
+    horizon = plan.budget.horizon_ms
+    return (
+        horizon * 0.2,
+        horizon * 0.55,
+        horizon * 0.9,
+        horizon + plan.budget.settle_ms * 0.5,
+    )
+
+
 def _set_daemon_active(daemon, active: bool) -> None:
     """Toggle a communication daemon (byzantine withholding window).
 
@@ -443,10 +485,12 @@ def _corrupt_transmission(message: TransmissionMessage):
 def write_artifacts(
     result: ChaosResult, directory: str, obs=None
 ) -> Dict[str, str]:
-    """Write a run's artifacts: ``plan.json``, ``violations.txt``, and
-    (when an enabled obs hub is given) everything
-    :func:`repro.obs.export_all` writes, the console bundle carrying
-    the plan as ground truth. Returns artifact name → path."""
+    """Write a run's artifacts: ``plan.json`` and ``violations.txt``;
+    for a run that ran, ``score.json``, ``report.json`` and one
+    ``evidence/`` bundle per finding; and, when an enabled obs hub is
+    given, everything :func:`repro.obs.export_all` writes, the console
+    bundle carrying the audit report and the plan as ground truth.
+    Returns artifact name → path."""
     os.makedirs(directory, exist_ok=True)
     paths: Dict[str, str] = {}
     plan_path = os.path.join(directory, "plan.json")
@@ -461,6 +505,12 @@ def write_artifacts(
             for violation in result.violations:
                 handle.write(f"{violation}\n")
     paths["violations"] = report_path
+    if result.score is not None:
+        score_path = os.path.join(directory, "score.json")
+        with open(score_path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(result.score.to_dict(), indent=2) + "\n")
+        paths["score"] = score_path
+        paths.update(result.report.export_evidence(directory))
     if obs is not None and getattr(obs, "enabled", False):
         from repro.obs import export_all
 
@@ -468,6 +518,7 @@ def write_artifacts(
             obs, directory,
             # Ground truth: the injected schedule renders beside
             # whatever the auditor detected.
+            audit=result.report,
             chaos=result.plan,
             title=(
                 f"chaos replay: seed {result.plan.seed}, "

@@ -145,7 +145,6 @@ class BlockplaneNode(PBFTReplica):
             site=participant,
             peers=peers,
             config=config.pbft,
-            verifier=None,
             obs=obs,
         )
         self.participant = participant

@@ -6,8 +6,8 @@ schema-versioned ``repro.console/v2`` JSON bundle and renders it as a
 **single self-contained HTML replay**: message flows animated on the
 site topology, per-node swimlane timelines, and an auditor overlay that
 badges suspects and links each finding to its verbatim evidence events.
-Zero runtime dependencies beyond the standard library; the
-optional ``--serve`` mode uses stdlib ``http.server``.
+Zero runtime dependencies beyond the standard library; the page needs
+no server (``python -m http.server -d DIR`` serves a directory of them).
 
 Entry point: ``python -m repro console`` (see
 :mod:`repro.obs.console.__main__`). Documented in
@@ -28,19 +28,16 @@ from repro.obs.console.schema import (
     check,
     validate,
 )
-from repro.obs.console.serve import build_server, serve_html
 
 __all__ = [
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
     "SchemaError",
     "build_bundle",
-    "build_server",
     "check",
     "finding_id",
     "load_bundle",
     "render_html",
-    "serve_html",
     "validate",
     "write_bundle",
     "write_html",

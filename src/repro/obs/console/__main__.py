@@ -2,14 +2,14 @@
 
 Usage::
 
-    # Replay a past run: every export (--obs-out, chaos --obs-out,
-    # obs-audit --out) writes its console.json beside the others:
+    # Replay a past run: every export (--obs-out, chaos --obs-out)
+    # writes its console.json beside the others:
     python -m repro console --bundle obs/console.json --out replay.html
 
-    # One command from chaos plan to explorable replay (recorder on,
-    # auditor attached):
-    python -m repro console --chaos-seed 7 --profile byzantine \\
-        --out replay.html
+    # An audited chaos run (auditor findings, plan as ground truth):
+    python -m repro.chaos --seed 2 --runs 1 --profile byzantine \\
+        --obs-out runs
+    python -m repro console --bundle runs/run-0/console.json
 
     # The canonical traced cross-DC commit (no inputs needed):
     python -m repro console --demo --out replay.html
@@ -17,9 +17,8 @@ Usage::
     # Validate an archived bundle:
     python -m repro console --validate bundle.json
 
-    # Serve the rendered page on stdlib http.server:
-    python -m repro console --demo --serve --port 8123
-
+The console only renders: the page is self-contained, and
+``python -m http.server -d DIR`` serves a directory of them.
 ``python -m repro.obs.console`` is the same entry point.
 """
 
@@ -45,22 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--demo", action="store_true",
                         help="render the canonical traced cross-DC "
                              "commit (golden journal)")
-    source.add_argument("--chaos-seed", type=int, metavar="SEED",
-                        help="run one audited chaos plan from SEED and "
-                             "render it")
-    chaos = parser.add_argument_group("chaos-run options")
-    chaos.add_argument("--profile", default="byzantine",
-                       help="chaos profile for --chaos-seed "
-                            "(default byzantine)")
-    chaos.add_argument("--batches", type=int, default=6,
-                       help="messages per site for --chaos-seed "
-                            "(default 6)")
-    chaos.add_argument("--horizon-ms", type=float, default=12_000.0,
-                       help="fault horizon for --chaos-seed "
-                            "(default 12000)")
-    chaos.add_argument("--settle-ms", type=float, default=8_000.0,
-                       help="settle window for --chaos-seed "
-                            "(default 8000)")
     output = parser.add_argument_group("outputs")
     output.add_argument("--out", metavar="FILE", default="replay.html",
                         help="HTML output path (default replay.html)")
@@ -71,14 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "the source)")
     output.add_argument("--validate", metavar="FILE",
                         help="schema-check an existing bundle and exit")
-    output.add_argument("--serve", action="store_true",
-                        help="serve the rendered page over stdlib "
-                             "http.server (Ctrl-C to stop)")
-    output.add_argument("--host", default="127.0.0.1",
-                        help="bind address for --serve "
-                             "(default 127.0.0.1)")
-    output.add_argument("--port", type=int, default=8000,
-                        help="port for --serve (default 8000)")
     return parser
 
 
@@ -120,33 +95,6 @@ def _demo_bundle(title: Optional[str]) -> Dict[str, Any]:
     )
 
 
-def _chaos_bundle(
-    args: argparse.Namespace, title: Optional[str]
-) -> Dict[str, Any]:
-    from repro.chaos.generator import PROFILES
-    from repro.obs.console.bundle import build_bundle
-    from repro.obs.forensics.quality import detection_sweep
-
-    if args.profile not in PROFILES:
-        raise SystemExit(
-            f"unknown profile {args.profile!r}; choose from {PROFILES}"
-        )
-    (run,) = detection_sweep(
-        args.chaos_seed, 1, profile=args.profile, batches=args.batches,
-        horizon_ms=args.horizon_ms, settle_ms=args.settle_ms,
-    )
-    plan = run.plan
-    print(f"chaos run: {run.summary()}", file=sys.stderr)
-    return build_bundle(
-        run.obs,
-        audit=run.report,
-        chaos=plan,
-        title=title or (
-            f"chaos replay: seed {plan.seed}, profile {plan.profile}"
-        ),
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.validate:
@@ -161,13 +109,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             bundle = load_bundle(args.bundle)
             if args.title:
                 bundle["title"] = args.title
-        elif args.chaos_seed is not None:
-            bundle = _chaos_bundle(args, args.title)
         elif args.demo:
             bundle = _demo_bundle(args.title)
         else:
             print(
-                "error: no input — pass --bundle, --demo, or --chaos-seed",
+                "error: no input — pass --bundle or --demo",
                 file=sys.stderr,
             )
             return 2
@@ -186,14 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"replay: {args.out} ({journal.get('retained', 0)} events, "
         f"{len(html)} bytes)"
     )
-    if args.serve:
-        from repro.obs.console.serve import serve_html
-
-        print(
-            f"serving on http://{args.host}:{args.port}/ "
-            "(Ctrl-C to stop)"
-        )
-        serve_html(html, host=args.host, port=args.port)
     return 0
 
 

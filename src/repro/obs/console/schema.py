@@ -5,7 +5,7 @@ JSON document folding everything a replay needs — journal events, span
 trees, metrics, auditor findings, and the site topology) and a
 *renderer* that embeds the bundle into a self-contained HTML page. The
 bundle is the stable interface between them: any producer (the chaos
-runner's artifact export, the obs-audit CLI, a hand-rolled script) that
+runner's artifact export, ``--obs-out``, a hand-rolled script) that
 emits a valid bundle gets an explorable replay for free, and the HTML
 can be regenerated from an archived bundle long after the run.
 

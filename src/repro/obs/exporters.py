@@ -16,8 +16,7 @@ Three renderings of one observability session:
 
 :func:`export_all` writes them, the journal snapshot and the console
 bundle into a directory — the one artifact writer: ``python -m repro
---obs-out DIR``, ``repro.chaos --obs-out`` and ``obs-audit --out`` all
-call it.
+--obs-out DIR`` and ``repro.chaos --obs-out`` both call it.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ layers) captures *what happened*; this package answers *who did it*:
 * :mod:`~repro.obs.forensics.quality` — precision/recall scoring of the
   auditor against chaos plans' ground truth.
 
-CLI: ``python -m repro obs-audit --seed 7 --profile byzantine``.
+Every chaos run is audited: ``python -m repro.chaos --seed 2
+--profile byzantine --strict`` prints both verdicts per run.
 """
 
 from repro.obs.forensics.auditor import (
@@ -29,20 +30,11 @@ from repro.obs.forensics.findings import (
     Finding,
 )
 from repro.obs.forensics.probes import CanaryProber, canary_digest
-from repro.obs.forensics.quality import (
-    AuditedRun,
-    DetectionScore,
-    audited_chaos_run,
-    build_audited_runner,
-    detection_sweep,
-    expected_accusations,
-    fault_free_run,
-)
+from repro.obs.forensics.quality import DetectionScore, expected_accusations
 
 __all__ = [
     "ACCUSING_KINDS",
     "AuditReport",
-    "AuditedRun",
     "CanaryProber",
     "DEFAULT_THRESHOLD",
     "DetectionScore",
@@ -51,10 +43,6 @@ __all__ = [
     "MIN_UNIT_ACTIVITY",
     "OnlineAuditor",
     "STORM_THRESHOLD",
-    "audited_chaos_run",
-    "build_audited_runner",
     "canary_digest",
-    "detection_sweep",
     "expected_accusations",
-    "fault_free_run",
 ]

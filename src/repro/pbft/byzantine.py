@@ -158,6 +158,3 @@ class BogusProposer(PBFTReplica):
         super().__init__(*args, **kwargs)
         self.engine.bogus_value = bogus_value
         self.engine.bogus_meta = bogus_meta
-
-    def pre_validate(self, msg: ClientRequest):
-        return None  # a byzantine leader does not police itself

@@ -61,11 +61,6 @@ from repro.pbft.quorums import (
     unit_size,
 )
 
-#: Verification routine signature: receives the proposed value, its
-#: record-type annotation, and the submitter metadata; returns True to
-#: accept the state transition. See Section III-C of the paper.
-Verifier = Callable[[Any, str, Optional[Dict[str, Any]]], bool]
-
 #: Filler proposal used to plug sequence holes after a view change.
 #: Verification routines must accept it; executors must ignore it.
 NOOP_VALUE = "__pbft_noop__"

@@ -20,8 +20,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.hub import DISABLED
 from repro.pbft.config import PBFTConfig
-from repro.pbft.engine import PBFTApp, PBFTEngine, Verifier, _Slot
-from repro.pbft.messages import ClientRequest, CommittedEntry
+from repro.pbft.engine import PBFTApp, PBFTEngine, _Slot
+from repro.pbft.messages import CommittedEntry
 from repro.sim.node import Node
 from repro.sim.process import Future
 
@@ -47,8 +47,6 @@ class PBFTReplica(Node, PBFTApp):
         peers: Ordered ids of *all* group members (including this one).
             The leader of view ``v`` is ``peers[v % len(peers)]``.
         config: Timing/log parameters.
-        verifier: Optional Blockplane verification routine consulted
-            before this replica casts a commit vote.
         obs: Observability hub (telemetry is off when omitted).
 
     Attributes:
@@ -67,14 +65,12 @@ class PBFTReplica(Node, PBFTApp):
         site: str,
         peers: List[str],
         config: Optional[PBFTConfig] = None,
-        verifier: Optional[Verifier] = None,
         obs=None,
     ) -> None:
         super().__init__(sim, network, node_id, site)
         #: Observability hub (shared no-op instance when disabled).
         self.obs = obs if obs is not None else DISABLED
         self.peers = list(peers)
-        self.verifier = verifier
         self.engine: PBFTEngine = self.engine_class(
             node_id,
             site,
@@ -152,23 +148,6 @@ class PBFTReplica(Node, PBFTApp):
     # ------------------------------------------------------------------
     # App hooks a plain PBFT group answers differently from PBFTApp
     # ------------------------------------------------------------------
-    def pre_validate(self, msg: ClientRequest) -> Optional[str]:
-        """An honest leader refuses values its own verification routine
-        would reject — otherwise it would burn a sequence number on a
-        proposal that can never gather commit votes."""
-        if self.verifier is None:
-            return None
-        if self.engine.verdict(msg.value, msg.record_type, msg.meta) is False:
-            return "verification routine rejected the value"
-        return None
-
-    def verify(
-        self, value: Any, record_type: str, meta: Optional[Dict[str, Any]]
-    ) -> Optional[bool]:
-        if self.verifier is None:
-            return True
-        return self.verifier(value, record_type, meta)
-
     def on_view_installed(self, new_view: int) -> None:
         """Close out the failover window on every traced pending
         request, so the critical-path attributor charges the stall to

@@ -141,3 +141,13 @@ def test_top_level_console_subcommand(tmp_path):
     out = tmp_path / "via-repro.html"
     assert repro_main(["console", "--demo", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
+
+
+@pytest.mark.parametrize("flag", ["--chaos-seed", "--serve"])
+def test_console_only_renders(flag, capsys):
+    # Runs come from `repro chaos --obs-out`; serving from any static
+    # file server.
+    with pytest.raises(SystemExit) as excinfo:
+        console_main([flag, "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

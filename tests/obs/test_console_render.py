@@ -9,13 +9,11 @@ network.
 
 import json
 import re
-import threading
-import urllib.request
 
 import pytest
 
 from repro.obs import Observability
-from repro.obs.console import build_bundle, build_server, render_html
+from repro.obs.console import build_bundle, render_html
 from repro.obs.demo import trace_commit_lifecycle
 from repro.obs.forensics.findings import AuditReport, Finding
 
@@ -155,27 +153,6 @@ def test_eviction_banner_names_the_lost_window():
         "15 events evicted before this window "
         "(first retained event id 16)"
     ) in page
-
-
-# ----------------------------------------------------------------------
-# Serving
-# ----------------------------------------------------------------------
-def test_served_page_round_trips(golden_page):
-    server = build_server(golden_page, port=0)
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.handle_request)
-    thread.start()
-    try:
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/", timeout=5
-        ) as response:
-            assert response.status == 200
-            assert response.headers["Content-Type"].startswith("text/html")
-            body = response.read().decode("utf-8")
-    finally:
-        thread.join(timeout=5)
-        server.server_close()
-    assert body == golden_page
 
 
 # ----------------------------------------------------------------------

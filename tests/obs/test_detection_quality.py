@@ -8,12 +8,8 @@ bit-identically.
 """
 
 from repro.chaos.generator import ScheduleGenerator
-from repro.obs.forensics import (
-    DetectionScore,
-    audited_chaos_run,
-    detection_sweep,
-    fault_free_run,
-)
+from repro.chaos.runner import ChaosRunner
+from repro.obs.forensics import DetectionScore
 
 _SWEEP = dict(batches=6, horizon_ms=12_000.0, settle_ms=8_000.0)
 
@@ -43,8 +39,8 @@ def test_score_arithmetic():
 # Recall on shipped byzantine seeds
 # ----------------------------------------------------------------------
 def test_byzantine_seed_attributes_forger_and_silent_node():
-    run = audited_chaos_run(_plan(2, "byzantine"))
-    assert run.result.ok  # safety invariants held throughout
+    run = ChaosRunner(_plan(2, "byzantine")).run()
+    assert run.ok  # safety invariants held throughout
     assert "I-2" in run.score.expected and "V-3" in run.score.expected
     assert run.score.perfect, run.score.summary()
     kinds = {f.kind for f in run.report.findings if f.accusing}
@@ -52,13 +48,13 @@ def test_byzantine_seed_attributes_forger_and_silent_node():
 
 
 def test_byzantine_seed_attributes_promiscuous_via_canary():
-    run = audited_chaos_run(_plan(7, "byzantine", run_index=1))
+    run = ChaosRunner(_plan(7, "byzantine", run_index=1)).run()
     assert run.score.perfect, run.score.summary()
     assert run.score.expected  # the seed really plants someone
 
 
 def test_mixed_seed_attributes_effective_withholding():
-    run = audited_chaos_run(_plan(18, "mixed"))
+    run = ChaosRunner(_plan(18, "mixed")).run()
     assert run.score.perfect, run.score.summary()
     assert any("->" in suspect for suspect in run.score.expected), (
         "seed 18 run 0 is the pinned effective-withhold fixture; "
@@ -76,7 +72,7 @@ def test_vacuous_withholds_are_not_expected_and_not_detected():
     # Seed 20's withhold windows never coincide with a gateway commit:
     # ground truth post-filtering and the auditor must agree (nothing
     # expected, nothing accused).
-    run = audited_chaos_run(_plan(20, "byzantine"))
+    run = ChaosRunner(_plan(20, "byzantine")).run()
     planned_withholds = [
         action for action in run.plan.actions if action.kind == "withhold"
     ]
@@ -89,7 +85,7 @@ def test_expected_accusations_reads_plan_ground_truth():
     # Byzantine plants are unconditional ground truth: every one shows
     # up in the expected set regardless of what the run did.
     plan = _plan(2, "byzantine")
-    run = audited_chaos_run(plan)
+    run = ChaosRunner(plan).run()
     planted = {
         f"{action.site}-{action.node_index}"
         for action in plan.actions if action.kind == "byzantine"
@@ -103,15 +99,10 @@ def test_expected_accusations_reads_plan_ground_truth():
 # ----------------------------------------------------------------------
 def test_fault_free_replays_accuse_nobody():
     for seed, profile in ((7, "byzantine"), (11, "mixed")):
-        run = fault_free_run(_plan(seed, profile))
+        run = ChaosRunner(_plan(seed, profile).with_actions(())).run()
         assert not any(
             f.accusing for f in run.report.findings
         ), run.report.to_text()
         assert run.score.perfect
         assert run.score.expected == () == run.score.detected
 
-
-def test_detection_sweep_fault_free_flag_strips_actions():
-    (run,) = detection_sweep(7, 1, fault_free=True, **_SWEEP)
-    assert run.plan.actions == ()
-    assert not any(f.accusing for f in run.report.findings)

@@ -11,6 +11,24 @@ from repro.sim.simulator import Simulator
 from repro.sim.topology import single_dc_topology
 
 
+class VerifyingReplica(PBFTReplica):
+    """A plain PBFT replica whose verification routine is ``verifier``
+    (``(value, record_type, meta) -> bool | None``), as a Blockplane
+    node's routines are."""
+
+    verifier = None
+
+    def pre_validate(self, msg):
+        """An honest leader refuses values its own verification routine
+        would reject rather than burn a sequence number on them."""
+        if self.engine.verdict(msg.value, msg.record_type, msg.meta) is False:
+            return "verification routine rejected the value"
+        return None
+
+    def verify(self, value, record_type, meta):
+        return self.verifier(value, record_type, meta)
+
+
 def make_group(
     n: int = 4,
     seed: int = 1,
@@ -24,32 +42,34 @@ def make_group(
 
     Returns:
         (sim, list of replicas). Replica i has id ``r{i}``; r0 leads
-        view 0. When ``obs`` is given every replica records into it
-        (flight-recorder / forensics tests).
+        view 0. With a ``verifier`` the replicas not in ``overrides``
+        are :class:`VerifyingReplica`. When ``obs`` is given every
+        replica records into it (flight-recorder / forensics tests).
     """
     sim = Simulator(seed=seed)
     if obs is not None and obs.enabled:
         obs.bind_clock(sim)
     network = Network(sim, single_dc_topology("DC"))
     peers = [f"r{i}" for i in range(n)]
+    honest = PBFTReplica if verifier is None else VerifyingReplica
     replicas: List[PBFTReplica] = []
     for index, peer in enumerate(peers):
-        cls = (overrides or {}).get(index, PBFTReplica)
-        kwargs = dict(override_kwargs or {}) if cls is not PBFTReplica else {}
+        cls = (overrides or {}).get(index, honest)
+        kwargs = dict(override_kwargs or {}) if cls is not honest else {}
         if obs is not None:
             kwargs["obs"] = obs
-        replicas.append(
-            cls(
-                sim,
-                network,
-                peer,
-                "DC",
-                list(peers),
-                config=config or PBFTConfig(),
-                verifier=verifier,
-                **kwargs,
-            )
+        replica = cls(
+            sim,
+            network,
+            peer,
+            "DC",
+            list(peers),
+            config=config or PBFTConfig(),
+            **kwargs,
         )
+        if cls is VerifyingReplica:
+            replica.verifier = verifier
+        replicas.append(replica)
     return sim, replicas
 
 

@@ -74,7 +74,7 @@ def test_deferred_verification_retries_after_progress():
             return True
 
     boxes = []
-    sim, replicas = make_group()
+    sim, replicas = make_group(verifier=lambda v, rt, m: True)
     for replica in replicas:
         box = [replica]
         boxes.append(box)

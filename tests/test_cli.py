@@ -23,8 +23,9 @@ def test_unknown_experiment_rejected(capsys):
 def test_help_lists_subcommands_and_experiments(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    for subcommand in ("console", "chaos", "lint", "obs-audit"):
+    for subcommand in ("console", "chaos", "lint"):
         assert subcommand in out
+    assert "obs-audit" not in out
     for experiment in ("table1", "fig4", "ablations"):
         assert experiment in out
     assert "--obs-out" in out
@@ -48,3 +49,9 @@ def test_multiple_experiments_separated(capsys):
     out = capsys.readouterr().out
     assert out.count("Table I") == 2
     assert "=" * 68 in out
+
+
+def test_obs_audit_is_not_a_subcommand(capsys):
+    # Audits run through `repro chaos` (both verdicts per run).
+    assert main(["obs-audit"]) == 2
+    assert "unknown experiment" in capsys.readouterr().out

@@ -39,13 +39,10 @@ import ast
 import collections
 import os
 import shutil
-import signal
-import socket
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.request
 from typing import Dict, List, NamedTuple, Set, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -64,9 +61,7 @@ FAILURE_PATHS: Dict[str, str] = {
         "tests/analysis/test_selfcheck.py::test_cli_exit_one_with_findings",
     "repro.analysis.findings:Finding.to_dict":
         "tests/analysis/test_selfcheck.py::test_cli_json_format",
-    # A chaos run broke an invariant: artifacts, then the shrinker.
-    "repro.chaos.runner:write_artifacts":
-        "tests/chaos/test_runner.py::test_write_artifacts_round_trips_the_plan",
+    # A chaos run broke an invariant: the shrinker.
     "repro.chaos.shrink:ShrinkReport.removed":
         _SHRINK_TESTS + "test_shrink_isolates_the_overlapping_pair",
     "repro.chaos.shrink:_ddmin":
@@ -94,19 +89,13 @@ FAILURE_PATHS: Dict[str, str] = {
     "repro.workloads.openloop:open_loop_process._retry":
         "tests/test_workloads.py::TestRunOpenLoop::"
         "test_shed_arrivals_are_retried_not_lost",
-    # Byzantine peers, tampered links, dead mirrors, view changes.
-    _AUDITOR + "_on_proof_rejected":
-        _AUDIT_TESTS + "test_tampered_transmission_is_refused_and_named_by_link",
+    # Byzantine peers.
     _AUDITOR + "_on_verify_reject":
         _AUDIT_TESTS + "test_verify_rejects_are_counted_as_unit_health",
     "repro.pbft.replica:PBFTReplica.verify_rejected":
         _AUDIT_TESTS + "test_verify_rejects_are_counted_as_unit_health",
     _AUDITOR + "_on_sign_spoofed":
         _AUDIT_TESTS + "test_impersonating_signer_attributed",
-    _AUDITOR + "_on_view_change":
-        _AUDIT_TESTS + "test_equivocating_leader_attributed",
-    _AUDITOR + "_on_mirror_timeout":
-        "tests/core/test_geo.py::test_mirror_proofs_fail_without_enough_live_peers",
     "repro.pbft.engine:PBFTApp.certificate_valid":
         "tests/pbft/test_engine_sans_io.py::"
         "test_plain_group_refuses_unprovable_snapshot_offers",
@@ -160,6 +149,8 @@ def real_paths(work: str) -> List[List[str]]:
     py = sys.executable
     repro = [py, "-m", "repro"]
     lint = [py, "-m", "repro.analysis", "src", "tests", "--interproc"]
+    audit_sizes = ["--batches", "6", "--horizon-ms", "12000",
+                   "--settle-ms", "8000"]
     commands = [[py, "bench/run.py", "--selftest"]]
     for workload in _WORKLOADS:
         for trace in ("0", "1"):
@@ -174,19 +165,17 @@ def real_paths(work: str) -> List[List[str]]:
         repro + ["--obs-out", "{w}/obs", "fig4", "fig5", "fig6", "table2"],
         repro + ["chaos", "--seed", "7", "--runs", "5", "--profile", "mixed",
                  "--shrink", "--obs-out", "{w}/chaos"],
-        repro + ["obs-audit", "--seed", "2", "--runs", "2", "--profile",
-                 "byzantine", "--strict", "--out", "{w}/audit"],
-        repro + ["obs-audit", "--seed", "7", "--runs", "2", "--profile",
-                 "byzantine", "--fault-free", "--strict", "--json"],
+        repro + ["chaos", "--seed", "2", "--runs", "2", "--profile",
+                 "byzantine", *audit_sizes, "--strict", "--obs-out",
+                 "{w}/audit"],
+        repro + ["chaos", "--seed", "7", "--runs", "2", "--profile",
+                 "byzantine", *audit_sizes, "--fault-free", "--strict"],
         repro + ["chaos", "--plan", "{w}/audit/run-0/plan.json",
                  "--show-plan"],
         repro + ["console", "--demo", "--out", "{w}/demo.html"],
-        repro + ["console", "--chaos-seed", "2", "--profile", "byzantine",
-                 "--out", "{w}/replay.html", "--bundle-out",
-                 "{w}/bundle.json"],
-        repro + ["console", "--validate", "{w}/bundle.json"],
-        repro + ["console", "--bundle", "{w}/bundle.json", "--out",
-                 "{w}/rebundled.html"],
+        repro + ["console", "--validate", "{w}/audit/run-0/console.json"],
+        repro + ["console", "--bundle", "{w}/audit/run-0/console.json",
+                 "--out", "{w}/replay.html"],
         repro + ["console", "--bundle", "{w}/obs/console.json", "--out",
                  "{w}/replayed.html"],
         lint,
@@ -195,34 +184,6 @@ def real_paths(work: str) -> List[List[str]]:
         [py, "-m", "repro.analysis", "--list-rules"],
     ]
     return [[arg.format(w=work) for arg in command] for command in commands]
-
-
-def _serve(env: Dict[str, str], work: str) -> int:
-    """``console --serve``: GET and HEAD the page, then Ctrl-C it."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "console", "--demo", "--serve",
-         "--port", str(port), "--out", os.path.join(work, "served.html")],
-        cwd=REPO, env=env, stdout=subprocess.DEVNULL)
-    url = f"http://127.0.0.1:{port}/"
-    try:
-        for _ in range(100):
-            try:
-                with urllib.request.urlopen(url, timeout=5) as reply:
-                    reply.read()
-                break
-            except OSError:
-                time.sleep(0.2)
-        else:
-            return 1
-        head = urllib.request.Request(url, method="HEAD")
-        urllib.request.urlopen(head, timeout=5).close()
-    finally:
-        server.send_signal(signal.SIGINT)
-        code = server.wait(timeout=30)
-    return code
 
 
 def _hooked_env(work: str, phase: str) -> Dict[str, str]:
@@ -330,9 +291,6 @@ def main(argv=None) -> int:
         for command in real_paths(work):
             if _run(command, env) != 0:
                 failed.append(" ".join(command[1:]))
-        print("  console --serve", file=sys.stderr)
-        if _serve(env, work) != 0:
-            failed.append("console --serve")
         print("tier-1:", file=sys.stderr)
         if _run([sys.executable, "-m", "pytest", "-q", "-p", "census_pytest",
                  "-p", "no:cacheprovider"], _hooked_env(work, "tests")):
