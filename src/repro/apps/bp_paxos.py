@@ -220,7 +220,8 @@ class BlockplanePaxosParticipant:
         yield self.api.log_commit(update, payload_bytes=64)
         collector = self._collect((ballot, None), outcome)
         prepare = paxos_record(type="paxos-prepare", ballot=ballot, sender=self.name)
-        for participant in self.others:
+        # Refused by our own acceptor: the election is lost, stay silent.
+        for participant in self.others if outcome is not False else ():
             yield self.api.send(prepare, to=participant, payload_bytes=64)
         if not (yield collector):
             yield self.api.log_commit(
@@ -259,7 +260,8 @@ class BlockplanePaxosParticipant:
         if slot is None:
             slot = self.core.claim_slot()
         ballot = self.core.ballot
-        collector = self._collect((ballot, slot), self.core.propose(slot, value))
+        outcome = self.core.propose(slot, value)
+        collector = self._collect((ballot, slot), outcome)
         propose = paxos_record(
             type="paxos-propose",
             ballot=ballot,
@@ -267,7 +269,7 @@ class BlockplanePaxosParticipant:
             value=value,
             sender=self.name,
         )
-        for participant in self.others:
+        for participant in self.others if outcome is not False else ():
             yield self.api.send(
                 propose, to=participant, payload_bytes=payload_bytes
             )

@@ -35,7 +35,7 @@ from repro.core.records import (
     SealedTransmission,
     TransmissionRecord,
 )
-from repro.crypto.digest import stable_digest
+from repro.crypto.digest import formula_digest, stable_digest
 from repro.errors import LogError
 from repro.obs.hub import DISABLED
 
@@ -152,7 +152,7 @@ class LocalLog:
         )
         self.entries.append(entry)
         self._chain_values.append(
-            stable_digest((previous_chain, entry.digest()))
+            formula_digest((previous_chain, entry.digest()))
         )
         if record_type == RECORD_COMMUNICATION:
             destination = entry.destination

@@ -20,6 +20,15 @@ communication record's content, its position in the source Local Log, a
 pointer to the *previous* communication record to the same destination
 (so the receiver can detect withheld messages), and an ``fi + 1``
 signature proof from the source unit.
+
+Every record's ``digest()`` folds its (potentially large) application
+value in as ``cached_digest(value)``: the value object is shared *by
+reference* across every replica that re-derives the record (signers
+rebuilding a TransmissionRecord in ``_attest``, verifying replicas,
+mirror construction), so it is canonicalized once per object. The
+remaining tuple of a few exact strings and ints (plus ``meta``) is
+rebuilt by every replica; ``formula_digest`` keys it by content, so a
+unit walks it once. Both memos return what ``stable_digest`` would.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional, Tuple
 
-from repro.crypto.digest import cached_digest, stable_digest
+from repro.crypto.digest import cached_digest, formula_digest
 from repro.crypto.signatures import QuorumProof
 
 #: Record-type annotations carried through PBFT (Section IV-B).
@@ -71,14 +80,10 @@ class LogEntry:
         return None
 
     def digest(self) -> str:
-        """Canonical digest of the entry's identity and content.
-
-        Memoized by object identity: the same entry object is digested
-        at every unit node that signs or checks it. Entries carrying
-        mutable values (e.g. a ``meta`` dict) bypass the memo — see
-        :func:`~repro.crypto.digest.cached_digest`.
-        """
-        return cached_digest(self, _log_entry_digest)
+        """Canonical digest of the entry's identity and content."""
+        return formula_digest(
+            (self.position, self.record_type, cached_digest(self.value), self.meta)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,13 +111,17 @@ class TransmissionRecord:
     payload_bytes: int = 0
 
     def digest(self) -> str:
-        """Digest covered by the source unit's ``fi + 1`` signatures.
-
-        Memoized by object identity (the digest formula deliberately
-        excludes ``payload_bytes``, so the memo keys the record object,
-        not its full field set).
-        """
-        return cached_digest(self, _transmission_digest)
+        """Digest covered by the source unit's ``fi + 1`` signatures
+        (the formula deliberately excludes ``payload_bytes``)."""
+        return formula_digest(
+            (
+                self.source,
+                self.destination,
+                cached_digest(self.message),
+                self.source_position,
+                self.prev_position,
+            )
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,9 +183,17 @@ class LogSnapshot:
     reception_floors: Tuple[Tuple[str, int], ...] = ()
 
     def digest(self) -> str:
-        """Canonical digest (identity-memoized); this is what a
-        checkpoint certificate certifies as ``snapshot_digest``."""
-        return cached_digest(self, _log_snapshot_digest)
+        """Canonical digest; this is what a checkpoint certificate
+        certifies as ``snapshot_digest``."""
+        return formula_digest(
+            (
+                self.participant,
+                self.base_position,
+                self.entry_chain,
+                self.comm_heads,
+                self.reception_floors,
+            )
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,58 +228,13 @@ class MirrorEntry:
         )
 
     def digest(self) -> str:
-        """Digest covered by mirror proofs (identity-memoized)."""
-        return cached_digest(self, _mirror_digest)
-
-
-# Digest formulas, module-level so :func:`cached_digest` can key the
-# memo on the record object. Each formula folds the (potentially large)
-# application value in as ``cached_digest(value)`` rather than inline:
-# the digest string is a collision-resistant stand-in for the value's
-# canonical bytes, and — crucially — the value object is shared *by
-# reference* across every replica that re-derives the record (signers
-# rebuilding a TransmissionRecord in ``_attest``, verifying replicas,
-# mirror construction), so the expensive canonicalization happens once
-# per value object even though the outer record objects are distinct.
-# ``cached_digest`` computes the same string whether or not the memo is
-# enabled, so digests are identical across cache settings.
-def _log_entry_digest(entry: "LogEntry") -> str:
-    return stable_digest(
-        (entry.position, entry.record_type, cached_digest(entry.value), entry.meta)
-    )
-
-
-def _transmission_digest(record: "TransmissionRecord") -> str:
-    return stable_digest(
-        (
-            record.source,
-            record.destination,
-            cached_digest(record.message),
-            record.source_position,
-            record.prev_position,
+        """Digest covered by mirror proofs."""
+        return formula_digest(
+            (
+                self.source,
+                self.position,
+                self.record_type,
+                cached_digest(self.value),
+                self.meta,
+            )
         )
-    )
-
-
-def _log_snapshot_digest(snapshot: "LogSnapshot") -> str:
-    return stable_digest(
-        (
-            snapshot.participant,
-            snapshot.base_position,
-            snapshot.entry_chain,
-            snapshot.comm_heads,
-            snapshot.reception_floors,
-        )
-    )
-
-
-def _mirror_digest(entry: "MirrorEntry") -> str:
-    return stable_digest(
-        (
-            entry.source,
-            entry.position,
-            entry.record_type,
-            cached_digest(entry.value),
-            entry.meta,
-        )
-    )

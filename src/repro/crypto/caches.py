@@ -1,22 +1,23 @@
 """Hot-path memoization for the crypto layer.
 
-Two caches amortize the dominant CPU costs of a simulated deployment:
+Two cache classes amortize the dominant CPU costs of a simulated deployment:
 
 * :class:`IdentityLRU` — backs :func:`repro.crypto.digest.cached_digest`.
-  Keys are **object identities**: the simulator passes records between
-  replicas by reference, so the same frozen ``TransmissionRecord`` (or
-  ``LogEntry``/``MirrorEntry``) object has its digest requested once per
-  replica per protocol phase. Each cache entry holds a strong reference
-  to the keyed object, which makes identity keying sound: an id can
-  never be recycled while its entry is alive, and eviction drops both
-  together.
-* the per-registry verification cache in
-  :class:`~repro.crypto.keys.KeyRegistry` — keyed by the full
-  ``(signer, digest, mac)`` triple plus the registry's mutation version,
-  so a forged mac never aliases a cached honest verdict and a key
-  registration invalidates every prior verdict wholesale.
+  Keys are **object identities**: the simulator passes application
+  values between replicas by reference, so the same payload object has
+  its digest requested once per replica per protocol phase. Each cache
+  entry holds a strong reference to the keyed object, which makes
+  identity keying sound: an id can never be recycled while its entry is
+  alive, and eviction drops both together.
+* :class:`KeyedLRU` — backs the content-keyed
+  :func:`repro.crypto.digest.formula_digest` and the per-registry
+  verification cache in :class:`~repro.crypto.keys.KeyRegistry`, keyed
+  by the full ``(signer, digest, mac)`` triple plus the registry's
+  mutation version, so a forged mac never aliases a cached honest
+  verdict and a key registration invalidates every prior verdict
+  wholesale.
 
-Both caches are **semantically invisible**: they only ever return a
+Every cache is **semantically invisible**: it only ever returns a
 value that recomputing from scratch would also return.
 :func:`repro.crypto.digest.stable_digest` and
 :func:`repro.crypto.signatures._verify_uncached` are the uncached
@@ -71,7 +72,7 @@ class IdentityLRU:
 
 
 class KeyedLRU:
-    """A bounded LRU over hashable keys (the verification cache)."""
+    """A bounded LRU over hashable keys."""
 
     __slots__ = ("maxsize", "_entries", "hits", "misses")
 
@@ -80,6 +81,9 @@ class KeyedLRU:
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -9,19 +9,21 @@ digest for the same logical value.
 
 The canonicalizer is iterative (an explicit stack instead of one Python
 frame per tree node) with single-append fast paths for the str/int/
-bytes leaves that dominate real payloads. :func:`cached_digest` adds an
-identity-keyed memo on top for the frozen record objects the simulator
-passes between replicas by reference — the same ``TransmissionRecord``
-has its digest requested at every replica of every unit it crosses.
+bytes leaves that dominate real payloads. It is the uncached
+reference for two memos: :func:`cached_digest` keys application values
+by identity (every replica shares the payload object), and
+:func:`formula_digest` keys the record formulas by content (every
+replica rebuilds its own entry, chain link and request binding from a
+few exact strings and ints), so a unit walks each once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
-from repro.crypto.caches import IdentityLRU
+from repro.crypto.caches import IdentityLRU, KeyedLRU
 from repro.errors import CryptoError
 
 
@@ -265,43 +267,103 @@ def _deeply_immutable(value: Any) -> bool:
     return True
 
 
-def cached_digest(
-    obj: Any, compute: Optional[Callable[[Any], str]] = None
-) -> str:
-    """Identity-memoized digest of ``obj``.
+def cached_digest(obj: Any) -> str:
+    """Identity-memoized :func:`stable_digest` of an application value.
 
-    Args:
-        obj: The value to digest. Cache hits require the *same object*
-            (``is``-identity); equal-but-distinct objects recompute and
-            agree with :func:`stable_digest` by construction.
-        compute: Digest function applied on a miss; defaults to
-            :func:`stable_digest` of ``obj`` itself. Record classes pass
-            a function digesting their identity tuple so the cached
-            value is byte-for-byte the historical formula.
-
-    Mutable values (anything failing the deep-immutability check) are
-    never cached — they take the compute path every time, so the memo
-    needs no invalidation hooks.
+    Cache hits require the *same object* (``is``-identity);
+    equal-but-distinct objects recompute and agree with
+    :func:`stable_digest` by construction. Mutable values (anything
+    failing the deep-immutability check) are never cached — they take
+    the compute path every time, so the memo needs no invalidation
+    hooks. Record formulas go through :func:`formula_digest` instead.
     """
-    fn = compute if compute is not None else stable_digest
     hit = _DIGEST_CACHE.lookup(obj)
     if hit is not None:
         return hit
-    digest = fn(obj)
+    digest = stable_digest(obj)
     if _deeply_immutable(obj):
         _DIGEST_CACHE.store(obj, digest)
     return digest
 
 
+#: Bound of the content-keyed formula memo: a peer minting fresh
+#: request ids churns it, but cannot grow it.
+FORMULA_MEMO_SIZE = 8192
+_FORMULA_MEMO = KeyedLRU(maxsize=FORMULA_MEMO_SIZE)
+
+#: Tags a dict's sorted items inside a memo key; no field tuple of
+#: str/int/None leaves can contain it, so no tuple equals a dict's key.
+_DICT_TAG = object()
+
+
+def _formula_key(fields: tuple) -> Any:
+    """The memo key of ``fields``, or None when equal keys could hide
+    different canonical bytes.
+
+    Leaves must be *exact* ``str``/``int``/``None`` (``True == 1``,
+    ``0.0 == -0.0`` and subclasses canonicalize differently), inside
+    nested tuples, or a top-level field may be a str-keyed dict of such
+    leaves (record ``meta``), keyed as its tagged sorted items.
+    """
+    key, stack = fields, []
+    for index, item in enumerate(fields):
+        cls = item.__class__
+        if cls is str or cls is int or item is None:
+            continue
+        if cls is tuple:
+            stack.extend(item)
+            continue
+        if cls is not dict:
+            return None
+        for name, leaf in item.items():
+            cls = leaf.__class__
+            if name.__class__ is not str or not (
+                cls is str or cls is int or leaf is None
+            ):
+                return None
+        if key is fields:
+            key = list(fields)
+        key[index] = (_DICT_TAG, tuple(sorted(item.items())))
+    while stack:
+        item = stack.pop()
+        cls = item.__class__
+        if cls is tuple:
+            stack.extend(item)
+        elif not (cls is str or cls is int or item is None):
+            return None
+    return fields if key is fields else tuple(key)
+
+
+def formula_digest(fields: tuple) -> str:
+    """``stable_digest(fields)``, memoized by content.
+
+    For the record digest formulas, whose fields every replica of a
+    unit rebuilds as distinct objects. Fields with a leaf
+    :func:`_formula_key` cannot key safely take :func:`stable_digest`
+    uncached (and count as a miss), so a hit is always the string the
+    uncached walk returns.
+    """
+    key = _formula_key(fields)
+    if key is None:
+        _FORMULA_MEMO.misses += 1
+        return stable_digest(fields)
+    digest = _FORMULA_MEMO.lookup(key)
+    if digest is None:
+        digest = stable_digest(fields)
+        _FORMULA_MEMO.store(key, digest)
+    return digest
+
+
 def clear_digest_cache() -> None:
-    """Drop every memoized digest."""
+    """Drop every memoized digest (both memos)."""
     _DIGEST_CACHE.clear()
+    _FORMULA_MEMO.clear()
 
 
 def digest_cache_stats() -> dict:
-    """Hit/miss/size counters for the shared digest memo."""
+    """Hit/miss/size counters, summed over the value and formula memos."""
     return {
-        "hits": _DIGEST_CACHE.hits,
-        "misses": _DIGEST_CACHE.misses,
-        "size": len(_DIGEST_CACHE),
+        "hits": _DIGEST_CACHE.hits + _FORMULA_MEMO.hits,
+        "misses": _DIGEST_CACHE.misses + _FORMULA_MEMO.misses,
+        "size": len(_DIGEST_CACHE) + len(_FORMULA_MEMO),
     }

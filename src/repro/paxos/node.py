@@ -54,7 +54,8 @@ class MultiPaxosNode(Node):
         outcome = self.core.start_election()
         ballot = self.core.ballot
         future = self._futures[(ballot, None)] = Future(self.sim, "paxos-elect")
-        self.broadcast(self.peers, PaxosPrepare(ballot=ballot))
+        if outcome is not False:  # refused by our own acceptor: stay silent
+            self.broadcast(self.peers, PaxosPrepare(ballot=ballot))
         self._settle(ballot, None, outcome)
         return future
 
@@ -80,10 +81,11 @@ class MultiPaxosNode(Node):
     def _propose(self, slot: int, value: Any, payload_bytes: int = 0) -> None:
         ballot = self.core.ballot
         outcome = self.core.propose(slot, value)
-        accept = Accept(
-            payload_bytes=payload_bytes, ballot=ballot, slot=slot, value=value
-        )
-        self.broadcast(self.peers, accept)
+        if outcome is not False:
+            accept = Accept(
+                payload_bytes=payload_bytes, ballot=ballot, slot=slot, value=value
+            )
+            self.broadcast(self.peers, accept)
         self._settle(ballot, slot, outcome)
 
     # Acceptor: answer, naming the higher ballot when refusing.

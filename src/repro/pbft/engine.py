@@ -34,7 +34,7 @@ import dataclasses
 import hashlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.crypto.digest import cached_digest, stable_digest
+from repro.crypto.digest import cached_digest, formula_digest
 from repro.errors import ProtocolError, VerificationFailed
 from repro.pbft.config import PBFTConfig
 from repro.pbft.messages import (
@@ -76,20 +76,21 @@ def request_digest(
     ``cached_digest(value)`` — the same string whether or not the memo
     is enabled — so a value object that already passed through the
     digest memo (record digests, earlier proposals) costs nothing to
-    bind again. Every entry digest in the protocol — proposals, the
-    backups' check that a pre-prepare's digest binds its value, catch-up
-    vouching, the execution chain — and in the byzantine forgers goes
-    through this one helper; the two sides of a digest comparison
-    always agree on the formula.
+    bind again; the outer tuple, which every replica rebuilds, goes
+    through the content-keyed ``formula_digest``. Every entry digest in
+    the protocol — proposals, the backups' check that a pre-prepare's
+    digest binds its value, catch-up vouching, the execution chain —
+    and in the byzantine forgers goes through this one helper; the two
+    sides of a digest comparison always agree on the formula.
     """
-    return stable_digest((cached_digest(value), record_type, request_id))
+    return formula_digest((cached_digest(value), record_type, request_id))
 
 
 def checkpoint_digest(seq: int, state_digest: str, snapshot_digest: str) -> str:
     """The digest a signed checkpoint vote covers: the watermark, the
     execution chain head, and the middleware snapshot digest together.
     Both sides of a vote/certificate check use this one formula."""
-    return stable_digest((seq, state_digest, snapshot_digest))
+    return formula_digest((seq, state_digest, snapshot_digest))
 
 
 #: The request id of a proposal no client submitted (hole fillers).

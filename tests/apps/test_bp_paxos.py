@@ -307,12 +307,14 @@ def test_digest_memo_applies_to_paxos_payloads():
     hits = sum(h for h, _m in memo)
     misses = sum(m for _h, m in memo)
     assert hits / (hits + misses) >= 0.5
-    # Exact and seed-independent: one miss per distinct payload object
-    # plus the wrappers whose `meta` dict keeps them out of the memo.
-    # With dict payloads this was (0, 348) + 5 x (0, 336); the leader's
-    # reception proof check added 6 hits per round. To re-derive after a
-    # deliberate protocol change, print(memo) here.
-    assert memo == [(200, 118)] + [(193, 113)] * ROUNDS
+    # Exact and seed-independent, summed over both memos. Per round, the
+    # value memo misses once per distinct payload object (15) and the
+    # formula memo once per distinct record formula (55: request, entry,
+    # chain-link and transmission digests), which the other replicas'
+    # own wrappers then hit. With dict payloads this was
+    # (0, 348) + 5 x (0, 336). To re-derive after a deliberate protocol
+    # change, print(memo) here.
+    assert memo == [(430, 74)] + [(414, 70)] * ROUNDS
 
 
 def test_wire_fidelity_preserves_records_and_timing():
@@ -370,3 +372,22 @@ def test_lower_ballot_loses_and_new_leader_keeps_chosen_slots():
     assert {slot: new.chosen[slot] for slot in (1, 2, 3)} == old.chosen
     assert run_bounded(sim, new.replicate("x")) == 4
     assert new.chosen == {1: "a", 2: "b", 3: "c", 4: "x"}
+
+
+def test_proposer_refused_by_its_own_acceptor_sends_nothing():
+    sim = Simulator(seed=42)
+    _deployment, participants = build_cluster(sim)
+    leader = participants["V"]
+    sent = []
+    leader.api.send = _recording(leader.api.send, sent)
+    leader.core.promised = (5, "Z")
+    assert run_bounded(sim, leader.leader_election()) is False
+    assert sent == []
+    # A leader whose own acceptor has since promised higher: no propose.
+    leader.core.promised = (0, "")
+    assert run_bounded(sim, leader.leader_election()) is True
+    del sent[:]
+    leader.core.promised = (leader.core.ballot[0] + 5, "Z")
+    assert run_bounded(sim, leader.replicate("v")) is None
+    assert not leader.l
+    assert sent == []

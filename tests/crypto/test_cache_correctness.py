@@ -9,20 +9,27 @@ system. These tests pin the adversarial cases:
 * registering a key in the :class:`KeyRegistry` must invalidate prior
   cached verdicts (an unknown signer's failure is not served after);
 * ``cached_digest`` keyed by identity must agree with ``stable_digest``
-  for equal-but-distinct objects — a hit can never change a digest.
+  for equal-but-distinct objects — a hit can never change a digest;
+* ``formula_digest`` keyed by content must never let two field tuples
+  that compare equal but canonicalize differently share an entry.
 
 The uncached references are ``stable_digest`` and ``_verify_uncached``;
 every memoized verdict below is also compared against the latter.
 """
 
+import enum
+
 import pytest
 
 from repro.core.records import TransmissionRecord
+from repro.crypto import digest as digest_module
 from repro.crypto.caches import IdentityLRU
 from repro.crypto.digest import (
+    FORMULA_MEMO_SIZE,
     cached_digest,
     clear_digest_cache,
     digest_cache_stats,
+    formula_digest,
     stable_digest,
 )
 from repro.crypto.keys import KeyRegistry
@@ -185,3 +192,76 @@ class TestDigestMemoAgreement:
         assert lru.lookup(b) is None
         assert lru.lookup(a) == "da"
         assert lru.lookup(c) == "dc"
+
+
+class _Kind(enum.IntEnum):
+    ONE = 1
+
+
+def _formula_memo_size() -> int:
+    return len(digest_module._FORMULA_MEMO)
+
+
+class TestFormulaMemoAgreement:
+    D, T = "a" * 64, "log-commit"
+
+    @pytest.mark.parametrize("order", [(1, True), (True, 1)])
+    def test_int_and_bool_request_ids_never_share_an_entry(self, order):
+        digests = []
+        for number in order:
+            fields = (self.D, self.T, ("c", number))
+            digests.append(formula_digest(fields))
+            assert digests[-1] == stable_digest(fields)
+        assert digests[0] != digests[1]
+
+    def test_meta_dict_and_pairs_tuple_never_share_a_key(self):
+        as_dict = (1, self.T, self.D, {"destination": "B"})
+        as_pairs = (1, self.T, self.D, (("destination", "B"),))
+        for first, second in ((as_dict, as_pairs), (as_pairs, as_dict)):
+            clear_digest_cache()
+            assert formula_digest(first) == stable_digest(first)
+            assert formula_digest(second) == stable_digest(second)
+            assert _formula_memo_size() == 2
+        assert stable_digest(as_dict) != stable_digest(as_pairs)
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [0.0, -0.0, 1.5, _Kind.ONE, {1: "x"}, {"k": 1.0}, {"k": ("n",)},
+         ("nested", {"destination": "B"}), b"bytes", [1]],
+        ids=repr,
+    )
+    def test_unkeyable_leaves_bypass_the_memo(self, leaf):
+        fields = (self.D, self.T, leaf)
+        before = digest_cache_stats()
+        for _ in range(2):
+            assert formula_digest(fields) == stable_digest(fields)
+        after = digest_cache_stats()
+        assert _formula_memo_size() == 0
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"] + 2
+
+    def test_every_hit_equals_stable_digest(self):
+        fields_list = [
+            (self.D, self.T, ("c", index % 7)) for index in range(50)
+        ] + [
+            (index % 5, self.T, self.D, {"source": "A", "checkpoint_seq": 3})
+            for index in range(50)
+        ] + [(None, (("B", 1), ("C", None)), -3, "")] * 3
+        before = digest_cache_stats()
+        for fields in fields_list:
+            # Rebuilt per call: hits come from content, not identity.
+            rebuilt = tuple(
+                dict(f) if f.__class__ is dict else f for f in fields
+            )
+            assert formula_digest(rebuilt) == stable_digest(fields)
+        after = digest_cache_stats()
+        assert after["misses"] - before["misses"] == 7 + 5 + 1
+        assert after["hits"] - before["hits"] == len(fields_list) - 13
+
+    def test_memo_stays_bounded(self):
+        for index in range(50_000):
+            formula_digest((self.D, self.T, ("c", index)))
+            assert _formula_memo_size() <= FORMULA_MEMO_SIZE
+        assert _formula_memo_size() == FORMULA_MEMO_SIZE
+        newest = (self.D, self.T, ("c", 49_999))
+        assert formula_digest(newest) == stable_digest(newest)

@@ -113,3 +113,23 @@ def test_replication_survives_minority_crash():
     nodes["C"].crash()
     slot = sim.run_until_resolved(nodes["A"].replicate("v"))
     assert slot == 1
+
+
+def test_proposer_refused_by_its_own_acceptor_sends_nothing():
+    sim, nodes = make_cluster()
+    node = nodes["A"]
+    network = node.network
+    node.core.promised = (5, "Z-p")
+    election = node.elect_leader()
+    assert election.resolved and isinstance(election.exception, ProtocolError)
+    assert network.messages_sent == 0
+    # A leader whose own acceptor has since promised higher: no Accept.
+    node.core.promised = (0, "")
+    sim.run_until_resolved(node.elect_leader())
+    sent = network.messages_sent
+    node.core.promised = (node.core.ballot[0] + 5, "Z-p")
+    future = node.replicate("v")
+    assert future.resolved and isinstance(future.exception, ProtocolError)
+    assert not node.is_leader
+    sim.run(until=sim.now + 100)
+    assert network.messages_sent == sent

@@ -15,8 +15,14 @@ import pytest
 
 import repro.pbft.engine as engine_module
 from repro.pbft.config import PBFTConfig
-from repro.pbft.engine import PBFTApp, PBFTEngine
-from repro.pbft.messages import ClientRequest, PrePrepare, Reply
+from repro.pbft.engine import PBFTApp, PBFTEngine, request_digest
+from repro.pbft.messages import (
+    RECORD_TYPE_COMMIT,
+    ClientRequest,
+    PrePrepare,
+    Prepare,
+    Reply,
+)
 from repro.pbft.quorums import commit_quorum
 
 
@@ -322,3 +328,25 @@ def test_forged_replies_from_one_sender_resolve_nothing():
     router.drain()
     assert future.resolved and future.value.seq == 1
     assert values_of(r2) == [(1, "real")]
+
+
+def test_digest_memo_cannot_rebind_a_pre_prepare():
+    # ("c", True) == ("c", 1) in Python, yet the two request ids bind
+    # different digests: a memo keyed by equality would serve the honest
+    # digest for the forged id and let the backup vote for it.
+    router = Router(4)
+    backup = router.engines[1]
+    honest = PrePrepare(
+        view=0, seq=1, request_id=("c", 1), value="v",
+        digest=request_digest("v", RECORD_TYPE_COMMIT, ("c", 1)),
+    )
+    backup.handle_pre_prepare(honest, "r0")
+    assert backup.slots[1].has_pre_prepare
+    assert {(type(m), m.seq) for _s, _d, m in router.pool} == {(Prepare, 1)}
+    router.pool.clear()
+    forged = PrePrepare(
+        view=0, seq=2, request_id=("c", True), value="v", digest=honest.digest,
+    )
+    backup.handle_pre_prepare(forged, "r0")
+    assert router.pool == []
+    assert 2 not in backup.slots
