@@ -19,13 +19,13 @@ lint:
 	else \
 		echo "ruff not installed; skipping generic hygiene checks"; \
 	fi
-	$(PYTHON) -m repro.analysis src tests --interproc
+	$(PYTHON) -m repro.analysis src tests
 
 lint-rules:
 	$(PYTHON) -m repro.analysis --list-rules
 
 chaos:
-	$(PYTHON) -m repro.chaos --seed 7 --runs 5 --profile mixed --shrink
+	$(PYTHON) -m repro.chaos --seed 7 --runs 5 --profile mixed --shrink --strict
 
 # Both verdicts per run, at the audit's plan sizes: --strict fails a
 # run on any invariant violation or imperfect attribution.

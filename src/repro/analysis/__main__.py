@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.analysis [paths] [--interproc] [--format ..]``.
+"""CLI: ``python -m repro.analysis [paths] [--rules ..] [--format ..]``.
 
 Exit codes: 0 clean, 1 findings reported, 2 usage error.
 """
@@ -6,9 +6,7 @@ Exit codes: 0 clean, 1 findings reported, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.framework import registered_checkers, run_report
@@ -25,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Protocol-aware static analysis for the Blockplane "
-            "reproduction (determinism, quorum, proof-discipline, and "
-            "interprocedural taint lints)."
+            "reproduction (determinism, quorum, proof-discipline and "
+            "handler lints)."
         ),
     )
     parser.add_argument(
@@ -46,22 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--interproc",
-        action="store_true",
-        help=(
-            "run the interprocedural pass (call graph + taint "
-            "fixpoint) enabling BP009 and BP010"
-        ),
-    )
-    parser.add_argument(
-        "--callgraph-out",
-        metavar="FILE",
-        help=(
-            "write the resolved call graph (stats, edges, unresolved "
-            "and dynamic sites) as JSON; implies --interproc"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -78,21 +60,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     rules = None
     if options.rules:
         rules = [rule.strip().upper() for rule in options.rules.split(",")]
-    interproc = options.interproc or bool(options.callgraph_out)
     try:
-        report = run_report(options.paths, rules=rules, interproc=interproc)
+        findings = run_report(options.paths, rules=rules)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    findings = report.findings
-    if options.callgraph_out and report.graph is not None:
-        Path(options.callgraph_out).write_text(
-            json.dumps(report.graph.to_dict(), indent=2, sort_keys=True)
-            + "\n"
-        )
     if options.format == "json":
-        stats = report.graph.stats() if report.graph is not None else None
-        print(render_json(findings, interproc=stats))
+        print(render_json(findings))
     elif options.format == "sarif":
         print(render_sarif(findings, registered_checkers()))
     else:

@@ -2,8 +2,7 @@
 
 A checker is a class with a ``rule`` id; the framework instantiates the
 registered checkers once per run and feeds every analyzed module to
-:meth:`Checker.visit_module`; whole-program rules instead read the
-call graph and taint engine in :meth:`Checker.analyze_project`.
+:meth:`Checker.visit_module`.
 
 Suppressions use ``# bp-lint: disable=RULE[,RULE...] -- rationale``
 comments:
@@ -101,31 +100,17 @@ class Checker:
 
     Subclasses set :attr:`rule`, :attr:`summary`, and :attr:`rationale`
     (the protocol property the rule protects — surfaced by
-    ``--list-rules`` and the docs) and override :meth:`visit_module` or,
-    for interprocedural rules, :meth:`analyze_project`. Checkers are
-    instantiated fresh for every run, so instance state is per-run
-    state.
+    ``--list-rules`` and the docs) and override :meth:`visit_module`.
+    Checkers are instantiated fresh for every run, so instance state is
+    per-run state.
     """
 
     rule: str = "BP???"
     summary: str = ""
     rationale: str = ""
-    #: Interprocedural rules need the call graph / taint engine; they
-    #: only run when :func:`run_report` is invoked with
-    #: ``interproc=True`` (or the rule is selected explicitly).
-    requires_interproc: bool = False
 
     def visit_module(self, ctx: ModuleContext) -> List[Finding]:
         """Analyze one module; return its findings."""
-        return []
-
-    def analyze_project(self, project: "Project") -> List[Finding]:
-        """Whole-program analysis over the call graph / taint engine.
-
-        Only called when the interprocedural pass ran; ``project``
-        carries the parsed contexts, the :class:`~repro.analysis.
-        callgraph.CallGraph`, and the converged ``TaintEngine``.
-        """
         return []
 
 
@@ -320,67 +305,20 @@ def analyze_source(
     return [f for f in findings if suppressions.allows(f)]
 
 
-class Project:
-    """What the interprocedural pass hands to ``analyze_project``."""
-
-    def __init__(self, contexts, graph, engine) -> None:
-        #: Every parsed :class:`ModuleContext` in the run.
-        self.contexts = contexts
-        #: The resolved :class:`~repro.analysis.callgraph.CallGraph`.
-        self.graph = graph
-        #: The converged :class:`~repro.analysis.interproc.TaintEngine`.
-        self.engine = engine
-
-
-class Report:
-    """Result of one analysis run: findings plus interproc artifacts."""
-
-    def __init__(
-        self,
-        findings: List[Finding],
-        graph=None,
-        interproc: bool = False,
-    ) -> None:
-        self.findings = findings
-        self.graph = graph
-        self.interproc = interproc
-
-
 def run_report(
     paths: Sequence[str],
     rules: Optional[Iterable[str]] = None,
-    interproc: bool = False,
-) -> Report:
-    """Analyze every Python file under ``paths``; return a
-    :class:`Report` with findings sorted by location.
-
-    With ``rules=None`` the run covers every registered rule except
-    the interprocedural ones, which join when ``interproc=True``.
-    Explicitly selecting an interprocedural rule enables the pass.
-
-    Note: file-level suppressions silence a rule's *per-module*
-    findings in that file, and interprocedural findings
-    (``analyze_project``) whose location falls in that file.
-    """
+) -> List[Finding]:
+    """Analyze every Python file under ``paths`` with ``rules`` (every
+    registered rule when ``None``); return the surviving findings
+    sorted by location."""
     registry = registered_checkers()
-    if rules is not None:
-        selected = set(rules)
-        unknown = selected - set(registry)
-        if unknown:
-            raise ValueError(
-                f"unknown rule(s): {', '.join(sorted(unknown))}"
-            )
-        if any(registry[rule].requires_interproc for rule in selected):
-            interproc = True
-    else:
-        selected = {
-            rule
-            for rule, cls in registry.items()
-            if interproc or not cls.requires_interproc
-        }
+    selected = set(registry) if rules is None else set(rules)
+    unknown = selected - set(registry)
+    if unknown:
+        raise ValueError(f"unknown rule(s): {', '.join(sorted(unknown))}")
     checkers = [registry[rule]() for rule in sorted(selected)]
     findings: List[Finding] = []
-    contexts: List[ModuleContext] = []
     suppressions_by_path: Dict[str, Suppressions] = {}
     for path in iter_python_files(paths):
         try:
@@ -405,17 +343,8 @@ def run_report(
             )
             continue
         ctx = ModuleContext(path, source, tree)
-        contexts.append(ctx)
         for checker in checkers:
             findings.extend(checker.visit_module(ctx))
-    graph = None
-    if interproc:
-        from repro.analysis.interproc import run_taint_engine
-
-        graph, engine = run_taint_engine(contexts)
-        project = Project(contexts, graph, engine)
-        for checker in checkers:
-            findings.extend(checker.analyze_project(project))
     kept: List[Finding] = []
     for finding in findings:
         suppressions = suppressions_by_path.get(finding.path)
@@ -428,5 +357,5 @@ def run_report(
                 suppressions_by_path[path].audit(path, selected, all_rules)
             )
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return Report(kept, graph=graph, interproc=interproc)
+    return kept
 

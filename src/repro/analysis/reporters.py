@@ -25,21 +25,12 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Sequence[Finding],
-    interproc: Optional[Dict[str, object]] = None,
-) -> str:
-    """Stable JSON document (for the CI artifact and tooling).
-
-    ``interproc`` (the call-graph ``stats()`` dict) adds an
-    ``interproc`` section when the interprocedural pass ran.
-    """
-    document: Dict[str, object] = {
+def render_json(findings: Sequence[Finding]) -> str:
+    """Stable JSON document (for the CI artifact and tooling)."""
+    document = {
         "findings": [finding.to_dict() for finding in findings],
         "count": len(findings),
     }
-    if interproc is not None:
-        document["interproc"] = interproc
     return json.dumps(document, indent=2, sort_keys=True)
 
 

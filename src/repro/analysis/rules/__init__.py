@@ -12,5 +12,4 @@ from repro.analysis.rules import (  # noqa: F401
     proofs,
     quorum,
     suppressions,
-    taint,
 )

@@ -109,9 +109,7 @@ class HierarchicalPBFTNode(PBFTReplica):
         """Commit a value a remote site's message carries through this
         site's PBFT. Nothing is checked: the ablation keeps Blockplane's
         hierarchy but none of its verification (Section VIII-D)."""
-        return self.engine.submit(  # bp-lint: disable=BP009 -- ablation: unverified
-            value, payload_bytes=payload_bytes
-        )[1]
+        return self.engine.submit(value, payload_bytes=payload_bytes)[1]
 
     # -- remote-site side ------------------------------------------------
     def handle_global_accept(self, msg: GlobalAccept, src: str) -> None:

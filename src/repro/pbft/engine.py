@@ -1182,7 +1182,9 @@ class PBFTEngine:
             target = higher[self.f]
             if target > self._voted_view:
                 self._start_view_change(target)
-        if len(votes) < commit_quorum(self.f):
+        # Re-check the view: the join above casts our own vote, which
+        # re-enters this handler and may already have installed it.
+        if len(votes) < commit_quorum(self.f) or msg.new_view <= self.view:
             return
         if self.leader_of(msg.new_view) != self.node_id:
             return
@@ -1368,9 +1370,7 @@ class PBFTEngine:
             tally.setdefault(digest, set()).add(src)
             # Staging, not state: _apply_caught_up installs an entry
             # only once reply_quorum(f) sources vouch for its digest.
-            self._catch_up_values[  # bp-lint: disable=BP009 -- pre-quorum staging
-                (entry.seq, digest)
-            ] = entry
+            self._catch_up_values[(entry.seq, digest)] = entry
         self._apply_caught_up()
 
     def handle_snapshot_response(self, msg: SnapshotResponse, src: str) -> None:

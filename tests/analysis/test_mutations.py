@@ -1,9 +1,8 @@
 """One single-edit mutation of the real source per rule: each must fire.
 
 The repository is lint-clean (``test_selfcheck.py``), so a finding of
-the rule in the mutated file is the edit's doing. Per-module rules
-analyse a copy of the one file; the interprocedural rules need the
-whole tree and share one run over a copy with all their edits applied.
+the rule in the mutated file is the edit's doing. Every rule is
+per-module, so each mutation analyses a copy of its one file.
 """
 
 import pathlib
@@ -36,20 +35,10 @@ MUTATIONS = [
      "        except Exception:\n            # A crashing verification",
      "        except:\n            # A crashing verification"),
     ("BP007", "sim/simulator.py", "until > self.now", "until != self.now"),
-    ("BP009", "core/node.py",
-     "if not self.proof_valid(sealed.proof, record.digest(), record.source):"
-     "\n            if self.obs.enabled:",
-     "if False:\n            if self.obs.enabled:"),
-    ("BP010", "pbft/engine.py",
-     "verdict = self.app.verify(value, record_type, meta)",
-     "self.app.verify(value, record_type, meta)"),
-    ("BP012", "baselines/hierarchical_pbft.py",
-     "disable=BP009 -- ablation: unverified", "disable=BP009"),
+    ("BP012", "pbft/quorums.py",
+     "disable=BP002 -- the one module allowed to spell the raw formulas",
+     "disable=BP002"),
 ]
-INTERPROC = {
-    rule for rule, cls in registered_checkers().items()
-    if cls.requires_interproc
-}
 
 
 def mutate(root, rel, old, new):
@@ -63,18 +52,8 @@ def fired(root, rules):
     """(rule, file under ``root``) of every finding of a run on ``root``."""
     return {
         (f.rule, pathlib.Path(f.path).relative_to(root).as_posix())
-        for f in run_report([str(root)], rules=rules).findings
+        for f in run_report([str(root)], rules=rules)
     }
-
-
-@pytest.fixture(scope="module")
-def interproc_fired(tmp_path_factory):
-    root = tmp_path_factory.mktemp("tree") / "repro"
-    shutil.copytree(SRC, root)
-    for rule, rel, old, new in MUTATIONS:
-        if rule in INTERPROC:
-            mutate(root, rel, old, new)
-    return fired(root, sorted(INTERPROC))
 
 
 def test_every_rule_has_a_mutation():
@@ -86,13 +65,10 @@ def test_every_rule_has_a_mutation():
 @pytest.mark.parametrize(
     "rule, rel, old, new", MUTATIONS, ids=[m[0] for m in MUTATIONS]
 )
-def test_single_edit_fires_the_rule(rule, rel, old, new, tmp_path, request):
-    if rule in INTERPROC:
-        found = request.getfixturevalue("interproc_fired")
-    else:
-        root = tmp_path / "repro"
-        (root / rel).parent.mkdir(parents=True)
-        shutil.copy(SRC / rel, root / rel)
-        mutate(root, rel, old, new)
-        found = fired(root, [rule])
+def test_single_edit_fires_the_rule(rule, rel, old, new, tmp_path):
+    root = tmp_path / "repro"
+    (root / rel).parent.mkdir(parents=True)
+    shutil.copy(SRC / rel, root / rel)
+    mutate(root, rel, old, new)
+    found = fired(root, [rule])
     assert (rule, rel) in found, found

@@ -1,4 +1,4 @@
-"""SARIF reporter and the JSON interproc section."""
+"""SARIF and JSON reporters."""
 
 import json
 
@@ -33,12 +33,11 @@ def test_sarif_document_shape():
     assert location["region"] == {"startLine": 4, "startColumn": 12}
 
 
-def test_json_interproc_section():
-    document = json.loads(
-        render_json([], interproc={"unresolved_fraction": 0.05})
-    )
-    assert document["interproc"]["unresolved_fraction"] == 0.05
-    assert "interproc" not in json.loads(render_json([]))
+def test_json_document_holds_only_findings_and_count():
+    finding = Finding("BP001", "src/repro/core/x.py", 4, 11, "wall-clock")
+    document = json.loads(render_json([finding]))
+    assert sorted(document) == ["count", "findings"]
+    assert document["count"] == 1
 
 
 def test_cli_sarif_format(tmp_path, capsys):

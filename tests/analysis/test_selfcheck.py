@@ -5,6 +5,8 @@ import json
 import pathlib
 import re
 
+import pytest
+
 from repro.analysis import run_report
 from repro.analysis.__main__ import main
 
@@ -12,22 +14,12 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def test_src_repro_is_clean():
-    findings = run_report([str(REPO_ROOT / "src" / "repro")]).findings
+    findings = run_report([str(REPO_ROOT / "src" / "repro")])
     assert findings == [], "\n".join(str(f) for f in findings)
 
 
 def test_tests_are_clean():
-    findings = run_report([str(REPO_ROOT / "tests")]).findings
-    assert findings == [], "\n".join(str(f) for f in findings)
-
-
-def test_interprocedural_pass_is_clean():
-    # Every rule (call graph + taint fixpoint included) over the whole
-    # repository, src and tests in one graph — the CI gate.
-    findings = run_report(
-        [str(REPO_ROOT / "src" / "repro"), str(REPO_ROOT / "tests")],
-        interproc=True,
-    ).findings
+    findings = run_report([str(REPO_ROOT / "tests")])
     assert findings == [], "\n".join(str(f) for f in findings)
 
 
@@ -70,11 +62,13 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     assert re.findall(r"^BP\d{3}", out, re.M) == [
         "BP001", "BP002", "BP003", "BP004", "BP005",
-        "BP006", "BP007", "BP009", "BP010", "BP012",
+        "BP006", "BP007", "BP012",
     ]
 
 
-def test_cli_interproc_exit_zero_on_clean_tree(capsys):
-    code = main(["--interproc", str(REPO_ROOT / "src" / "repro")])
-    assert code == 0
-    assert "clean" in capsys.readouterr().out
+def test_cli_retired_interproc_flags_are_usage_errors(capsys):
+    for flag in (["--interproc"], ["--callgraph-out", "graph.json"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flag, str(REPO_ROOT / "src" / "repro")])
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err

@@ -35,8 +35,8 @@ def test_live_suppression_with_rationale_is_clean(tmp_path):
         "def now():\n"
         "    return time.time()  # bp-lint: disable=BP001 -- test seam\n",
     )
-    report = run_report([str(tmp_path)], rules=["BP001", "BP012"])
-    assert report.findings == []
+    findings = run_report([str(tmp_path)], rules=["BP001", "BP012"])
+    assert findings == []
 
 
 def test_stale_suppression_fails_the_build(tmp_path):
@@ -45,9 +45,9 @@ def test_stale_suppression_fails_the_build(tmp_path):
         "def now():\n"
         "    return 1  # bp-lint: disable=BP001 -- obsolete claim\n",
     )
-    report = run_report([str(tmp_path)], rules=["BP001", "BP012"])
-    assert rules_of(report.findings) == ["BP012"]
-    assert "stale suppression" in report.findings[0].message
+    findings = run_report([str(tmp_path)], rules=["BP001", "BP012"])
+    assert rules_of(findings) == ["BP012"]
+    assert "stale suppression" in findings[0].message
 
 
 def test_missing_rationale_fails_even_when_live(tmp_path):
@@ -58,9 +58,9 @@ def test_missing_rationale_fails_even_when_live(tmp_path):
         "def now():\n"
         "    return time.time()  # bp-lint: disable=BP001\n",
     )
-    report = run_report([str(tmp_path)], rules=["BP001", "BP012"])
-    assert rules_of(report.findings) == ["BP012"]
-    assert "no rationale" in report.findings[0].message
+    findings = run_report([str(tmp_path)], rules=["BP001", "BP012"])
+    assert rules_of(findings) == ["BP012"]
+    assert "no rationale" in findings[0].message
 
 
 def test_unjudgeable_rules_are_not_reported_stale(tmp_path):
@@ -68,10 +68,10 @@ def test_unjudgeable_rules_are_not_reported_stale(tmp_path):
     # only the missing-rationale half may fire (it has one here).
     write_module(
         tmp_path,
-        "x = 1  # bp-lint: disable=BP003 -- awaiting interproc triage\n",
+        "x = 1  # bp-lint: disable=BP003 -- awaiting triage\n",
     )
-    report = run_report([str(tmp_path)], rules=["BP001", "BP012"])
-    assert report.findings == []
+    findings = run_report([str(tmp_path)], rules=["BP001", "BP012"])
+    assert findings == []
 
 
 def test_bp012_findings_cannot_be_suppressed(tmp_path):
@@ -79,6 +79,6 @@ def test_bp012_findings_cannot_be_suppressed(tmp_path):
         tmp_path,
         "x = 1  # bp-lint: disable=BP012,BP001 -- trying to mute the audit\n",
     )
-    report = run_report([str(tmp_path)], rules=["BP001", "BP012"])
-    assert rules_of(report.findings) == ["BP012"]
-    assert "stale suppression" in report.findings[0].message
+    findings = run_report([str(tmp_path)], rules=["BP001", "BP012"])
+    assert rules_of(findings) == ["BP012"]
+    assert "stale suppression" in findings[0].message

@@ -19,6 +19,7 @@ from repro.pbft.engine import PBFTApp, PBFTEngine, request_digest
 from repro.pbft.messages import (
     RECORD_TYPE_COMMIT,
     ClientRequest,
+    NewView,
     PrePrepare,
     Prepare,
     Reply,
@@ -49,6 +50,7 @@ class Router:
         self.pool = []  # (src, dst, message), delivered in any order
         self.timers = []  # (handle, fn, args), fired only by hand
         self.down = set()
+        self.sent = []  # (src, message), one per send or broadcast
         peers = [f"r{i}" for i in range(n)]
         self.engines = [
             PBFTEngine(
@@ -62,9 +64,11 @@ class Router:
         ]
 
     def send(self, src, dst, message):
+        self.sent.append((src, message))
         self.pool.append((src, dst, message))
 
     def broadcast(self, src, dsts, message):
+        self.sent.append((src, message))
         self.pool += [(src, dst, message) for dst in dsts if dst != src]
 
     def set_timer(self, delay, fn, *args):
@@ -187,6 +191,35 @@ def test_view_change_fired_by_hand():
     assert future.resolved and values_of(r1) == [(1, "v")]
     assert_agreement([r1, r2, r3], 1)
     assert r0.last_executed == 0
+
+
+def test_leader_that_joins_by_the_join_rule_installs_its_view_once():
+    # r2 and r3 suspect the silent r0; r1 never does, so it joins view 1
+    # by the f + 1 rule. Its own vote re-enters the tally and installs
+    # the view it leads; the outer frame must not install it again,
+    # which would re-propose a used seq for the next request.
+    router = Router(4)
+    r0, r1, r2, r3 = router.engines
+    router.down.add("r0")
+    r2.submit("w")
+    r1.submit("a")
+    router.drain()
+    router.fire("_request_timeout", r2)
+    router.drain()
+    router.fire("_client_request_watchdog", r3)
+    router.drain()
+    assert r1.view == 1 and r1.leader_of(1) == "r1"
+    sent = [message for src, message in router.sent if src == "r1"]
+    assert sum(isinstance(message, NewView) for message in sent) == 1
+    digests = {}
+    for message in sent:
+        if isinstance(message, NewView):
+            proposals = message.pre_prepares
+        else:
+            proposals = [message] if isinstance(message, PrePrepare) else []
+        for pp in proposals:
+            digests.setdefault((pp.view, pp.seq), set()).add(pp.digest)
+    assert all(len(found) == 1 for found in digests.values()), digests
 
 
 def test_checkpoint_stabilises_and_truncates_slots():

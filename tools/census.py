@@ -148,7 +148,7 @@ def real_paths(work: str) -> List[List[str]]:
     read what earlier ones wrote."""
     py = sys.executable
     repro = [py, "-m", "repro"]
-    lint = [py, "-m", "repro.analysis", "src", "tests", "--interproc"]
+    lint = [py, "-m", "repro.analysis", "src", "tests"]
     audit_sizes = ["--batches", "6", "--horizon-ms", "12000",
                    "--settle-ms", "8000"]
     commands = [[py, "bench/run.py", "--selftest"]]
@@ -164,7 +164,7 @@ def real_paths(work: str) -> List[List[str]]:
         repro,
         repro + ["--obs-out", "{w}/obs", "fig4", "fig5", "fig6", "table2"],
         repro + ["chaos", "--seed", "7", "--runs", "5", "--profile", "mixed",
-                 "--shrink", "--obs-out", "{w}/chaos"],
+                 "--shrink", "--strict", "--obs-out", "{w}/chaos"],
         repro + ["chaos", "--seed", "2", "--runs", "2", "--profile",
                  "byzantine", *audit_sizes, "--strict", "--obs-out",
                  "{w}/audit"],
@@ -179,7 +179,7 @@ def real_paths(work: str) -> List[List[str]]:
         repro + ["console", "--bundle", "{w}/obs/console.json", "--out",
                  "{w}/replayed.html"],
         lint,
-        lint + ["--callgraph-out", "{w}/callgraph.json", "--format", "json"],
+        lint + ["--format", "json"],
         lint + ["--format", "sarif"],
         [py, "-m", "repro.analysis", "--list-rules"],
     ]
