@@ -47,6 +47,9 @@ bench-selftest:
 # counter, any *_vms value that is not `same`, or any workload whose
 # schedule_digest, failed or correct differs between the two result files
 # (`--compare` itself only fails on REGRESSED/unresolved host-time rows).
+# It also proves the evidence unchanged: both trees export
+# `python -m repro --obs-out DIR fig4`, and journal.json, metrics.json and
+# trace.json must be byte-identical (`cmp`).
 IDENTICAL_DIR ?= /tmp/repro-identical
 identical:
 	@test -n "$(BASE)" || { echo "usage: make identical BASE=<rev>" >&2; exit 2; }
@@ -74,7 +77,12 @@ identical:
 			$$seed $(IDENTICAL_DIR)/base-$$seed.json $(IDENTICAL_DIR)/tree-$$seed.json \
 			|| status=1; \
 	done; \
-	test $$status -ne 0 || echo "identical on seeds 7 and 11: every exact counter, *_vms value, schedule_digest, failed and correct"; \
+	(cd $(IDENTICAL_DIR)/base && $(PYTHON) -m repro --obs-out ../base-obs fig4) >/dev/null || status=1; \
+	$(PYTHON) -m repro --obs-out $(IDENTICAL_DIR)/tree-obs fig4 >/dev/null || status=1; \
+	for artifact in journal.json metrics.json trace.json; do \
+		cmp $(IDENTICAL_DIR)/base-obs/$$artifact $(IDENTICAL_DIR)/tree-obs/$$artifact || status=1; \
+	done; \
+	test $$status -ne 0 || echo "identical on seeds 7 and 11: every exact counter, *_vms value, schedule_digest, failed and correct; fig4 journal.json, metrics.json and trace.json byte-identical"; \
 	exit $$status
 
 # What full observability costs: the same traffic with telemetry off

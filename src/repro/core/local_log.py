@@ -75,9 +75,19 @@ class LocalLog:
         # time; appends are the hottest metric site after the network).
         self._append_counters: Dict[str, Any] = {}
         self._length_gauge = None
-        # Same for the flight recorder: the bound emit path (None when
-        # forensics is off) and this participant's position -> trace map.
-        self._emit = self.obs.event if self.obs.forensics else None
+        # Same for the flight recorder: the journal (None when forensics
+        # is off) with one ``log.append`` header per arg shape, and this
+        # participant's position -> trace map.
+        journal = self._journal = self.obs.journal if self.obs.forensics else None
+        if journal is not None:
+            self._append_headers = tuple(
+                journal.header("log.append", participant, node_id, names)
+                for names in (
+                    ("position", "record_type", "destination"),
+                    ("position", "record_type", "source", "source_position"),
+                    ("position", "record_type"),
+                )
+            )
         self._entry_traces: Dict[int, Any] = (
             self.obs.entry_traces(participant) if self.obs.enabled else {}
         )
@@ -179,29 +189,22 @@ class LocalLog:
                     "log_length", participant=self.participant
                 )
             gauge.value = float(len(self.entries))
-            emit = self._emit
-            if emit is not None:
-                trace = self._entry_traces.get(entry.position)
+            journal = self._journal
+            if journal is not None:
+                position = entry.position
+                trace = self._entry_traces.get(position)
+                comm, received, plain = self._append_headers
                 if record_type == RECORD_COMMUNICATION:
-                    emit(
-                        "log.append", self.participant, self.node_id, trace,
-                        position=entry.position, record_type=record_type,
-                        destination=entry.destination,
-                    )
+                    row = (position, record_type, entry.destination)
+                    journal.record(comm, trace, row)
                 elif record_type == RECORD_RECEIVED and isinstance(
                     value, SealedTransmission
                 ):
-                    emit(
-                        "log.append", self.participant, self.node_id, trace,
-                        position=entry.position, record_type=record_type,
-                        source=value.record.source,
-                        source_position=value.record.source_position,
-                    )
+                    sent = value.record
+                    row = (position, record_type, sent.source, sent.source_position)
+                    journal.record(received, trace, row)
                 else:
-                    emit(
-                        "log.append", self.participant, self.node_id, trace,
-                        position=entry.position, record_type=record_type,
-                    )
+                    journal.record(plain, trace, (position, record_type))
         return entry
 
     def read(self, position: int) -> LogEntry:

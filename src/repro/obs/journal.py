@@ -101,9 +101,10 @@ class EventJournal:
         self._max = max_events
         # A retained event is a row across parallel columns, never an
         # object; ids are consecutive, so none are stored. Its header —
-        # (kind, participant, node, arg names) — is an index into this
-        # dict's insertion order: about one per (kind, node) pair in a run.
+        # (kind, participant, node, arg names) — is an index into
+        # ``_headers``: about one per (kind, node) pair in a run.
         self._header_ids: Dict[Tuple[str, str, str, tuple], int] = {}
+        self._headers: List[Tuple[str, str, str, tuple]] = []
         self._header = array("I")
         self._at = array("d")
         self._values: List[Optional[tuple]] = []  # arg values
@@ -130,6 +131,29 @@ class EventJournal:
         """Invoke ``callback`` with every subsequently recorded event."""
         self._subscribers.append(callback)
 
+    def header(self, kind: str, participant: str, node: str, names: tuple) -> int:
+        """Intern one call site's header; return the id :meth:`record` takes."""
+        key = (kind, participant, node, tuple(names))
+        if key not in self._header_ids:
+            self._header_ids[key] = len(self._headers)
+            self._headers.append(key)
+        return self._header_ids[key]
+
+    def record(self, header_id: int, trace: Optional[tuple], values: tuple) -> None:
+        """Append one event under a :meth:`header` id, its arg values in
+        the header's name order: the hot-path write, one frame and no
+        dict."""
+        now = self.clock.now
+        self._header.append(header_id)
+        self._at.append(now)
+        self._values.append(values)
+        event_id = self.recorded = self.recorded + 1
+        if trace is not None:
+            self._traces[event_id] = trace
+        cap = self._max
+        if (cap is not None and event_id > cap) or self._subscribers:
+            self._evict_and_publish(event_id, header_id, now, trace, values)
+
     def emit(
         self,
         kind: str,
@@ -140,27 +164,38 @@ class EventJournal:
     ) -> None:
         """Append one event stamped with the clock's current time.
 
-        The journal's only write path, and — bound as
-        ``Observability.event`` — the whole cost of one protocol fact:
-        this frame. The call's ``args`` dict is split into header names
-        and row values; an event object is built for subscribers only.
+        The keyword form of :meth:`record` for cold call sites — bound
+        as ``Observability.event``, one frame per fact. The call's
+        ``args`` dict is split into header names and row values; an
+        event object is built for subscribers only.
         """
         header = (kind, participant, node, tuple(args))
         try:
             header_id = self._header_ids[header]
         except KeyError:
-            header_id = self._header_ids[header] = len(self._header_ids)
+            self._headers.append(header)
+            header_id = self._header_ids[header] = len(self._headers) - 1
         now = self.clock.now
         self._header.append(header_id)
         self._at.append(now)
-        self._values.append(tuple(args.values()))
+        values = tuple(args.values())
+        self._values.append(values)
         event_id = self.recorded = self.recorded + 1
         if trace is not None:
             self._traces[event_id] = trace
         cap = self._max
+        if (cap is not None and event_id > cap) or self._subscribers:
+            self._evict_and_publish(event_id, header_id, now, trace, values)
+
+    def _evict_and_publish(
+        self, event_id: int, header_id: int, now: float, trace: Any, values: tuple
+    ) -> None:
+        """The cold half of both writes, run only once the ring is full
+        or while a subscriber exists: release the oldest row (cutting the
+        dead prefix off once it is an eighth of the ring), then hand
+        every subscriber one event built from the new row."""
+        cap = self._max
         if cap is not None and event_id > cap:
-            # Full from here on: release what the oldest row holds, and
-            # cut the dead prefix off once it is an eighth of the ring.
             head = self._head
             self._values[head] = None
             self._traces.pop(event_id - cap, None)
@@ -170,9 +205,9 @@ class EventJournal:
                     del column[:head]
                 self._head = 0
         if self._subscribers:
-            event = ProtocolEvent(
-                event_id, kind, now, participant, node, trace, args
-            )
+            kind, participant, node, names = self._headers[header_id]
+            args = dict(zip(names, values))
+            event = ProtocolEvent(event_id, kind, now, participant, node, trace, args)
             for callback in self._subscribers:
                 callback(event)
 
@@ -195,7 +230,7 @@ class EventJournal:
     def __iter__(self) -> Iterator[ProtocolEvent]:
         """Retained events in record order, built one at a time as the
         caller advances."""
-        headers = list(self._header_ids)
+        headers = self._headers
         values, traces = self._values, self._traces
         event_id = self.recorded - len(self)
         for row in range(self._head, len(values)):

@@ -53,8 +53,9 @@ class PaxosCore(PaxosAcceptor):
     A tally is keyed ``(ballot, None)`` for an election and ``(ballot,
     slot)`` for one slot. :meth:`start_election`, :meth:`propose` and
     :meth:`vote` return its outcome: True once a majority granted, False
-    once a majority cannot or a refusal moved our ballot past it, else
-    None. A decided tally is closed; later answers return None.
+    once a majority cannot, our own acceptor refused, or a refusal moved
+    our ballot past it, else None. A decided tally is closed; later
+    answers return None.
     """
 
     def __init__(self, name: str, participants: Sequence[str]) -> None:
@@ -121,7 +122,9 @@ class PaxosCore(PaxosAcceptor):
             granted[acceptor] = accepted
         else:
             refused.add(acceptor)
-        if ballot != self.ballot or len(refused) > self.n - self.majority:
+        # Our own acceptor's refusal is as decisive as a lost majority.
+        lost = self.name in refused or len(refused) > self.n - self.majority
+        if ballot != self.ballot or lost:
             outcome = False
         elif len(granted) >= self.majority:
             outcome = True

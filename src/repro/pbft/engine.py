@@ -19,7 +19,7 @@ Blockplane's modifications (Section IV-B of the paper):
 The engine owns no socket, scheduler or telemetry hub. It reaches the
 world only through what its constructor is handed — ``send``,
 ``broadcast``, ``set_timer``, a clock, a future factory, the flight
-recorder's ``emit`` — and asks everything group-specific of one *app*
+recorder's journal — and asks everything group-specific of one *app*
 object (:class:`PBFTApp`). Whoever delivers a message calls the bound
 ``handle_<kind>`` method. :class:`repro.pbft.replica.PBFTReplica` is the
 host that wires an engine to a simulated machine; a test can wire one to
@@ -240,8 +240,10 @@ class PBFTEngine:
         clock: Anything with a ``.now`` in virtual milliseconds.
         make_future: ``make_future(label)`` returning an object with
             ``resolved`` / ``resolve(value)`` / ``reject(exception)``.
-        emit: The flight recorder's ``emit(kind, participant, node,
-            trace, **args)``, or None when nothing journals.
+        journal: The flight recorder — anything with ``header``,
+            ``record`` and ``emit`` like :class:`repro.obs.EventJournal`
+            — or None when nothing journals. Votes and pre-prepares go
+            through headers interned here; rarer facts through ``emit``.
         probe: Optional telemetry listener — ``slot_executed(entry,
             slot)`` before the ``on_executed`` callbacks of a normally
             executed non-noop slot, ``verify_rejected()``,
@@ -267,7 +269,7 @@ class PBFTEngine:
         set_timer: Callable[..., Any],
         clock: Any,
         make_future: Callable[[str], Any],
-        emit: Optional[Callable[..., None]] = None,
+        journal: Any = None,
         probe: Any = None,
     ) -> None:
         if node_id not in peers:
@@ -287,7 +289,14 @@ class PBFTEngine:
         self.set_timer = set_timer
         self.clock = clock
         self._make_future = make_future
-        self._emit = emit
+        self._journal = journal
+        if journal is not None:
+            names = ("phase", "view", "seq", "digest", "voter", "src")
+            self._vote_header = journal.header("pbft.vote", site, node_id, names)
+            names = ("view", "seq", "digest", "leader", "request_id")
+            self._pre_prepare_header = journal.header(
+                "pbft.pre_prepare", site, node_id, names
+            )
         self._probe = probe
         # The group never reconfigures, so its size, the byzantine
         # failures it tolerates and the quorum thresholds are constants
@@ -612,12 +621,11 @@ class PBFTEngine:
             # leader sending one digest with different values would
             # otherwise fork the backups that accept them.
             return
-        emit = self._emit
-        if emit is not None:
-            emit(
-                "pbft.pre_prepare", self.site, self.node_id, msg.trace,
-                view=msg.view, seq=msg.seq, digest=msg.digest, leader=src,
-                request_id=msg.request_id,
+        journal = self._journal
+        if journal is not None:
+            journal.record(
+                self._pre_prepare_header, msg.trace,
+                (msg.view, msg.seq, msg.digest, src, msg.request_id),
             )
         slot = self.slots.get(msg.seq)
         if slot is not None and slot.has_pre_prepare:
@@ -697,12 +705,11 @@ class PBFTEngine:
         pre-prepare, and only votes matching the eventually-fixed
         digest count toward the quorum.
         """
-        emit = self._emit
-        if emit is not None:
-            emit(
-                "pbft.vote", self.site, self.node_id, None,
-                phase="prepare", view=msg.view, seq=msg.seq,
-                digest=msg.digest, voter=msg.replica, src=src,
+        journal = self._journal
+        if journal is not None:
+            journal.record(
+                self._vote_header, None,
+                ("prepare", msg.view, msg.seq, msg.digest, msg.replica, src),
             )
         if msg.replica != src:
             return  # a replica may only vote as itself
@@ -740,8 +747,8 @@ class PBFTEngine:
         if not verdict:
             if self._probe is not None:
                 self._probe.verify_rejected()
-            if self._emit is not None:
-                self._emit(
+            if self._journal is not None:
+                self._journal.emit(
                     "pbft.verify_reject", self.site, self.node_id, slot.trace,
                     view=slot.view, seq=seq,
                     record_type=slot.record_type, digest=slot.digest,
@@ -784,12 +791,11 @@ class PBFTEngine:
 
     def handle_commit(self, msg: Commit, src: str) -> None:
         """Tally a commit vote; execute once a quorum exists in order."""
-        emit = self._emit
-        if emit is not None:
-            emit(
-                "pbft.vote", self.site, self.node_id, None,
-                phase="commit", view=msg.view, seq=msg.seq,
-                digest=msg.digest, voter=msg.replica, src=src,
+        journal = self._journal
+        if journal is not None:
+            journal.record(
+                self._vote_header, None,
+                ("commit", msg.view, msg.seq, msg.digest, msg.replica, src),
             )
         if msg.replica != src:
             return
@@ -1024,8 +1030,8 @@ class PBFTEngine:
         self._gc_below(seq, executed_only=True)
         if self.config.gc_executed_log:
             self._truncate_executed_entries(min(seq, self.last_executed))
-        if self._emit is not None:
-            self._emit(
+        if self._journal is not None:
+            self._journal.emit(
                 "pbft.stable_checkpoint", self.site, self.node_id, None,
                 seq=seq, snapshot_digest=snapshot_digest,
             )
@@ -1112,8 +1118,8 @@ class PBFTEngine:
         self._last_view_change_vote = vote
         if self._probe is not None:
             self._probe.view_change_started()
-        if self._emit is not None:
-            self._emit(
+        if self._journal is not None:
+            self._journal.emit(
                 "pbft.view_change", self.site, self.node_id, None,
                 new_view=new_view, last_executed=self.last_executed,
                 suspected_leader=self.leader_of(self.view),
@@ -1230,8 +1236,8 @@ class PBFTEngine:
         new_view_msg = NewView(
             new_view=new_view, pre_prepares=pre_prepares, replica=self.node_id
         )
-        if self._emit is not None:
-            self._emit(
+        if self._journal is not None:
+            self._journal.emit(
                 "pbft.new_view", self.site, self.node_id, None,
                 view=new_view, reproposed=len(pre_prepares),
             )
@@ -1390,8 +1396,8 @@ class PBFTEngine:
                 self._adopt_snapshot(certificate, msg.snapshot)
             else:
                 self.snapshot_offers_rejected += 1
-                if self._emit is not None:
-                    self._emit(
+                if self._journal is not None:
+                    self._journal.emit(
                         "pbft.snapshot_reject", self.site, self.node_id, None,
                         src=src, seq=certificate.seq,
                         snapshot_digest=certificate.snapshot_digest,
@@ -1415,8 +1421,8 @@ class PBFTEngine:
         # happens for certificates beyond our execution point).
         self._truncate_executed_entries(seq)
         self._gc_below(seq, executed_only=False)
-        if self._emit is not None:
-            self._emit(
+        if self._journal is not None:
+            self._journal.emit(
                 "pbft.snapshot_install", self.site, self.node_id, None,
                 seq=seq, snapshot_digest=certificate.snapshot_digest,
             )

@@ -4,7 +4,7 @@ The protocol lives in :class:`repro.pbft.engine.PBFTEngine`, which
 knows no simulator and no telemetry hub. :class:`PBFTReplica` is the
 thin host around it: it hands the engine this :class:`Node`'s
 ``send`` / ``broadcast`` / ``set_timer``, the simulator as clock and
-future factory and the flight recorder's ``emit``; installs the engine's
+future factory and the flight recorder's journal; installs the engine's
 bound ``handle_<kind>`` methods straight into the node's dispatch table;
 answers the engine's app questions (:class:`PBFTApp`) for a plain PBFT
 group; and is the only place metrics and spans attach to consensus.
@@ -82,9 +82,9 @@ class PBFTReplica(Node, PBFTApp):
             set_timer=self.set_timer,
             clock=sim,
             make_future=functools.partial(Future, sim),
-            # The flight recorder's bound emit path (None when forensics
-            # is off): one Python frame per journaled fact.
-            emit=self.obs.event if self.obs.forensics else None,
+            # The flight recorder (None when forensics is off): one
+            # Python frame per journaled fact.
+            journal=self.obs.journal if self.obs.forensics else None,
             probe=self if self.obs.enabled else None,
         )
         # Deliveries go straight to the engine: no forwarding frame per

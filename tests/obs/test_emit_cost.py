@@ -1,8 +1,8 @@
-"""Work proof for the flight recorder's emit path and its store.
+"""Work proof for the flight recorder's write paths and its store.
 
-Wall-clock says whether ``obs.event`` got faster on this machine today;
-these tests say *why*, deterministically: how many Python frames one
-event costs, how many ``ProtocolEvent`` objects the write path builds,
+Wall-clock says whether ``obs.event`` and a replica's vote journaling
+got faster on this machine today; these tests say *why*,
+deterministically: how many Python frames one event costs, how many ``ProtocolEvent`` objects the write path builds,
 and how many bytes the ring holds per retained event — against
 :class:`ReferenceJournal`, the deque-of-``ProtocolEvent`` store the
 columnar ring replaced, kept here as the oracle.
@@ -15,7 +15,10 @@ from collections import deque
 from types import SimpleNamespace
 
 from repro.obs import EventJournal, Observability, ProtocolEvent
+from repro.obs import journal as journal_module
+from repro.pbft.messages import Prepare
 from repro.sim.simulator import Simulator
+from tests.pbft.helpers import make_group
 
 EVENTS = 50
 RETAINED = 10_000
@@ -173,3 +176,63 @@ def test_forensics_off_event_is_a_single_call_and_records_nothing():
     assert len(frames) == EVENTS  # ``event`` itself, nothing beyond it
     assert result is None
     assert obs.journal.recorded == 0
+
+
+def _profile_prepares(replica, votes):
+    """Deliver ``votes`` to ``replica``'s engine under ``sys.setprofile``;
+    return the code objects of the ``repro.obs.journal`` frames entered,
+    ``ProtocolEvent.__init__`` (generated, so file-less) included."""
+    codes = []
+    event_init = ProtocolEvent.__init__.__code__
+
+    def profiler(frame, event, _arg):
+        code = frame.f_code
+        if event == "call" and (
+            code.co_filename == journal_module.__file__ or code is event_init
+        ):
+            codes.append(code)
+
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        for vote in votes:
+            replica.engine.handle_prepare(vote, vote.replica)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return codes
+
+
+def test_a_replica_vote_costs_one_record_frame():
+    obs = Observability(forensics=True)
+    _sim, replicas = make_group(obs=obs)
+    replica = replicas[1]
+    # Votes for slots with no pre-prepare yet: tallied, never executed.
+    votes = [
+        Prepare(view=0, seq=seq, digest="d", replica="r2")
+        for seq in range(100, 100 + EVENTS)
+    ]
+    before = obs.journal.recorded
+    codes = _profile_prepares(replica, votes)
+    # One positional append per vote: no ``emit``, no header interning,
+    # no ``ProtocolEvent`` without a subscriber.
+    assert codes == [EventJournal.record.__code__] * EVENTS
+    assert obs.journal.recorded == before + EVENTS
+    last = list(obs.journal)[-1]
+    assert (last.kind, last.participant, last.node) == ("pbft.vote", "DC", "r1")
+    assert last.args == {
+        "phase": "prepare", "view": 0, "seq": 100 + EVENTS - 1,
+        "digest": "d", "voter": "r2", "src": "r2",
+    }
+
+    # A subscriber gets one event per vote, equal to what was stored.
+    seen = []
+    obs.journal.subscribe(seen.append)
+    more = [Prepare(view=0, seq=seq, digest="e", replica="r3") for seq in (7, 8)]
+    codes = _profile_prepares(replica, more)
+    assert [code.co_name for code in codes] == [
+        "record", "_evict_and_publish", "__init__"
+    ] * len(more)
+    assert [e.to_dict() for e in seen] == [
+        e.to_dict() for e in list(obs.journal)[-len(more):]
+    ]

@@ -109,3 +109,23 @@ def test_duplicate_answers_count_once():
 def test_core_must_be_a_participant():
     with pytest.raises(ProtocolError):
         PaxosCore("Z", PEERS)
+
+
+def test_own_refusal_at_the_same_round_is_decisive():
+    # Our acceptor promised (1, "B"); our next ballot (1, "A") is of the
+    # same round and below it, so neither tally can win.
+    core = PaxosCore("A", PEERS)
+    assert core.promise((1, "B")) == {}
+    assert core.start_election() is False
+    assert core.ballot == (1, "A") and not core.leader
+    assert core.vote("C", (1, "A"), None) is None  # the tally is closed
+    # The next round beats the promise.
+    assert core.start_election() is None and core.ballot == (2, "A")
+    assert core.vote("B", (2, "A"), None) is None
+    assert core.vote("C", (2, "A"), None) is True and core.leader
+    # A proposal our own acceptor refuses at the same round fails too.
+    slot = core.claim_slot()
+    core.promised = (2, "B")
+    assert core.propose(slot, "x") is False
+    assert core.vote("C", (2, "A"), slot) is None
+    assert slot not in core.chosen

@@ -75,11 +75,29 @@ def test_higher_ballot_deposes_leader():
     assert nodes["A"].is_leader
     sim.run_until_resolved(nodes["B"].elect_leader())
     assert nodes["B"].is_leader
-    # A's next replicate gets nacked and A steps down.
+    # A's own acceptor promised B's ballot: A's next replicate fails at
+    # once and A steps down.
     future = nodes["A"].replicate("stale")
     sim.run(until=sim.now + 100)
     assert not nodes["A"].is_leader
     assert not future.resolved or future.exception is not None
+
+
+def test_remote_nack_deposes_leader():
+    sim, nodes = make_cluster()
+    sim.run_until_resolved(nodes["A"].elect_leader())
+    # B is elected while A is down, so only the others promised B.
+    nodes["A"].crash()
+    sim.run_until_resolved(nodes["B"].elect_leader())
+    nodes["A"].recover()
+    assert nodes["A"].is_leader
+    # A's next Accept goes out, both acceptors nack it, A steps down.
+    sent = nodes["A"].network.messages_sent
+    future = nodes["A"].replicate("stale")
+    sim.run(until=sim.now + 100)
+    assert nodes["A"].network.messages_sent > sent
+    assert not nodes["A"].is_leader
+    assert future.resolved and isinstance(future.exception, ProtocolError)
 
 
 def test_new_leader_adopts_previously_accepted_values():
@@ -133,3 +151,24 @@ def test_proposer_refused_by_its_own_acceptor_sends_nothing():
     assert not node.is_leader
     sim.run(until=sim.now + 100)
     assert network.messages_sent == sent
+
+
+def test_own_refusal_at_the_same_round_sends_nothing():
+    # Our acceptor promised a ballot of the same round as our next one
+    # ((1, "B-p") > (1, "A-p")): the election is lost before any Prepare.
+    sim, nodes = make_cluster()
+    node = nodes["A"]
+    node.core.promise((1, "B-p"))
+    election = node.elect_leader()
+    assert election.resolved and isinstance(election.exception, ProtocolError)
+    sim.run(until=100.0)
+    assert node.network.messages_sent == 0
+    # Likewise an Accept its own acceptor refuses at the same round.
+    sim.run_until_resolved(node.elect_leader())
+    sent = node.network.messages_sent
+    round_ = node.core.ballot[0]
+    node.core.promised = (round_, "Z-p")
+    future = node.replicate("v")
+    assert future.resolved and isinstance(future.exception, ProtocolError)
+    sim.run(until=sim.now + 100)
+    assert node.network.messages_sent == sent

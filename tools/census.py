@@ -83,7 +83,7 @@ FAILURE_PATHS: Dict[str, str] = {
     # A refused Paxos ballot (the flat host's end of PaxosCore.vote's
     # reject path), an overflowing span ring, shed load.
     "repro.paxos.node:MultiPaxosNode.handle_nack":
-        "tests/paxos/test_paxos.py::test_higher_ballot_deposes_leader",
+        "tests/paxos/test_paxos.py::test_remote_nack_deposes_leader",
     "repro.obs.spans:SpanLog._evict":
         "tests/obs/test_spans.py::test_span_ring_buffer_drops_oldest",
     "repro.workloads.openloop:open_loop_process._retry":
