@@ -24,8 +24,15 @@ lint:
 lint-rules:
 	$(PYTHON) -m repro.analysis --list-rules
 
+# The seed-7 mixed sweep, then a strict replay of every committed plan
+# (mixed runs whose recovered backup once kept its stale view,
+# ROBUSTNESS finding 9).
+CHAOS_PLANS = $(sort $(wildcard tests/chaos/plans/*.json))
 chaos:
 	$(PYTHON) -m repro.chaos --seed 7 --runs 5 --profile mixed --shrink --strict
+	@for plan in $(CHAOS_PLANS); do \
+		$(PYTHON) -m repro.chaos --plan $$plan --strict || exit 1; \
+	done
 
 # Both verdicts per run, at the audit's plan sizes: --strict fails a
 # run on any invariant violation or imperfect attribution.

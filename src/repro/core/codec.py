@@ -185,10 +185,11 @@ MANIFEST: Dict[type, Tuple[str, Tuple[str, ...]]] = {
         "@cq", ("payload_bytes", "from_seq", "replica"),
     ),
     _pbft_messages.CatchUpResponse: (
-        "@cs", ("payload_bytes", "entries", "replica"),
+        "@cs", ("payload_bytes", "entries", "view", "replica"),
     ),
     _pbft_messages.SnapshotResponse: (
-        "@ss", ("payload_bytes", "certificate", "snapshot", "entries", "replica"),
+        "@ss",
+        ("payload_bytes", "certificate", "snapshot", "entries", "view", "replica"),
     ),
     # paxos
     _paxos_messages.PaxosPrepare: ("@xp", ("payload_bytes", "ballot")),

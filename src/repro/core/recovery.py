@@ -57,4 +57,4 @@ def force_view_change(unit: BlockplaneUnit) -> None:
             target_view=target, live=[node.node_id for node in live],
         )
     for node in live:
-        node.engine._start_view_change(target)
+        node.engine.start_view_change(target)

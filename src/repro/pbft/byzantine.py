@@ -74,7 +74,7 @@ class EquivocatingEngine(PBFTEngine):
         others = [peer for peer in self.peers if peer != self.node_id]
         for index, peer in enumerate(others):
             self.send(peer, honest if index % 2 == 0 else forged)
-        self.handle_pre_prepare(honest, self.node_id)
+        self._accept_pre_prepare(honest, self.node_id)
 
 
 class EquivocatingLeader(PBFTReplica):
@@ -90,7 +90,7 @@ class EquivocatingLeader(PBFTReplica):
 class TamperingEngine(PBFTEngine):
     """Votes with corrupted digests in both vote phases."""
 
-    def handle_pre_prepare(self, msg: PrePrepare, src: str) -> None:
+    def _accept_pre_prepare(self, msg: PrePrepare, src: str) -> None:
         if msg.view != self.view or src != self.leader_of(msg.view):
             return
         bogus = Prepare(

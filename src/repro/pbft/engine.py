@@ -21,15 +21,18 @@ world only through what its constructor is handed — ``send``,
 ``broadcast``, ``set_timer``, a clock, a future factory, the flight
 recorder's journal — and asks everything group-specific of one *app*
 object (:class:`PBFTApp`). Whoever delivers a message calls the bound
-``handle_<kind>`` method. :class:`repro.pbft.replica.PBFTReplica` is the
-host that wires an engine to a simulated machine; a test can wire one to
-five lists instead. The engine is honest; byzantine variants used by the
-test suite live in :mod:`repro.pbft.byzantine`.
+``handle_<kind>`` method — never the engine itself: what it sends itself
+waits in an outbox until its step ends (:meth:`PBFTEngine._step`).
+:class:`repro.pbft.replica.PBFTReplica` is the host that wires an engine
+to a simulated machine; a test can wire one to five lists instead. The
+engine is honest; byzantine variants used by the test suite live in
+:mod:`repro.pbft.byzantine`.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 import hashlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -180,7 +183,6 @@ class _Slot:
     # number (crossed over from a concurrent view) fill the quorum.
     prepares: Dict[str, str] = dataclasses.field(default_factory=dict)
     commits: Dict[str, str] = dataclasses.field(default_factory=dict)
-    prepare_sent: bool = False
     commit_sent: bool = False
     committed: bool = False
     executed: bool = False
@@ -348,6 +350,9 @@ class PBFTEngine:
         self._deferred_verification: set = set()
         self._catch_up_tally: Dict[int, Dict[str, set]] = {}
         self._catch_up_values: Dict[Tuple[int, str], CommittedEntry] = {}
+        self._reported_views: Dict[str, int] = {}  # peer → its latest view
+        self._outbox: collections.deque = collections.deque()
+        self._stepping = False  # a step is open: self-sends only queue
 
     # ------------------------------------------------------------------
     # Group arithmetic
@@ -451,11 +456,30 @@ class PBFTEngine:
         pending = self._pending.get(request_id)
         if pending is None:
             return
-        leader = self.leader_of(self.view)
-        if leader == self.node_id:
-            self.handle_client_request(pending.request, self.node_id)
+        self._send(self.leader_of(self.view), pending.request)
+
+    def _send(self, dst: str, message: Any) -> None:
+        """Send ``message`` to ``dst``; to ourselves through the outbox."""
+        if dst == self.node_id:
+            self._step(self._outbox.append, message)
         else:
-            self.send(leader, pending.request)
+            self.send(dst, message)
+
+    def _step(self, step: Callable[..., None], *args: Any) -> None:
+        """The atomic boundary. Outermost, run ``step(*args)`` and then
+        deliver the outbox, one ``handle_<kind>`` step per message in
+        FIFO order; nested in an open step, only run it."""
+        if self._stepping:
+            step(*args)
+            return
+        self._stepping = True
+        try:
+            step(*args)
+            while self._outbox:
+                message = self._outbox.popleft()
+                getattr(self, "handle_" + message.kind)(message, self.node_id)
+        finally:
+            self._stepping = False
 
     def _request_timeout(self, request_id: Tuple[str, int]) -> None:
         pending = self._pending.get(request_id)
@@ -476,7 +500,7 @@ class PBFTEngine:
                     ),
                 )
         else:
-            self._start_view_change(self.view + 1)
+            self.start_view_change(self.view + 1)
             # Broadcast the request to the whole group (standard PBFT):
             # every replica forwards it to the leader and arms its own
             # watchdog, so the group — not just this origin — suspects
@@ -508,7 +532,7 @@ class PBFTEngine:
             # not arm a fresh budget.
             self._request_watchdogs[request_id] = (fired, None)
             return
-        self._start_view_change(self.view + 1)
+        self.start_view_change(self.view + 1)
         self._request_watchdogs[request_id] = (
             fired + 1,
             self.set_timer(
@@ -526,7 +550,7 @@ class PBFTEngine:
             return
         if self.view != view:
             return
-        self._start_view_change(self.view + 1)
+        self.start_view_change(self.view + 1)
 
     def _has_progress_pressure(self) -> bool:
         """Is there work stuck behind the current (suspect) leader?"""
@@ -568,10 +592,7 @@ class PBFTEngine:
                 reason=reject_reason,
                 replica=self.node_id,
             )
-            if msg.request_id[0] == self.node_id:
-                self.handle_reject_request(rejection, self.node_id)
-            else:
-                self.send(msg.request_id[0], rejection)
+            self._send(msg.request_id[0], rejection)
             return
         seq = self.next_seq
         self.next_seq += 1
@@ -584,7 +605,7 @@ class PBFTEngine:
             msg.payload_bytes,
         )
         self.broadcast(self.peers, pre_prepare)
-        self.handle_pre_prepare(pre_prepare, self.node_id)
+        self._accept_pre_prepare(pre_prepare, self.node_id)
 
     def handle_reject_request(self, msg: RejectRequest, src: str) -> None:
         """Origin side: fail the submit future with the leader's reason.
@@ -610,6 +631,10 @@ class PBFTEngine:
 
     def handle_pre_prepare(self, msg: PrePrepare, src: str) -> None:
         """Accept the leader's ordering proposal and echo a prepare."""
+        self._accept_pre_prepare(msg, src)
+
+    def _accept_pre_prepare(self, msg: PrePrepare, src: str) -> None:
+        """Accept a proposal: a peer's, a NewView's or our own as leader."""
         if msg.view != self.view or self.in_view_change:
             return
         if src != self.leader_of(msg.view):
@@ -635,8 +660,10 @@ class PBFTEngine:
                 # Retransmitted pre-prepare (the leader healing a lost
                 # round, a recovered replica's gap, or a new view
                 # re-proposing a slot we already executed): re-send our
-                # own votes so the quorum can re-form for laggards.
-                if slot.prepare_sent:
+                # own votes so the quorum can re-form for laggards — only
+                # those cast for this digest (a slot adopted by catch-up
+                # keeps the votes we cast for what it held before).
+                if slot.prepares.get(self.node_id) == slot.digest:
                     self.broadcast(
                         self.peers,
                         Prepare(
@@ -644,7 +671,7 @@ class PBFTEngine:
                             replica=self.node_id,
                         ),
                     )
-                if slot.commit_sent:
+                if slot.commits.get(self.node_id) == slot.digest:
                     self.broadcast(
                         self.peers,
                         Commit(
@@ -672,14 +699,11 @@ class PBFTEngine:
         if self._probe is not None and slot.t_pre_prepare < 0:
             slot.t_pre_prepare = self.clock.now
             slot.trace = msg.trace
-        if not slot.prepare_sent:
-            slot.prepare_sent = True
-            slot.prepares[self.node_id] = msg.digest
-            prepare = Prepare(
-                view=msg.view, seq=msg.seq, digest=msg.digest,
-                replica=self.node_id,
-            )
-            self.broadcast(self.peers, prepare)
+        slot.prepares[self.node_id] = msg.digest
+        prepare = Prepare(
+            view=msg.view, seq=msg.seq, digest=msg.digest, replica=self.node_id
+        )
+        self.broadcast(self.peers, prepare)
         # Execution watchdog: an accepted proposal that never executes
         # makes this replica suspect the leader (standard PBFT timer —
         # this is what lets non-submitting replicas join view changes).
@@ -720,7 +744,7 @@ class PBFTEngine:
         self._check_prepared(msg.seq)
 
     def _check_prepared(self, seq: int) -> None:
-        """Prepared ⇒ run the verification routine, then vote commit."""
+        """Count matching prepares; a quorum opens the prepared step."""
         slot = self.slots.get(seq)
         if slot is None or not slot.has_pre_prepare or slot.commit_sent:
             return
@@ -733,6 +757,10 @@ class PBFTEngine:
                 votes += 1
         if votes < self._commit_quorum:
             return
+        self._step(self._prepared, seq, slot)
+
+    def _prepared(self, seq: int, slot: _Slot) -> None:
+        """Prepared ⇒ run the verification routine, then vote commit."""
         if self._probe is not None and slot.t_prepared < 0:
             slot.t_prepared = self.clock.now
         # --- Blockplane modification #2: the verification routine runs
@@ -819,7 +847,7 @@ class PBFTEngine:
         if not slot.commit_sent:
             return  # our own verification routine has not accepted it
         slot.committed = True
-        self._execute_ready()
+        self._step(self._execute_ready)
 
     def _execute_ready(self) -> None:
         """Execute committed slots in strict sequence order."""
@@ -838,10 +866,7 @@ class PBFTEngine:
                     view=slot.view, seq=seq, digest=slot.digest,
                     request_id=slot.request_id, replica=self.node_id,
                 )
-                if origin == self.node_id:
-                    self.handle_reply(reply, self.node_id)
-                else:
-                    self.send(origin, reply)
+                self._send(origin, reply)
             if (
                 self.config.checkpoint_interval
                 and seq % self.config.checkpoint_interval == 0
@@ -970,7 +995,7 @@ class PBFTEngine:
             replica=self.node_id,
         )
         self.broadcast(self.peers, checkpoint)
-        self.handle_checkpoint(checkpoint, self.node_id)
+        self._send(self.node_id, checkpoint)
 
     def handle_checkpoint(self, msg: Checkpoint, src: str) -> None:
         """Gather checkpoint votes; stabilize on a quorum of matching
@@ -987,8 +1012,9 @@ class PBFTEngine:
             tally[key] = tally.get(key, 0) + 1
         for (state_digest, snapshot_digest), count in tally.items():
             if count >= commit_quorum(self.f):
-                self._stabilize_checkpoint(
-                    msg.seq, state_digest, snapshot_digest, votes
+                self._step(
+                    self._stabilize_checkpoint,
+                    msg.seq, state_digest, snapshot_digest, votes,
                 )
                 return
 
@@ -1079,7 +1105,8 @@ class PBFTEngine:
     # ------------------------------------------------------------------
     # View changes
     # ------------------------------------------------------------------
-    def _start_view_change(self, new_view: int) -> None:
+    def start_view_change(self, new_view: int) -> None:
+        """Vote to replace the current leader with ``new_view``'s."""
         if new_view <= self.view or new_view <= self._voted_view:
             return
         self._voted_view = new_view
@@ -1125,7 +1152,7 @@ class PBFTEngine:
                 suspected_leader=self.leader_of(self.view),
             )
         self.broadcast(self.peers, vote)
-        self.handle_view_change(vote, self.node_id)
+        self._send(self.node_id, vote)
         # Exponential backoff (standard PBFT): if view changes keep
         # failing — e.g. too many replicas are down for any progress —
         # escalation slows instead of spinning.
@@ -1155,7 +1182,7 @@ class PBFTEngine:
         if self._has_progress_pressure() or votes_for_view >= commit_quorum(self.f):
             # The view change itself is stuck (its leader may be down):
             # escalate.
-            self._start_view_change(voted_view + 1)
+            self.start_view_change(voted_view + 1)
         else:
             # Nothing urgent; keep re-announcing our vote so recovered
             # replicas can join, and check again later.
@@ -1176,25 +1203,31 @@ class PBFTEngine:
         self._highest_vote[src] = max(
             self._highest_vote.get(src, 0), msg.new_view
         )
+        self._step(self._view_change_quorums, msg.new_view, votes)
+
+    def _view_change_quorums(self, new_view: int, votes: Dict) -> None:
         # Join rule: once f+1 distinct replicas demand views above ours,
         # at least one of them is honest — adopt the (f+1)-th highest
         # demanded view so votes can converge even if suspecters
-        # escalated at different rates.
+        # escalated at different rates. Our own vote reaches the tally
+        # through the outbox, after this step.
+        higher = self._above_own_view(self._highest_vote)
+        if higher is not None and higher > self._voted_view:
+            self.start_view_change(higher)
+        if len(votes) < commit_quorum(self.f):
+            return
+        if self.leader_of(new_view) != self.node_id:
+            return
+        self._install_view_as_leader(new_view, list(votes.values()))
+
+    def _above_own_view(self, views: Dict[str, int]) -> Optional[int]:
+        """The (f+1)-th highest of the views peers name above ours, or
+        None if fewer than f+1 peers name one."""
         higher = sorted(
-            (view for view in self._highest_vote.values() if view > self.view),
+            (view for view in views.values() if view > self.view),
             reverse=True,
         )
-        if len(higher) >= reply_quorum(self.f):
-            target = higher[self.f]
-            if target > self._voted_view:
-                self._start_view_change(target)
-        # Re-check the view: the join above casts our own vote, which
-        # re-enters this handler and may already have installed it.
-        if len(votes) < commit_quorum(self.f) or msg.new_view <= self.view:
-            return
-        if self.leader_of(msg.new_view) != self.node_id:
-            return
-        self._install_view_as_leader(msg.new_view, list(votes.values()))
+        return higher[self.f] if len(higher) >= reply_quorum(self.f) else None
 
     def _install_view_as_leader(
         self, new_view: int, votes: List[ViewChange]
@@ -1243,19 +1276,21 @@ class PBFTEngine:
             )
         self.broadcast(self.peers, new_view_msg)
         for pre_prepare in pre_prepares:
-            self.handle_pre_prepare(pre_prepare, self.node_id)
+            self._accept_pre_prepare(pre_prepare, self.node_id)
         self._resubmit_pending()
         if self.last_executed < max_executed:
             self._request_catch_up()
 
     def handle_new_view(self, msg: NewView, src: str) -> None:
         """Adopt the announced view and replay re-proposed slots."""
-        if msg.new_view <= self.view or src != self.leader_of(msg.new_view):
-            return
+        if msg.new_view > self.view and src == self.leader_of(msg.new_view):
+            self._step(self._enter_new_view, msg, src)
+
+    def _enter_new_view(self, msg: NewView, src: str) -> None:
         self._enter_view(msg.new_view)
         self._voted_view = max(self._voted_view, msg.new_view)
         for pre_prepare in msg.pre_prepares:
-            self.handle_pre_prepare(pre_prepare, src)
+            self._accept_pre_prepare(pre_prepare, src)
         # The new leader only re-proposes above its own execution
         # watermark; if ours is further behind, the gap is stably
         # committed elsewhere — fetch it.
@@ -1329,6 +1364,7 @@ class PBFTEngine:
                         certificate=certificate,
                         snapshot=payload,
                         entries=entries,
+                        view=self.view,
                         replica=self.node_id,
                     ),
                 )
@@ -1343,7 +1379,8 @@ class PBFTEngine:
             self.send(
                 src,
                 CatchUpResponse(
-                    payload_bytes=payload, entries=entries, replica=self.node_id
+                    payload_bytes=payload, entries=entries, view=self.view,
+                    replica=self.node_id,
                 ),
             )
 
@@ -1358,15 +1395,17 @@ class PBFTEngine:
         return self.executed_entries[start:]
 
     def handle_catch_up_response(self, msg: CatchUpResponse, src: str) -> None:
-        """Adopt entries vouched for by f+1 distinct peers."""
-        if msg.replica != src:
-            return
-        self._tally_catch_up_entries(msg.entries, src)
+        """Adopt entries vouched for, and a view reported, by f+1
+        distinct peers."""
+        if msg.replica == src:
+            self._step(self._caught_up, msg, src)
 
-    def _tally_catch_up_entries(
-        self, entries: List[CommittedEntry], src: str
-    ) -> None:
-        for entry in entries:
+    def _caught_up(self, msg: Any, src: str) -> None:
+        """Tally a response's entries, then its view: a backup enters the
+        (f+1)-th highest view reported above its own, since the group
+        moved on while it was down. A replica leading its current view
+        does not adopt; that stale-leader case is still open."""
+        for entry in msg.entries:
             if entry.seq <= self.last_executed:
                 continue
             digest = request_digest(
@@ -1378,13 +1417,21 @@ class PBFTEngine:
             # only once reply_quorum(f) sources vouch for its digest.
             self._catch_up_values[(entry.seq, digest)] = entry
         self._apply_caught_up()
+        self._reported_views[src] = msg.view
+        target = None if self.is_leader else self._above_own_view(self._reported_views)
+        if target is not None:
+            self._enter_view(target)
+            self._voted_view = max(self._voted_view, target)
+            self._resubmit_pending()
 
     def handle_snapshot_response(self, msg: SnapshotResponse, src: str) -> None:
         """State transfer: install a certified snapshot if it beats our
         watermark, then tally the accompanying suffix like any other
         catch-up response."""
-        if msg.replica != src:
-            return
+        if msg.replica == src:
+            self._step(self._offered_snapshot, msg, src)
+
+    def _offered_snapshot(self, msg: SnapshotResponse, src: str) -> None:
         certificate = msg.certificate
         if certificate is not None and certificate.seq > self.last_executed:
             if (
@@ -1403,7 +1450,7 @@ class PBFTEngine:
                         snapshot_digest=certificate.snapshot_digest,
                     )
                 return  # a lying offer taints the whole response
-        self._tally_catch_up_entries(msg.entries, src)
+        self._caught_up(msg, src)
 
     def _adopt_snapshot(
         self, certificate: CheckpointCertificate, payload: Any

@@ -222,9 +222,11 @@ class CatchUpRequest(Message):
 
 @dataclasses.dataclass(slots=True)
 class CatchUpResponse(Message):
-    """Committed entries above the requester's execution point."""
+    """Committed entries above the requester's execution point, and the
+    responder's view."""
 
     entries: List[CommittedEntry] = dataclasses.field(default_factory=list)
+    view: int = 0
     replica: str = ""
 
 
@@ -233,9 +235,11 @@ class SnapshotResponse(Message):
     """State transfer for a replica behind the responder's retained log:
     the responder's stable checkpoint certificate, its snapshot payload
     (Blockplane: a :class:`~repro.core.records.LogSnapshot`), and the
-    retained committed suffix above the watermark."""
+    retained committed suffix above the watermark, and the responder's
+    view."""
 
     certificate: Optional[CheckpointCertificate] = None
     snapshot: Any = None
     entries: List[CommittedEntry] = dataclasses.field(default_factory=list)
+    view: int = 0
     replica: str = ""

@@ -11,6 +11,12 @@ group; and is the only place metrics and spans attach to consensus.
 Middleware (:class:`repro.core.node.BlockplaneNode`) subclasses the host
 and overrides the app hooks — it never shares a namespace with the
 protocol.
+
+The installed handlers are the only way into the engine: it never calls
+its own, and what it sends itself waits in its outbox until the step
+that sent it ends, so each delivery is one atomic step. A ``submit``
+from inside a step (an ``on_executed`` or checkpoint callback) reaches
+this replica's own handler only after that step.
 """
 
 from __future__ import annotations

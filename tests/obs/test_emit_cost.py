@@ -16,7 +16,9 @@ from types import SimpleNamespace
 
 from repro.obs import EventJournal, Observability, ProtocolEvent
 from repro.obs import journal as journal_module
-from repro.pbft.messages import Prepare
+from repro.pbft import engine as engine_module
+from repro.pbft.engine import request_digest
+from repro.pbft.messages import RECORD_TYPE_COMMIT, Commit, PrePrepare, Prepare
 from repro.sim.simulator import Simulator
 from tests.pbft.helpers import make_group
 
@@ -236,3 +238,49 @@ def test_a_replica_vote_costs_one_record_frame():
     assert [e.to_dict() for e in seen] == [
         e.to_dict() for e in list(obs.journal)[-len(more):]
     ]
+
+
+def test_a_vote_that_completes_no_quorum_costs_two_engine_frames():
+    # The outbox's atomic boundary sits at the quorum step, so a vote
+    # below quorum runs its handler and its tally and nothing else.
+    _sim, replicas = make_group()
+    engine = replicas[1].engine
+    seqs = range(1, 101)
+    for seq in seqs:  # proposals r1 has accepted and prepared itself
+        engine.handle_pre_prepare(
+            PrePrepare(
+                view=0, seq=seq, request_id=("c", seq), value=seq,
+                digest=request_digest(seq, RECORD_TYPE_COMMIT, ("c", seq)),
+            ),
+            "r0",
+        )
+    votes = [
+        (handler, kind(view=0, seq=seq, digest=slot.digest, replica="r2"))
+        for handler, kind in (
+            (engine.handle_prepare, Prepare), (engine.handle_commit, Commit)
+        )
+        for seq, slot in sorted(engine.slots.items())
+    ]
+    names = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == engine_module.__file__:
+            names.append(frame.f_code.co_name)
+
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        for handler, vote in votes:
+            handler(vote, "r2")
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert names == (
+        ["handle_prepare", "_check_prepared"] * len(seqs)
+        + ["handle_commit", "_check_committed"] * len(seqs)
+    )
+    # Two of three prepares, one of three commits: nothing moved on.
+    assert all(
+        len(slot.prepares) == 2 and not slot.commit_sent
+        for slot in engine.slots.values()
+    )

@@ -87,7 +87,7 @@ def test_full_vote_quorum_escalates_past_a_silent_leader():
     # silent r2. None of them has pending work, so only the quorum
     # clause can unstick the group.
     for replica in honest:
-        replica.engine._start_view_change(2)
+        replica.engine.start_view_change(2)
     sim.run(until=sim.now + 500)
     assert max(replica.view for replica in honest) > 2
     entry = sim.run_until_resolved(
@@ -104,14 +104,14 @@ def test_replica_recovered_mid_view_change_rejoins_and_executes():
     r0, r1, r2, r3 = replicas
     commit_values(sim, r0, ["a"])
     # r3 votes for view 1, then crashes before the view installs.
-    r3.engine._start_view_change(1)
+    r3.engine.start_view_change(1)
     sim.run(until=sim.now + 5)
     r3.crash()
     # The remaining replicas complete the view change while r3 is dark:
     # its pre-crash vote plus these two give r1 (leader of view 1) the
     # 2f+1 it needs, and no new entries commit in the meantime.
-    r1.engine._start_view_change(1)
-    r2.engine._start_view_change(1)
+    r1.engine.start_view_change(1)
+    r2.engine.start_view_change(1)
     sim.run(until=sim.now + 200)
     assert r1.view == 1 and r1.is_leader
     # r3 recovers into a world where its catch-up probe finds nothing

@@ -10,15 +10,27 @@ import ast
 import functools
 import pathlib
 import random
+import sys
 
 import pytest
 
 import repro.pbft.engine as engine_module
+from repro.pbft.byzantine import BogusEngine, EquivocatingEngine, TamperingEngine
 from repro.pbft.config import PBFTConfig
-from repro.pbft.engine import PBFTApp, PBFTEngine, request_digest
+from repro.pbft.engine import (
+    NO_REQUEST,
+    NOOP_RECORD_TYPE,
+    NOOP_VALUE,
+    PBFTApp,
+    PBFTEngine,
+    request_digest,
+)
 from repro.pbft.messages import (
     RECORD_TYPE_COMMIT,
+    CatchUpResponse,
     ClientRequest,
+    Commit,
+    CommittedEntry,
     NewView,
     PrePrepare,
     Prepare,
@@ -45,7 +57,7 @@ class Settable:
 class Router:
     """A message pool, a timer list and a counter clock."""
 
-    def __init__(self, n, config=None, app=PBFTApp):
+    def __init__(self, n, config=None, app=PBFTApp, overrides=None):
         self.now = 0.0
         self.pool = []  # (src, dst, message), delivered in any order
         self.timers = []  # (handle, fn, args), fired only by hand
@@ -53,14 +65,14 @@ class Router:
         self.sent = []  # (src, message), one per send or broadcast
         peers = [f"r{i}" for i in range(n)]
         self.engines = [
-            PBFTEngine(
+            (overrides or {}).get(index, PBFTEngine)(
                 peer, "DC", peers, config or PBFTConfig(), app(),
                 send=functools.partial(self.send, peer),
                 broadcast=functools.partial(self.broadcast, peer),
                 set_timer=self.set_timer, clock=self,
                 make_future=lambda label: Settable(),
             )
-            for peer in peers
+            for index, peer in enumerate(peers)
         ]
 
     def send(self, src, dst, message):
@@ -383,3 +395,147 @@ def test_digest_memo_cannot_rebind_a_pre_prepare():
     backup.handle_pre_prepare(forged, "r0")
     assert router.pool == []
     assert 2 not in backup.slots
+
+
+class RefusingApp(PBFTApp):
+    """Leaders refuse values starting with "bad"."""
+
+    def pre_validate(self, msg):
+        return "refused" if str(msg.value).startswith("bad") else None
+
+
+@pytest.mark.parametrize(
+    "leader", [PBFTEngine, EquivocatingEngine, TamperingEngine, BogusEngine]
+)
+def test_only_the_router_and_the_outbox_call_handlers(leader):
+    # A checkpoint, a view change past the silent r0 and two rejections,
+    # with r0 an engine that overrides handlers. Every handler call must
+    # come from the router or from the engine's outbox drain (or be an
+    # override delegating to the honest text), never from a handler or
+    # helper of the engine itself.
+    router = Router(
+        4, PBFTConfig(checkpoint_interval=2), app=RefusingApp,
+        overrides={0: leader},
+    )
+    r0, r1, r2, r3 = router.engines
+    calls = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name.startswith("handle_"):
+            calls.append((frame.f_back.f_code.co_name, frame.f_code.co_name))
+
+    sys.setprofile(profiler)
+    try:
+        r0.submit("a")
+        r1.submit("b")
+        router.drain()
+        router.down.add("r0")
+        _, moved = r2.submit("c")
+        router.drain()
+        router.fire("_request_timeout", r2)
+        router.drain()
+        router.fire("_client_request_watchdog", r1)
+        router.fire("_client_request_watchdog", r3)
+        router.drain()
+        _, own = r1.submit("bad-own")  # the leader's own: via its outbox
+        _, forwarded = r3.submit("bad-forwarded")
+        router.drain()
+    finally:
+        sys.setprofile(None)
+    assert r1.view == 1 and r1.stable_checkpoint == 2 and moved.resolved
+    assert isinstance(own.value, Exception)
+    assert isinstance(forwarded.value, Exception)
+    assert {callee for _caller, callee in calls} >= {
+        "handle_client_request", "handle_reject_request", "handle_pre_prepare",
+        "handle_prepare", "handle_commit", "handle_reply", "handle_checkpoint",
+        "handle_view_change", "handle_new_view",
+    }
+    stray = [
+        (caller, callee) for caller, callee in calls
+        if caller not in ("drain", "_step") and caller != callee
+    ]
+    assert stray == []
+    assert {"drain", "_step"} <= {caller for caller, _callee in calls}
+
+
+def test_recovered_backup_learns_the_view_the_group_moved_to():
+    # r3 crashed in a stable view, so no view-change timer brings it
+    # back: only the views its catch-up responders report can.
+    router = Router(4)
+    r0, r1, r2, r3 = router.engines
+    router.down.add("r3")
+    for engine in (r0, r1, r2):
+        engine.start_view_change(1)
+    router.drain()
+    r1.submit("a")
+    router.drain()
+    assert [e.view for e in router.engines] == [1, 1, 1, 0]
+    router.down.clear()
+    r3.on_recover()
+    router.drain()
+    assert r3.view == 1 and r3.last_executed == 1 and not r3.in_view_change
+    r3.submit("b")
+    router.drain()
+    assert_agreement(router.engines, 2)
+
+
+def test_one_peer_reporting_a_far_view_moves_nothing():
+    router = Router(4)
+    r0, r1, r2, r3 = router.engines
+
+    def report(engine, src, view):
+        engine.handle_catch_up_response(
+            CatchUpResponse(view=view, replica=src), src
+        )
+
+    report(r3, "r1", 99)
+    report(r3, "r1", 99)
+    assert r3.view == 0
+    # A second reporter makes f + 1: the backup enters the (f+1)-th
+    # highest view reported, one an honest peer vouches for.
+    report(r3, "r2", 5)
+    assert (r3.view, r3._voted_view) == (5, 5)
+    # The leader of its current view never adopts: that stale-leader case
+    # is still open.
+    report(r0, "r1", 99)
+    report(r0, "r2", 5)
+    assert r0.view == 0
+
+
+def test_a_caught_up_slot_resends_only_votes_it_cast():
+    # r3 voted for "x" at (0, 1), but the group executed that slot as a
+    # duplicate request's no-op, which r3 adopts by catch-up. When view 1
+    # re-proposes the no-op, r3 must not re-send prepare and commit votes
+    # for it labelled view 0: it never cast them, and next to its votes
+    # for "x" they read as equivocation.
+    router = Router(4)
+    r3 = router.engines[3]
+    digest = request_digest("x", RECORD_TYPE_COMMIT, ("r0", 1))
+    r3.handle_pre_prepare(
+        PrePrepare(view=0, seq=1, request_id=("r0", 1), value="x", digest=digest),
+        "r0",
+    )
+    for voter in ("r1", "r2"):
+        r3.handle_prepare(
+            Prepare(view=0, seq=1, digest=digest, replica=voter), voter
+        )
+    assert r3.slots[1].commit_sent
+    noop = CommittedEntry(
+        seq=1, view=0, value=NOOP_VALUE, record_type=NOOP_RECORD_TYPE
+    )
+    for peer in ("r1", "r2"):
+        r3.handle_catch_up_response(
+            CatchUpResponse(entries=[noop], replica=peer), peer
+        )
+    assert r3.last_executed == 1
+    router.sent.clear()
+    reproposal = PrePrepare(
+        view=1, seq=1, request_id=NO_REQUEST, value=NOOP_VALUE,
+        record_type=NOOP_RECORD_TYPE,
+        digest=request_digest(NOOP_VALUE, NOOP_RECORD_TYPE, NO_REQUEST),
+    )
+    r3.handle_new_view(
+        NewView(new_view=1, pre_prepares=[reproposal], replica="r1"), "r1"
+    )
+    assert r3.view == 1
+    assert [m for _src, m in router.sent if isinstance(m, (Prepare, Commit))] == []

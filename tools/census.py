@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import ast
 import collections
+import glob
 import os
 import shutil
 import subprocess
@@ -47,6 +48,7 @@ from typing import Dict, List, NamedTuple, Set, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
+PLANS = os.path.join(REPO, "tests", "chaos", "plans")
 PACKAGE = os.path.join(SRC, "repro")
 
 _AUDITOR = "repro.obs.forensics.auditor:OnlineAuditor."
@@ -172,6 +174,8 @@ def real_paths(work: str) -> List[List[str]]:
                  "byzantine", *audit_sizes, "--fault-free", "--strict"],
         repro + ["chaos", "--plan", "{w}/audit/run-0/plan.json",
                  "--show-plan"],
+        *(repro + ["chaos", "--plan", plan, "--strict"]
+          for plan in sorted(glob.glob(os.path.join(PLANS, "*.json")))),
         repro + ["console", "--demo", "--out", "{w}/demo.html"],
         repro + ["console", "--validate", "{w}/audit/run-0/console.json"],
         repro + ["console", "--bundle", "{w}/audit/run-0/console.json",
