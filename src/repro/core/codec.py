@@ -185,11 +185,8 @@ MANIFEST: Dict[type, Tuple[str, Tuple[str, ...]]] = {
         "@cq", ("payload_bytes", "from_seq", "replica"),
     ),
     _pbft_messages.CatchUpResponse: (
-        "@cs", ("payload_bytes", "entries", "view", "replica"),
-    ),
-    _pbft_messages.SnapshotResponse: (
-        "@ss",
-        ("payload_bytes", "certificate", "snapshot", "entries", "view", "replica"),
+        "@cs",
+        ("payload_bytes", "entries", "view", "replica", "certificate", "snapshot"),
     ),
     # paxos
     _paxos_messages.PaxosPrepare: ("@xp", ("payload_bytes", "ballot")),
@@ -210,7 +207,7 @@ MANIFEST: Dict[type, Tuple[str, Tuple[str, ...]]] = {
 #: here intern their string *elements*.
 INTERN_FIELDS = frozenset(
     {
-        "signer", "digest", "mac_never",  # mac is unique per signature: not interned
+        "signer", "digest",  # not "mac": unique per signature
         "source", "destination", "participant", "source_participant",
         "receiver_participant", "record_type", "replica", "primary",
         "new_primary", "purpose", "reason", "state_digest", "snapshot_digest",

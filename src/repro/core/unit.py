@@ -14,7 +14,7 @@ from repro.core.daemon import CommunicationDaemon, ReserveDaemon
 from repro.core.directory import Directory
 from repro.core.geo import GeoCoordinator
 from repro.core.node import BlockplaneNode
-from repro.core.verification import AcceptAll, VerificationRoutines
+from repro.core.verification import AcceptAll
 from repro.errors import ConfigurationError
 from repro.obs.hub import DISABLED
 
@@ -28,7 +28,8 @@ class BlockplaneUnit:
         participant: Participant (site) name.
         config: Deployment configuration.
         directory: Shared membership/keys (this unit registers itself).
-        routines: Verification routines for the wrapped protocol.
+        routines_factory: Zero-argument callable returning one node's
+            verification routines (default: ``AcceptAll``).
         node_class_overrides: node id → class, to plant byzantine node
             variants in tests.
     """
@@ -52,11 +53,6 @@ class BlockplaneUnit:
         self.obs = obs if obs is not None else DISABLED
         if routines_factory is None:
             routines_factory = AcceptAll
-        elif isinstance(routines_factory, VerificationRoutines):
-            # Back-compat: a plain instance is shared by all nodes
-            # (fine for stateless routines).
-            shared = routines_factory
-            routines_factory = lambda: shared  # noqa: E731
         self.node_ids = [
             f"{participant}-{index}" for index in range(config.unit_size)
         ]

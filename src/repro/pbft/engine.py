@@ -54,7 +54,6 @@ from repro.pbft.messages import (
     PreparedCertificate,
     RejectRequest,
     Reply,
-    SnapshotResponse,
     ViewChange,
 )
 from repro.pbft.quorums import (
@@ -348,8 +347,8 @@ class PBFTEngine:
         self.snapshot_installs = 0
         self.snapshot_offers_rejected = 0
         self._deferred_verification: set = set()
-        self._catch_up_tally: Dict[int, Dict[str, set]] = {}
-        self._catch_up_values: Dict[Tuple[int, str], CommittedEntry] = {}
+        # Catch-up staging: seq → digest → (vouching peers, latest entry).
+        self._catch_up: Dict[int, Dict[str, Tuple[set, CommittedEntry]]] = {}
         self._reported_views: Dict[str, int] = {}  # peer → its latest view
         self._outbox: collections.deque = collections.deque()
         self._stepping = False  # a step is open: self-sends only queue
@@ -1084,10 +1083,8 @@ class PBFTEngine:
         for vote_seq in [s for s in self._checkpoints if s <= seq]:
             del self._checkpoints[vote_seq]
         dead = min(seq, self.last_executed)
-        for tally_seq in [s for s in self._catch_up_tally if s <= dead]:
-            del self._catch_up_tally[tally_seq]
-        for key in [k for k in self._catch_up_values if k[0] <= dead]:
-            del self._catch_up_values[key]
+        for staged_seq in [s for s in self._catch_up if s <= dead]:
+            del self._catch_up[staged_seq]
 
     def _truncate_executed_entries(self, seq: int) -> None:
         """Drop executed entries at or below ``seq`` (the retained
@@ -1304,6 +1301,9 @@ class PBFTEngine:
 
     def _enter_view(self, new_view: int) -> None:
         self.view = new_view
+        # Votes for views we reached are never read again.
+        for view in [v for v in self._view_change_votes if v <= new_view]:
+            del self._view_change_votes[view]
         self._rejoin_view()
         self.app.on_view_installed(new_view)
 
@@ -1344,43 +1344,34 @@ class PBFTEngine:
 
     def handle_catch_up_request(self, msg: CatchUpRequest, src: str) -> None:
         """Serve committed entries above the requester's watermark —
-        or, when the requester needs history we garbage-collected,
-        the stable certificate + snapshot + retained suffix."""
-        if msg.from_seq <= self._executed_gc_seq:
-            certificate = self.stable_certificate
+        behind the stable certificate and its snapshot when the
+        requester needs history we garbage-collected."""
+        certificate = snapshot = None
+        from_seq = msg.from_seq
+        if from_seq <= self._executed_gc_seq:
+            stable = self.stable_certificate
             payload = self._stable_snapshot_payload
             if (
-                certificate is not None
-                and self._snapshot_digest_of(payload)
-                == certificate.snapshot_digest
+                stable is not None
+                and self._snapshot_digest_of(payload) == stable.snapshot_digest
             ):
-                entries = self._retained_from(certificate.seq + 1)
-                self.send(
-                    src,
-                    SnapshotResponse(
-                        payload_bytes=sum(
-                            entry.payload_bytes for entry in entries
-                        ),
-                        certificate=certificate,
-                        snapshot=payload,
-                        entries=entries,
-                        view=self.view,
-                        replica=self.node_id,
-                    ),
-                )
-                return
-            # No servable certificate (e.g. we just caught up ourselves
-            # and our payload predates the quorum's): fall through and
-            # serve whatever suffix we still retain — another peer's
-            # snapshot offer completes the transfer.
-        entries = self._retained_from(msg.from_seq)
-        if entries:
-            payload = sum(entry.payload_bytes for entry in entries)
+                certificate, snapshot = stable, payload
+                from_seq = stable.seq + 1
+            # Otherwise (e.g. we just caught up ourselves and our
+            # payload predates the quorum's) serve whatever suffix we
+            # still retain: another peer's snapshot completes the
+            # transfer.
+        entries = self._retained_from(from_seq)
+        if certificate is not None or entries:
             self.send(
                 src,
                 CatchUpResponse(
-                    payload_bytes=payload, entries=entries, view=self.view,
+                    payload_bytes=sum(entry.payload_bytes for entry in entries),
+                    entries=entries,
+                    view=self.view,
                     replica=self.node_id,
+                    certificate=certificate,
+                    snapshot=snapshot,
                 ),
             )
 
@@ -1395,43 +1386,18 @@ class PBFTEngine:
         return self.executed_entries[start:]
 
     def handle_catch_up_response(self, msg: CatchUpResponse, src: str) -> None:
-        """Adopt entries vouched for, and a view reported, by f+1
-        distinct peers."""
+        """Install a certified snapshot that beats our watermark, then
+        adopt entries vouched for, and a view reported, by f+1 distinct
+        peers."""
         if msg.replica == src:
             self._step(self._caught_up, msg, src)
 
-    def _caught_up(self, msg: Any, src: str) -> None:
-        """Tally a response's entries, then its view: a backup enters the
-        (f+1)-th highest view reported above its own, since the group
-        moved on while it was down. A replica leading its current view
-        does not adopt; that stale-leader case is still open."""
-        for entry in msg.entries:
-            if entry.seq <= self.last_executed:
-                continue
-            digest = request_digest(
-                entry.value, entry.record_type, entry.request_id
-            )
-            tally = self._catch_up_tally.setdefault(entry.seq, {})
-            tally.setdefault(digest, set()).add(src)
-            # Staging, not state: _apply_caught_up installs an entry
-            # only once reply_quorum(f) sources vouch for its digest.
-            self._catch_up_values[(entry.seq, digest)] = entry
-        self._apply_caught_up()
-        self._reported_views[src] = msg.view
-        target = None if self.is_leader else self._above_own_view(self._reported_views)
-        if target is not None:
-            self._enter_view(target)
-            self._voted_view = max(self._voted_view, target)
-            self._resubmit_pending()
-
-    def handle_snapshot_response(self, msg: SnapshotResponse, src: str) -> None:
-        """State transfer: install a certified snapshot if it beats our
-        watermark, then tally the accompanying suffix like any other
-        catch-up response."""
-        if msg.replica == src:
-            self._step(self._offered_snapshot, msg, src)
-
-    def _offered_snapshot(self, msg: SnapshotResponse, src: str) -> None:
+    def _caught_up(self, msg: CatchUpResponse, src: str) -> None:
+        """Install the response's snapshot, tally its entries, then its
+        view: a backup enters the (f+1)-th highest view reported above
+        its own, since the group moved on while it was down. A replica
+        leading its current view does not adopt; that stale-leader case
+        is still open."""
         certificate = msg.certificate
         if certificate is not None and certificate.seq > self.last_executed:
             if (
@@ -1450,7 +1416,25 @@ class PBFTEngine:
                         snapshot_digest=certificate.snapshot_digest,
                     )
                 return  # a lying offer taints the whole response
-        self._caught_up(msg, src)
+        for entry in msg.entries:
+            if entry.seq <= self.last_executed:
+                continue
+            digest = request_digest(
+                entry.value, entry.record_type, entry.request_id
+            )
+            # Staging, not state: _apply_caught_up installs an entry
+            # only once reply_quorum(f) sources vouch for its digest.
+            staged = self._catch_up.setdefault(entry.seq, {})
+            voters = staged[digest][0] if digest in staged else set()
+            voters.add(src)
+            staged[digest] = (voters, entry)
+        self._apply_caught_up()
+        self._reported_views[src] = msg.view
+        target = None if self.is_leader else self._above_own_view(self._reported_views)
+        if target is not None:
+            self._enter_view(target)
+            self._voted_view = max(self._voted_view, target)
+            self._resubmit_pending()
 
     def _adopt_snapshot(
         self, certificate: CheckpointCertificate, payload: Any
@@ -1483,13 +1467,13 @@ class PBFTEngine:
         advanced = False
         while True:
             seq = self.last_executed + 1
-            tally = self._catch_up_tally.get(seq)
-            if tally is None:
+            staged = self._catch_up.get(seq)
+            if staged is None:
                 break
             adopted = None
-            for digest, voters in tally.items():
+            for digest, (voters, entry) in staged.items():
                 if len(voters) >= reply_quorum(self.f):
-                    adopted = self._catch_up_values[(seq, digest)]
+                    adopted = entry
                     break
             if adopted is None:
                 break
@@ -1498,7 +1482,7 @@ class PBFTEngine:
             slot.accept(adopted.view, digest, adopted)
             slot.committed = True
             slot.commit_sent = True
-            del self._catch_up_tally[seq]
+            del self._catch_up[seq]
             self._mark_executed(seq, slot)
         if advanced:
             # f+1 peers vouched for commits beyond our old watermark:

@@ -223,23 +223,13 @@ class CatchUpRequest(Message):
 @dataclasses.dataclass(slots=True)
 class CatchUpResponse(Message):
     """Committed entries above the requester's execution point, and the
-    responder's view."""
+    responder's view. A requester behind the responder's retained log
+    also gets the stable checkpoint certificate and its snapshot payload
+    (Blockplane: a :class:`~repro.core.records.LogSnapshot`); the
+    entries then start above the certificate's watermark."""
 
     entries: List[CommittedEntry] = dataclasses.field(default_factory=list)
     view: int = 0
     replica: str = ""
-
-
-@dataclasses.dataclass(slots=True)
-class SnapshotResponse(Message):
-    """State transfer for a replica behind the responder's retained log:
-    the responder's stable checkpoint certificate, its snapshot payload
-    (Blockplane: a :class:`~repro.core.records.LogSnapshot`), and the
-    retained committed suffix above the watermark, and the responder's
-    view."""
-
     certificate: Optional[CheckpointCertificate] = None
     snapshot: Any = None
-    entries: List[CommittedEntry] = dataclasses.field(default_factory=list)
-    view: int = 0
-    replica: str = ""

@@ -101,3 +101,37 @@ def apply_committed(node, record_type: str, value, meta=None) -> None:
             record_type=record_type, meta=meta,
         )
     )
+
+
+def current_leader(unit):
+    """The leader of the highest view among ``unit``'s live nodes (they
+    may disagree mid view change), or None when all of them are down."""
+    live = unit.live_nodes()
+    if not live:
+        return None
+    return live[0].engine.leader_of(max(node.view for node in live))
+
+
+def force_view_change(unit) -> None:
+    """Make every live node of ``unit`` vote for the view after the
+    highest one among them."""
+    live = unit.live_nodes()
+    if live:
+        target = max(node.view for node in live) + 1
+        for node in live:
+            node.engine.start_view_change(target)
+
+
+def await_log_length(unit, length: int):
+    """Future resolving once every live node of ``unit`` has applied at
+    least ``length`` Local Log entries."""
+    sim = unit.sim
+
+    def poll():
+        while True:
+            live = unit.live_nodes()
+            if live and all(len(node.local_log) >= length for node in live):
+                return sim.now
+            yield sim.sleep(1.0)
+
+    return sim.spawn(poll())

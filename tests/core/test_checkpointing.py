@@ -7,7 +7,7 @@ from repro.core import BlockplaneConfig
 from repro.pbft.quorums import commit_quorum
 from repro.crypto.signatures import sign
 from repro.pbft.config import PBFTConfig
-from repro.pbft.messages import Checkpoint, SnapshotResponse
+from repro.pbft.messages import CatchUpResponse, Checkpoint
 from repro.pbft.engine import checkpoint_digest
 from tests.conftest import build_single_dc
 
@@ -154,8 +154,8 @@ def test_tampered_snapshot_offer_is_rejected(sim):
     victim.crashed = False
 
     tampered = dataclasses.replace(payload, entry_chain="forged-chain")
-    victim.engine.handle_snapshot_response(
-        SnapshotResponse(
+    victim.engine.handle_catch_up_response(
+        CatchUpResponse(
             certificate=certificate,
             snapshot=tampered,
             entries=[],
@@ -168,8 +168,8 @@ def test_tampered_snapshot_offer_is_rejected(sim):
     assert victim.last_executed == 0
 
     # The genuine payload from the same certificate installs fine.
-    victim.engine.handle_snapshot_response(
-        SnapshotResponse(
+    victim.engine.handle_catch_up_response(
+        CatchUpResponse(
             certificate=certificate,
             snapshot=payload,
             entries=[],

@@ -1,18 +1,19 @@
-"""Tests for the deployment builder and recovery helpers."""
+"""Tests for the deployment builder, unit crash/recover and view changes."""
 
 import pytest
 
 from repro.core import BlockplaneConfig, BlockplaneDeployment
-from repro.core.recovery import (
-    await_log_length,
-    current_leader,
-    force_view_change,
-)
 from repro.errors import ConfigurationError
 from repro.sim.simulator import Simulator
 from repro.sim.topology import aws_four_dc_topology, single_dc_topology
 
-from tests.conftest import build_four_dc, build_single_dc
+from tests.conftest import (
+    await_log_length,
+    build_four_dc,
+    build_single_dc,
+    current_leader,
+    force_view_change,
+)
 
 
 def test_unit_sizes_follow_config(sim):

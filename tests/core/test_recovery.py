@@ -1,17 +1,16 @@
-"""Edge cases for the recovery helpers (core/recovery.py).
+"""Recovery edge cases: forced view changes and catch-up under partial
+and total failure, and the interaction between forced view changes and
+in-flight daemon proposals.
 
-test_middleware.py covers the happy paths; these pin down behaviour
-under partial and total failure, and the interaction between forced
-view changes and in-flight daemon proposals.
+test_middleware.py covers the happy paths.
 """
 
-from repro.core.recovery import (
+from tests.conftest import (
     await_log_length,
+    build_single_dc,
     current_leader,
     force_view_change,
 )
-
-from tests.conftest import build_single_dc
 
 
 def test_current_leader_is_none_when_all_nodes_are_down(sim):

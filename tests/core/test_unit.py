@@ -63,23 +63,6 @@ def test_bind_hook_called_with_owning_node(sim):
     assert sorted(bound) == [f"DC-{index}" for index in range(4)]
 
 
-def test_shared_routines_instance_supported(sim):
-    from repro.core.unit import BlockplaneUnit
-    from repro.core.directory import Directory
-    from repro.crypto.keys import KeyRegistry
-    from repro.sim.network import Network
-    from repro.sim.topology import single_dc_topology
-
-    shared = VerificationRoutines()
-    topology = single_dc_topology("Z")
-    network = Network(sim, topology)
-    directory = Directory(topology, KeyRegistry())
-    unit = BlockplaneUnit(
-        sim, network, "Z", BlockplaneConfig(), directory, shared
-    )
-    assert all(node.routines is shared for node in unit.nodes)
-
-
 def test_duplicate_unit_registration_rejected(sim):
     deployment = build_single_dc(sim)
     with pytest.raises(ConfigurationError):

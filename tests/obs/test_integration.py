@@ -11,7 +11,6 @@ import json
 
 from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.core.messages import TransmissionMessage
-from repro.core.recovery import force_view_change
 from repro.experiments import fig4_local_commit
 from repro.obs import Observability, to_chrome_trace
 from repro.obs.demo import trace_commit_lifecycle
@@ -20,7 +19,7 @@ from repro.pbft.config import PBFTConfig
 from repro.sim.faults import FaultInjector
 from repro.sim.simulator import Simulator
 from repro.sim.topology import symmetric_topology
-from tests.conftest import build_pair
+from tests.conftest import build_pair, force_view_change
 
 
 # ----------------------------------------------------------------------

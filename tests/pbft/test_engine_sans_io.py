@@ -7,6 +7,7 @@ and fires every timer by hand — the seed of a schedule explorer.
 """
 
 import ast
+import dataclasses
 import functools
 import pathlib
 import random
@@ -307,9 +308,9 @@ def test_lagging_engine_rejoins_by_snapshot():
     assert_agreement(router.engines, 5)
 
 
-def _rejoin_past_gc(app):
-    """A replica that was down while its peers checkpointed and
-    garbage-collected the entries it is missing, back up."""
+def _behind_past_gc(app):
+    """r3 was down while its peers checkpointed at 4, garbage-collected
+    entries 1-4 and executed 5; it is up again but has asked nothing."""
     config = PBFTConfig(checkpoint_interval=2, gc_executed_log=True)
     router = Router(4, config, app=app)
     router.down.add("r3")
@@ -317,9 +318,16 @@ def _rejoin_past_gc(app):
         router.engines[0].submit(value)
         router.drain()
     router.down.clear()
-    router.engines[3].on_recover()
-    router.drain()
     return router, router.engines[3]
+
+
+def _rejoin_past_gc(app):
+    """A replica that was down while its peers checkpointed and
+    garbage-collected the entries it is missing, back up."""
+    router, laggard = _behind_past_gc(app)
+    laggard.on_recover()
+    router.drain()
+    return router, laggard
 
 
 def test_plain_group_refuses_unprovable_snapshot_offers():
@@ -327,6 +335,62 @@ def test_plain_group_refuses_unprovable_snapshot_offers():
     router, laggard = _rejoin_past_gc(PBFTApp)
     assert laggard.snapshot_installs == 0
     assert laggard.snapshot_offers_rejected > 0
+
+
+def _offer(responder, certificate=None):
+    """``responder``'s catch-up response: its stable snapshot and the
+    retained suffix above it."""
+    return CatchUpResponse(
+        entries=list(responder.executed_entries),
+        view=responder.view,
+        replica=responder.node_id,
+        certificate=certificate or responder.stable_certificate,
+        snapshot=responder._stable_snapshot_payload,
+    )
+
+
+def test_a_tampered_certificate_taints_the_whole_catch_up_response():
+    router, laggard = _behind_past_gc(SnapshotApp)
+    r0 = router.engines[0]
+    assert [entry.seq for entry in r0.executed_entries] == [5]
+    forged = dataclasses.replace(
+        r0.stable_certificate, snapshot_digest="forged"
+    )
+    laggard.handle_catch_up_response(_offer(r0, forged), "r0")
+    assert laggard.snapshot_offers_rejected == 1
+    assert laggard.snapshot_installs == 0
+    assert laggard.last_executed == 0
+    # The valid suffix was not tallied, nor the view.
+    assert laggard._catch_up == {} and laggard._reported_views == {}
+
+
+def test_a_certified_snapshot_installs_then_its_suffix_replays_on_f_plus_1():
+    router, laggard = _behind_past_gc(SnapshotApp)
+    r0, r1 = router.engines[:2]
+    laggard.handle_catch_up_response(_offer(r0), "r0")
+    assert laggard.snapshot_installs == 1
+    assert laggard.app.installed.seq == 4
+    # Only one peer vouches for entry 5 so far.
+    assert laggard.last_executed == 4 and list(laggard._catch_up) == [5]
+    # A second offer of the same certificate installs nothing again, and
+    # its suffix makes f + 1.
+    laggard.handle_catch_up_response(_offer(r1), "r1")
+    assert laggard.snapshot_installs == 1
+    assert laggard._catch_up == {}
+    assert_agreement(router.engines, 5)
+
+
+def test_installed_views_drop_their_view_change_votes():
+    # Each forced view change installs; the votes for the views a
+    # replica has reached are dead weight (40 views and 150 votes per
+    # engine when they were kept).
+    router = Router(4)
+    for view in range(1, 41):
+        for engine in router.engines:
+            engine.start_view_change(view)
+        router.drain()
+    assert {engine.view for engine in router.engines} == {40}
+    assert [engine._view_change_votes for engine in router.engines] == [{}] * 4
 
 
 class SignedCheckpointApp(PBFTApp):
