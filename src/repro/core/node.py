@@ -166,7 +166,11 @@ class BlockplaneNode(PBFTReplica):
         self._mirror_seen: set = set()
         self._proposed_mirrors: set = set()
         self._sign_collectors: Dict[Tuple[int, str, str], _SignatureCollector] = {}
-        self._deferred_sign_requests: List[Tuple[str, SignRequest]] = []
+        #: Requests our log has not reached yet, once each, keyed by
+        #: (src, position, digest, purpose).
+        self._deferred_sign_requests: Dict[
+            Tuple[str, int, str, str], SignRequest
+        ] = {}
         #: Set by :class:`repro.core.geo.GeoCoordinator` when attached.
         self.geo = None
         #: Reserve daemons running on this node (route gap responses).
@@ -443,7 +447,7 @@ class BlockplaneNode(PBFTReplica):
         base = self.local_log.base_position
         for key in [
             key for key, collector in self._sign_collectors.items()
-            if key[2] != "mirror-held" and 0 < key[0] < base
+            if key[2] != "mirror-held" and key[0] < base
             and collector.future.resolved
         ]:
             del self._sign_collectors[key]
@@ -872,20 +876,23 @@ class BlockplaneNode(PBFTReplica):
                     purpose=msg.purpose,
                 ),
             )
-        else:
+        elif (
+            msg.purpose == "mirror-held"
+            or msg.position >= self.local_log.next_position
+        ):
             # Our log may simply be behind; re-check as entries apply.
-            self._deferred_sign_requests.append((src, msg))
+            # An applied or folded position never changes, so a request
+            # for one that fails now can never pass.
+            key = (src, msg.position, msg.digest, msg.purpose)
+            self._deferred_sign_requests[key] = msg
 
     def _retry_deferred_sign_requests(self) -> None:
         if not self._deferred_sign_requests:
             return
         deferred, self._deferred_sign_requests = (
-            self._deferred_sign_requests, []
+            self._deferred_sign_requests, {}
         )
-        base = self.local_log.base_position
-        for src, msg in deferred:
-            if msg.purpose != "mirror-held" and 0 < msg.position < base:
-                continue  # folded by truncation; never attestable again
+        for (src, *_), msg in deferred.items():
             self.handle_sign_request(msg, src)
 
     def _attest(self, msg: SignRequest) -> bool:
@@ -918,7 +925,8 @@ class BlockplaneNode(PBFTReplica):
         return mirror is not None and mirror.position == msg.position
 
     def handle_sign_response(self, msg: SignResponse, src: str) -> None:
-        """Collect a unit member's signature."""
+        """Journal a unit member's signature, then hand it to the
+        collection waiting for it (canary answers have none)."""
         if msg.signature is None or msg.signature.signer != src:
             if self.obs.forensics and msg.signature is not None:
                 # A response carrying someone else's signer id is
@@ -929,10 +937,6 @@ class BlockplaneNode(PBFTReplica):
                     src=src, position=msg.position, digest=msg.digest,
                     purpose=msg.purpose,
                 )
-            return
-        key = (msg.position, msg.digest, msg.purpose)
-        collector = self._sign_collectors.get(key)
-        if collector is None:
             return
         if not verify(self.directory.registry, msg.signature, msg.digest):
             if self.obs.forensics:
@@ -950,7 +954,11 @@ class BlockplaneNode(PBFTReplica):
                 node=self.node_id, signer=src, position=msg.position,
                 digest=msg.digest, purpose=msg.purpose,
             )
-        collector.add(src, msg.signature)
+        collector = self._sign_collectors.get(
+            (msg.position, msg.digest, msg.purpose)
+        )
+        if collector is not None:
+            collector.add(src, msg.signature)
 
     # ------------------------------------------------------------------
     # Reserve probes (Section IV-C)

@@ -103,11 +103,11 @@ def metrics_snapshot(obs: Observability) -> Dict[str, Any]:
                 "windows": [
                     {
                         "window": idx,
-                        "count": count,
-                        "mean": mean,
-                        "p99": h.window_quantile(idx, 0.99),
+                        "count": window.count,
+                        "mean": window.mean,
+                        "p99": window.quantile(0.99),
                     }
-                    for idx, count, mean in h.window_series()
+                    for idx, window in sorted(h.windows.items())
                 ],
             }
             for h in registry.histograms()
@@ -166,9 +166,9 @@ def to_prometheus_text(obs: Observability) -> str:
         if histogram.window_ms is not None and histogram.windows:
             window_name = f"{name}_window"
             _header(window_name, "histogram")
-            for index, _count, _mean in histogram.window_series():
+            for index, window in sorted(histogram.windows.items()):
                 window_label = f'window="{index}"'
-                for le, count in histogram.window_cumulative_buckets(index):
+                for le, count in window.cumulative_buckets():
                     extra = window_label + ',le="' + _fmt(le) + '"'
                     lines.append(
                         f"{window_name}_bucket"
@@ -177,12 +177,12 @@ def to_prometheus_text(obs: Observability) -> str:
                 lines.append(
                     f"{window_name}_sum"
                     f"{_label_str(histogram.labels, window_label)} "
-                    f"{_fmt(histogram.window_sum(index))}"
+                    f"{_fmt(window.sum)}"
                 )
                 lines.append(
                     f"{window_name}_count"
                     f"{_label_str(histogram.labels, window_label)} "
-                    f"{histogram.window_count(index)}"
+                    f"{window.count}"
                 )
     # Ring-buffer drop counters: always exported so silent eviction of
     # spans or journal events is visible to a scraper even when zero.

@@ -69,49 +69,43 @@ _EVIDENCE_CAP = 2
 class OnlineAuditor:
     """Consumes a journal (live or replayed) and attributes misbehavior.
 
+    The maps below keep the :class:`ProtocolEvent` objects the journal
+    hands its subscriber; evidence becomes JSON only in :meth:`report`.
+
     Args:
         journal: When given, all already-retained events are replayed
             immediately and the auditor subscribes for future ones —
             attach it before a run for online auditing, or after for
             post-mortem analysis of a full journal.
-        min_unit_activity: See :data:`MIN_UNIT_ACTIVITY`.
-        storm_threshold: See :data:`STORM_THRESHOLD`.
     """
 
-    def __init__(
-        self,
-        journal: Optional[EventJournal] = None,
-        min_unit_activity: int = MIN_UNIT_ACTIVITY,
-        storm_threshold: int = STORM_THRESHOLD,
-    ) -> None:
-        self.min_unit_activity = min_unit_activity
-        self.storm_threshold = storm_threshold
+    def __init__(self, journal: Optional[EventJournal] = None) -> None:
         self.events_seen = 0
         # --- membership --------------------------------------------------
-        #: participant -> {"members": [...], "gateway": id, "event": dict}
+        #: participant -> {"members": [...], "gateway": id, "event": event}
         self._units: Dict[str, Dict[str, Any]] = {}
         # --- PBFT state --------------------------------------------------
-        #: (participant, view, seq) -> {digest: first event dict}
-        self._proposals: Dict[Tuple[str, int, int], Dict[str, Dict]] = {}
+        #: (participant, view, seq) -> {digest: first event}
+        self._proposals: Dict[Tuple[str, int, int], Dict[str, ProtocolEvent]] = {}
         #: (participant, seq) -> all digests ever pre-prepared for it
         self._proposed_digests: Dict[Tuple[str, int], Set[str]] = {}
-        #: (participant, view, seq, phase, voter) -> (digest, event)
-        self._votes: Dict[Tuple[str, int, int, str, str], Tuple[str, Dict]] = {}
+        #: (participant, view, seq, phase, voter) -> first vote event
+        self._votes: Dict[Tuple[str, int, int, str, str], ProtocolEvent] = {}
         #: votes whose digest had no matching proposal *when observed*
         #: (re-checked at report time, once all proposals are known)
         self._pending_mismatch: Dict[
-            Tuple[str, int, str, str, str], Dict
+            Tuple[str, int, str, str, str], ProtocolEvent
         ] = {}
         # --- signature service -------------------------------------------
         self._canaries: Dict[str, str] = {}  # digest -> site probed
         # --- shipping timelines ------------------------------------------
-        #: (participant, destination) -> [(position, at_ms, event)] for
+        #: (participant, destination) -> [(position, event)] for
         #: communication records applied *by the configured gateway*
         self._gateway_appends: Dict[
-            Tuple[str, str], List[Tuple[int, float, Dict]]
+            Tuple[str, str], List[Tuple[int, ProtocolEvent]]
         ] = {}
         #: (participant, destination, position) -> {shipper node: event}
-        self._ships: Dict[Tuple[str, str, int], Dict[str, Dict]] = {}
+        self._ships: Dict[Tuple[str, str, int], Dict[str, ProtocolEvent]] = {}
         #: (source, destination) -> highest comm position appended /
         #: highest position delivered (chain-gap check)
         self._comm_head: Dict[Tuple[str, str], int] = {}
@@ -124,8 +118,8 @@ class OnlineAuditor:
         #: dedup key -> mutable finding draft
         self._detections: Dict[Tuple, Dict[str, Any]] = {}
         # --- health counters ----------------------------------------------
-        self._view_changes: Dict[str, List[Dict]] = {}
-        self._mirror_timeouts: Dict[str, List[Dict]] = {}
+        self._view_changes: Dict[str, List[ProtocolEvent]] = {}
+        self._mirror_timeouts: Dict[str, List[ProtocolEvent]] = {}
         self._health_counts: Dict[str, int] = {}
         self._verify_rejects: Dict[str, int] = {}
         self._promotions: Dict[str, int] = {}
@@ -175,8 +169,8 @@ class OnlineAuditor:
         configured gateway of ``participant`` applied for
         ``destination``."""
         return [
-            (position, at_ms)
-            for position, at_ms, _event in self._gateway_appends.get(
+            (position, event.at_ms)
+            for position, event in self._gateway_appends.get(
                 (participant, destination), ()
             )
         ]
@@ -206,7 +200,7 @@ class OnlineAuditor:
         self._units[event.participant] = {
             "members": list(event.args.get("members", ())),
             "gateway": event.args.get("gateway", ""),
-            "event": event.to_dict(),
+            "event": event,
         }
 
     def _on_pre_prepare(self, event: ProtocolEvent) -> None:
@@ -217,7 +211,7 @@ class OnlineAuditor:
         self._credit(leader)
         slot = self._proposals.setdefault((event.participant, view, seq), {})
         if digest not in slot and len(slot) < _EVIDENCE_CAP:
-            slot[digest] = event.to_dict()
+            slot[digest] = event
         if len(slot) >= 2:
             self._detect(
                 ("equivocation", leader, event.participant, view, seq),
@@ -255,16 +249,15 @@ class OnlineAuditor:
                 summary=(
                     f"{src} sent a {phase} vote claiming to be {voter}"
                 ),
-                evidence=[event.to_dict()],
+                evidence=[event],
                 context={"claimed_voter": voter},
             )
             return
         self._credit(voter)
         key = (event.participant, view, seq, phase, voter)
-        previous = self._votes.get(key)
-        if previous is None:
-            self._votes[key] = (digest, event.to_dict())
-        elif previous[0] != digest:
+        previous = self._votes.setdefault(key, event)
+        first = previous.args.get("digest", "")
+        if first != digest:
             self._detect(
                 ("equivocation", voter, event.participant, view, seq, phase),
                 kind="equivocation",
@@ -275,15 +268,14 @@ class OnlineAuditor:
                     f"{voter} voted two digests in {phase} for slot "
                     f"view={view} seq={seq}"
                 ),
-                evidence=[previous[1], event.to_dict()],
+                evidence=[previous, event],
                 context={"view": view, "seq": seq, "phase": phase,
-                         "digests": sorted({previous[0], digest})},
+                         "digests": sorted({first, digest})},
             )
         proposed = self._proposed_digests.get((event.participant, seq), ())
         if digest not in proposed:
             self._pending_mismatch.setdefault(
-                (event.participant, seq, phase, voter, digest),
-                event.to_dict(),
+                (event.participant, seq, phase, voter, digest), event
             )
 
     def _on_verify_reject(self, event: ProtocolEvent) -> None:
@@ -294,9 +286,7 @@ class OnlineAuditor:
         )
 
     def _on_view_change(self, event: ProtocolEvent) -> None:
-        self._view_changes.setdefault(event.participant, []).append(
-            event.to_dict()
-        )
+        self._view_changes.setdefault(event.participant, []).append(event)
 
     def _on_log_append(self, event: ProtocolEvent) -> None:
         args = event.args
@@ -315,7 +305,7 @@ class OnlineAuditor:
             if unit is not None and event.node == unit["gateway"]:
                 self._gateway_appends.setdefault(
                     (event.participant, destination), []
-                ).append((position, event.at_ms, event.to_dict()))
+                ).append((position, event))
 
     def _on_ship(self, event: ProtocolEvent) -> None:
         args = event.args
@@ -327,7 +317,7 @@ class OnlineAuditor:
         )
         shippers = self._ships.setdefault(key, {})
         if event.node not in shippers and len(shippers) < 4:
-            shippers[event.node] = event.to_dict()
+            shippers[event.node] = event
 
     def _on_chain_advance(self, event: ProtocolEvent) -> None:
         self._credit(event.node)
@@ -352,7 +342,7 @@ class OnlineAuditor:
                     f"{signer} attested canary digest "
                     f"{digest[:12]}… that no honest log holds"
                 ),
-                evidence=[event.to_dict()],
+                evidence=[event],
                 context={"canary": digest},
             )
 
@@ -366,7 +356,7 @@ class OnlineAuditor:
             participant=event.participant,
             summary=f"{signer} returned a signature whose MAC "
                     f"fails verification",
-            evidence=[event.to_dict()],
+            evidence=[event],
         )
 
     def _on_sign_spoofed(self, event: ProtocolEvent) -> None:
@@ -379,7 +369,7 @@ class OnlineAuditor:
             suspect_kind="replica",
             participant=event.participant,
             summary=f"{src} submitted a signature claiming to be {signer}",
-            evidence=[event.to_dict()],
+            evidence=[event],
             context={"claimed_signer": signer},
         )
 
@@ -396,7 +386,7 @@ class OnlineAuditor:
                 f"transmissions from {source} arrived at "
                 f"{event.participant} with invalid proofs"
             ),
-            evidence=[event.to_dict()],
+            evidence=[event],
         )
 
     def _on_crash(self, event: ProtocolEvent) -> None:
@@ -404,7 +394,7 @@ class OnlineAuditor:
 
     def _on_mirror_timeout(self, event: ProtocolEvent) -> None:
         target = event.args.get("target", "")
-        self._mirror_timeouts.setdefault(target, []).append(event.to_dict())
+        self._mirror_timeouts.setdefault(target, []).append(event)
 
     # ------------------------------------------------------------------
     # Detection bookkeeping
@@ -444,8 +434,7 @@ class OnlineAuditor:
         self._report_silent_replicas(drafts)
         self._report_withholding(drafts)
         self._report_chain_gaps(drafts)
-        self._report_storms(drafts)
-        self._report_mirror_divergence(drafts)
+        self._report_site_health(drafts)
         findings = [
             Finding(
                 kind=draft["kind"],
@@ -454,7 +443,7 @@ class OnlineAuditor:
                 participant=draft["participant"],
                 score=FINDING_SCORES[draft["kind"]],
                 summary=draft["summary"],
-                evidence=tuple(draft["evidence"]),
+                evidence=tuple(event.to_dict() for event in draft["evidence"]),
                 count=draft["count"],
                 context=draft["context"],
             )
@@ -510,10 +499,7 @@ class OnlineAuditor:
         capture lifecycle events: silence is only evidence when the
         node was nominally up the whole time."""
         for participant in sorted(self._units):
-            if (
-                self._unit_log_len.get(participant, 0)
-                < self.min_unit_activity
-            ):
+            if self._unit_log_len.get(participant, 0) < MIN_UNIT_ACTIVITY:
                 continue
             unit = self._units[participant]
             for node in unit["members"]:
@@ -555,8 +541,8 @@ class OnlineAuditor:
                 continue
             gateway = unit["gateway"]
             withheld: List[int] = []
-            evidence: List[Dict] = []
-            for position, _at, append_event in self._gateway_appends[
+            evidence: List[ProtocolEvent] = []
+            for position, append_event in self._gateway_appends[
                 (participant, destination)
             ]:
                 shippers = self._ships.get(
@@ -622,43 +608,29 @@ class OnlineAuditor:
                 },
             }
 
-    def _report_storms(self, drafts: Dict) -> None:
-        for participant in sorted(self._view_changes):
-            events = self._view_changes[participant]
-            if len(events) < self.storm_threshold:
-                continue
-            drafts[("view-change-storm", participant)] = {
-                "kind": "view-change-storm",
-                "suspect": participant,
-                "suspect_kind": "site",
-                "participant": participant,
-                "summary": (
-                    f"unit {participant} went through "
-                    f"{len(events)} view changes"
-                ),
-                "evidence": events[:_EVIDENCE_CAP],
-                "count": len(events),
-                "context": {},
-            }
-
-    def _report_mirror_divergence(self, drafts: Dict) -> None:
-        for target in sorted(self._mirror_timeouts):
-            events = self._mirror_timeouts[target]
-            if len(events) < MIRROR_TIMEOUT_THRESHOLD:
-                continue
-            drafts[("mirror-divergence", target)] = {
-                "kind": "mirror-divergence",
-                "suspect": target,
-                "suspect_kind": "site",
-                "participant": target,
-                "summary": (
-                    f"geo mirror {target} timed out "
-                    f"{len(events)} times"
-                ),
-                "evidence": events[:_EVIDENCE_CAP],
-                "count": len(events),
-                "context": {},
-            }
+    def _report_site_health(self, drafts: Dict) -> None:
+        """Sites whose view changes or mirror timeouts reached their
+        threshold."""
+        for events_by_site, threshold, kind, what in (
+            (self._view_changes, STORM_THRESHOLD, "view-change-storm",
+             "unit {site} went through {n} view changes"),
+            (self._mirror_timeouts, MIRROR_TIMEOUT_THRESHOLD,
+             "mirror-divergence", "geo mirror {site} timed out {n} times"),
+        ):
+            for site in sorted(events_by_site):
+                events = events_by_site[site]
+                if len(events) < threshold:
+                    continue
+                drafts[(kind, site)] = {
+                    "kind": kind,
+                    "suspect": site,
+                    "suspect_kind": "site",
+                    "participant": site,
+                    "summary": what.format(site=site, n=len(events)),
+                    "evidence": events[:_EVIDENCE_CAP],
+                    "count": len(events),
+                    "context": {},
+                }
 
     # -- health ----------------------------------------------------------
     def _health(self) -> Dict[str, Any]:

@@ -6,18 +6,18 @@ nodes sign, with its true identity and valid MACs. The only way to
 surface it is to ask for something *no honest log can substantiate* and
 see who attests anyway.
 
-:class:`CanaryProber` schedules a handful of signature collections per
-site for a **canary digest** — a digest derived from the site name that
-matches no committed record — at ``position=0``, which is outside every
-Local Log (positions are 1-based). Honest nodes' ``_attest`` therefore
-defers forever; a promiscuous node signs it (journaled as a
-``sign.response`` the auditor matches against its registered canaries),
-and a forging node answers with its usual garbage MAC (journaled as
-``sign.invalid``). The collection future never resolves — the proof
-quorum needs ``f+1`` signatures and at most ``f`` nodes will bite —
-so the probe is *evidence-only*: it cannot mint a usable proof, and
-because the collector is keyed by ``(position, digest, purpose)`` it
-can never collide with a real transmission attestation.
+:class:`CanaryProber` broadcasts one signature request per site and
+probe time for a **canary digest** — a digest derived from the site
+name that matches no committed record — at ``position=0``, which is
+outside every Local Log (positions are 1-based). Honest nodes'
+``_attest`` therefore refuses it, and because the log has already passed
+position 0 they do not defer it either; a promiscuous node signs it
+(journaled as a ``sign.response`` the auditor matches against its
+registered canaries), and a forging node answers with its usual garbage
+MAC (journaled as ``sign.invalid``). No collection waits for the
+answers — the gateway journals them and drops them — so the probe is
+*evidence-only*: it cannot mint a usable proof, and it never touches a
+real transmission attestation.
 
 Probing is the one deliberately *active* piece of the forensics layer:
 it injects real SignRequest traffic, so it lives here (opt-in, used by
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import hashlib
 from typing import Dict, Sequence
+
+from repro.core.messages import SignRequest
 
 #: Well-known prefix hashed into each site's canary digest.
 CANARY_PREFIX = "bp-canary:"
@@ -47,7 +49,7 @@ def canary_digest(site: str) -> str:
 
 
 class CanaryProber:
-    """Schedules canary signature collections across a deployment.
+    """Schedules canary signature requests across a deployment.
 
     Args:
         sim: The simulator to schedule probes on.
@@ -78,18 +80,16 @@ class CanaryProber:
                 sim.schedule_at(at_ms, self._fire, site)
 
     def _fire(self, site: str) -> None:
-        """Probe one site: collect signatures for its canary from a
-        live unit member (the gateway when it is up)."""
+        """Probe one site: broadcast its canary request once from a live
+        unit member (the gateway when it is up)."""
         unit = self.deployment.unit(site)
         if not unit.live_nodes():
             return
-        collector = unit.gateway_node()
-        if collector.crashed:
-            return
+        gateway = unit.gateway_node()
         self.probes_fired += 1
-        # position=0 is outside every 1-based Local Log: honest
-        # attestation can never succeed, and the (position, digest,
-        # purpose) collector key cannot collide with real collections.
-        collector.collect_local_signatures(
-            0, self.digests[site], purpose="transmission"
+        gateway.broadcast(
+            gateway.peers,
+            SignRequest(
+                position=0, digest=self.digests[site], purpose="transmission"
+            ),
         )

@@ -84,7 +84,7 @@ class Histogram:
             always appended.
         window_ms: When set, every observation is also tallied into the
             virtual-time window ``floor(at / window_ms)`` — each window
-            keeps its own count, sum, and bucket counts so windowed
+            is a plain :class:`Histogram` in :attr:`windows`, so windowed
             rates, means, and quantiles can be derived after a run. An
             observation landing exactly on a boundary belongs to the
             *higher* window (``floor`` of the half-open ``[k·w, (k+1)·w)``
@@ -122,8 +122,8 @@ class Histogram:
         self.min = float("inf")
         self.max = float("-inf")
         self.window_ms = window_ms
-        # window index -> [count, sum, [per-bucket counts incl. +Inf]]
-        self.windows: Dict[int, List[Any]] = {}
+        #: window index -> that window's observations
+        self.windows: Dict[int, Histogram] = {}
 
     def observe(self, value: float, at: float = 0.0) -> None:
         """Record one sample; ``at`` is the virtual time of observation
@@ -138,15 +138,12 @@ class Histogram:
             self.max = value
         if self.window_ms is not None:
             window = int(at // self.window_ms)
-            tally = self.windows.get(window)
-            if tally is None:
-                counts = [0] * (len(self.bounds) + 1)
-                counts[bucket] = 1
-                self.windows[window] = [1, value, counts]
-            else:
-                tally[0] += 1
-                tally[1] += value
-                tally[2][bucket] += 1
+            child = self.windows.get(window)
+            if child is None:
+                child = self.windows[window] = Histogram(
+                    self.name, self.labels, self.bounds
+                )
+            child.observe(value)
 
     @property
     def mean(self) -> float:
@@ -164,79 +161,32 @@ class Histogram:
         out.append((float("inf"), running + self.bucket_counts[-1]))
         return out
 
-    def window_series(self) -> List[Tuple[int, int, float]]:
-        """Sorted ``(window_index, count, mean)`` tuples (windowed
-        histograms only; empty otherwise)."""
-        return [
-            (index, int(tally[0]), tally[1] / tally[0])
-            for index, tally in sorted(self.windows.items())
-        ]
-
-    def window_cumulative_buckets(
-        self, index: int
-    ) -> List[Tuple[float, int]]:
-        """``(le, cumulative_count)`` pairs for one window (empty list
-        for a window that never saw an observation)."""
-        tally = self.windows.get(index)
-        if tally is None:
-            return []
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, bucket in zip(self.bounds, tally[2]):
-            running += bucket
-            out.append((bound, running))
-        out.append((float("inf"), running + tally[2][-1]))
-        return out
-
-    def window_sum(self, index: int) -> float:
-        tally = self.windows.get(index)
-        return float(tally[1]) if tally is not None else 0.0
-
-    def window_count(self, index: int) -> int:
-        tally = self.windows.get(index)
-        return int(tally[0]) if tally is not None else 0
-
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the ``q``-quantile from the bucket counts
         (Prometheus ``histogram_quantile`` semantics: linear
         interpolation inside the bucket, the highest finite bound for
         samples in the +Inf bucket). ``None`` when empty."""
-        return _bucket_quantile(self.bounds, self.bucket_counts, q)
-
-    def window_quantile(self, index: int, q: float) -> Optional[float]:
-        """The ``q``-quantile of one virtual-time window; ``None`` for
-        a window with no observations (or an unwindowed histogram)."""
-        tally = self.windows.get(index)
-        if tally is None:
+        total = sum(self.bucket_counts)
+        if total <= 0:
             return None
-        return _bucket_quantile(self.bounds, tally[2], q)
-
-
-def _bucket_quantile(
-    bounds: Sequence[float], bucket_counts: Sequence[int], q: float
-) -> Optional[float]:
-    """Shared quantile estimator over (bounds, per-bucket counts)."""
-    total = sum(bucket_counts)
-    if total <= 0:
-        return None
-    if not 0.0 <= q <= 1.0:
-        raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-    rank = q * total
-    cumulative = 0
-    for i, bucket in enumerate(bucket_counts):
-        if bucket == 0:
+        if not 0.0 <= q <= 1.0:
+            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
+        rank = q * total
+        cumulative = 0
+        for i, bucket in enumerate(self.bucket_counts):
+            if bucket == 0:
+                cumulative += bucket
+                continue
+            if cumulative + bucket >= rank:
+                if i >= len(self.bounds):
+                    # +Inf bucket: best estimate is the last finite bound.
+                    return float(self.bounds[-1]) if self.bounds else 0.0
+                lower = float(self.bounds[i - 1]) if i > 0 else 0.0
+                upper = float(self.bounds[i])
+                fraction = (rank - cumulative) / bucket
+                return lower + (upper - lower) * max(0.0, min(1.0, fraction))
             cumulative += bucket
-            continue
-        if cumulative + bucket >= rank:
-            if i >= len(bounds):
-                # +Inf bucket: best estimate is the last finite bound.
-                return float(bounds[-1]) if bounds else 0.0
-            lower = float(bounds[i - 1]) if i > 0 else 0.0
-            upper = float(bounds[i])
-            fraction = (rank - cumulative) / bucket
-            return lower + (upper - lower) * max(0.0, min(1.0, fraction))
-        cumulative += bucket
-    return float(bounds[-1]) if bounds else 0.0
+        return float(self.bounds[-1]) if self.bounds else 0.0
 
 
 class MetricsRegistry:

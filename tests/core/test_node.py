@@ -1,7 +1,7 @@
 """Tests for BlockplaneNode internals: signature service, reception
 handling, duplicate suppression, position futures."""
 
-from repro.core.messages import SignRequest, TransmissionMessage
+from repro.core.messages import SignRequest, SignResponse, TransmissionMessage
 from repro.core.records import (
     RECORD_LOG_COMMIT,
     RECORD_RECEIVED,
@@ -91,6 +91,57 @@ def test_signing_defers_until_entry_applied_then_answers(sim):
     sim.run_until_resolved(api.send("early", to="B"))
     proof = sim.run_until_resolved(proof_future)
     assert len(proof.signatures) >= 2
+
+
+def test_repeated_early_request_is_held_once_and_answered_once(sim):
+    deployment = build_pair(sim)
+    api = deployment.api("A")
+    node = deployment.unit("A").nodes[1]
+    record = TransmissionRecord(
+        source="A",
+        destination="B",
+        message="early",
+        source_position=1,
+        prev_position=None,
+        payload_bytes=1000,
+    )
+    request = SignRequest(
+        position=1, digest=record.digest(), purpose="transmission"
+    )
+    answers = []
+    forward = node.send
+
+    def counting(dst, message):
+        if isinstance(message, SignResponse) and dst == "A-3":
+            answers.append(message.digest)
+        forward(dst, message)
+
+    node.send = counting
+    for _ in range(20):  # a collector re-broadcasting before the apply
+        node.handle_sign_request(request, "A-3")
+    assert len(node._deferred_sign_requests) == 1
+    sim.run_until_resolved(api.send("early", to="B"))
+    sim.run(until=sim.now + 50)
+    assert answers == [record.digest()]
+    assert not node._deferred_sign_requests
+
+
+def test_requests_the_log_has_passed_are_not_held(sim):
+    deployment = build_pair(sim)
+    sim.run_until_resolved(deployment.api("A").send("m", to="B"))
+    sim.run(until=sim.now + 5)
+    gateway = deployment.unit("A").gateway_node()
+    node = deployment.unit("A").nodes[1]
+    assert node.local_log.covers(1)
+    assert not node._deferred_sign_requests
+    for request in (
+        # An applied position with the wrong digest never becomes true.
+        SignRequest(position=1, digest="00" * 32, purpose="transmission"),
+        # Position 0 precedes every 1-based log (the canary probe).
+        SignRequest(position=0, digest="ff" * 32, purpose="transmission"),
+    ):
+        node.handle_sign_request(request, gateway.node_id)
+        assert not node._deferred_sign_requests
 
 
 def test_incoming_transmission_committed_once_despite_fanout(sim):

@@ -15,7 +15,11 @@ from repro.core.byzantine import (
     PromiscuousSigner,
     SilentUnitMember,
 )
-from repro.core.messages import TransmissionAck, TransmissionMessage
+from repro.core.messages import (
+    SignRequest,
+    TransmissionAck,
+    TransmissionMessage,
+)
 from repro.core.node import BlockplaneNode
 from repro.core.verification import AcceptAll
 from repro.obs import Observability
@@ -201,8 +205,36 @@ def test_canaries_spare_honest_deployments():
     assert received.resolved
     assert prober.probes_fired > 0
     report = auditor.report()
-    # Honest signers defer the bogus position.
+    # Honest signers refuse position 0: their logs can never hold it.
     assert not any(f.accusing for f in report.findings)
+
+
+def test_canary_probe_is_one_broadcast_per_probe_time():
+    sim, deployment, auditor = _audited_pair()
+    network = deployment.network
+    sent = {}
+    forward = network.broadcast
+
+    def counting(src, dst_ids, message):
+        if isinstance(message, SignRequest) and message.position == 0:
+            for dst in dst_ids:
+                sent[(src, dst)] = sent.get((src, dst), 0) + 1
+        forward(src, dst_ids, message)
+
+    network.broadcast = counting
+    CanaryProber(sim, deployment, auditor=auditor, times_ms=(100.0, 400.0))
+    peers = {
+        (unit.gateway_node().node_id, node.node_id)
+        for unit in (deployment.unit("A"), deployment.unit("B"))
+        for node in unit.nodes
+        if node is not unit.gateway_node()
+    }
+    sim.run(until=99.0)
+    assert sent == {}
+    sim.run(until=399.0)  # nothing between the probes
+    assert sent == {pair: 1 for pair in peers}
+    sim.run(until=1_000.0)
+    assert sent == {pair: 2 for pair in peers}
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,10 @@ def test_histogram_windowing_by_virtual_time():
     hist.observe(3.0, at=99.9)
     hist.observe(10.0, at=100.0)
     hist.observe(20.0, at=250.0)
-    assert hist.window_series() == [
+    assert [
+        (index, window.count, window.mean)
+        for index, window in sorted(hist.windows.items())
+    ] == [
         (0, 2, pytest.approx(2.0)),
         (1, 1, pytest.approx(10.0)),
         (2, 1, pytest.approx(20.0)),
@@ -89,7 +92,7 @@ def test_histogram_unwindowed_ignores_time():
     registry = MetricsRegistry()
     hist = registry.histogram("lat_ms")
     hist.observe(1.0, at=123.0)
-    assert hist.window_series() == []
+    assert hist.windows == {}
 
 
 def test_histogram_rejects_nonpositive_window():
@@ -154,19 +157,25 @@ def test_boundary_observation_lands_in_higher_window():
     hist = registry.histogram("lat_ms", window_ms=100.0)
     hist.observe(1.0, at=99.999)
     hist.observe(2.0, at=100.0)  # exactly on the boundary
-    assert hist.window_count(0) == 1
-    assert hist.window_count(1) == 1
-    assert hist.window_sum(1) == pytest.approx(2.0)
+    assert hist.windows[0].count == 1
+    assert hist.windows[1].count == 1
+    assert hist.windows[1].sum == pytest.approx(2.0)
 
 
 def test_empty_window_quantile_is_none():
     registry = MetricsRegistry()
     hist = registry.histogram("lat_ms", window_ms=100.0)
     hist.observe(5.0, at=0.0)
-    assert hist.window_quantile(7, 0.99) is None  # window never seen
-    assert hist.window_cumulative_buckets(7) == []
-    assert hist.window_count(7) == 0
-    assert hist.window_sum(7) == 0.0
+    assert 7 not in hist.windows  # window never seen
+    assert hist.windows[0].quantile(0.99) is not None
+    # A window starts as an empty histogram: no quantile, zero tallies.
+    empty = Histogram("lat_ms", (), hist.bounds)
+    assert empty.quantile(0.99) is None
+    assert [count for _, count in empty.cumulative_buckets()] == [0] * (
+        len(hist.bounds) + 1
+    )
+    assert empty.count == 0
+    assert empty.sum == 0.0
 
 
 def test_quantile_of_empty_histogram_is_none():
@@ -207,9 +216,9 @@ def test_window_cumulative_buckets_are_monotonic():
     )
     for value in (0.5, 2.0, 7.0, 50.0):
         hist.observe(value, at=10.0)
-    pairs = hist.window_cumulative_buckets(0)
+    pairs = hist.windows[0].cumulative_buckets()
     bounds = [bound for bound, _ in pairs]
     counts = [count for _, count in pairs]
     assert bounds == sorted(bounds)
     assert counts == sorted(counts)  # cumulative: never decreases
-    assert counts[-1] == hist.window_count(0) == 4
+    assert counts[-1] == hist.windows[0].count == 4
