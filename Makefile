@@ -56,7 +56,10 @@ bench-selftest:
 # (`--compare` itself only fails on REGRESSED/unresolved host-time rows).
 # It also proves the evidence unchanged: both trees export
 # `python -m repro --obs-out DIR fig4`, and journal.json, metrics.json and
-# trace.json must be byte-identical (`cmp`).
+# trace.json must be byte-identical (`cmp`). And the figures: the tree's
+# tools/figures.py prints every Section VIII driver's result (repr, so
+# exact) once against BASE's src and once against the tree's, and the
+# two outputs must be byte-identical.
 IDENTICAL_DIR ?= /tmp/repro-identical
 identical:
 	@test -n "$(BASE)" || { echo "usage: make identical BASE=<rev>" >&2; exit 2; }
@@ -89,7 +92,10 @@ identical:
 	for artifact in journal.json metrics.json trace.json; do \
 		cmp $(IDENTICAL_DIR)/base-obs/$$artifact $(IDENTICAL_DIR)/tree-obs/$$artifact || status=1; \
 	done; \
-	test $$status -ne 0 || echo "identical on seeds 7 and 11: every exact counter, *_vms value, schedule_digest, failed and correct; fig4 journal.json, metrics.json and trace.json byte-identical"; \
+	PYTHONPATH=$(IDENTICAL_DIR)/base/src $(PYTHON) tools/figures.py >$(IDENTICAL_DIR)/base-figures.txt || status=1; \
+	$(PYTHON) tools/figures.py >$(IDENTICAL_DIR)/tree-figures.txt || status=1; \
+	cmp $(IDENTICAL_DIR)/base-figures.txt $(IDENTICAL_DIR)/tree-figures.txt || status=1; \
+	test $$status -ne 0 || echo "identical on seeds 7 and 11: every exact counter, *_vms value, schedule_digest, failed and correct; fig4 journal.json, metrics.json and trace.json byte-identical; every figure driver's result bit-identical"; \
 	exit $$status
 
 # What full observability costs: the same traffic with telemetry off

@@ -63,39 +63,25 @@ _SUBCOMMANDS = {
     ),
 }
 
-# Drivers take ``obs=None``; the ones not yet instrumented ignore the
-# flag (their lambdas below simply drop it).
-_QUICK = {
-    "table1": lambda obs=None: table1_topology.main(),
-    "fig4": lambda obs=None: fig4_local_commit.main(
-        measured=100, warmup=10, obs=obs
+#: Experiment → (driver ``main``, {parameter: (quick size, --full size)}).
+_EXPERIMENTS = {
+    "table1": (table1_topology.main, {}),
+    "fig4": (fig4_local_commit.main, {"measured": (100, 1000), "warmup": (10, 100)}),
+    "table2": (
+        table2_scalability.main, {"measured": (100, 1000), "warmup": (10, 100)}
     ),
-    "table2": lambda obs=None: table2_scalability.main(
-        measured=100, warmup=10, obs=obs
+    "fig5": (fig5_geo.main, {"measured": (20, 100), "warmup": (2, 10)}),
+    "fig6": (fig6_communication.main, {"rounds": (8, 20)}),
+    "fig7": (fig7_consensus.main, {"rounds": (8, 20)}),
+    "fig8": (
+        fig8_failures.main,
+        {"backup_batches": (70, 100), "primary_batches": (100, 160)},
     ),
-    "fig5": lambda obs=None: fig5_geo.main(measured=20, warmup=2, obs=obs),
-    "fig6": lambda obs=None: fig6_communication.main(rounds=8, obs=obs),
-    "fig7": lambda obs=None: fig7_consensus.main(rounds=8),
-    "fig8": lambda obs=None: fig8_failures.main(backup_batches=70,
-                                                primary_batches=100),
-    "ablations": lambda obs=None: ablations.main(),
+    "ablations": (ablations.main, {}),
 }
 
-_FULL = {
-    "table1": lambda obs=None: table1_topology.main(),
-    "fig4": lambda obs=None: fig4_local_commit.main(
-        measured=1000, warmup=100, obs=obs
-    ),
-    "table2": lambda obs=None: table2_scalability.main(
-        measured=1000, warmup=100, obs=obs
-    ),
-    "fig5": lambda obs=None: fig5_geo.main(measured=100, warmup=10, obs=obs),
-    "fig6": lambda obs=None: fig6_communication.main(rounds=20, obs=obs),
-    "fig7": lambda obs=None: fig7_consensus.main(rounds=20),
-    "fig8": lambda obs=None: fig8_failures.main(backup_batches=100,
-                                                primary_batches=160),
-    "ablations": lambda obs=None: ablations.main(),
-}
+#: The drivers whose ``main`` records into an ``obs=`` session.
+_OBS_AWARE = ("fig4", "table2", "fig5", "fig6")
 
 
 def _parse_obs_out(argv: list) -> tuple:
@@ -133,7 +119,7 @@ def _print_help() -> None:
         print(f"  {name:<{width}}  {summary}")
     print()
     print("experiments (default: all, quick sizes):")
-    print(f"  {', '.join(_QUICK)}")
+    print(f"  {', '.join(_EXPERIMENTS)}")
     print()
     print("experiment flags:")
     print("  --full         paper-sized runs (slower)")
@@ -160,14 +146,13 @@ def main(argv: list) -> int:
         return 2
     full = "--full" in argv
     names = [arg for arg in argv if not arg.startswith("-")]
-    table = _FULL if full else _QUICK
-    unknown = [name for name in names if name not in table]
+    unknown = [name for name in names if name not in _EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}")
-        print(f"available: {', '.join(table)}")
+        print(f"available: {', '.join(_EXPERIMENTS)}")
         print(f"subcommands: {', '.join(_SUBCOMMANDS)}")
         return 2
-    selected = names or list(table)
+    selected = names or list(_EXPERIMENTS)
     obs = None
     if obs_out is not None:
         from repro.obs import Observability
@@ -178,7 +163,14 @@ def main(argv: list) -> int:
             print()
             print("=" * 68)
             print()
-        table[name](obs=obs)
+        driver, sizes = _EXPERIMENTS[name]
+        kwargs = {
+            parameter: full_size if full else quick_size
+            for parameter, (quick_size, full_size) in sizes.items()
+        }
+        if name in _OBS_AWARE:
+            kwargs["obs"] = obs
+        driver(**kwargs)
     if obs is not None:
         from repro.obs import export_all
         from repro.obs.demo import trace_commit_lifecycle

@@ -121,6 +121,19 @@ class GeoCoordinator:
             self.node.sim.spawn(self._gather(entry, future))
         return future
 
+    def forget_folded(self, base: int) -> None:
+        """Drop the proof state of the positions a Local Log truncation
+        folded: their commits and shipments are done, so nothing asks
+        for their proofs again."""
+        self._proof_futures = {
+            position: future
+            for position, future in self._proof_futures.items()
+            if position >= base
+        }
+        self._gathering = {
+            position for position in self._gathering if position >= base
+        }
+
     def _on_append(self, entry: LogEntry) -> None:
         if self.node.bp_config.f_geo <= 0:
             return

@@ -441,9 +441,10 @@ class BlockplaneNode(PBFTReplica):
         before = self.local_log.retained_count
         self.local_log.truncate_before(committed.value)
         dropped = before - self.local_log.retained_count
-        # A folded own-log position is never attestable or shipped
-        # again: drop its settled signature collections and let the
-        # daemons forget it.
+        # A folded own-log position is never attestable, shipped or
+        # looked up again: drop its settled signature collections and
+        # its seq → position entry, and let the daemons and the geo
+        # coordinator forget it.
         base = self.local_log.base_position
         for key in [
             key for key, collector in self._sign_collectors.items()
@@ -451,8 +452,15 @@ class BlockplaneNode(PBFTReplica):
             and collector.future.resolved
         ]:
             del self._sign_collectors[key]
+        self._seq_to_position = {
+            seq: position
+            for seq, position in self._seq_to_position.items()
+            if position >= base
+        }
         for daemon in self.comm_daemons:
             daemon.forget_folded(base)
+        if self.geo is not None:
+            self.geo.forget_folded(base)
         if self.obs.enabled:
             self.obs.counter(
                 "bp_log_truncations_total", participant=self.participant

@@ -22,15 +22,31 @@ from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.core.batching import Batcher
 from repro.core.reads import ReadStrategy
 from repro.core.records import RECORD_RECEIVED
+from repro.experiments.fig7_consensus import blockplane_paxos_leader
 from repro.experiments.report import fmt_ms, format_table
 from repro.pbft.quorums import unit_size
-from repro.sim.metrics import LatencySeries
+from repro.sim.process import Future
 from repro.sim.simulator import Simulator
 from repro.sim.topology import (
+    Topology,
     aws_four_dc_topology,
     single_dc_topology,
     symmetric_topology,
 )
+from repro.workloads.runner import mean, timed
+
+
+def _log_commit_ms(
+    topology: Topology, site: str, config: BlockplaneConfig, rounds: int, seed: int
+) -> float:
+    """Mean latency (ms) of ``rounds`` back-to-back 1000 B commits."""
+    sim = Simulator(seed=seed)
+    api = BlockplaneDeployment(sim, topology, config).api(site)
+
+    def commit(index):
+        return api.log_commit(f"v{index}", payload_bytes=1000)
+
+    return mean(timed(sim, commit, rounds))
 
 
 def run_read_strategies(
@@ -44,18 +60,17 @@ def run_read_strategies(
             sim, single_dc_topology("V"), BlockplaneConfig(f_independent=1)
         )
         api = deployment.api("V")
-        series = LatencySeries()
+        position = None
 
-        def workload():
-            position = yield api.log_commit("warm", payload_bytes=1000)
-            yield sim.sleep(5.0)  # let every replica apply
-            for _round in range(rounds):
-                start = sim.now
+        def read(index):
+            nonlocal position
+            if index:
                 yield api.read(position, strategy)
-                series.add(sim.now - start)
+            else:  # warm up: one entry, applied at every replica
+                position = yield api.log_commit("warm", payload_bytes=1000)
+                yield sim.sleep(5.0)
 
-        sim.run_until_resolved(sim.spawn(workload()), max_events=50_000_000)
-        results[strategy.value] = series.mean
+        results[strategy.value] = mean(timed(sim, read, rounds + 1, warmup=1))
     return results
 
 
@@ -78,17 +93,15 @@ def run_batching(
                 batcher.submit(f"cmd{i}", payload_bytes=command_bytes)
                 for i in range(commands)
             ]
-
-            def wait():
-                yield futures
+            timed(sim, lambda _index: futures, 1)
         else:
-            def wait():
-                for index in range(commands):
-                    yield api.log_commit(
-                        f"cmd{index}", payload_bytes=command_bytes
-                    )
-
-        sim.run_until_resolved(sim.spawn(wait()), max_events=100_000_000)
+            timed(
+                sim,
+                lambda index: api.log_commit(
+                    f"cmd{index}", payload_bytes=command_bytes
+                ),
+                commands,
+            )
         return commands / (sim.now / 1000.0)
 
     return {
@@ -113,18 +126,12 @@ def run_transmission_fanout(
         )
         api_c = deployment.api("C")
         api_o = deployment.api("O")
-        series = LatencySeries()
 
-        def sender():
-            for index in range(rounds):
-                start = sim.now
-                yield api_c.send(f"m{index}", to="O", payload_bytes=1000)
-                yield api_o_received[index]
-                series.add(sim.now - start)
+        def deliver(index):
+            yield api_c.send(f"m{index}", to="O", payload_bytes=1000)
+            yield api_o_received[index]
 
         # Simple rendezvous: resolve one future per received message.
-        from repro.sim.process import Future
-
         api_o_received = [Future(sim) for _ in range(rounds)]
 
         def receive_pump():
@@ -133,7 +140,7 @@ def run_transmission_fanout(
                 api_o_received[index].resolve(None)
 
         sim.spawn(receive_pump())
-        sim.run_until_resolved(sim.spawn(sender()), max_events=100_000_000)
+        series = timed(sim, deliver, rounds)
         gateway_o = deployment.unit("O").gateway_node()
         # A duplicate is a reception PBFT committed that the Local Log
         # then declined to append.
@@ -142,7 +149,7 @@ def run_transmission_fanout(
             for entries in (gateway_o.local_log, gateway_o.executed_entries)
         )
         results[fanout] = {
-            "delivery_ms": series.mean,
+            "delivery_ms": mean(series),
             "committed_receptions": float(received),
             "duplicates_suppressed": float(committed - received),
         }
@@ -157,23 +164,13 @@ def run_intra_dc_sensitivity(
     """Local-commit latency as a function of intra-DC one-way latency."""
     results: Dict[float, float] = {}
     for one_way in one_way_values_ms:
-        sim = Simulator(seed=seed)
-        deployment = BlockplaneDeployment(
-            sim,
+        results[one_way] = _log_commit_ms(
             single_dc_topology("V", intra_dc_one_way_ms=one_way),
+            "V",
             BlockplaneConfig(f_independent=1),
+            rounds,
+            seed,
         )
-        api = deployment.api("V")
-        series = LatencySeries()
-
-        def workload():
-            for index in range(rounds):
-                start = sim.now
-                yield api.log_commit(f"v{index}", payload_bytes=1000)
-                series.add(sim.now - start)
-
-        sim.run_until_resolved(sim.spawn(workload()), max_events=50_000_000)
-        results[one_way] = series.mean
     return results
 
 
@@ -193,42 +190,15 @@ def run_fi_scaling(
     there). This quantifies the paper's argument that the hierarchy
     makes resilience a local, not global, cost.
     """
-    from repro.apps.bp_paxos import BlockplanePaxosParticipant, PaxosVerification
-
     results: Dict[int, Dict[str, float]] = {}
     for fi in fi_values:
-        sim = Simulator(seed=seed)
-        topology = aws_four_dc_topology()
-        deployment = BlockplaneDeployment(
-            sim,
-            topology,
-            BlockplaneConfig(f_independent=fi),
-            routines_factory=lambda _name: PaxosVerification(),
+        deployment, replicate = blockplane_paxos_leader("C", seed, fi)
+        series = timed(
+            deployment.sim, lambda index: replicate(f"v{index}", 1000), rounds
         )
-        participants = {
-            site: BlockplanePaxosParticipant(
-                deployment.api(site), topology.site_names
-            )
-            for site in topology.site_names
-        }
-        for participant in participants.values():
-            participant.start()
-        leader = participants["C"]
-        sim.run_until_resolved(
-            sim.spawn(leader.leader_election()), max_events=200_000_000
-        )
-        series = LatencySeries()
-
-        def workload():
-            for index in range(rounds):
-                start = sim.now
-                yield leader.replicate(f"v{index}", payload_bytes=1000)
-                series.add(sim.now - start)
-
-        sim.run_until_resolved(sim.spawn(workload()), max_events=400_000_000)
         results[fi] = {
             "nodes_per_datacenter": float(unit_size(fi)),
-            "blockplane_paxos_ms": series.mean,
+            "blockplane_paxos_ms": mean(series),
         }
     return results
 
@@ -250,22 +220,13 @@ def run_participant_scaling(
     results: Dict[int, float] = {}
     for count in counts:
         sites = [f"P{index}" for index in range(count)]
-        sim = Simulator(seed=seed)
-        topology = symmetric_topology(sites, rtt_ms)
-        deployment = BlockplaneDeployment(
-            sim, topology, BlockplaneConfig(f_independent=1, f_geo=1)
+        results[count] = _log_commit_ms(
+            symmetric_topology(sites, rtt_ms),
+            sites[0],
+            BlockplaneConfig(f_independent=1, f_geo=1),
+            rounds,
+            seed,
         )
-        api = deployment.api(sites[0])
-        series = LatencySeries()
-
-        def workload():
-            for index in range(rounds):
-                start = sim.now
-                yield api.log_commit(f"v{index}", payload_bytes=1000)
-                series.add(sim.now - start)
-
-        sim.run_until_resolved(sim.spawn(workload()), max_events=100_000_000)
-        results[count] = series.mean
     return results
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.apps.bp_paxos import BlockplanePaxosParticipant, PaxosVerification
 from repro.baselines import FlatPaxosDeployment, FlatPBFTDeployment
-from repro.core import BlockplaneConfig, BlockplaneDeployment
+from repro.experiments.fig7_consensus import blockplane_paxos_leader
 from repro.experiments.report import format_table
 from repro.sim.simulator import Simulator
 from repro.sim.topology import aws_four_dc_topology
+from repro.workloads.runner import timed
 
 BATCH_BYTES = 1000
 
@@ -64,55 +64,31 @@ def run(operations: int = 10, seed: int = 0) -> Dict[str, Dict[str, float]]:
     paxos = FlatPaxosDeployment(sim, aws_four_dc_topology(), "C")
     sim.run_until_resolved(paxos.elect_leader())
     meter = _TrafficMeter(paxos.network)
-
-    def paxos_work():
-        for index in range(operations):
-            yield paxos.replicate(f"v{index}", payload_bytes=BATCH_BYTES)
-
-    sim.run_until_resolved(sim.spawn(paxos_work()), max_events=100_000_000)
+    timed(
+        sim,
+        lambda index: paxos.replicate(f"v{index}", payload_bytes=BATCH_BYTES),
+        operations,
+    )
     results["paxos"] = {"nodes": 4.0, **meter.per_op(operations)}
 
     # --- flat PBFT (4 wide-area nodes) ---------------------------------
     sim = Simulator(seed=seed)
     pbft = FlatPBFTDeployment(sim, aws_four_dc_topology(), "C")
     meter = _TrafficMeter(pbft.network)
-
-    def pbft_work():
-        for index in range(operations):
-            yield pbft.commit(f"v{index}", payload_bytes=BATCH_BYTES)
-
-    sim.run_until_resolved(sim.spawn(pbft_work()), max_events=100_000_000)
+    timed(
+        sim,
+        lambda index: pbft.commit(f"v{index}", payload_bytes=BATCH_BYTES),
+        operations,
+    )
     results["pbft"] = {"nodes": 4.0, **meter.per_op(operations)}
 
     # --- Blockplane-Paxos (16 nodes; extra local, minimal wide-area) ---
-    sim = Simulator(seed=seed)
-    topology = aws_four_dc_topology()
-    deployment = BlockplaneDeployment(
-        sim,
-        topology,
-        BlockplaneConfig(f_independent=1),
-        routines_factory=lambda _name: PaxosVerification(),
-    )
-    participants = {
-        site: BlockplanePaxosParticipant(
-            deployment.api(site), topology.site_names
-        )
-        for site in topology.site_names
-    }
-    for participant in participants.values():
-        participant.start()
-    leader = participants["C"]
-    sim.run_until_resolved(
-        sim.spawn(leader.leader_election()), max_events=200_000_000
-    )
+    deployment, replicate = blockplane_paxos_leader("C", seed)
     meter = _TrafficMeter(deployment.network)
-
-    def blockplane_work():
-        for index in range(operations):
-            yield leader.replicate(f"v{index}", payload_bytes=BATCH_BYTES)
-
-    sim.run_until_resolved(
-        sim.spawn(blockplane_work()), max_events=400_000_000
+    timed(
+        deployment.sim,
+        lambda index: replicate(f"v{index}", BATCH_BYTES),
+        operations,
     )
     results["blockplane-paxos"] = {
         "nodes": float(len(deployment.all_nodes())),

@@ -20,7 +20,7 @@ from typing import Dict, Sequence
 from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.experiments.report import fmt_mb_s, fmt_ms, format_table
 from repro.sim.simulator import Simulator
-from repro.sim.topology import single_dc_topology
+from repro.sim.topology import Topology, single_dc_topology
 from repro.workloads.generator import BatchWorkload
 from repro.workloads.runner import sequential_commit_latency
 
@@ -38,6 +38,40 @@ DEFAULT_BATCH_SIZES = (
 PAPER_LATENCY_MS = {100_000: 1.2, 1_000_000: 4.5, 2_000_000: 8.2}
 
 
+def log_commit_latency(
+    topology: Topology,
+    site: str,
+    config: BlockplaneConfig,
+    batch_bytes: int,
+    measured: int,
+    warmup: int,
+    seed: int,
+    obs=None,
+) -> Dict[str, float]:
+    """The paper's sequential ``log-commit`` workload at one site of a
+    fresh deployment; the single-unit measurement behind Fig. 4,
+    Table II and Fig. 5.
+
+    Returns:
+        Dict with ``latency_ms`` and ``throughput_mb_s``.
+    """
+    sim = Simulator(seed=seed)
+    deployment = BlockplaneDeployment(sim, topology, config, obs=obs)
+    api = deployment.api(site)
+    workload = BatchWorkload(
+        measured=measured, warmup=warmup, batch_bytes=batch_bytes, seed=seed
+    )
+    result = sequential_commit_latency(
+        sim,
+        lambda batch, size: api.log_commit(batch, payload_bytes=size),
+        workload,
+    )
+    return {
+        "latency_ms": result["latency_ms"],
+        "throughput_mb_s": result["throughput_mb_s"],
+    }
+
+
 def run_one(
     batch_bytes: int,
     measured: int = 1000,
@@ -51,26 +85,16 @@ def run_one(
     Returns:
         Dict with ``latency_ms`` and ``throughput_mb_s``.
     """
-    sim = Simulator(seed=seed)
-    deployment = BlockplaneDeployment(
-        sim,
+    return log_commit_latency(
         single_dc_topology("V"),
+        "V",
         BlockplaneConfig(f_independent=f_independent),
-        obs=obs,
+        batch_bytes,
+        measured,
+        warmup,
+        seed,
+        obs,
     )
-    api = deployment.api("V")
-    workload = BatchWorkload(
-        measured=measured, warmup=warmup, batch_bytes=batch_bytes, seed=seed
-    )
-    result = sequential_commit_latency(
-        sim,
-        lambda batch, size: api.log_commit(batch, payload_bytes=size),
-        workload,
-    )
-    return {
-        "latency_ms": result["latency_ms"],
-        "throughput_mb_s": result["throughput_mb_s"],
-    }
 
 
 def run(

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.core import BlockplaneConfig, BlockplaneDeployment
+from repro.core import BlockplaneConfig
+from repro.experiments.fig4_local_commit import log_commit_latency
 from repro.experiments.report import fmt_ms, format_table
-from repro.sim.simulator import Simulator
 from repro.sim.topology import AWS_SITES, aws_four_dc_topology
-from repro.workloads.generator import BatchWorkload
-from repro.workloads.runner import sequential_commit_latency
 
 DEFAULT_FG_LEVELS = (1, 2, 3)
 
@@ -42,23 +40,16 @@ def run_one(
     obs=None,
 ) -> float:
     """Mean commit latency (ms) at ``site`` with the given fg."""
-    sim = Simulator(seed=seed)
-    deployment = BlockplaneDeployment(
-        sim,
+    return log_commit_latency(
         aws_four_dc_topology(),
+        site,
         BlockplaneConfig(f_independent=1, f_geo=f_geo),
-        obs=obs,
-    )
-    api = deployment.api(site)
-    workload = BatchWorkload(
-        measured=measured, warmup=warmup, batch_bytes=1000, seed=seed
-    )
-    result = sequential_commit_latency(
-        sim,
-        lambda batch, size: api.log_commit(batch, payload_bytes=size),
-        workload,
-    )
-    return result["latency_ms"]
+        1000,
+        measured,
+        warmup,
+        seed,
+        obs,
+    )["latency_ms"]
 
 
 def run(

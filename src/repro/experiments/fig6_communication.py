@@ -20,6 +20,7 @@ from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.experiments.report import fmt_ms, format_table
 from repro.sim.simulator import Simulator
 from repro.sim.topology import AWS_SITES, aws_four_dc_topology
+from repro.workloads.runner import mean, timed
 
 #: Values read off the paper's Figure 6 (ms).
 PAPER_FIG6 = {
@@ -48,25 +49,18 @@ def run_pair(
     )
     api_src = deployment.api(source)
     api_dst = deployment.api(destination)
-    latencies = []
 
     def echo_server():
         while True:
             message = yield api_dst.receive(source)
             yield api_dst.send(("ack", message), to=source, payload_bytes=1000)
 
-    def measure():
-        for index in range(rounds + warmup):
-            start = sim.now
-            yield api_src.send(f"ping-{index}", to=destination, payload_bytes=1000)
-            yield api_src.receive(destination)
-            if index >= warmup:
-                latencies.append(sim.now - start)
+    def ping(index):
+        yield api_src.send(f"ping-{index}", to=destination, payload_bytes=1000)
+        yield api_src.receive(destination)
 
     sim.spawn(echo_server())
-    process = sim.spawn(measure())
-    sim.run_until_resolved(process, max_events=100_000_000)
-    return sum(latencies) / len(latencies)
+    return mean(timed(sim, ping, rounds + warmup, warmup))
 
 
 def run(

@@ -16,7 +16,7 @@ four systems:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.apps.bp_paxos import BlockplanePaxosParticipant, PaxosVerification
 from repro.baselines import (
@@ -28,6 +28,7 @@ from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.experiments.report import fmt_ms, format_table
 from repro.sim.simulator import Simulator
 from repro.sim.topology import AWS_SITES, aws_four_dc_topology
+from repro.workloads.runner import timed
 
 SYSTEMS = ("paxos", "blockplane-paxos", "hierarchical-pbft", "pbft")
 
@@ -44,12 +45,7 @@ BATCH_BYTES = 1000
 
 def _measure(sim: Simulator, replicate: Callable, rounds: int) -> float:
     start = sim.now
-
-    def work():
-        for index in range(rounds):
-            yield replicate(f"value-{index}", BATCH_BYTES)
-
-    sim.run_until_resolved(sim.spawn(work()), max_events=100_000_000)
+    timed(sim, lambda index: replicate(f"value-{index}", BATCH_BYTES), rounds)
     return (sim.now - start) / rounds
 
 
@@ -61,16 +57,22 @@ def run_paxos(leader_site: str, rounds: int = 20, seed: int = 0) -> float:
     return _measure(sim, deployment.replicate, rounds)
 
 
-def run_blockplane_paxos(
-    leader_site: str, rounds: int = 20, seed: int = 0
-) -> float:
-    """Blockplane-Paxos replication latency (Algorithm 3 over the API)."""
+def blockplane_paxos_leader(
+    leader_site: str, seed: int = 0, f_independent: int = 1
+) -> Tuple[BlockplaneDeployment, Callable]:
+    """Deploy Blockplane-Paxos (Algorithm 3 over the API) on the paper's
+    four datacenters and elect ``leader_site``.
+
+    Returns:
+        The deployment and ``replicate(value, payload_bytes) ->
+        Process``, one Replication phase at the elected leader.
+    """
     sim = Simulator(seed=seed)
     topology = aws_four_dc_topology()
     deployment = BlockplaneDeployment(
         sim,
         topology,
-        BlockplaneConfig(f_independent=1),
+        BlockplaneConfig(f_independent=f_independent),
         routines_factory=lambda _name: PaxosVerification(),
     )
     participants = {
@@ -89,7 +91,15 @@ def run_blockplane_paxos(
     def replicate(value, payload_bytes):
         return sim.spawn(leader.replicate(value, payload_bytes))
 
-    return _measure(sim, replicate, rounds)
+    return deployment, replicate
+
+
+def run_blockplane_paxos(
+    leader_site: str, rounds: int = 20, seed: int = 0
+) -> float:
+    """Blockplane-Paxos replication latency (Algorithm 3 over the API)."""
+    deployment, replicate = blockplane_paxos_leader(leader_site, seed)
+    return _measure(deployment.sim, replicate, rounds)
 
 
 def run_pbft(leader_site: str, rounds: int = 20, seed: int = 0) -> float:

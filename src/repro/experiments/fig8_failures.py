@@ -16,13 +16,14 @@ geo-correlated tolerance:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.experiments.report import format_table
 from repro.sim.process import any_of
 from repro.sim.simulator import Simulator
 from repro.sim.topology import aws_four_dc_topology
+from repro.workloads.runner import mean, timed
 
 #: Replication sets for the Figure 8 scenarios: California primary,
 #: Virginia the designated successor (as in the paper's narrative),
@@ -64,26 +65,19 @@ def run_backup_failure(
         the list), ``fail_at``, and steady-state means before/after.
     """
     deployment = _build(seed)
-    sim = deployment.sim
     api = deployment.api("C")
-    latencies: List[float] = []
 
-    def driver():
-        for index in range(batches):
-            if index == fail_at:
-                deployment.unit("O").crash()
-            start = sim.now
-            yield api.log_commit(f"batch-{index}", payload_bytes=BATCH_BYTES)
-            latencies.append(sim.now - start)
+    def commit(index):
+        if index == fail_at:
+            deployment.unit("O").crash()
+        return api.log_commit(f"batch-{index}", payload_bytes=BATCH_BYTES)
 
-    sim.run_until_resolved(sim.spawn(driver()), max_events=200_000_000)
-    before = latencies[5:fail_at]
-    after = latencies[fail_at + 2 :]
+    latencies = timed(deployment.sim, commit, batches)
     return {
         "latencies": latencies,
         "fail_at": fail_at,
-        "steady_before_ms": sum(before) / len(before),
-        "steady_after_ms": sum(after) / len(after),
+        "steady_before_ms": mean(latencies[5:fail_at]),
+        "steady_after_ms": mean(latencies[fail_at + 2 :]),
     }
 
 
@@ -101,7 +95,6 @@ def run_primary_failure(
     """
     deployment = _build(seed)
     sim = deployment.sim
-    latencies: List[float] = []
     state = {"primary": "C"}
     for site in ("C", "V", "O"):
         geo = deployment.unit(site).geo
@@ -109,37 +102,32 @@ def run_primary_failure(
             lambda primary, _epoch: state.__setitem__("primary", primary)
         )
 
-    def driver():
-        for index in range(batches):
-            if index == fail_at:
-                deployment.unit("C").crash()
-            start = sim.now
-            while True:
-                primary = state["primary"]
-                try:
-                    commit = deployment.api(primary).log_commit(
-                        f"batch-{index}", payload_bytes=BATCH_BYTES
-                    )
-                    which, _ = yield any_of(
-                        sim, [commit, sim.sleep(retry_timeout_ms)]
-                    )
-                except Exception:
-                    # The believed primary is entirely dead; wait for a
-                    # take-over announcement and retry.
-                    yield sim.sleep(50.0)
-                    continue
-                if which == 0:
-                    break
-            latencies.append(sim.now - start)
+    def commit(index):
+        if index == fail_at:
+            deployment.unit("C").crash()
+        while True:
+            primary = state["primary"]
+            try:
+                future = deployment.api(primary).log_commit(
+                    f"batch-{index}", payload_bytes=BATCH_BYTES
+                )
+                which, _ = yield any_of(
+                    sim, [future, sim.sleep(retry_timeout_ms)]
+                )
+            except Exception:
+                # The believed primary is entirely dead; wait for a
+                # take-over announcement and retry.
+                yield sim.sleep(50.0)
+                continue
+            if which == 0:
+                return
 
-    sim.run_until_resolved(sim.spawn(driver()), max_events=400_000_000)
-    before = latencies[5:fail_at]
-    tail = latencies[fail_at + 5 :]
+    latencies = timed(sim, commit, batches)
     return {
         "latencies": latencies,
         "fail_at": fail_at,
-        "steady_before_ms": sum(before) / len(before),
-        "steady_after_ms": sum(tail) / len(tail),
+        "steady_before_ms": mean(latencies[5:fail_at]),
+        "steady_after_ms": mean(latencies[fail_at + 5 :]),
         "final_primary": state["primary"],
         "transition_peak_ms": max(latencies[fail_at : fail_at + 5]),
     }
@@ -155,31 +143,23 @@ def run_backup_recovery(
     back. Commits should return to the close-backup latency once the
     suspicion TTL lapses and Oregon answers mirror requests again."""
     deployment = _build(seed, geo_suspicion_ttl_ms=500.0)
-    sim = deployment.sim
     api = deployment.api("C")
-    latencies: List[float] = []
 
-    def driver():
-        for index in range(batches):
-            if index == fail_at:
-                deployment.unit("O").crash()
-            if index == recover_at:
-                deployment.unit("O").recover()
-            start = sim.now
-            yield api.log_commit(f"batch-{index}", payload_bytes=BATCH_BYTES)
-            latencies.append(sim.now - start)
+    def commit(index):
+        if index == fail_at:
+            deployment.unit("O").crash()
+        if index == recover_at:
+            deployment.unit("O").recover()
+        return api.log_commit(f"batch-{index}", payload_bytes=BATCH_BYTES)
 
-    sim.run_until_resolved(sim.spawn(driver()), max_events=400_000_000)
-    tail = latencies[-15:]
+    latencies = timed(deployment.sim, commit, batches)
     return {
         "latencies": latencies,
         "fail_at": fail_at,
         "recover_at": recover_at,
-        "steady_before_ms": sum(latencies[5:fail_at])
-        / len(latencies[5:fail_at]),
-        "steady_during_ms": sum(latencies[fail_at + 2 : recover_at])
-        / len(latencies[fail_at + 2 : recover_at]),
-        "steady_recovered_ms": sum(tail) / len(tail),
+        "steady_before_ms": mean(latencies[5:fail_at]),
+        "steady_during_ms": mean(latencies[fail_at + 2 : recover_at]),
+        "steady_recovered_ms": mean(latencies[-15:]),
     }
 
 

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.core import BlockplaneConfig, BlockplaneDeployment
+from repro.experiments import fig4_local_commit
 from repro.experiments.report import fmt_mb_s, fmt_ms, format_table
 from repro.pbft.quorums import max_faulty, unit_size
-from repro.sim.simulator import Simulator
-from repro.sim.topology import single_dc_topology
-from repro.workloads.generator import BatchWorkload
-from repro.workloads.runner import sequential_commit_latency
 
 #: fi values corresponding to the paper's 4/7/10/13-node columns.
 DEFAULT_F_VALUES = (1, 2, 3, 4)
@@ -36,27 +32,15 @@ def run_one(
     obs=None,
 ) -> Dict[str, float]:
     """Measure local commitment for one fault-tolerance level."""
-    sim = Simulator(seed=seed)
-    deployment = BlockplaneDeployment(
-        sim,
-        single_dc_topology("V"),
-        BlockplaneConfig(f_independent=f_independent),
+    metrics = fig4_local_commit.run_one(
+        BATCH_BYTES,
+        measured=measured,
+        warmup=warmup,
+        f_independent=f_independent,
+        seed=seed,
         obs=obs,
     )
-    api = deployment.api("V")
-    workload = BatchWorkload(
-        measured=measured, warmup=warmup, batch_bytes=BATCH_BYTES, seed=seed
-    )
-    result = sequential_commit_latency(
-        sim,
-        lambda batch, size: api.log_commit(batch, payload_bytes=size),
-        workload,
-    )
-    return {
-        "nodes": unit_size(f_independent),
-        "latency_ms": result["latency_ms"],
-        "throughput_mb_s": result["throughput_mb_s"],
-    }
+    return {"nodes": unit_size(f_independent), **metrics}
 
 
 def run(

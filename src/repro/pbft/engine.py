@@ -932,7 +932,14 @@ class PBFTEngine:
 
     def handle_reply(self, msg: Reply, src: str) -> None:
         """Origin side: resolve the submit future on f+1 matching
-        replies."""
+        replies for the request's own digest.
+
+        f+1 matching replies for another digest mean at least one honest
+        replica executed a different value under this request id (a
+        byzantine leader proposed a value it was not sent): the request
+        is closed and the future rejected rather than resolved with a
+        value that never committed.
+        """
         pending = self._pending.get(msg.request_id)
         if pending is None or msg.replica != src:
             return  # a replica may only reply as itself
@@ -944,7 +951,18 @@ class PBFTEngine:
         ]
         if len(matching) < reply_quorum(self.f):
             return
-        self._close_request(msg.request_id, seq=msg.seq)
+        request = pending.request
+        if msg.digest != request_digest(
+            request.value, request.record_type, msg.request_id
+        ):
+            outcome = VerificationFailed(
+                f"request {msg.request_id}: f+1 replicas executed another "
+                f"value at seq {msg.seq}"
+            )
+            self._close_request(msg.request_id, rejected=str(outcome))
+        else:
+            outcome = None
+            self._close_request(msg.request_id, seq=msg.seq)
         if pending.timer is not None:
             # The request is done: the armed retry timer will never do
             # anything again. Cancelling turns it into a heap tombstone
@@ -952,17 +970,21 @@ class PBFTEngine:
             # no-op firing — in a sustained run these dead retry timers
             # are the dominant long-dated heap population.
             pending.timer.cancel()
-        request = pending.request
-        entry = CommittedEntry(
-            seq=msg.seq,
-            view=msg.view,
-            value=request.value,
-            record_type=request.record_type,
-            meta=request.meta,
-            payload_bytes=request.payload_bytes,
+        if pending.future.resolved:
+            return
+        if outcome is not None:
+            pending.future.reject(outcome)
+            return
+        pending.future.resolve(
+            CommittedEntry(
+                seq=msg.seq,
+                view=msg.view,
+                value=request.value,
+                record_type=request.record_type,
+                meta=request.meta,
+                payload_bytes=request.payload_bytes,
+            )
         )
-        if not pending.future.resolved:
-            pending.future.resolve(entry)
 
     # ------------------------------------------------------------------
     # Checkpoints

@@ -5,7 +5,7 @@ testbed. It provides a virtual clock in milliseconds, an event heap with
 deterministic tie-breaking, generator-based processes (so protocol code
 reads like the paper's blocking pseudocode), a wide-area network model
 driven by the paper's Table I RTT matrix, a NIC bandwidth serialization
-model, fault injection, and post-run latency/throughput aggregation.
+model, and fault injection.
 Each mechanism exists once: one event loop behind ``run`` /
 ``run_until_resolved``, and one transport path (``Network.broadcast``; a
 unicast is a one-destination broadcast).
@@ -27,7 +27,6 @@ from repro.sim.topology import (
 )
 from repro.sim.node import Message, Node
 from repro.sim.faults import FaultInjector
-from repro.sim.metrics import LatencySeries
 
 __all__ = [
     "Event",
@@ -48,5 +47,4 @@ __all__ = [
     "Message",
     "Node",
     "FaultInjector",
-    "LatencySeries",
 ]

@@ -2,10 +2,7 @@
 
 from repro.workloads.generator import BatchWorkload, make_batch
 from repro.workloads.openloop import OpenLoopWorkload, open_loop_process
-from repro.workloads.runner import (
-    sequential_commit_latency,
-    sequential_process,
-)
+from repro.workloads.runner import sequential_commit_latency, timed
 
 __all__ = [
     "BatchWorkload",
@@ -13,5 +10,5 @@ __all__ = [
     "make_batch",
     "open_loop_process",
     "sequential_commit_latency",
-    "sequential_process",
+    "timed",
 ]

@@ -1,37 +1,71 @@
-"""Experiment-running helpers shared by all figure/table drivers."""
+"""The one timing loop behind every figure/table driver."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+import types
+from typing import Any, Callable, List, Optional
 
-from repro.sim.metrics import LatencySeries, throughput_mb_per_s
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import BatchWorkload
 
+#: Only stops a runaway simulation: the largest loop of
+#: ``python -m repro --full`` fires about 0.43 million events.
+MAX_EVENTS = 400_000_000
 
-def sequential_process(
-    commit: Callable[[str, int], Any],
-    workload: BatchWorkload,
-    series: LatencySeries,
-    sim: Simulator,
-):
-    """Generator process: commit batches back to back (group commit —
-    the next batch starts when the previous one is durable), recording
-    per-batch latency into ``series`` after the warm-up."""
-    for index, batch in enumerate(workload.batches()):
-        start = sim.now
-        yield commit(batch, workload.batch_bytes)
-        if index >= workload.warmup:
-            series.add(sim.now - start)
+
+def timed(
+    sim: Simulator, op: Callable[[int], Any], count: int, warmup: int = 0
+) -> List[float]:
+    """Run ``op(0) … op(count - 1)`` back to back in one process.
+
+    Each op returns what a process may yield (a future, a list of
+    futures); an op of several steps is a generator, run inline with
+    ``yield from`` so it adds no child process. The latency of every op
+    at or past index ``warmup`` is recorded; runs until the last op
+    completes.
+
+    Returns:
+        The recorded latencies in virtual ms, in op order.
+    """
+    latencies: List[float] = []
+
+    def loop():
+        for index in range(count):
+            start = sim.now
+            step = op(index)
+            if isinstance(step, types.GeneratorType):
+                yield from step
+            else:
+                yield step
+            if index >= warmup:
+                latencies.append(sim.now - start)
+
+    sim.run_until_resolved(sim.spawn(loop()), max_events=MAX_EVENTS)
+    return latencies
+
+
+def mean(latencies: List[float]) -> float:
+    """Arithmetic mean summed left to right, the reduction every driver
+    reports (0.0 when empty)."""
+    return sum(latencies) / len(latencies) if latencies else 0.0
+
+
+def throughput_mb_per_s(total_bytes: float, elapsed_ms: float) -> float:
+    """Throughput in MB/s (decimal megabytes, as in the paper's iperf
+    numbers) given bytes moved over ``elapsed_ms`` virtual milliseconds."""
+    if elapsed_ms <= 0:
+        return 0.0
+    return (total_bytes / 1e6) / (elapsed_ms / 1e3)
 
 
 def sequential_commit_latency(
     sim: Simulator,
     commit: Callable[[str, int], Any],
     workload: Optional[BatchWorkload] = None,
-    max_events: int = 200_000_000,
 ) -> dict:
-    """Run the paper's standard sequential workload to completion.
+    """Run the paper's standard sequential workload to completion: commit
+    batches back to back (group commit — the next batch starts when the
+    previous one is durable) and average after the warm-up.
 
     Args:
         sim: The simulator (deployment already built on it).
@@ -42,15 +76,19 @@ def sequential_commit_latency(
 
     Returns:
         Dict with ``latency_ms`` (mean over measured batches),
-        ``series`` (the full :class:`LatencySeries`), and
-        ``throughput_mb_s`` (batch size / mean latency, the identity the
-        paper's Figure 4 exhibits under group commit).
+        ``series`` (the measured latencies), and ``throughput_mb_s``
+        (batch size / mean latency, the identity the paper's Figure 4
+        exhibits under group commit).
     """
     workload = workload or BatchWorkload()
-    series = LatencySeries()
-    process = sim.spawn(sequential_process(commit, workload, series, sim))
-    sim.run_until_resolved(process, max_events=max_events)
-    mean_latency = series.mean
+    batches = workload.batches()
+    series = timed(
+        sim,
+        lambda _index: commit(next(batches), workload.batch_bytes),
+        workload.total,
+        workload.warmup,
+    )
+    mean_latency = mean(series)
     return {
         "latency_ms": mean_latency,
         "series": series,

@@ -311,10 +311,12 @@ def test_digest_memo_applies_to_paxos_payloads():
     # value memo misses once per distinct payload object (15) and the
     # formula memo once per distinct record formula (55: request, entry,
     # chain-link and transmission digests), which the other replicas'
-    # own wrappers then hit. With dict payloads this was
-    # (0, 348) + 5 x (0, 336). To re-derive after a deliberate protocol
-    # change, print(memo) here.
-    assert memo == [(430, 74)] + [(414, 70)] * ROUNDS
+    # own wrappers then hit. Each origin's reply check (the quorum's
+    # digest against its own request's) only hits: +24 hits in the
+    # election, +22 per round, no new miss. With
+    # dict payloads this was (0, 348) + 5 x (0, 336). To re-derive after
+    # a deliberate protocol change, print(memo) here.
+    assert memo == [(454, 74)] + [(436, 70)] * ROUNDS
 
 
 def test_wire_fidelity_preserves_records_and_timing():

@@ -172,3 +172,25 @@ def test_transmissions_carry_geo_proofs_and_are_verified(sim):
         e.value for e in log_v if e.record_type == "received"
     )
     assert len(sealed.geo_proofs) >= 1
+
+
+def test_truncation_forgets_folded_positions(sim):
+    # The seq → position map and the geo proof maps are bounded by the
+    # Local Log window: a fold drops every position below the new base.
+    deployment = build(sim)
+    api = deployment.api("C")
+
+    def commits():
+        for index in range(150):
+            yield api.log_commit(f"v{index}", payload_bytes=1000)
+
+    sim.run_until_resolved(sim.spawn(commits()), max_events=50_000_000)
+    unit = deployment.unit("C")
+    base = unit.gateway_node().local_log.base_position
+    assert base > 100, "the log never folded — test is vacuous"
+    for node in unit.nodes:
+        assert node.local_log.base_position == base
+        assert min(node._seq_to_position.values()) >= base
+        assert len(node._seq_to_position) == node.local_log.retained_count
+    assert min(unit.geo._proof_futures) >= base
+    assert min(unit.geo._gathering) >= base

@@ -7,6 +7,7 @@ progress continues.
 
 import dataclasses
 
+from repro.errors import VerificationFailed
 from repro.pbft.byzantine import (
     BogusProposer,
     EquivocatingEngine,
@@ -134,6 +135,26 @@ def test_bogus_proposer_rejected_by_verification_routines(obs):
         executed = [e.value for e in replica.executed_entries]
         assert ("illegal-transition",) not in executed
     assert obs.counter("pbft_verify_rejects_total", participant="DC").value > 0
+
+
+def test_origin_rejects_a_request_committed_with_another_value():
+    # ROBUSTNESS finding 10: a byzantine leader orders a value it was not
+    # sent under the origin's request id. The honest replicas execute it
+    # and reply with its digest; the origin must not report its own value
+    # as committed.
+    sim, replicas = make_group(
+        overrides={0: BogusProposer}, override_kwargs={"bogus_value": "BOGUS"}
+    )
+    future = replicas[1].submit("GOOD")
+    sim.run(until=200.0, max_events=20_000_000)
+    for replica in replicas[1:]:
+        assert [(e.seq, e.value) for e in replica.executed_entries] == [
+            (1, "BOGUS")
+        ]
+    assert future.resolved
+    assert isinstance(future.exception, VerificationFailed)
+    assert "another value" in str(future.exception)
+    assert replicas[1].engine._pending == {}
 
 
 def test_f_byzantine_is_masked_but_f_plus_one_can_stall():

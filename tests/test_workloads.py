@@ -1,9 +1,16 @@
 """Tests for workload generation and the experiment runner."""
 
+import pytest
+
 from repro.sim.simulator import Simulator
 from repro.workloads.generator import BatchWorkload, make_batch
 from repro.workloads.openloop import open_loop_process
-from repro.workloads.runner import sequential_commit_latency
+from repro.workloads.runner import (
+    mean,
+    sequential_commit_latency,
+    throughput_mb_per_s,
+    timed,
+)
 
 
 def test_make_batch_has_requested_size():
@@ -40,6 +47,38 @@ def test_sequential_commit_latency_records_after_warmup():
     assert result["latency_ms"] == 2.0
     # throughput identity: 100 bytes / 2 ms = 0.05 MB/s
     assert abs(result["throughput_mb_s"] - 0.05) < 1e-9
+
+
+def test_timed_runs_generator_ops_inline():
+    sim = Simulator(seed=1)
+    started = []
+
+    def op(index):
+        started.append(sim.now)
+        yield sim.sleep(1.0)
+        yield sim.sleep(float(index))
+
+    latencies = timed(sim, op, 4, warmup=1)
+    assert latencies == [2.0, 3.0, 4.0]
+    assert started == [0.0, 1.0, 3.0, 6.0]
+    # One process for the whole loop: its start, then a timer and a
+    # resume per sleep. A child process per op would add two more each.
+    assert sim.events_processed == 1 + 2 * 8
+
+
+def test_mean_sums_left_to_right_and_is_zero_when_empty():
+    assert mean([1.0, 2.0, 3.0, 4.0]) == 2.5
+    assert mean([0.1, 0.2, 0.3]) == (0.1 + 0.2 + 0.3) / 3
+    assert mean([]) == 0.0
+
+
+def test_throughput_identity():
+    # 100 KB in 1.2 ms -> ~83 MB/s (the paper's Table II fixture).
+    assert throughput_mb_per_s(100_000, 1.2) == pytest.approx(83.3, abs=0.1)
+
+
+def test_throughput_zero_time():
+    assert throughput_mb_per_s(1000, 0.0) == 0.0
 
 
 class TestOpenLoopWorkload:
