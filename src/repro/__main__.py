@@ -17,9 +17,10 @@ Usage::
 With ``--obs-out DIR`` the obs-aware drivers (fig4/fig5/fig6/table2)
 record metrics and commit-lifecycle spans into one shared
 :class:`~repro.obs.Observability` session, a canonical fully traced
-cross-datacenter commit is appended, and :func:`repro.obs.export_all`
-writes ``DIR``: ``metrics.json``, ``metrics.prom`` (Prometheus text
-format), ``trace.json`` (Chrome trace-event JSON — load it in
+cross-datacenter commit is appended, and
+:func:`repro.obs.exporters.export_all` writes ``DIR``:
+``metrics.json``, ``metrics.prom`` (Prometheus text format),
+``trace.json`` (Chrome trace-event JSON — load it in
 ``chrome://tracing`` or Perfetto), ``journal.json``, and the console
 bundle ``console.json`` (replay it with ``python -m repro console
 --bundle DIR/console.json``) with its rendered ``console.html``.
@@ -29,23 +30,14 @@ Each driver prints its table with the paper's reported values alongside.
 
 from __future__ import annotations
 
+import importlib
 import sys
 
-from repro.experiments import (
-    ablations,
-    fig4_local_commit,
-    fig5_geo,
-    fig6_communication,
-    fig7_consensus,
-    fig8_failures,
-    table1_topology,
-    table2_scalability,
-)
-
 #: Tool subcommands: name → (dotted module with a ``main(argv)``,
-#: one-line summary). Dispatch imports lazily so ``python -m repro
-#: table1`` never pays for the chaos/forensics stacks, and each
-#: subcommand's own argparse handles ``--help`` forwarding.
+#: one-line summary). Dispatch imports lazily, like the experiments'
+#: below, so ``python -m repro table1`` never pays for the
+#: chaos/forensics stacks, and each subcommand's own argparse handles
+#: ``--help`` forwarding.
 _SUBCOMMANDS = {
     "console": (
         "repro.obs.console.__main__",
@@ -63,21 +55,29 @@ _SUBCOMMANDS = {
     ),
 }
 
-#: Experiment → (driver ``main``, {parameter: (quick size, --full size)}).
+#: Experiment → (dotted driver module with a ``main(**sizes)``,
+#: {parameter: (quick size, --full size)}). Only the selected drivers
+#: are imported.
 _EXPERIMENTS = {
-    "table1": (table1_topology.main, {}),
-    "fig4": (fig4_local_commit.main, {"measured": (100, 1000), "warmup": (10, 100)}),
-    "table2": (
-        table2_scalability.main, {"measured": (100, 1000), "warmup": (10, 100)}
+    "table1": ("repro.experiments.table1_topology", {}),
+    "fig4": (
+        "repro.experiments.fig4_local_commit",
+        {"measured": (100, 1000), "warmup": (10, 100)},
     ),
-    "fig5": (fig5_geo.main, {"measured": (20, 100), "warmup": (2, 10)}),
-    "fig6": (fig6_communication.main, {"rounds": (8, 20)}),
-    "fig7": (fig7_consensus.main, {"rounds": (8, 20)}),
+    "table2": (
+        "repro.experiments.table2_scalability",
+        {"measured": (100, 1000), "warmup": (10, 100)},
+    ),
+    "fig5": (
+        "repro.experiments.fig5_geo", {"measured": (20, 100), "warmup": (2, 10)}
+    ),
+    "fig6": ("repro.experiments.fig6_communication", {"rounds": (8, 20)}),
+    "fig7": ("repro.experiments.fig7_consensus", {"rounds": (8, 20)}),
     "fig8": (
-        fig8_failures.main,
+        "repro.experiments.fig8_failures",
         {"backup_batches": (70, 100), "primary_batches": (100, 160)},
     ),
-    "ablations": (ablations.main, {}),
+    "ablations": ("repro.experiments.ablations", {}),
 }
 
 #: The drivers whose ``main`` records into an ``obs=`` session.
@@ -135,8 +135,6 @@ def main(argv: list) -> int:
         # Forward to the tool's own CLI: `python -m repro console ...`
         # is equivalent to `python -m repro.obs.console ...`, with the
         # remaining argv (including --help) handed to its parser.
-        import importlib
-
         module_name, _summary = _SUBCOMMANDS[argv[0]]
         module = importlib.import_module(module_name)
         return module.main(argv[1:])
@@ -163,7 +161,8 @@ def main(argv: list) -> int:
             print()
             print("=" * 68)
             print()
-        driver, sizes = _EXPERIMENTS[name]
+        module_name, sizes = _EXPERIMENTS[name]
+        driver = importlib.import_module(module_name).main
         kwargs = {
             parameter: full_size if full else quick_size
             for parameter, (quick_size, full_size) in sizes.items()
@@ -172,8 +171,8 @@ def main(argv: list) -> int:
             kwargs["obs"] = obs
         driver(**kwargs)
     if obs is not None:
-        from repro.obs import export_all
         from repro.obs.demo import trace_commit_lifecycle
+        from repro.obs.exporters import export_all
 
         # Append one canonical fully traced cross-DC commit so the
         # exported Chrome trace always covers the complete lifecycle,

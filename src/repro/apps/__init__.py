@@ -17,22 +17,3 @@
   whose mutual-exclusion invariant is enforced by stateful
   verification routines rather than by trusting the hosting node.
 """
-
-from repro.apps.counter import CounterParticipant, CounterVerification
-from repro.apps.bp_paxos import BlockplanePaxosParticipant, PaxosVerification
-from repro.apps.kvstore import KVStoreParticipant, KVVerification
-from repro.apps.bank import BankParticipant, BankVerification
-from repro.apps.lockservice import LockServiceParticipant, LockVerification
-
-__all__ = [
-    "CounterParticipant",
-    "CounterVerification",
-    "BlockplanePaxosParticipant",
-    "PaxosVerification",
-    "KVStoreParticipant",
-    "KVVerification",
-    "BankParticipant",
-    "BankVerification",
-    "LockServiceParticipant",
-    "LockVerification",
-]

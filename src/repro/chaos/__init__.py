@@ -24,22 +24,3 @@ CLI (the one command that runs a fault plan)::
     python -m repro.chaos --seed 7 --runs 10 --profile mixed
     python -m repro.chaos --seed 2 --profile byzantine --strict
 """
-
-from repro.chaos.generator import ScheduleGenerator
-from repro.chaos.invariants import Violation, check_plan_budget
-from repro.chaos.plan import FaultAction, FaultBudget, FaultPlan
-from repro.chaos.runner import ChaosResult, ChaosRunner
-from repro.chaos.shrink import repro_script, shrink_plan
-
-__all__ = [
-    "ChaosResult",
-    "ChaosRunner",
-    "FaultAction",
-    "FaultBudget",
-    "FaultPlan",
-    "ScheduleGenerator",
-    "Violation",
-    "check_plan_budget",
-    "repro_script",
-    "shrink_plan",
-]

@@ -29,15 +29,11 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.chaos.plan import (
-    ACTION_KINDS,
-    BYZANTINE_BEHAVIORS,
-    FaultPlan,
-)
 from repro.core.records import RECORD_RECEIVED
 from repro.pbft.quorums import unit_size
 
 if TYPE_CHECKING:
+    from repro.chaos.plan import FaultPlan
     from repro.core.node import BlockplaneNode
 
 #: Sites of the default chaos deployment (the paper's 4-DC topology).
@@ -97,6 +93,8 @@ def check_plan_budget(
     plan: FaultPlan, sites: Sequence[str] = DEFAULT_SITES
 ) -> List[Violation]:
     """Every way ``plan`` exceeds (or malforms) its own fault budget."""
+    from repro.chaos.plan import ACTION_KINDS, BYZANTINE_BEHAVIORS
+
     violations: List[Violation] = []
     budget = plan.budget
     members = unit_size(budget.f_independent)

@@ -488,8 +488,9 @@ def write_artifacts(
     """Write a run's artifacts: ``plan.json`` and ``violations.txt``;
     for a run that ran, ``score.json``, ``report.json`` and one
     ``evidence/`` bundle per finding; and, when an enabled obs hub is
-    given, everything :func:`repro.obs.export_all` writes, the console
-    bundle carrying the audit report and the plan as ground truth.
+    given, everything :func:`repro.obs.exporters.export_all` writes, the
+    console bundle carrying the audit report and the plan as ground
+    truth.
     Returns artifact name → path."""
     os.makedirs(directory, exist_ok=True)
     paths: Dict[str, str] = {}
@@ -512,7 +513,7 @@ def write_artifacts(
         paths["score"] = score_path
         paths.update(result.report.export_evidence(directory))
     if obs is not None and getattr(obs, "enabled", False):
-        from repro.obs import export_all
+        from repro.obs.exporters import export_all
 
         paths.update(export_all(
             obs, directory,

@@ -41,12 +41,11 @@ from repro.core.unit import BlockplaneUnit
 from repro.core.api import BlockplaneAPI
 from repro.core.middleware import BlockplaneDeployment
 from repro.core.reads import ReadStrategy
-from repro.core.batching import Batcher
 
-# Importing the codec compiles the per-class wire encoders/decoders and
-# fills ``repro.crypto.digest``'s canonical-expander and immutability
-# registries, so every deployment built through this package digests
-# its records with the generated code.
+# Importing the codec fills ``repro.crypto.digest``'s canonical-expander
+# and immutability registries (with stand-ins that compile a class's
+# code on its first use), so every deployment built through this
+# package digests its records with the generated code.
 from repro.core import codec as _codec  # noqa: E402,F401  (activation import)
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "VerificationRoutines",
     "AcceptAll",
     "ReadStrategy",
-    "Batcher",
     "RECORD_LOG_COMMIT",
     "RECORD_COMMUNICATION",
     "RECORD_RECEIVED",

@@ -1,9 +1,12 @@
-"""Precompiled wire codecs for every boundary-crossing dataclass.
+"""Generated wire codecs for every boundary-crossing dataclass.
 
-This module is the repo's one serializer. At import time, one
-encoder/decoder pair per wire dataclass is compiled (``exec``) from the
-class's field inventory (every ``*/messages.py`` dataclass is slotted,
-so the inventory is exact and closed). The
+This module is the repo's one serializer. One encoder/decoder pair per
+wire dataclass is compiled (``exec``) from the class's field inventory
+(every ``*/messages.py`` dataclass is slotted, so the inventory is
+exact and closed) the first time that class is encoded, decoded or
+digested: until then each registry holds a stand-in that compiles the
+class, installs its real functions everywhere and delegates, so a run
+compiles only the classes it touches. The
 generated format is a flat positional JSON array — ``["@Sg", signer,
 digest, mac]`` — with:
 
@@ -32,11 +35,11 @@ outside the manifest, and are the oracle the parity tests compare
 against.
 
 The :data:`MANIFEST` below is the codec coverage contract, checked on
-the live classes before anything is generated
-(:func:`check_manifest`): every ``Message`` subclass the core, Paxos
-and PBFT ``messages`` modules define must be listed and slotted, and
-every entry's field list must match its dataclass. A violation makes
-this module refuse to import.
+the live classes at import (:func:`check_manifest`), before any
+stand-in is installed: every ``Message`` subclass the core, Paxos and
+PBFT ``messages`` modules define must be listed and slotted, and every
+entry's field list must match its dataclass. A violation makes this
+module refuse to import.
 """
 
 from __future__ import annotations
@@ -484,8 +487,9 @@ def _decode_value(v: Any) -> Any:
 _ENCODERS: Dict[type, Callable[[Any], list]] = {}
 _DECODERS: Dict[type, Callable[[list], Any]] = {}
 _TAG_DECODERS: Dict[str, Callable[[list], Any]] = {}
-#: Field names and spec trees per class, as the generation pass derived
-#: them (the property tests build their strategies from these).
+#: Field names and spec trees of each class compiled so far, as
+#: :func:`_generate` derived them (the property tests build their
+#: strategies from these).
 _SPECS: Dict[type, Tuple[Tuple[str, ...], list]] = {}
 
 
@@ -548,172 +552,221 @@ def check_manifest(modules: Sequence[Any], manifest: Dict[type, Any]) -> None:
             )
 
 
-def _generate() -> None:
-    ns: Dict[str, Any] = {
-        "_ev": _encode_value,
-        "_dv": _decode_value,
-        "_it": sys.intern,
-        "_bad": _bad,
-        "_lst": _lst,
-        "_dct": _dct,
-        "_new": object.__new__,
-        "_osa": object.__setattr__,
-        "ProtocolError": ProtocolError,
-        "_dc_close": _digest.canonical_dataclass_close(),
-        "_ileaves": _digest._IMMUTABLE_LEAVES,
-    }
-    for cls, (tag, expected_fields) in MANIFEST.items():
-        hints = typing.get_type_hints(cls)
-        specs = [
-            _SPEC_OVERRIDES.get((cls, name), None)
-            or _spec_of(hints[name], name)
-            for name in expected_fields
-        ]
-        _SPECS[cls] = (expected_fields, specs)
-        name = cls.__name__
-        ns[name] = cls
-        gen = _Gen(name)
-        enc_parts = ", ".join(
-            gen.enc(spec, f"o.{field}")
-            for field, spec in zip(expected_fields, specs)
-        )
-        # Decoded instances are built via ``object.__new__`` plus one
-        # ``object.__setattr__`` per slot: identical to what a frozen
-        # dataclass ``__init__`` does internally, minus the ``__init__``
-        # call and argument-binding overhead (~25% of construction on
-        # the profiled hot path). No wire class defines
-        # ``__post_init__`` (``check_manifest`` asserts this), so
-        # bypassing ``__init__`` cannot skip behavior.
-        sets = "".join(
-            f"        _osa(o, {field!r}, "
-            f"{gen.dec(spec, f'a[{k + 1}]', f'{name}.{field}')})\n"
-            for k, (field, spec) in enumerate(zip(expected_fields, specs))
-        )
-        arity = len(expected_fields) + 1
-        source = "".join(gen.helpers) + (
-            f"def _e_{name}(o):\n"
-            f"    return ({tag!r}, {enc_parts})\n"
-            f"def _d_{name}(a):\n"
-            f"    try:\n"
-            f"        if type(a) is not list or len(a) != {arity} "
-            f"or a[0] != {tag!r}:\n"
-            f"            _bad(a, {name!r})\n"
-            f"        o = _new({name})\n"
-            f"{sets}"
-            f"        return o\n"
-            f"    except ProtocolError:\n"
-            f"        raise\n"
-            f"    except (TypeError, ValueError, KeyError, IndexError, "
-            f"AttributeError) as exc:\n"
-            f"        raise ProtocolError(\n"
-            f"            f'malformed {name} on the wire: {{exc!r}}'\n"
-            f"        ) from None\n"
-        )
-        # Canonical-digest expander: unrolled, byte-identical replacement
-        # for the generic dataclass branch of the canonical walk. The
-        # leading run of scalar fields is emitted inline — field marker
-        # and value fused into one append, no stack round-trip — with a
-        # per-field runtime type check; the first field that is complex
-        # (or whose value defeats the check) pushes itself and every
-        # later field back onto the walk stack, which emits them exactly
-        # as the generic branch would. Fields are pushed in reverse so
-        # pops emit them in declaration order.
-        for field in expected_fields:
-            ns[f"_fm_{name}_{field}"] = _digest.canonical_field_marker(field)
+#: The one namespace every generated function runs in: the runtime
+#: helpers, then per class its ``_e_``/``_d_``/``_x_``/``_m_`` functions
+#: (stand-ins until :func:`_generate` compiles the class), so generated
+#: code calls a nested class's encoder or decoder by name and reaches
+#: the real one as soon as it exists.
+_NS: Dict[str, Any] = {
+    "_ev": _encode_value,
+    "_dv": _decode_value,
+    "_it": sys.intern,
+    "_bad": _bad,
+    "_lst": _lst,
+    "_dct": _dct,
+    "_new": object.__new__,
+    "_osa": object.__setattr__,
+    "ProtocolError": ProtocolError,
+    "_dc_close": _digest.canonical_dataclass_close(),
+    "_ileaves": _digest._IMMUTABLE_LEAVES,
+}
 
-        def _push_rest(start: int, head: str = "") -> str:
-            """Push fields[start:] (plus the close marker) in reverse;
-            ``head`` replaces the attribute load for fields[start]."""
-            out = ["        stack.append(_dc_close)\n"]
-            for k in range(len(expected_fields) - 1, start - 1, -1):
-                fld = expected_fields[k]
-                value = head if head and k == start else f"v.{fld}"
-                out.append(f"        stack.append({value})\n")
-                out.append(f"        stack.append(_fm_{name}_{fld})\n")
-            out.append("        return\n")
-            return "".join(out)
 
-        lines = [f"def _x_{name}(v, append, stack):\n"]
-        lines.append(f"    append({b'D' + name.encode() + b'<'!r})\n")
-        inlined = 0
-        for j, (field, spec) in enumerate(zip(expected_fields, specs)):
-            kind = spec[0]
-            inner = spec[1][0] if kind == "opt" and spec[1] else None
-            scalar = kind if kind in _SCALARS else inner
-            if scalar not in _SCALARS:
-                break
-            marker = _digest.canonical_field_marker(field).data
-            lines.append(f"    f = v.{field}\n")
-            if kind == "opt":
-                lines.append(f"    if f is None:\n")
-                lines.append(f"        append({marker + b'n'!r})\n")
-                lines.append(f"    el")
-            else:
-                lines.append(f"    ")
-            if scalar == "str":
-                lines.append(f"if f.__class__ is str:\n")
-                lines.append(f'        e = f.encode("utf-8")\n')
-                lines.append(
-                    f"        append({marker + b's'!r} b'%d:' % len(e))\n"
-                )
-                lines.append(f"        append(e)\n")
-            elif scalar == "int":
-                lines.append(f"if f.__class__ is int:\n")
-                lines.append(f"        append({marker + b'i'!r} b'%d' % f)\n")
-            elif scalar == "bool":
-                lines.append(f"if f is True:\n")
-                lines.append(f"        append({marker + b'b1'!r})\n")
-                lines.append(f"    elif f is False:\n")
-                lines.append(f"        append({marker + b'b0'!r})\n")
-            else:  # float
-                lines.append(f"if f.__class__ is float:\n")
-                lines.append(
-                    f"        append({marker + b'f'!r} + repr(f).encode())\n"
-                )
-            lines.append("    else:\n")
-            lines.append(_push_rest(j, head="f"))
-            inlined = j + 1
-        if inlined == len(expected_fields):
-            lines.append("    append(b'>')\n")
+def _frozen(cls: type) -> bool:
+    params = getattr(cls, "__dataclass_params__", None)
+    return params is not None and params.frozen
+
+
+def _generate(cls: type) -> Tuple[Tuple[str, ...], list]:
+    """Compile ``cls``'s encoder, decoder, canonical-digest expander
+    and (frozen classes) immutability verdict, put them in every
+    registry in place of the stand-ins, and return its :data:`_SPECS`
+    entry. Compiles once; later calls return the entry."""
+    entry = _SPECS.get(cls)
+    if entry is not None:
+        return entry
+    tag, expected_fields = MANIFEST[cls]
+    ns = _NS
+    hints = typing.get_type_hints(cls)
+    specs = [
+        _SPEC_OVERRIDES.get((cls, name), None)
+        or _spec_of(hints[name], name)
+        for name in expected_fields
+    ]
+    name = cls.__name__
+    ns[name] = cls
+    gen = _Gen(name)
+    enc_parts = ", ".join(
+        gen.enc(spec, f"o.{field}")
+        for field, spec in zip(expected_fields, specs)
+    )
+    # Decoded instances are built via ``object.__new__`` plus one
+    # ``object.__setattr__`` per slot: identical to what a frozen
+    # dataclass ``__init__`` does internally, minus the ``__init__``
+    # call and argument-binding overhead (~25% of construction on
+    # the profiled hot path). No wire class defines
+    # ``__post_init__`` (``check_manifest`` asserts this), so
+    # bypassing ``__init__`` cannot skip behavior.
+    sets = "".join(
+        f"        _osa(o, {field!r}, "
+        f"{gen.dec(spec, f'a[{k + 1}]', f'{name}.{field}')})\n"
+        for k, (field, spec) in enumerate(zip(expected_fields, specs))
+    )
+    arity = len(expected_fields) + 1
+    source = "".join(gen.helpers) + (
+        f"def _e_{name}(o):\n"
+        f"    return ({tag!r}, {enc_parts})\n"
+        f"def _d_{name}(a):\n"
+        f"    try:\n"
+        f"        if type(a) is not list or len(a) != {arity} "
+        f"or a[0] != {tag!r}:\n"
+        f"            _bad(a, {name!r})\n"
+        f"        o = _new({name})\n"
+        f"{sets}"
+        f"        return o\n"
+        f"    except ProtocolError:\n"
+        f"        raise\n"
+        f"    except (TypeError, ValueError, KeyError, IndexError, "
+        f"AttributeError) as exc:\n"
+        f"        raise ProtocolError(\n"
+        f"            f'malformed {name} on the wire: {{exc!r}}'\n"
+        f"        ) from None\n"
+    )
+    # Canonical-digest expander: unrolled, byte-identical replacement
+    # for the generic dataclass branch of the canonical walk. The
+    # leading run of scalar fields is emitted inline — field marker
+    # and value fused into one append, no stack round-trip — with a
+    # per-field runtime type check; the first field that is complex
+    # (or whose value defeats the check) pushes itself and every
+    # later field back onto the walk stack, which emits them exactly
+    # as the generic branch would. Fields are pushed in reverse so
+    # pops emit them in declaration order.
+    for field in expected_fields:
+        ns[f"_fm_{name}_{field}"] = _digest.canonical_field_marker(field)
+
+    def _push_rest(start: int, head: str = "") -> str:
+        """Push fields[start:] (plus the close marker) in reverse;
+        ``head`` replaces the attribute load for fields[start]."""
+        out = ["        stack.append(_dc_close)\n"]
+        for k in range(len(expected_fields) - 1, start - 1, -1):
+            fld = expected_fields[k]
+            value = head if head and k == start else f"v.{fld}"
+            out.append(f"        stack.append({value})\n")
+            out.append(f"        stack.append(_fm_{name}_{fld})\n")
+        out.append("        return\n")
+        return "".join(out)
+
+    lines = [f"def _x_{name}(v, append, stack):\n"]
+    lines.append(f"    append({b'D' + name.encode() + b'<'!r})\n")
+    inlined = 0
+    for j, (field, spec) in enumerate(zip(expected_fields, specs)):
+        kind = spec[0]
+        inner = spec[1][0] if kind == "opt" and spec[1] else None
+        scalar = kind if kind in _SCALARS else inner
+        if scalar not in _SCALARS:
+            break
+        marker = _digest.canonical_field_marker(field).data
+        lines.append(f"    f = v.{field}\n")
+        if kind == "opt":
+            lines.append(f"    if f is None:\n")
+            lines.append(f"        append({marker + b'n'!r})\n")
+            lines.append(f"    el")
         else:
-            lines.append("    if True:\n")
-            lines.append(_push_rest(inlined))
-        source += "".join(lines)
-        # Immutability verdict for the digest memo: decided statically
-        # from the field specs where possible (see
-        # digest._IMMUTABILITY_VERDICTS). Never *looser* than the
-        # reflective walk — scalar fields are isinstance-checked against
-        # the immutable leaves, fields the spec promises are mutable
-        # containers disqualify when present, and anything undecidable
-        # goes back onto the generic walk.
-        params = getattr(cls, "__dataclass_params__", None)
-        frozen = params is not None and params.frozen
-        if frozen:
-            body = []
-            for field, spec in zip(expected_fields, specs):
-                imm = _imm_kind(spec)
-                if imm == "leaf":
-                    body.append(
-                        f"    if not isinstance(v.{field}, _ileaves):\n"
-                        f"        return False\n"
-                    )
-                elif imm == "mutable":
-                    body.append(
-                        f"    if v.{field} is not None:\n"
-                        f"        return False\n"
-                    )
-                else:
-                    body.append(f"    stack.append(v.{field})\n")
-            source += (
-                f"def _m_{name}(v, stack, isinstance=isinstance, "
-                f"_ileaves=_ileaves):\n" + "".join(body) + "    return True\n"
+            lines.append(f"    ")
+        if scalar == "str":
+            lines.append(f"if f.__class__ is str:\n")
+            lines.append(f'        e = f.encode("utf-8")\n')
+            lines.append(
+                f"        append({marker + b's'!r} b'%d:' % len(e))\n"
             )
-        exec(compile(source, f"<codec:{name}>", "exec"), ns)
-        _ENCODERS[cls] = ns[f"_e_{name}"]
-        _DECODERS[cls] = ns[f"_d_{name}"]
-        _TAG_DECODERS[tag] = ns[f"_d_{name}"]
-        _digest._CANONICAL_EXPANDERS[cls] = ns[f"_x_{name}"]
-        _digest._IMMUTABILITY_VERDICTS[cls] = ns[f"_m_{name}"] if frozen else False
+            lines.append(f"        append(e)\n")
+        elif scalar == "int":
+            lines.append(f"if f.__class__ is int:\n")
+            lines.append(f"        append({marker + b'i'!r} b'%d' % f)\n")
+        elif scalar == "bool":
+            lines.append(f"if f is True:\n")
+            lines.append(f"        append({marker + b'b1'!r})\n")
+            lines.append(f"    elif f is False:\n")
+            lines.append(f"        append({marker + b'b0'!r})\n")
+        else:  # float
+            lines.append(f"if f.__class__ is float:\n")
+            lines.append(
+                f"        append({marker + b'f'!r} + repr(f).encode())\n"
+            )
+        lines.append("    else:\n")
+        lines.append(_push_rest(j, head="f"))
+        inlined = j + 1
+    if inlined == len(expected_fields):
+        lines.append("    append(b'>')\n")
+    else:
+        lines.append("    if True:\n")
+        lines.append(_push_rest(inlined))
+    source += "".join(lines)
+    # Immutability verdict for the digest memo: decided statically
+    # from the field specs where possible (see
+    # digest._IMMUTABILITY_VERDICTS). Never *looser* than the
+    # reflective walk — scalar fields are isinstance-checked against
+    # the immutable leaves, fields the spec promises are mutable
+    # containers disqualify when present, and anything undecidable
+    # goes back onto the generic walk.
+    frozen = _frozen(cls)
+    if frozen:
+        body = []
+        for field, spec in zip(expected_fields, specs):
+            imm = _imm_kind(spec)
+            if imm == "leaf":
+                body.append(
+                    f"    if not isinstance(v.{field}, _ileaves):\n"
+                    f"        return False\n"
+                )
+            elif imm == "mutable":
+                body.append(
+                    f"    if v.{field} is not None:\n"
+                    f"        return False\n"
+                )
+            else:
+                body.append(f"    stack.append(v.{field})\n")
+        source += (
+            f"def _m_{name}(v, stack, isinstance=isinstance, "
+            f"_ileaves=_ileaves):\n" + "".join(body) + "    return True\n"
+        )
+    exec(compile(source, f"<codec:{name}>", "exec"), ns)
+    _ENCODERS[cls] = ns[f"_e_{name}"]
+    _DECODERS[cls] = ns[f"_d_{name}"]
+    _TAG_DECODERS[tag] = ns[f"_d_{name}"]
+    _digest._CANONICAL_EXPANDERS[cls] = ns[f"_x_{name}"]
+    _digest._IMMUTABILITY_VERDICTS[cls] = ns[f"_m_{name}"] if frozen else False
+    _SPECS[cls] = entry = (expected_fields, specs)
+    return entry
+
+
+def _stand_in(cls: type, prefix: str) -> Callable[..., Any]:
+    """What the registries hold for ``cls``'s ``prefix`` function until
+    the class is compiled: the first call compiles it, which replaces
+    every stand-in of the class, and delegates to the real function."""
+    key = f"{prefix}_{cls.__name__}"
+
+    def first_call(*args: Any) -> Any:
+        _generate(cls)
+        return _NS[key](*args)
+
+    return first_call
+
+
+def _install_stand_ins() -> None:
+    """Register a stand-in for every generated function of every
+    MANIFEST class; non-frozen classes get their final ``False``
+    immutability verdict at once."""
+    for cls, (tag, _fields) in MANIFEST.items():
+        name = cls.__name__
+        _NS[f"_e_{name}"] = _ENCODERS[cls] = _stand_in(cls, "_e")
+        _NS[f"_d_{name}"] = _DECODERS[cls] = _TAG_DECODERS[tag] = _stand_in(
+            cls, "_d"
+        )
+        _digest._CANONICAL_EXPANDERS[cls] = _stand_in(cls, "_x")
+        _digest._IMMUTABILITY_VERDICTS[cls] = (
+            _stand_in(cls, "_m") if _frozen(cls) else False
+        )
 
 
 # ----------------------------------------------------------------------
@@ -874,4 +927,4 @@ def transcode(obj: Any) -> Tuple[Any, int]:
 
 
 check_manifest((_core_messages, _paxos_messages, _pbft_messages), MANIFEST)
-_generate()
+_install_stand_ins()

@@ -7,16 +7,18 @@ reserves, and the geo coordinator; user-space talks to it through
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Type
 
 from repro.core.config import BlockplaneConfig
 from repro.core.daemon import CommunicationDaemon, ReserveDaemon
 from repro.core.directory import Directory
-from repro.core.geo import GeoCoordinator
 from repro.core.node import BlockplaneNode
 from repro.core.verification import AcceptAll
 from repro.errors import ConfigurationError
 from repro.obs.hub import DISABLED
+
+if TYPE_CHECKING:
+    from repro.core.geo import GeoCoordinator
 
 
 class BlockplaneUnit:
@@ -88,6 +90,8 @@ class BlockplaneUnit:
     # ------------------------------------------------------------------
     def attach_geo(self, replication_set: List[str]) -> GeoCoordinator:
         """Attach the geo coordinator to the gateway node."""
+        from repro.core.geo import GeoCoordinator
+
         if self.geo is not None:
             raise ConfigurationError(
                 f"{self.participant}: geo coordinator already attached"
@@ -113,6 +117,8 @@ class BlockplaneUnit:
                 # Reserve daemons must be able to attach geo proofs to
                 # transmissions they re-ship; give their hosts passive
                 # (proof-gathering-only) coordinators.
+                from repro.core.geo import GeoCoordinator
+
                 GeoCoordinator(
                     host, list(self.geo.replication_set), passive=True
                 )

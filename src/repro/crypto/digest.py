@@ -44,8 +44,9 @@ _CLOSE_SET = _Emit(b")")
 _CLOSE_DATACLASS = _Emit(b">")
 
 #: Per-class canonical expanders, filled in by :mod:`repro.core.codec`
-#: at its import: generated functions that push one dataclass's fields
-#: onto the walk stack with the field-name encodings precomputed.
+#: at its import (with stand-ins that compile the class's code on first
+#: use): generated functions that push one dataclass's fields onto the
+#: walk stack with the field-name encodings precomputed.
 #: Byte-identical to the generic dataclass branch in
 #: :func:`_canonical_slow` — only the per-field
 #: ``dataclasses.fields``/encode overhead is removed. Classes without an
@@ -221,7 +222,8 @@ _DIGEST_CACHE = IdentityLRU(maxsize=8192)
 _IMMUTABLE_LEAVES = (type(None), bool, int, float, str, bytes)
 
 #: Per-class immutability verdicts, filled in by :mod:`repro.core.codec`
-#: at its import: for a MANIFEST class, ``False`` means "never deeply
+#: at its import (a frozen class's with a stand-in that compiles the
+#: class on first use): for a MANIFEST class, ``False`` means "never deeply
 #: immutable" (not frozen, or a field is always a mutable container)
 #: and a callable isinstance-checks the scalar fields and pushes only
 #: the fields the spec cannot decide statically. A verdict may only be

@@ -6,27 +6,3 @@ The benchmark suite under ``benchmarks/`` calls these same drivers, so
 ``pytest benchmarks/ --benchmark-only`` regenerates the entire
 evaluation.
 """
-
-from repro.experiments import (  # noqa: F401
-    ablations,
-    costs,
-    fig4_local_commit,
-    fig5_geo,
-    fig6_communication,
-    fig7_consensus,
-    fig8_failures,
-    table1_topology,
-    table2_scalability,
-)
-
-__all__ = [
-    "ablations",
-    "costs",
-    "fig4_local_commit",
-    "fig5_geo",
-    "fig6_communication",
-    "fig7_consensus",
-    "fig8_failures",
-    "table1_topology",
-    "table2_scalability",
-]

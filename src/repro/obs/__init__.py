@@ -23,12 +23,11 @@ reproduction makes:
   proofs, shipments, probes) that feeds the byzantine forensics layer
   (:mod:`repro.obs.forensics`: online auditor, misbehaviour
   attribution, detection-quality harness).
-* Exporters (:mod:`repro.obs.exporters`): JSON snapshot, Prometheus
-  text format, Chrome trace-event JSON (``chrome://tracing`` /
-  Perfetto), journal JSON.
-
-* :mod:`repro.obs.critpath` — critical-path latency attribution:
-  folds each committed op's span tree into an ordered segment
+* Exporters (:mod:`repro.obs.exporters`, imported from there):
+  JSON snapshot, Prometheus text format, Chrome trace-event JSON
+  (``chrome://tracing`` / Perfetto), journal JSON.
+* :mod:`repro.obs.critpath` (imported from there) — critical-path
+  latency attribution: folds each committed op's span tree into an ordered segment
   decomposition with a conservation invariant, computes per-segment
   percentile budgets and p99-tail dominance, and backs the console's
   latency panel.
@@ -37,7 +36,6 @@ Metric names, the span taxonomy, the segment taxonomy, and the journal
 event taxonomy are documented in ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs import critpath
 from repro.obs.hub import DISABLED, Observability, TraceCtx
 from repro.obs.journal import EventJournal, ProtocolEvent
 from repro.obs.registry import (
@@ -48,19 +46,11 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.spans import Span, SpanLog
-from repro.obs.exporters import (
-    export_all,
-    journal_snapshot,
-    metrics_snapshot,
-    to_chrome_trace,
-    to_prometheus_text,
-)
 
 __all__ = [
     "Observability",
     "DISABLED",
     "TraceCtx",
-    "critpath",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -70,9 +60,4 @@ __all__ = [
     "SpanLog",
     "EventJournal",
     "ProtocolEvent",
-    "metrics_snapshot",
-    "to_prometheus_text",
-    "to_chrome_trace",
-    "journal_snapshot",
-    "export_all",
 ]

@@ -5,8 +5,8 @@ run's :class:`~repro.obs.Observability` hub — the journal, the spans,
 the metrics and, for a traced run, the critical-path attribution — plus
 an optional :class:`~repro.obs.forensics.findings.AuditReport` and
 :class:`~repro.chaos.plan.FaultPlan`, into the schema documented in
-:mod:`repro.obs.console.schema`. :func:`repro.obs.export_all` writes
-the result beside the other exports as ``console.json``.
+:mod:`repro.obs.console.schema`. :func:`repro.obs.exporters.export_all`
+writes the result beside the other exports as ``console.json``.
 
 Assembly does two non-obvious things:
 

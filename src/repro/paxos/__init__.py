@@ -1,10 +1,10 @@
 """Paxos (Lamport, "Paxos Made Simple").
 
-One sans-IO protocol core, :class:`PaxosCore` (multi-decree Paxos with
+One sans-IO protocol core, :class:`~repro.paxos.core.PaxosCore` (multi-decree Paxos with
 ballot-based leader election amortized across slots and per-slot
 replication), runs under two hosts, mirroring the paper:
 
-* :class:`MultiPaxosNode`, the **flat wide-area baseline** of Figure 7
+* :class:`~repro.paxos.node.MultiPaxosNode`, the **flat wide-area baseline** of Figure 7
   (one node per datacenter, no byzantine tolerance), and
 * :class:`repro.apps.bp_paxos.BlockplanePaxosParticipant`, the benign
   protocol ``P`` that Section VI-E *byzantizes* through the Blockplane
@@ -14,24 +14,3 @@ replication), runs under two hosts, mirroring the paper:
 The Hierarchical PBFT baseline does not use it: its global layer is
 its own ``GlobalAccept`` round (:mod:`repro.baselines.hierarchical_pbft`).
 """
-
-from repro.paxos.core import PaxosAcceptor, PaxosCore
-from repro.paxos.messages import (
-    Accept,
-    Accepted,
-    Nack,
-    PaxosPrepare,
-    Promise,
-)
-from repro.paxos.node import MultiPaxosNode
-
-__all__ = [
-    "PaxosCore",
-    "PaxosAcceptor",
-    "MultiPaxosNode",
-    "PaxosPrepare",
-    "Promise",
-    "Accept",
-    "Accepted",
-    "Nack",
-]

@@ -13,49 +13,7 @@ modifications:
    byzantine proposals that are not valid state transitions of the
    wrapped protocol never gather a commit quorum.
 
-The module also ships byzantine replica variants used by the test suite
-to validate those guarantees.
+The package also ships byzantine replica variants
+(:mod:`repro.pbft.byzantine`) used by the test suite to validate those
+guarantees.
 """
-
-from repro.pbft.config import PBFTConfig
-from repro.pbft.messages import (
-    CatchUpRequest,
-    CatchUpResponse,
-    Checkpoint,
-    ClientRequest,
-    CommittedEntry,
-    Commit,
-    NewView,
-    PrePrepare,
-    Prepare,
-    Reply,
-    ViewChange,
-)
-from repro.pbft.engine import PBFTApp, PBFTEngine
-from repro.pbft.replica import PBFTReplica
-from repro.pbft.byzantine import (
-    EquivocatingLeader,
-    SilentReplica,
-    TamperingVoter,
-)
-
-__all__ = [
-    "PBFTConfig",
-    "PBFTApp",
-    "PBFTEngine",
-    "PBFTReplica",
-    "ClientRequest",
-    "PrePrepare",
-    "Prepare",
-    "Commit",
-    "Reply",
-    "Checkpoint",
-    "ViewChange",
-    "NewView",
-    "CatchUpRequest",
-    "CatchUpResponse",
-    "CommittedEntry",
-    "EquivocatingLeader",
-    "SilentReplica",
-    "TamperingVoter",
-]

@@ -34,6 +34,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import _FIRE_AND_FORGET, Event
+from repro.sim.process import Future, Process
 
 
 class Simulator:
@@ -284,21 +285,17 @@ class Simulator:
     # ------------------------------------------------------------------
     # Processes
     # ------------------------------------------------------------------
-    def spawn(self, generator: Generator) -> "Process":
+    def spawn(self, generator: Generator) -> Process:
         """Start a generator-based process; see :mod:`repro.sim.process`."""
-        from repro.sim.process import Process
-
         process = Process(self, generator)
         process.start()
         return process
 
-    def sleep(self, delay: float) -> "Future":
+    def sleep(self, delay: float) -> Future:
         """Return a future that resolves ``delay`` milliseconds from now.
 
         Intended to be ``yield``-ed from inside a process.
         """
-        from repro.sim.process import Future
-
         future = Future(self)
         self.schedule(delay, future.resolve, None)
         return future

@@ -10,10 +10,11 @@ import json
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.obs import Observability, export_all
+from repro.obs import Observability
 from repro.obs.console import load_bundle
 from repro.obs.console.__main__ import main as console_main
 from repro.obs.demo import trace_commit_lifecycle
+from repro.obs.exporters import export_all
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,14 @@ the artifact set ``export_all`` writes."""
 import json
 import re
 
-from repro.obs import (
-    Observability,
+from repro.obs import Observability
+from repro.obs.console import build_bundle, render_html
+from repro.obs.exporters import (
     export_all,
     metrics_snapshot,
     to_chrome_trace,
     to_prometheus_text,
 )
-from repro.obs.console import build_bundle, render_html
 
 #: One Prometheus sample line: name{labels} value  (labels optional).
 _PROM_SAMPLE = re.compile(

@@ -12,8 +12,9 @@ import json
 from repro.core import BlockplaneConfig, BlockplaneDeployment
 from repro.core.messages import TransmissionMessage
 from repro.experiments import fig4_local_commit
-from repro.obs import Observability, to_chrome_trace
+from repro.obs import Observability
 from repro.obs.demo import trace_commit_lifecycle
+from repro.obs.exporters import to_chrome_trace
 from repro.obs.hub import DISABLED
 from repro.pbft.config import PBFTConfig
 from repro.sim.faults import FaultInjector

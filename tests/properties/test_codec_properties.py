@@ -1,9 +1,11 @@
 """Property-based tests for the generated wire codec (hypothesis).
 
 Instance strategies are derived from the codec's own field-spec trees
-(:data:`repro.core.codec._SPECS`), so every class in the MANIFEST is
-exercised with arbitrary well-typed payloads — the properties cannot
-drift out of sync with the manifest when a wire class gains a field.
+(:func:`repro.core.codec._generate` compiles the class and returns
+them), so every class in the MANIFEST is generated and exercised with
+arbitrary well-typed payloads — the properties cannot drift out of
+sync with the manifest when a wire class gains a field, and a class
+the generator cannot handle fails here rather than at import.
 
 Three invariants:
 
@@ -75,7 +77,7 @@ class _StrategyBuilder:
         return strategy
 
     def _build(self, cls: type) -> st.SearchStrategy:
-        fields, specs = codec._SPECS[cls]
+        fields, specs = codec._generate(cls)
         return st.builds(
             cls,
             **{
