@@ -39,7 +39,7 @@ _ALLOWED_RANDOM = {"random.Random"}
 
 #: Emission methods: a set-ordered loop driving any of these is
 #: nondeterministic message ordering on the wire.
-_EMIT_METHODS = {"send", "broadcast", "submit", "local_commit"}
+_EMIT_METHODS = {"send", "broadcast", "submit", "local_commit", "commit_record"}
 
 
 def _import_map(tree: ast.AST) -> Dict[str, str]:

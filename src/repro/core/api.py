@@ -158,10 +158,10 @@ class BlockplaneAPI:
             )
             trace_ctx = obs.ctx_of(root)
         gateway = self.unit.gateway_node()
-        committed = yield gateway.local_commit(
-            value, record_type, meta, payload_bytes, trace_ctx=trace_ctx
+        seq, offset = yield gateway.commit_record(
+            value, record_type, meta, payload_bytes, trace_ctx
         )
-        position = yield gateway.position_future(committed.seq)
+        position = yield gateway.position_future(seq, offset)
         if self.unit.config.f_geo > 0 and self.unit.geo is not None:
             yield self.unit.geo.proofs_for(position)
         if obs.enabled:
@@ -203,7 +203,7 @@ class BlockplaneAPI:
     def _linearizable_read(self, position: int):
         gateway = self.unit.gateway_node()
         # Order the read against all writes by committing a marker.
-        yield gateway.local_commit(
+        yield gateway.commit_record(
             ("__read_marker__", position), RECORD_LOG_COMMIT, None, 0
         )
         entry = yield gateway.read_quorum(position, 1)

@@ -38,9 +38,11 @@ from repro.core.messages import (
     TransmissionMessage,
 )
 from repro.core.records import (
+    BATCHABLE,
     LogEntry,
     LogSnapshot,
     MirrorEntry,
+    RECORD_BATCH,
     RECORD_COMMUNICATION,
     RECORD_LOG_COMMIT,
     RECORD_MIRROR,
@@ -181,8 +183,20 @@ class BlockplaneNode(PBFTReplica):
         self._mirror_by_digest: Dict[str, MirrorEntry] = {}
         self._mirror_applied_waiters: Dict[Tuple[str, int], List[Future]] = {}
         self._mirror_response_waiters: Dict[Tuple[str, int], Future] = {}
+        #: PBFT seq → Local Log position of the slot's last entry (a
+        #: batch slot holds several consecutive ones).
         self._seq_to_position: Dict[int, int] = {}
-        self._position_waiters: Dict[int, List[Future]] = {}
+        #: seq → (entries after the awaited one in its slot, future).
+        self._position_waiters: Dict[int, List[Tuple[int, Future]]] = {}
+        #: Gateway batching: the virtual instant of the last record
+        #: submitted alone, and the records queued behind it in that
+        #: instant as ``((value, record_type, meta, payload_bytes),
+        #: trace_ctx, future)`` for the zero-delay batch event.
+        self._alone_at = float("-inf")
+        self._queued: List[Tuple[tuple, Any, Future]] = []
+        #: Gateway, tracing on: batch request id → each record's trace
+        #: context (None when untraced), until the slot executes here.
+        self._batch_traces: Dict[Tuple[str, int], tuple] = {}
         self._read_counter = 0
         self._read_collectors: Dict[Tuple[str, int], Dict[str, Any]] = {}
         #: Gateway-only guard: a truncation proposal is outstanding.
@@ -208,12 +222,140 @@ class BlockplaneNode(PBFTReplica):
         """
         return self.submit(value, record_type, meta, payload_bytes, trace_ctx)
 
+    def commit_record(
+        self,
+        value: Any,
+        record_type: str,
+        meta: Optional[Dict[str, Any]],
+        payload_bytes: int,
+        trace_ctx: Optional[Tuple[int, int]] = None,
+    ) -> Future:
+        """The gateway's side of an API commit (``log_commit``, ``send``,
+        the read marker): local-commit one record and resolve with
+        ``(seq, offset)`` — the PBFT slot it committed in and how many
+        entries follow it there — for :meth:`position_future`.
+
+        The first record of a virtual instant is submitted alone, as a
+        plain request. Later ones in the same instant queue, and one
+        zero-delay event submits them together as one ``batch`` request:
+        one slot, whose vote traffic the whole burst shares.
+        """
+        future = Future(self.sim, label="commit")
+        record = (value, record_type, meta, payload_bytes)
+        # The virtual clock never goes back: "not later" is "the same".
+        if self.sim.now > self._alone_at:
+            self._alone_at = self.sim.now
+            self._submit_alone(record, trace_ctx, future)
+            return future
+        if not self._queued:
+            # Not a node timer: a crash must not strand the queue. The
+            # records then meet the crashed engine as plain submits would.
+            self.sim.schedule(0.0, self._submit_batch)
+        self._queued.append((record, trace_ctx, future))
+        return future
+
+    def _submit_alone(
+        self, record: tuple, trace_ctx: Optional[Tuple[int, int]], future: Future
+    ) -> None:
+        """Local-commit one record as a plain request; settle
+        ``future`` as ``(seq, 0)`` once it commits."""
+
+        def _done(completed: Future) -> None:
+            if completed.exception is not None:
+                future.reject(completed.exception)
+            else:
+                future.resolve((completed.result().seq, 0))
+
+        self.local_commit(*record, trace_ctx).add_done_callback(_done)
+
+    def _submit_batch(self) -> None:
+        """Submit the instant's queued records as one ``batch`` request
+        (a lone one as a plain request). A refused batch is resubmitted
+        record by record, so each gets its own verdict."""
+        queued, self._queued = self._queued, []
+        if len(queued) == 1:
+            self._submit_alone(*queued[0])
+            return
+        records = tuple(
+            (record_type, value, tuple(sorted((meta or {}).items())), size)
+            for (value, record_type, meta, size), _trace, _future in queued
+        )
+        request_id, batch = self.engine.submit(
+            records, RECORD_BATCH, None, sum(record[3] for record in records)
+        )
+        traces = tuple(trace for _record, trace, _future in queued)
+        traced = self.obs.tracing and any(traces)
+        if traced:
+            # One "pbft.consensus" span per traced record, kept with the
+            # host's spans so a view change reaches them too.
+            self._batch_traces[request_id] = traces
+            for index, trace in enumerate(traces):
+                if trace is not None:
+                    self._spans[(request_id, index)] = self.obs.begin_span(
+                        "pbft.consensus", trace, participant=self.site,
+                        node=self.node_id, record_type=records[index][0],
+                    )
+
+        def _done(completed: Future) -> None:
+            refused = completed.exception
+            outcome = (
+                {"rejected": str(refused)} if refused is not None
+                else {"seq": completed.result().seq}
+            )
+            for index in range(len(queued)) if traced else ():
+                span = self._spans.pop((request_id, index), None)
+                if span is not None:
+                    self.obs.end_span(span, **outcome)
+            if refused is not None:
+                self._batch_traces.pop(request_id, None)
+                for item in queued:
+                    self._submit_alone(*item)
+                return
+            for index, (_record, _trace, future) in enumerate(queued):
+                future.resolve((outcome["seq"], len(queued) - 1 - index))
+
+        batch.add_done_callback(_done)
+
+    def slot_executed(self, entry: CommittedEntry, slot) -> None:
+        """The host's phase metrics, then, for a traced batch at its
+        gateway, each traced record's phase spans and apply trace."""
+        super().slot_executed(entry, slot)
+        traces = self._batch_traces.pop(slot.request_id, None)
+        if traces is None or slot.t_pre_prepare < 0:
+            return
+        self._slot_traces[entry.seq] = traces
+        obs, now, start = self.obs, self.sim.now, slot.t_pre_prepare
+        prepared = slot.t_prepared if slot.t_prepared >= 0 else now
+        common = dict(participant=self.site, node=self.node_id, seq=entry.seq)
+        for index, trace in enumerate(traces):
+            span = self._spans.get((slot.request_id, index))
+            ctx = obs.ctx_of(span) if span is not None else trace
+            if ctx is None:
+                continue
+            obs.complete_span("pbft.pre_prepare", start, start, ctx, **common)
+            obs.complete_span("pbft.prepare", start, prepared, ctx, **common)
+            obs.complete_span(
+                "pbft.verify", prepared, prepared, ctx,
+                record_type=entry.record_type, **common,
+            )
+            obs.complete_span("pbft.commit", prepared, now, ctx, **common)
+
     # ------------------------------------------------------------------
     # Verification dispatch (the engine's app hook)
     # ------------------------------------------------------------------
     def verify(
         self, value: Any, record_type: str, meta: Optional[Dict[str, Any]]
     ) -> Optional[bool]:
+        if record_type == RECORD_BATCH:
+            # False if any record fails, None (defer) if any defers.
+            records = _unbatch(value)
+            verdicts = [
+                self.verify(item, item_type, item_meta)
+                for item_type, item, item_meta, _size in records or ()
+            ]
+            if records is None or any(v is not None and not v for v in verdicts):
+                return False
+            return None if None in verdicts else True
         if record_type == RECORD_LOG_COMMIT:
             return self.routines.verify_log_commit(value, meta)
         if record_type == RECORD_COMMUNICATION:
@@ -390,12 +532,13 @@ class BlockplaneNode(PBFTReplica):
     # Applying executed entries
     # ------------------------------------------------------------------
     def _apply_entry(self, committed: CommittedEntry) -> None:
-        if committed.record_type == NOOP_RECORD_TYPE:
+        record_type = committed.record_type
+        if record_type == NOOP_RECORD_TYPE:
             return
-        if committed.record_type == RECORD_MIRROR:
+        if record_type == RECORD_MIRROR:
             self._apply_mirror(committed)
             return
-        if committed.record_type == RECORD_RECEIVED:
+        if record_type == RECORD_RECEIVED:
             record = committed.value.record
             self._reception(record.source).proposed.discard(record.source_position)
             if self.has_received(record.source, record.source_position):
@@ -406,6 +549,36 @@ class BlockplaneNode(PBFTReplica):
             self._slot_traces.pop(committed.seq, None)
             if self.obs.enabled else None
         )
+        if record_type == RECORD_BATCH:
+            # One entry per record, in submission order; ``trace`` (at
+            # the gateway, tracing on) holds each record's context. A
+            # slot replayed by catch-up never reached ``slot_executed``.
+            self._batch_traces.pop(committed.request_id, None)
+            entries = [
+                self._append(*record, trace[index] if trace else None)
+                for index, record in enumerate(_unbatch(committed.value))
+            ]
+        else:
+            entries = [self._append(
+                record_type, committed.value, committed.meta,
+                committed.payload_bytes, trace,
+            )]
+        position = entries[-1].position
+        self._seq_to_position[committed.seq] = position
+        for offset, waiter in self._position_waiters.pop(committed.seq, ()):
+            if not waiter.resolved:
+                waiter.resolve(position - offset)
+        if record_type == RECORD_RECEIVED:
+            self._apply_reception(entries[0])
+        elif record_type == RECORD_TRUNCATE:
+            self._apply_truncate(committed)
+        for entry in entries:
+            for callback in list(self.on_log_append):
+                callback(entry)
+        self._retry_deferred_sign_requests()
+
+    def _append(self, record_type, value, meta, payload_bytes, trace) -> LogEntry:
+        """Append one executed record to the Local Log."""
         if trace is not None:
             # Register before appending so the entry's own ``log.append``
             # journal event (and everything fired from it) already sees
@@ -413,25 +586,10 @@ class BlockplaneNode(PBFTReplica):
             self.obs.register_entry_trace(
                 self.participant, self.local_log.next_position, trace
             )
-        entry = self.local_log.append(
-            committed.record_type,
-            committed.value,
-            committed.meta,
-            committed.payload_bytes,
-        )
+        entry = self.local_log.append(record_type, value, meta, payload_bytes)
         if self.obs.enabled:
-            self._record_apply_obs(committed, entry, trace)
-        self._seq_to_position[committed.seq] = entry.position
-        for waiter in self._position_waiters.pop(committed.seq, []):
-            if not waiter.resolved:
-                waiter.resolve(entry.position)
-        if committed.record_type == RECORD_RECEIVED:
-            self._apply_reception(entry)
-        elif committed.record_type == RECORD_TRUNCATE:
-            self._apply_truncate(committed)
-        for callback in list(self.on_log_append):
-            callback(entry)
-        self._retry_deferred_sign_requests()
+            self._record_apply_obs(entry, trace)
+        return entry
 
     def _apply_truncate(self, committed: CommittedEntry) -> None:
         """Fold the Local Log prefix below the committed bound. The
@@ -443,8 +601,8 @@ class BlockplaneNode(PBFTReplica):
         dropped = before - self.local_log.retained_count
         # A folded own-log position is never attestable, shipped or
         # looked up again: drop its settled signature collections and
-        # its seq → position entry, and let the daemons and the geo
-        # coordinator forget it.
+        # the seq → position entry of a slot folded whole, and let the
+        # daemons and the geo coordinator forget it.
         base = self.local_log.base_position
         for key in [
             key for key, collector in self._sign_collectors.items()
@@ -469,13 +627,11 @@ class BlockplaneNode(PBFTReplica):
                 "bp_log_entries_folded_total", participant=self.participant
             ).inc(float(dropped))
 
-    def _record_apply_obs(
-        self, committed: CommittedEntry, entry: LogEntry, trace
-    ) -> None:
+    def _record_apply_obs(self, entry: LogEntry, trace) -> None:
         """Local-Log apply metrics and spans for a freshly appended
         entry (log_appends/log_length live in the LocalLog itself)."""
-        if committed.record_type == RECORD_RECEIVED:
-            sealed: SealedTransmission = committed.value
+        if entry.record_type == RECORD_RECEIVED:
+            sealed: SealedTransmission = entry.value
             source = sealed.record.source
             counter = self._reception_counters.get(source)
             if counter is None:
@@ -489,11 +645,11 @@ class BlockplaneNode(PBFTReplica):
         if not self.obs.tracing or trace is None:
             return
         self.obs.complete_span(
-            "log.apply" if committed.record_type != RECORD_RECEIVED
+            "log.apply" if entry.record_type != RECORD_RECEIVED
             else "receive.apply",
             self.sim.now, self.sim.now, trace,
             participant=self.participant, node=self.node_id,
-            position=entry.position, record_type=committed.record_type,
+            position=entry.position, record_type=entry.record_type,
         )
 
     # ------------------------------------------------------------------
@@ -619,16 +775,17 @@ class BlockplaneNode(PBFTReplica):
         self._proposed_mirrors.clear()
         super().on_view_installed(new_view)
 
-    def position_future(self, seq: int) -> Future:
+    def position_future(self, seq: int, offset: int = 0) -> Future:
         """Future resolving with the Local Log position of the entry
-        committed at PBFT sequence ``seq`` (resolves immediately if this
-        node already applied it)."""
+        committed at PBFT sequence ``seq`` with ``offset`` entries after
+        it in that slot (resolves immediately if this node already
+        applied it)."""
         future = Future(self.sim, label=f"position:{seq}")
         position = self._seq_to_position.get(seq)
         if position is not None:
-            future.resolve(position)
+            future.resolve(position - offset)
         else:
-            self._position_waiters.setdefault(seq, []).append(future)
+            self._position_waiters.setdefault(seq, []).append((offset, future))
         return future
 
     def _apply_reception(self, entry: LogEntry) -> None:
@@ -1139,6 +1296,25 @@ class BlockplaneNode(PBFTReplica):
             future = collector["future"]
             if not future.resolved:
                 future.resolve(msg.entry)
+
+
+def _unbatch(value: Any) -> Optional[List[tuple]]:
+    """The ``(record_type, value, meta, payload_bytes)`` records a batch
+    carries, in submission order, or None when it is malformed or holds
+    a record type that may not ride in one."""
+    try:
+        records = [
+            (record_type, item, dict(meta) or None, payload_bytes)
+            for record_type, item, meta, payload_bytes in value
+        ]
+        if records and all(
+            record_type in BATCHABLE and isinstance(payload_bytes, int)
+            for record_type, _item, _meta, payload_bytes in records
+        ):
+            return records
+    except (TypeError, ValueError):
+        pass
+    return None
 
 
 def msg_payload_estimate(entry: MirrorEntry) -> int:

@@ -49,6 +49,15 @@ RECORD_MIRROR = "mirror"
 #: gateway once a checkpoint certificate is stable, verified by every
 #: unit member against its *own* certificate before it votes.
 RECORD_TRUNCATE = "truncate"
+#: Several API records a gateway received in one virtual instant,
+#: ordered in one PBFT slot: a tuple of ``(record_type, value, sorted
+#: meta items, payload_bytes)``, one per record in submission order.
+#: Never a Local Log record type: every replica unrolls it at apply
+#: time into one entry per record.
+RECORD_BATCH = "batch"
+#: The record types a batch may carry: the stateless ones, whose
+#: verification does not depend on the slots before them.
+BATCHABLE = frozenset((RECORD_LOG_COMMIT, RECORD_COMMUNICATION))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -582,8 +582,11 @@ class PBFTEngine:
                     ),
                 )
             return
-        if msg.request_id in self._assigned_requests:
-            return  # duplicate (client retry); already in flight
+        if (
+            msg.request_id in self._assigned_requests
+            or msg.request_id in self._executed_requests
+        ):
+            return  # duplicate (client retry); in flight or executed
         reject_reason = self.app.pre_validate(msg)
         if reject_reason is not None:
             rejection = RejectRequest(
@@ -1098,7 +1101,7 @@ class PBFTEngine:
         """Drop per-sequence book-keeping at or below a stable
         watermark: slots (with ``executed_only``, a slot we have yet to
         execute ourselves survives), checkpoint votes, and catch-up
-        staging for what we have executed."""
+        staging and sequence assignments for what we have executed."""
         for slot_seq in [s for s in self.slots if s <= seq]:
             if not executed_only or self.slots[slot_seq].executed:
                 del self.slots[slot_seq]
@@ -1107,6 +1110,11 @@ class PBFTEngine:
         dead = min(seq, self.last_executed)
         for staged_seq in [s for s in self._catch_up if s <= dead]:
             del self._catch_up[staged_seq]
+        self._assigned_requests = {
+            request_id: assigned
+            for request_id, assigned in self._assigned_requests.items()
+            if assigned > dead
+        }
 
     def _truncate_executed_entries(self, seq: int) -> None:
         """Drop executed entries at or below ``seq`` (the retained

@@ -248,6 +248,25 @@ def test_checkpoint_stabilises_and_truncates_slots():
         assert not engine._checkpoints
 
 
+def test_leader_forgets_sequence_assignments_below_the_stable_watermark():
+    router = Router(4, PBFTConfig(checkpoint_interval=2))
+    leader = router.engines[0]
+    for value in "abcdefg":
+        leader.submit(value)
+        router.drain()
+    assert_agreement(router.engines, 7)
+    assert leader.stable_checkpoint == 6
+    assert leader._assigned_requests == {("r0", 7): 7}
+    # A late retry of a request whose assignment is gone is still a
+    # duplicate: it must never be proposed (or executed) again.
+    router.sent.clear()
+    old = ClientRequest(request_id=("r0", 1), value="a")
+    leader.handle_client_request(old, "r0")
+    router.drain()
+    assert not [m for _src, m in router.sent if isinstance(m, PrePrepare)]
+    assert_agreement(router.engines, 7)
+
+
 def test_lagging_engine_rejoins_by_catch_up():
     router = Router(4)
     laggard = router.engines[3]
